@@ -52,7 +52,6 @@ from .approx import (
 )
 from .specfun import (
     BesselEnvelopeConstants,
-    JacobiParams,
     QuadratureRule,
     bessel_j,
     bessel_y,
@@ -64,9 +63,6 @@ from .specfun import (
     gamma_fn,
     gauss_jacobi,
     incomplete_K,
-    jacobi_p,
-    jacobi_p_deriv,
-    jacobi_p_normalized,
     s_map,
     weight_modulus,
 )
@@ -74,7 +70,6 @@ from .spectrum import (
     CountingReport,
     DecayReport,
     OperatorSpectrum,
-    SincLikeKernel,
     TraceAndNorm,
     counting,
     decay_check,
@@ -92,21 +87,17 @@ from .sturm import (
     ProblemParams,
     TruncationError,
     chi_spectrum,
-    gpswf_deriv,
-    gpswf_eval,
     ode_residual,
 )
 
 __all__ = [
     "ApproxReport", "BesselEnvelopeConstants", "ChiSpectrum", "CountingReport",
-    "DecayReport", "GpswfFunction", "JacobiParams", "OperatorSpectrum",
-    "ProblemParams", "QuadratureRule", "SincLikeKernel", "TraceAndNorm",
-    "TruncationError", "WkbFrame", "a_alpha_exact", "approximant_norm_check",
-    "approximant_norm_sq", "bessel_j", "bessel_report", "bessel_uniform",
-    "bessel_y", "beta_fn", "chi_spectrum", "counting", "decay_check",
-    "elliptic_E", "elliptic_K", "envelope_constants", "eta_fn", "f_n_moment",
-    "g_bound", "gamma_fn", "gauss_jacobi", "gpswf_deriv", "gpswf_eval",
-    "incomplete_K", "jacobi_p", "jacobi_p_deriv", "jacobi_p_normalized",
+    "DecayReport", "GpswfFunction", "OperatorSpectrum", "ProblemParams",
+    "QuadratureRule", "TraceAndNorm", "TruncationError", "WkbFrame",
+    "a_alpha_exact", "approximant_norm_check", "approximant_norm_sq", "bessel_j",
+    "bessel_report", "bessel_uniform", "bessel_y", "beta_fn", "chi_spectrum",
+    "counting", "decay_check", "elliptic_E", "elliptic_K", "envelope_constants",
+    "eta_fn", "f_n_moment", "g_bound", "gamma_fn", "gauss_jacobi", "incomplete_K",
     "jacobi_report", "jacobi_uniform", "kernel_eval", "log_lambda_explicit",
     "make_frame", "mu_eigenrelation", "mu_explicit", "nystrom_spectrum",
     "ode_residual", "s_map", "trace_and_norm", "weight_modulus",

@@ -3,7 +3,7 @@
 Everything here is double precision, pure and deterministic: Gamma/Beta,
 Bessel J/Y of real order, complete and incomplete Legendre elliptic
 integrals, the elliptic arc-length map S used by the Liouville transform,
-symmetric Jacobi polynomials with their orthonormal normalization,
+Clenshaw evaluation of orthonormal symmetric-Jacobi series,
 Gauss-Jacobi quadrature for the weight (1-y^2)^alpha, and the envelope
 constants (m_alpha, c_alpha, kappa_alpha, X_alpha, ...) that control the
 Bessel-form error bounds.
@@ -134,21 +134,6 @@ def incomplete_K(x, q: float):
 # Jacobi polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Degree and exponents of a Jacobi polynomial P_n^(alpha, beta)."""
-
-    alpha: float
-    beta: float
-    n: int
-
-    def __post_init__(self):
-        if self.alpha <= -1 or self.beta <= -1:
-            raise ValueError("Jacobi exponents must exceed -1")
-        if self.n < 0:
-            raise ValueError("Jacobi degree must be nonnegative")
-
-
 def _check_unit_interval(x):
     arr = _as_float_array(x)
     if np.any(np.abs(arr) > 1.0 + 1e-14):
@@ -156,62 +141,27 @@ def _check_unit_interval(x):
     return arr
 
 
-def jacobi_p(params: JacobiParams, x):
-    """P_n^(alpha, beta)(x) by the three-term recurrence."""
-    a, b, n = params.alpha, params.beta, params.n
-    arr = _check_unit_interval(x)
-    p_prev = np.ones_like(arr)
-    if n == 0:
-        return _maybe_scalar(p_prev, x)
-    p = 0.5 * (a + b + 2) * arr + 0.5 * (a - b)
-    for k in range(1, n):
-        s = 2 * k + a + b
-        ak = (s + 1) * (s + 2) / (2 * (k + 1) * (k + a + b + 1))
-        bk = (a * a - b * b) * (s + 1) / (2 * (k + 1) * (k + a + b + 1) * s)
-        ck = (k + a) * (k + b) * (s + 2) / ((k + 1) * (k + a + b + 1) * s)
-        p, p_prev = (ak * arr + bk) * p - ck * p_prev, p
-    return _maybe_scalar(p, x)
-
-
-def jacobi_h(n: int, alpha: float, beta: float) -> float:
-    """Squared weighted L2 norm h_n of P_n^(alpha, beta).
+def jacobi_h(n, alpha: float, beta: float):
+    """Squared weighted L2 norm h_n of P_n^(alpha, beta); n an int or an array.
 
     Computed in log space so it stays finite for degrees far beyond the
-    overflow point of the Gamma function.
+    overflow point of the Gamma function.  Degree 0 takes the Beta form,
+    which stays finite where the general form is 0/0 (alpha + beta = -1).
     """
     a, b = float(alpha), float(beta)
-    if n == 0:
-        return 2.0 ** (a + b + 1) * beta_fn(a + 1, b + 1)
-    log_h = (
-        (a + b + 1) * math.log(2.0)
-        + _sp.gammaln(n + a + 1)
-        + _sp.gammaln(n + b + 1)
-        + math.log(n + a + b + 1)
-        - _sp.gammaln(n + 1)
-        - math.log(2 * n + a + b + 1)
-        - _sp.gammaln(n + a + b + 2)
-    )
-    return float(math.exp(log_h))
-
-
-def jacobi_p_normalized(params: JacobiParams, x):
-    """Orthonormal Jacobi polynomial: unit weighted L2 norm on [-1, 1]."""
-    scale = 1.0 / math.sqrt(jacobi_h(params.n, params.alpha, params.beta))
-    return jacobi_p(params, x) * scale
-
-
-def jacobi_p_deriv(params: JacobiParams, x):
-    """d/dx P_n^(alpha, beta) via the parameter-shift identity.
-
-    d/dx P_n^(a,b) = (n + a + b + 1)/2 * P_{n-1}^(a+1, b+1); exact for the
-    stored recurrence, no numerical differentiation.
-    """
-    a, b, n = params.alpha, params.beta, params.n
-    if n == 0:
-        arr = _check_unit_interval(x)
-        return _maybe_scalar(np.zeros_like(arr), x)
-    shifted = JacobiParams(a + 1.0, b + 1.0, n - 1)
-    return jacobi_p(shifted, x) * (0.5 * (n + a + b + 1))
+    k = np.asarray(n, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_h = (
+            (a + b + 1) * math.log(2.0)
+            + _sp.gammaln(k + a + 1)
+            + _sp.gammaln(k + b + 1)
+            + np.log(k + a + b + 1)
+            - _sp.gammaln(k + 1)
+            - np.log(2 * k + a + b + 1)
+            - _sp.gammaln(k + a + b + 2)
+        )
+    h = np.where(k == 0, 2.0 ** (a + b + 1) * beta_fn(a + 1, b + 1), np.exp(log_h))
+    return _maybe_scalar(h, n)
 
 
 def sym_offdiag(alpha: float, kmax: int) -> np.ndarray:
@@ -232,40 +182,39 @@ def sym_offdiag(alpha: float, kmax: int) -> np.ndarray:
 
 
 def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
-    """Clenshaw evaluation of sum_k coeffs[k] * Ptilde_k^(alpha, alpha)(x)."""
+    """Clenshaw evaluation of sum_k coeffs[..., k] * Ptilde_k^(alpha, alpha)(x).
+
+    The one Jacobi evaluator.  Coefficients of shape (..., N) give values of
+    shape (..., *x.shape); each row is bit-identical to a call with that row
+    alone, so many modes share one pass over the recurrence.
+    """
     arr = _check_unit_interval(x)
     c = np.asarray(coeffs, dtype=float)
+    u1 = np.zeros(c.shape[:-1] + arr.shape)
+    u2 = np.zeros_like(u1)
+    # terms first; a stack of series gets axes that broadcast over the
+    # points, while one series keeps scalar terms (a scalar add runs ~10 %
+    # faster than a broadcast one at N = 3000 terms and 2001 points)
+    c = np.moveaxis(c, -1, 0)
+    if c.ndim > 1:
+        c = c[(Ellipsis,) + (None,) * arr.ndim]
     n = len(c) - 1
     b = sym_offdiag(alpha, n + 2)
-    u1 = np.zeros_like(arr)
-    u2 = np.zeros_like(arr)
     for k in range(n, -1, -1):
         u1, u2 = c[k] + arr * u1 / b[k + 1] - (b[k + 1] / b[k + 2]) * u2, u1
     out = u1 / math.sqrt(jacobi_h(0, alpha, alpha))
-    return _maybe_scalar(out, x)
+    return out if out.ndim else float(out)
 
 
 def jacobi_series_deriv_coeffs(coeffs: np.ndarray, alpha: float) -> np.ndarray:
     """Coefficients of d/dx sum_k c_k Ptilde_k^(a,a) in the Ptilde^(a+1,a+1) basis.
 
-    Uses d/dx Ptilde_k^(a,a) = sqrt(k (k + 2a + 1)) Ptilde_{k-1}^(a+1,a+1).
+    Uses d/dx Ptilde_k^(a,a) = sqrt(k (k + 2a + 1)) Ptilde_{k-1}^(a+1,a+1);
+    works on the last axis, so a (..., N) stack of series maps to (..., N-1).
     """
     c = np.asarray(coeffs, dtype=float)
-    k = np.arange(1, len(c), dtype=float)
-    return c[1:] * np.sqrt(k * (k + 2 * alpha + 1))
-
-
-def jacobi_normalized_table(n_max: int, alpha: float, x) -> np.ndarray:
-    """Array of Ptilde_k^(alpha, alpha)(x) for k = 0..n_max, shape (n_max+1, len(x))."""
-    arr = np.atleast_1d(_check_unit_interval(x))
-    b = sym_offdiag(alpha, n_max + 1)
-    table = np.empty((n_max + 1, arr.size))
-    table[0] = 1.0 / math.sqrt(jacobi_h(0, alpha, alpha))
-    if n_max >= 1:
-        table[1] = arr * table[0] / b[1]
-    for k in range(1, n_max):
-        table[k + 1] = (arr * table[k] - b[k] * table[k - 1]) / b[k + 1]
-    return table
+    k = np.arange(1, c.shape[-1], dtype=float)
+    return c[..., 1:] * np.sqrt(k * (k + 2 * alpha + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -23,34 +23,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
 from scipy.linalg import eigh
 
-from .specfun import beta_fn, gauss_jacobi, jacobi_h, total_mass
+from .specfun import (
+    beta_fn,
+    gauss_jacobi,
+    jacobi_h,
+    jacobi_series_deriv_coeffs,
+    jacobi_series_eval,
+    total_mass,
+)
 from .sturm import ChiSpectrum, ProblemParams, chi_spectrum
 
 _NYSTROM_FLOOR = 1e-14   # below this, double-precision Nystrom values are noise
 
 
-@dataclass(frozen=True)
-class SincLikeKernel:
-    """Kernel K_alpha of the composition operator, even with a removable 0."""
+def kernel_eval(alpha: float, u):
+    """Kernel of the composition operator, even in u with a removable 0.
 
-    alpha: float
-    c: float
-
-
-def kernel_eval(kernel: SincLikeKernel, u):
-    """K_alpha(u) = sqrt(pi) 2^(a+1/2) Gamma(a+1) J_{a+1/2}(|u|) / |u|^(a+1/2).
+    K_alpha(u) = sqrt(pi) 2^(a+1/2) Gamma(a+1) J_{a+1/2}(|u|) / |u|^(a+1/2).
 
     Even in u; the u -> 0 limit is sqrt(pi) Gamma(a+1) / Gamma(a+3/2).  A
     two-term series takes over for |u| < 1e-6 where the quotient form loses
     nothing but would divide by a tiny power.
     """
-    a = kernel.alpha
+    a = alpha
     arr = np.atleast_1d(np.asarray(u, dtype=float))
     au = np.abs(arr)
     limit = math.sqrt(math.pi) * _sp.gamma(a + 1.0) / _sp.gamma(a + 1.5)
@@ -71,10 +71,9 @@ def default_nystrom_size(c: float) -> int:
 
 def _nystrom_matrix(params: ProblemParams, n_quad: int) -> np.ndarray:
     rule = gauss_jacobi(n_quad, params.alpha)
-    kern = SincLikeKernel(alpha=params.alpha, c=params.c)
     u = params.c * (rule.nodes[:, None] - rule.nodes[None, :])
     sw = np.sqrt(rule.weights)
-    return (params.c / (2.0 * math.pi)) * kernel_eval(kern, u) * sw[:, None] * sw[None, :]
+    return (params.c / (2.0 * math.pi)) * kernel_eval(params.alpha, u) * sw[:, None] * sw[None, :]
 
 
 def _nystrom_eigs(params: ProblemParams, n_quad: int) -> np.ndarray:
@@ -142,11 +141,12 @@ def fourier_jacobi_moments(alpha: float, u: float, n_modes: int) -> np.ndarray:
     a = alpha
     lam = a + 0.5
     k = np.arange(n_modes, dtype=float)
-    log_h = np.array([math.log(_jacobi_h_cached(int(m), a)) for m in range(n_modes)])
+    log_h = np.log(jacobi_h(k, a, a))
+    # Gamma(2a+1) / (Gamma(a+1/2) Gamma(a+1)) = 2^(2a) / sqrt(pi) (Legendre
+    # duplication); the Gamma form is inf/inf at a = -1/2
     log_coef = (math.log(math.pi) + (0.5 - a) * math.log(2.0)
-                + _sp.gammaln(2 * a + 1.0) + _sp.gammaln(k + a + 1.0)
-                - _sp.gammaln(a + 0.5) - _sp.gammaln(a + 1.0) - _sp.gammaln(k + 1.0)
-                - 0.5 * log_h)
+                + 2 * a * math.log(2.0) - 0.5 * math.log(math.pi)
+                + _sp.gammaln(k + a + 1.0) - _sp.gammaln(k + 1.0) - 0.5 * log_h)
     phase = 1j ** np.arange(n_modes)
     signs = np.ones(n_modes) if u >= 0 else (-1.0) ** np.arange(n_modes)
     au = abs(u)
@@ -164,11 +164,6 @@ def fourier_jacobi_moments(alpha: float, u: float, n_modes: int) -> np.ndarray:
     return phase * np.exp(log_coef) * bessel * signs
 
 
-@lru_cache(maxsize=4096)
-def _jacobi_h_cached(n: int, alpha: float) -> float:
-    return jacobi_h(n, alpha, alpha)
-
-
 def mu_eigenrelation(params: ProblemParams, n: int,
                      spectrum: ChiSpectrum | None = None,
                      method: str = "moments") -> complex:
@@ -176,10 +171,15 @@ def mu_eigenrelation(params: ProblemParams, n: int,
 
     mu_n = (1/psi_n(x0)) int e^{i c x0 y} psi_n(y) (1-y^2)^alpha dy with x0
     the coarse-grid argmax of |psi_n|.  The default route expands the
-    integral over the closed-form Fourier-Jacobi moments, which keeps full
-    relative accuracy however small mu_n is; method="quadrature" uses the
-    direct Gauss-Jacobi sum instead (fine down to |mu| ~ 1e-8, then
-    cancellation noise takes over).
+    integral over the closed-form Fourier-Jacobi moments.  Its relative
+    error still grows as mu_n decays.  Measured at alpha = 0.5 against
+    log_mu_magnitude, with psi_n from chi_spectrum(params, 40), it is 2e-9
+    at n = 20, 9e-6 at n = 28 and 0.85 at n = 32 for c = 2, and 6e-8 at
+    n = 24, 2e-3 at n = 28 for c = 10; with the default spectrum (n_max = n)
+    it is already 2e-2 at n = 24 for c = 2.  Use log_mu_magnitude (or
+    mu_explicit) for deeper modes.  method="quadrature" uses the direct
+    Gauss-Jacobi sum instead (fine down to |mu| ~ 1e-8, then cancellation
+    noise takes over).
     """
     spec = spectrum if spectrum is not None else chi_spectrum(params, n)
     f = spec.eigenfunction(n)
@@ -206,19 +206,27 @@ def mu_eigenrelation(params: ProblemParams, n: int,
     return complex(integral / f.value(x0))
 
 
-def f_n_moment(params: ProblemParams, n: int,
-               spectrum: ChiSpectrum | None = None) -> float:
+def f_n_moment(params: ProblemParams, n, spectrum: ChiSpectrum | None = None):
     """Moment F_n(c, alpha) = int x psi_n psi_n' (1-x^2)^alpha dx.
 
-    Equals n at c = 0.  The direct form is used for every alpha; the
-    integration-by-parts variant (only valid for alpha > 0) is exposed
+    Equals n at c = 0.  n is a mode index or an array of them; an array
+    shares one quadrature rule and one batched evaluation of psi_n and
+    psi_n', and gives an array.  The direct form is used for every alpha;
+    the integration-by-parts variant (only valid for alpha > 0) is exposed
     separately for the identity checks.
     """
-    spec = spectrum if spectrum is not None else chi_spectrum(params, n)
-    f = spec.eigenfunction(n)
-    rule = gauss_jacobi(spec.n_trunc + 8, params.alpha)
+    ns = np.asarray(n)
+    spec = spectrum if spectrum is not None else chi_spectrum(params, int(ns.max()))
+    if np.any(ns < 0) or np.any(ns > spec.n_max):
+        raise ValueError(f"mode index {n} outside computed range 0..{spec.n_max}")
+    a = params.alpha
+    coeffs = spec.coeffs[ns]
+    rule = gauss_jacobi(spec.n_trunc + 8, a)
     x = rule.nodes
-    return float(np.dot(rule.weights, x * f.value(x) * f.derivative(x)))
+    psi = jacobi_series_eval(coeffs, a, x)
+    dpsi = jacobi_series_eval(jacobi_series_deriv_coeffs(coeffs, a), a + 1.0, x)
+    out = np.dot(x * psi * dpsi, rule.weights)
+    return out if out.ndim else float(out)
 
 
 def f_n_weighted_identity(params: ProblemParams, n: int,
@@ -236,41 +244,44 @@ def f_n_weighted_identity(params: ProblemParams, n: int,
     return float(params.alpha * np.dot(rule.weights, f.value(rule.nodes) ** 2))
 
 
-@lru_cache(maxsize=4096)
-def _f_minus_n(alpha: float, tau: float, n: int, n_max: int) -> float:
-    params = ProblemParams(alpha=alpha, c=tau)
-    spec = chi_spectrum(params, n_max)
-    return f_n_moment(params, n, spec) - n
-
-
-def phi_n(params: ProblemParams, n: int, tau_nodes: int = 64,
-          n_max: int | None = None) -> float:
+def phi_n(params: ProblemParams, n, tau_nodes: int = 64, n_max: int | None = None):
     """Phi_n(c) = int_0^c (F_n(tau) - n)/tau dtau by Gauss-Legendre.
 
     The integrand extends by 0 at tau = 0 (it is O(tau)); interior
     Gauss-Legendre nodes never sample the endpoint.  Each node costs one
-    Sturm-Liouville solve, cached per (alpha, tau).
+    Sturm-Liouville solve up to n_max (default: the largest n), shared by
+    every mode when n is an array.
     """
+    ns = np.asarray(n)
     if params.c == 0:
-        return 0.0
-    nm = n if n_max is None else n_max
+        return np.zeros(ns.shape) if ns.ndim else 0.0
+    nm = int(ns.max()) if n_max is None else n_max
     t, w = np.polynomial.legendre.leggauss(tau_nodes)
     taus = 0.5 * params.c * (t + 1.0)
     wts = 0.5 * params.c * w
-    vals = np.array([_f_minus_n(params.alpha, float(tau), n, nm) / tau for tau in taus])
-    return float(np.dot(wts, vals))
+    vals = []
+    for tau in taus:
+        p_tau = ProblemParams(alpha=params.alpha, c=float(tau))
+        vals.append((f_n_moment(p_tau, ns, chi_spectrum(p_tau, nm)) - ns) / tau)
+    out = np.dot(wts, np.array(vals))
+    return out if out.ndim else float(out)
 
 
-def log_mu_magnitude(params: ProblemParams, n: int, tau_nodes: int = 64,
-                     n_max: int | None = None) -> float:
-    """log |mu_n| from the explicit product formula, safe for any decay depth."""
+def log_mu_magnitude(params: ProblemParams, n, tau_nodes: int = 64,
+                     n_max: int | None = None):
+    """log |mu_n| from the explicit product formula, safe for any decay depth.
+
+    n is a mode index or an array of them (one tau-grid serves them all).
+    """
     a, c = params.alpha, params.c
     if c <= 0:
         raise ValueError("the explicit formula requires c > 0")
+    k = np.asarray(n, dtype=float)
     log_pref = (0.5 * math.log(math.pi)
-                + _sp.gammaln(n + a + 1.0) + _sp.gammaln(n + 2 * a + 1.0)
-                - _sp.gammaln(n + a + 1.5) - _sp.gammaln(2 * n + 2 * a + 1.0))
-    return float(log_pref + n * math.log(c) + phi_n(params, n, tau_nodes, n_max))
+                + _sp.gammaln(k + a + 1.0) + _sp.gammaln(k + 2 * a + 1.0)
+                - _sp.gammaln(k + a + 1.5) - _sp.gammaln(2 * k + 2 * a + 1.0))
+    out = log_pref + k * math.log(c) + phi_n(params, n, tau_nodes, n_max)
+    return out if out.ndim else float(out)
 
 
 def mu_explicit(params: ProblemParams, n: int, tau_nodes: int = 64) -> complex:
@@ -280,9 +291,9 @@ def mu_explicit(params: ProblemParams, n: int, tau_nodes: int = 64) -> complex:
     return complex(1j ** n) * mag
 
 
-def log_lambda_explicit(params: ProblemParams, n: int, tau_nodes: int = 64,
-                        n_max: int | None = None) -> float:
-    """log lambda_n via lambda = (c/2pi) |mu_n|^2 in log space."""
+def log_lambda_explicit(params: ProblemParams, n, tau_nodes: int = 64,
+                        n_max: int | None = None):
+    """log lambda_n via lambda = (c/2pi) |mu_n|^2 in log space; n may be an array."""
     return math.log(params.c / (2.0 * math.pi)) \
         + 2.0 * log_mu_magnitude(params, n, tau_nodes, n_max)
 
@@ -319,8 +330,7 @@ def decay_check(params: ProblemParams, n_range) -> DecayReport:
     ns = np.asarray(keep, dtype=int)
     if ns.size < 3:
         raise ValueError("decay_check needs at least three admissible indices")
-    n_shared = int(ns.max())   # one tau-grid of Sturm solves serves every n
-    loglam = np.array([log_lambda_explicit(params, int(n), n_max=n_shared) for n in ns])
+    loglam = log_lambda_explicit(params, ns)
     t = (2.0 * ns + 1.0) * np.log((4.0 * ns + 4.0 * params.alpha + 2.0)
                                   / (math.e * params.c))
     slope = float(np.polyfit(t, -loglam, 1)[0])

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -63,8 +62,7 @@ def _normalized_value_at_one(alpha: float, n_trunc: int) -> np.ndarray:
     # Ptilde_k(1) = binom(k+alpha, k) / sqrt(h_k), in log space
     k = np.arange(n_trunc, dtype=float)
     log_p1 = gammaln(k + alpha + 1.0) - gammaln(alpha + 1.0) - gammaln(k + 1.0)
-    log_h = np.array([math.log(jacobi_h(int(m), alpha, alpha)) for m in range(n_trunc)])
-    return np.exp(log_p1 - 0.5 * log_h)
+    return np.exp(log_p1 - 0.5 * np.log(jacobi_h(k, alpha, alpha)))
 
 
 @dataclass(frozen=True)
@@ -135,14 +133,6 @@ class GpswfFunction:
         return jacobi_series_eval(d2, a + 2.0, x)
 
 
-def gpswf_eval(f: GpswfFunction, x):
-    return f.value(x)
-
-
-def gpswf_deriv(f: GpswfFunction, x):
-    return f.derivative(x)
-
-
 def ode_residual(f: GpswfFunction, x, chi: float | None = None):
     """Left-hand side of (1-x^2) psi'' - 2(alpha+1) x psi' + (chi - c^2 x^2) psi.
 
@@ -163,7 +153,6 @@ def ode_residual(f: GpswfFunction, x, chi: float | None = None):
 _TAIL_TOL = 1e-12
 
 
-@lru_cache(maxsize=512)
 def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
     params = ProblemParams(alpha=alpha, c=c)
     b = sym_offdiag(alpha, n_trunc + 1)
@@ -197,10 +186,6 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
                 v = -v
             chis[n] = vals[m]
             coeffs[n, idx] = v
-
-    # cached instances are shared; freeze the arrays
-    chis.flags.writeable = False
-    coeffs.flags.writeable = False
     return ChiSpectrum(params=params, n_max=n_max, n_trunc=n_trunc,
                        chis=chis, coeffs=coeffs)
 
@@ -208,8 +193,8 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
 def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) -> ChiSpectrum:
     """Solve for chi_0..chi_n_max and the eigenfunction coefficient vectors.
 
-    Results are cached per (alpha, c, n_max, n_trunc) and immutable, so
-    repeated calls (e.g. along a bandwidth sweep) are cheap.
+    Every call solves afresh; callers that need several modes at one
+    (alpha, c) solve once for the largest and share the result.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

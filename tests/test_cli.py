@@ -15,12 +15,22 @@ import gpswf
 from gpswf.cli import main
 
 
+# directory holding the imported package, so a child interpreter finds the
+# same gpswf whether or not it is installed
+PACKAGE_PARENT = str(Path(gpswf.__file__).resolve().parents[1])
+
+
 def run_cli(args, tmp_path=None, env=None):
     """Run ``python -m gpswf.cli`` with the current environment plus ``env``."""
     proc = subprocess.run([sys.executable, "-m", "gpswf.cli", *args],
                           capture_output=True, text=True,
-                          env=None if env is None else {**os.environ, **env})
+                          env={**os.environ, "PYTHONPATH": PACKAGE_PARENT, **(env or {})})
     return proc
+
+
+def test_public_names_resolve():
+    missing = [name for name in gpswf.__all__ if not hasattr(gpswf, name)]
+    assert missing == []
 
 
 def test_chi_c_zero_values(tmp_path):
@@ -177,7 +187,7 @@ def test_thread_cap_env(tmp_path):
     # minimal environment: no inherited BLAS variables, and the package found
     # through PYTHONPATH whether or not it is installed
     env = {"GPSWF_THREADS": "1", "PATH": "/usr/bin:/bin",
-           "PYTHONPATH": str(Path(gpswf.__file__).resolve().parents[1])}
+           "PYTHONPATH": PACKAGE_PARENT}
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_IMPORT_PROBE, "chi", "--alpha", "0.5",
          "--c", "1", "--n-max", "3", "--format", "csv", "--out", str(out)],

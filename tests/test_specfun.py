@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import gpswf as g
-from gpswf.specfun import jacobi_h, jacobi_normalized_table, jacobi_series_eval
+from gpswf.specfun import jacobi_h, jacobi_series_deriv_coeffs, jacobi_series_eval
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +193,24 @@ def test_incomplete_K():
 # Jacobi polynomials and Gauss-Jacobi quadrature
 # ---------------------------------------------------------------------------
 
+def ptilde_scipy(n, a, x):
+    """Orthonormal Ptilde_n^(a,a) from SciPy's Jacobi polynomial."""
+    from scipy.special import eval_jacobi
+
+    return eval_jacobi(n, a, a, x) / math.sqrt(jacobi_h(n, a, a))
+
+
+def unit(n, size=None):
+    e = np.zeros(n + 1 if size is None else size)
+    e[n] = 1.0
+    return e
+
+
 def test_jacobi_seeds():
     a = 0.7
-    assert g.jacobi_p(g.JacobiParams(a, a, 0), 0.4) == 1.0
-    assert_allclose(g.jacobi_p(g.JacobiParams(a, a, 1), 0.4), (a + 1) * 0.4, rtol=1e-15)
+    assert jacobi_series_eval(unit(0), a, 0.4) == ptilde_scipy(0, a, 0.4)
+    assert_allclose(jacobi_series_eval(unit(1), a, 0.4),
+                    (a + 1) * 0.4 / math.sqrt(jacobi_h(1, a, a)), rtol=1e-15)
 
 
 def test_jacobi_h0():
@@ -205,43 +219,74 @@ def test_jacobi_h0():
                     rtol=1e-14)
 
 
-def test_jacobi_against_scipy():
-    from scipy.special import eval_jacobi
+def test_jacobi_h_array_matches_scalar():
+    # degree 0 keeps the Beta form, finite at alpha = -1/2 where the
+    # general form is 0/0
+    for a in (-0.5, 0.7):
+        ks = np.arange(30)
+        h = jacobi_h(ks, a, a)
+        assert np.all(np.isfinite(h))
+        assert_allclose(h, [jacobi_h(int(k), a, a) for k in ks], rtol=0, atol=0)
+    assert_allclose(jacobi_h(0, -0.5, -0.5), math.pi, rtol=1e-15)
 
+
+def test_jacobi_against_scipy():
     xs = np.linspace(-1, 1, 17)
-    for (a, b, n) in ((0.5, 0.5, 7), (1.2, 1.2, 12), (0.3, 0.9, 5)):
-        assert_allclose(g.jacobi_p(g.JacobiParams(a, b, n), xs),
-                        eval_jacobi(n, a, b, xs), rtol=1e-12, atol=1e-12)
+    for (a, n) in ((0.5, 7), (1.2, 12)):
+        assert_allclose(jacobi_series_eval(unit(n), a, xs), ptilde_scipy(n, a, xs),
+                        rtol=1e-12, atol=1e-12)
 
 
 def test_jacobi_orthogonality_under_quadrature():
     a = 0.7
     rule = g.gauss_jacobi(64, a)
-    p3 = g.jacobi_p_normalized(g.JacobiParams(a, a, 3), rule.nodes)
-    p5 = g.jacobi_p_normalized(g.JacobiParams(a, a, 5), rule.nodes)
+    p3 = jacobi_series_eval(unit(3), a, rule.nodes)
+    p5 = jacobi_series_eval(unit(5), a, rule.nodes)
     assert abs(rule.integrate(p3 * p5)) <= 1e-13
-    table = jacobi_normalized_table(12, a, rule.nodes)
+    table = jacobi_series_eval(np.eye(13), a, rule.nodes)
     gram = (table * rule.weights) @ table.T
     assert np.max(np.abs(gram - np.eye(13))) <= 1e-12
 
 
 def test_jacobi_deriv_identity():
-    # derivative via parameter shift, cross-checked by central differences
+    # derivative series in the shifted basis, cross-checked by central
+    # differences of the series itself
     a, n = 0.6, 9
-    params = g.JacobiParams(a, a, n)
+    d1 = jacobi_series_deriv_coeffs(unit(n), a)
     for x in (-0.8, -0.2, 0.35, 0.9):
         h = 1e-6
-        fd = (g.jacobi_p(params, x + h) - g.jacobi_p(params, x - h)) / (2 * h)
-        assert_allclose(g.jacobi_p_deriv(params, x), fd, rtol=1e-8)
+        fd = (jacobi_series_eval(unit(n), a, x + h)
+              - jacobi_series_eval(unit(n), a, x - h)) / (2 * h)
+        assert_allclose(jacobi_series_eval(d1, a + 1.0, x), fd, rtol=1e-8)
 
 
 def test_clenshaw_matches_direct():
     a = 1.1
     coeffs = np.array([0.3, -0.2, 0.0, 1.7, 0.05, -0.6])
     xs = np.linspace(-1, 1, 11)
-    direct = sum(c * g.jacobi_p_normalized(g.JacobiParams(a, a, k), xs)
-                 for k, c in enumerate(coeffs))
+    direct = sum(c * ptilde_scipy(k, a, xs) for k, c in enumerate(coeffs))
     assert_allclose(jacobi_series_eval(coeffs, a, xs), direct, rtol=1e-13, atol=1e-13)
+
+
+def test_clenshaw_batched_rows_bit_identical():
+    rng = np.random.default_rng(7)
+    coeffs = rng.standard_normal((2, 3, 40))
+    xs = np.linspace(-1, 1, 33)
+    for a in (-0.5, 0.6):
+        batched = jacobi_series_eval(coeffs, a, xs)
+        assert batched.shape == (2, 3, 33)
+        deriv = jacobi_series_deriv_coeffs(coeffs, a)
+        d_batched = jacobi_series_eval(deriv, a + 1.0, xs)
+        for i in range(2):
+            for j in range(3):
+                row = coeffs[i, j]
+                assert np.array_equal(batched[i, j], jacobi_series_eval(row, a, xs))
+                d_row = jacobi_series_deriv_coeffs(row, a)
+                assert np.array_equal(deriv[i, j], d_row)
+                assert np.array_equal(d_batched[i, j], jacobi_series_eval(d_row, a + 1.0, xs))
+        # a scalar point gives one value per row
+        assert np.array_equal(jacobi_series_eval(coeffs, a, 0.3),
+                              jacobi_series_eval(coeffs, a, np.array([0.3]))[..., 0])
 
 
 def test_gauss_jacobi_one_node():

@@ -33,25 +33,22 @@ def sinc_nystrom_oracle(c, n_quad, n_keep):
 
 def test_kernel_limit_at_zero():
     for alpha in (0.0, 0.5, 1.3):
-        k = g.SincLikeKernel(alpha=alpha, c=1.0)
         expect = math.sqrt(math.pi) * g.gamma_fn(alpha + 1) / g.gamma_fn(alpha + 1.5)
-        assert_allclose(g.kernel_eval(k, 0.0), expect, rtol=1e-14)
+        assert_allclose(g.kernel_eval(alpha, 0.0), expect, rtol=1e-14)
         # even and continuous through the removable singularity
-        assert_allclose(g.kernel_eval(k, 1e-7), g.kernel_eval(k, -1e-7), rtol=1e-15)
-        assert abs(g.kernel_eval(k, 1e-7) - expect) <= 1e-13
+        assert_allclose(g.kernel_eval(alpha, 1e-7), g.kernel_eval(alpha, -1e-7), rtol=1e-15)
+        assert abs(g.kernel_eval(alpha, 1e-7) - expect) <= 1e-13
 
 
 def test_kernel_alpha_zero_closed_form():
-    k = g.SincLikeKernel(alpha=0.0, c=1.0)
     for u in (0.3, 1.0, 2.345, 11.0):
-        assert_allclose(g.kernel_eval(k, u), 2 * math.sin(u) / u, rtol=1e-13)
+        assert_allclose(g.kernel_eval(0.0, u), 2 * math.sin(u) / u, rtol=1e-13)
 
 
 def test_kernel_alpha_one_against_specfun():
-    k = g.SincLikeKernel(alpha=1.0, c=1.0)
     expect = math.sqrt(math.pi) * 2 ** 1.5 * g.gamma_fn(2.0) \
         * g.bessel_j(1.5, 2.5) / 2.5 ** 1.5
-    assert_allclose(g.kernel_eval(k, 2.5), expect, rtol=1e-14)
+    assert_allclose(g.kernel_eval(1.0, 2.5), expect, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +174,17 @@ def test_fourier_jacobi_moments_alpha_zero_closed_form():
     assert m[0].imag == 0.0
 
 
+def test_mu_routes_agree_at_alpha_minus_half():
+    # the moment coefficients' Gamma(a + 1/2) has its pole at a = -1/2; the
+    # duplication form of the Gamma ratio keeps the default route finite
+    p = g.ProblemParams(alpha=-0.5, c=3.0)
+    spec = g.chi_spectrum(p, 2)
+    for n in range(3):
+        mm = g.mu_eigenrelation(p, n, spec, method="moments")
+        mq = g.mu_eigenrelation(p, n, spec, method="quadrature")
+        assert abs(mm - mq) <= 1e-12 * abs(mq)
+
+
 # ---------------------------------------------------------------------------
 # F_n moment
 # ---------------------------------------------------------------------------
@@ -224,6 +232,16 @@ def test_decay_slope():
     rep = g.decay_check(g.ProblemParams(alpha=0.5, c=2.0), range(20, 61))
     assert 0.9 <= rep.slope <= 1.1
     assert rep.bound_ok
+
+
+def test_log_lambda_explicit_batched_matches_per_mode():
+    p = g.ProblemParams(alpha=0.7, c=3.0)
+    ns = np.arange(10, 17)
+    batched = g.log_lambda_explicit(p, ns)
+    assert batched.shape == ns.shape
+    per_mode = [g.log_lambda_explicit(p, int(n), n_max=int(ns.max())) for n in ns]
+    assert_allclose(batched, per_mode, rtol=1e-12)
+    assert isinstance(per_mode[0], float)
 
 
 def test_decay_alpha_monotonicity():
