@@ -74,7 +74,6 @@ from .spectrum import (
     counting,
     decay_check,
     f_n_moment,
-    kernel_eval,
     log_lambda_explicit,
     mu_eigenrelation,
     mu_explicit,
@@ -98,7 +97,7 @@ __all__ = [
     "bessel_report", "bessel_uniform", "bessel_y", "beta_fn", "chi_spectrum",
     "counting", "decay_check", "elliptic_E", "elliptic_K", "envelope_constants",
     "eta_fn", "f_n_moment", "g_bound", "gamma_fn", "gauss_jacobi", "incomplete_K",
-    "jacobi_report", "jacobi_uniform", "kernel_eval", "log_lambda_explicit",
+    "jacobi_report", "jacobi_uniform", "log_lambda_explicit",
     "make_frame", "mu_eigenrelation", "mu_explicit", "nystrom_spectrum",
     "ode_residual", "s_map", "trace_and_norm", "weight_modulus",
 ]

@@ -191,6 +191,8 @@ def _cmd_spectrum(args) -> int:
     params = ProblemParams(alpha=args.alpha, c=args.c)
     if params.c <= 0:
         raise UsageError("spectrum requires c > 0")
+    if params.alpha < 0:
+        raise UsageError("spectrum requires alpha >= 0 (the counting bounds need it)")
     n_keep = args.n_max + 1 if args.n_max is not None else 12
     op = nystrom_spectrum(params, n_quad=args.quad, n_keep=n_keep)
     tn = trace_and_norm(params)

@@ -141,6 +141,12 @@ def test_usage_errors():
     assert proc.returncode == 2
 
 
+def test_spectrum_refuses_negative_alpha(capsys):
+    for alpha in ("-0.3", "-0.9"):
+        assert main(["spectrum", "--alpha", alpha, "--c", "5"]) == 2
+        assert "alpha >= 0" in capsys.readouterr().err
+
+
 def test_spectrum_landau_window(tmp_path):
     out = tmp_path / "spec.json"
     code = main(["spectrum", "--alpha", "0", "--c", "10", "--delta", "0.5",

@@ -1,20 +1,52 @@
-"""Integral-operator spectrum tests: kernel, Nystrom, mu routes, bounds."""
+"""Integral-operator spectrum tests: Q_c oracle, Nystrom, mu routes, bounds."""
 
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special as sp
 from scipy.linalg import eigh
 
 import gpswf as g
 from gpswf.specfun import jacobi_h
 from gpswf.spectrum import (
-    _nystrom_matrix,
     f_n_weighted_identity,
     fourier_jacobi_moments,
     phi_n,
 )
+
+
+def kernel_eval(alpha, u):
+    """Kernel of Q_c, even in u with a removable 0.
+
+    K_alpha(u) = sqrt(pi) 2^(a+1/2) Gamma(a+1) J_{a+1/2}(|u|) / |u|^(a+1/2).
+
+    The u -> 0 limit is sqrt(pi) Gamma(a+1) / Gamma(a+3/2).  A two-term
+    series takes over for |u| < 1e-6 where the quotient form loses nothing
+    but would divide by a tiny power.
+    """
+    a = alpha
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    au = np.abs(arr)
+    limit = math.sqrt(math.pi) * sp.gamma(a + 1.0) / sp.gamma(a + 1.5)
+    out = np.empty_like(au)
+    small = au < 1e-6
+    out[small] = limit * (1.0 - au[small] ** 2 / (4.0 * a + 6.0))
+    big = ~small
+    if np.any(big):
+        ub = au[big]
+        out[big] = (math.sqrt(math.pi) * 2.0 ** (a + 0.5) * sp.gamma(a + 1.0)
+                    * sp.jv(a + 0.5, ub) / ub ** (a + 0.5))
+    return float(out[0]) if np.ndim(u) == 0 else out
+
+
+def qc_oracle_matrix(params, n_quad):
+    """Q_c oracle: the symmetric Nystrom matrix (c/2pi) K_alpha(c(x_i - x_j)) sqrt(w_i w_j)."""
+    rule = g.gauss_jacobi(n_quad, params.alpha)
+    u = params.c * (rule.nodes[:, None] - rule.nodes[None, :])
+    sw = np.sqrt(rule.weights)
+    return (params.c / (2.0 * math.pi)) * kernel_eval(params.alpha, u) * sw[:, None] * sw[None, :]
 
 
 def sinc_nystrom_oracle(c, n_quad, n_keep):
@@ -28,27 +60,27 @@ def sinc_nystrom_oracle(c, n_quad, n_keep):
 
 
 # ---------------------------------------------------------------------------
-# kernel
+# Q_c oracle kernel
 # ---------------------------------------------------------------------------
 
 def test_kernel_limit_at_zero():
     for alpha in (0.0, 0.5, 1.3):
         expect = math.sqrt(math.pi) * g.gamma_fn(alpha + 1) / g.gamma_fn(alpha + 1.5)
-        assert_allclose(g.kernel_eval(alpha, 0.0), expect, rtol=1e-14)
+        assert_allclose(kernel_eval(alpha, 0.0), expect, rtol=1e-14)
         # even and continuous through the removable singularity
-        assert_allclose(g.kernel_eval(alpha, 1e-7), g.kernel_eval(alpha, -1e-7), rtol=1e-15)
-        assert abs(g.kernel_eval(alpha, 1e-7) - expect) <= 1e-13
+        assert_allclose(kernel_eval(alpha, 1e-7), kernel_eval(alpha, -1e-7), rtol=1e-15)
+        assert abs(kernel_eval(alpha, 1e-7) - expect) <= 1e-13
 
 
 def test_kernel_alpha_zero_closed_form():
     for u in (0.3, 1.0, 2.345, 11.0):
-        assert_allclose(g.kernel_eval(0.0, u), 2 * math.sin(u) / u, rtol=1e-13)
+        assert_allclose(kernel_eval(0.0, u), 2 * math.sin(u) / u, rtol=1e-13)
 
 
 def test_kernel_alpha_one_against_specfun():
     expect = math.sqrt(math.pi) * 2 ** 1.5 * g.gamma_fn(2.0) \
         * g.bessel_j(1.5, 2.5) / 2.5 ** 1.5
-    assert_allclose(g.kernel_eval(1.0, 2.5), expect, rtol=1e-14)
+    assert_allclose(kernel_eval(1.0, 2.5), expect, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +95,7 @@ def test_spectrum_ordering_and_range():
 
 
 def test_no_spurious_negative_eigenvalues():
-    mat = _nystrom_matrix(g.ProblemParams(alpha=0.5, c=5.0), 240)
+    mat = qc_oracle_matrix(g.ProblemParams(alpha=0.5, c=5.0), 240)
     vals = eigh(mat, eigvals_only=True)
     assert vals.min() >= -1e-12
 
@@ -87,10 +119,41 @@ def test_alpha_zero_sinc_oracle():
 
 
 def test_stability_flags():
-    op = g.nystrom_spectrum(g.ProblemParams(alpha=0.5, c=5.0), n_keep=12)
-    # the early, well-resolved modes must be stable; the noise tail flagged
-    assert np.all(op.stable[:6])
+    op = g.nystrom_spectrum(g.ProblemParams(alpha=0.5, c=5.0), n_keep=16)
+    # the early, well-resolved modes must be stable; mode 15 is under-resolved
+    # at the default rule (refinement moves it by ~8e-8 relative)
+    assert np.all(op.stable[:8])
     assert not op.stable[-1]
+
+
+def test_deep_modes_match_explicit_formula():
+    # lambda_13..16 lie at 2e-9..4e-14, where the ~1e-18 absolute rounding of
+    # a Q_c discretization leaves only a few digits
+    p = g.ProblemParams(alpha=0.5, c=10.0)
+    op = g.nystrom_spectrum(p, n_keep=17)
+    ns = np.arange(13, 17)
+    lam_x = np.exp(g.log_lambda_explicit(p, ns))
+    assert np.all(np.abs(op.lambdas[ns] - lam_x) <= 1e-9 * lam_x)
+    assert np.all(op.stable[ns])
+
+
+@pytest.mark.parametrize("alpha, c", [(0.5, 5.0), (1.3, 20.0), (0.0, 10.0)])
+def test_odd_n_quad_matches_even(alpha, c):
+    # an odd rule has a node at 0 that is its own mirror
+    p = g.ProblemParams(alpha=alpha, c=c)
+    odd = g.nystrom_spectrum(p, n_quad=241, n_keep=10, check_stability=False)
+    even = g.nystrom_spectrum(p, n_quad=240, n_keep=10, check_stability=False)
+    assert_allclose(odd.lambdas, even.lambdas, rtol=1e-12, atol=0)
+    assert g.counting(p, 0.5, n_quad=241).m_empirical \
+        == g.counting(p, 0.5, n_quad=240).m_empirical
+
+
+def test_parity_split_matches_qc_oracle():
+    p = g.ProblemParams(alpha=0.5, c=5.0)
+    op = g.nystrom_spectrum(p, n_quad=240, n_keep=30, check_stability=False)
+    oracle = eigh(qc_oracle_matrix(p, 240), eigvals_only=True)[::-1][:30]
+    resolved = oracle >= 1e-6 * oracle[0]
+    assert_allclose(op.lambdas[resolved], oracle[resolved], rtol=1e-11, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +342,11 @@ def test_trace_closed_forms():
     assert_allclose(tn.hs_norm_limit, tn.trace, rtol=1e-14)
 
 
+def test_trace_and_norm_names_alpha_hypothesis():
+    with pytest.raises(ValueError, match=r"alpha > -1/2"):
+        g.trace_and_norm(g.ProblemParams(alpha=-0.9, c=5.0))
+
+
 def test_bessel_moment_value():
     # int_R J_{a+1/2}^2(t)/t^{2a+1} dt against direct quadrature
     from scipy.integrate import quad
@@ -328,7 +396,7 @@ def test_nystrom_eigenvector_matches_sturm_modes():
     # by-index matching validated by eigenvector correlation on the top modes
     p = g.ProblemParams(alpha=0.5, c=5.0)
     n_quad = 240
-    mat = _nystrom_matrix(p, n_quad)
+    mat = qc_oracle_matrix(p, n_quad)
     vals, vecs = eigh(mat)
     order = np.argsort(vals)[::-1]
     rule = g.gauss_jacobi(n_quad, 0.5)
