@@ -113,7 +113,8 @@ def a_alpha_exact(spectrum: ChiSpectrum, n: int) -> float:
     """Normalization constant of the Bessel form from the endpoint value.
 
     A = 2^alpha Gamma(1+alpha) psi_n(1) / ((1-q)^(alpha/2) chi^(1/4+alpha/2));
-    positive under the psi_n(1) > 0 sign convention.
+    positive under the psi_n(1) > 0 sign convention (which sturm fixes at x = 0,
+    where it is well conditioned).
     """
     frame = make_frame(spectrum, n)
     if frame.q >= 1.0:

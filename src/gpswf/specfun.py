@@ -23,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 
 def _as_float_array(x):
@@ -186,10 +185,15 @@ def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
 
     The one Jacobi evaluator.  Coefficients of shape (..., N) give values of
     shape (..., *x.shape); each row is bit-identical to a call with that row
-    alone, so many modes share one pass over the recurrence.
+    alone, so many modes share one pass over the recurrence.  Trailing columns
+    that are zero in every row are skipped: they leave the recurrence at
+    exactly 0, so the values are bit-identical to the full pass.
     """
     arr = _check_unit_interval(x)
     c = np.asarray(coeffs, dtype=float)
+    if c.shape[-1] and not c[..., -1].any():
+        nonzero = np.flatnonzero(c.reshape(-1, c.shape[-1]).any(axis=0))
+        c = c[..., :nonzero[-1] + 1 if nonzero.size else 1]
     u1 = np.zeros(c.shape[:-1] + arr.shape)
     u2 = np.zeros_like(u1)
     # terms first; a stack of series gets axes that broadcast over the
@@ -314,6 +318,8 @@ def _first_zero_j_plus_y(alpha: float) -> float:
     if idx.size == 0:
         raise RuntimeError(f"failed to bracket the first zero of J+Y for alpha={alpha}")
     i = idx[0]
+    # imported here, its only use, so that importing gpswf does not load it
+    from scipy.optimize import brentq
     fn = lambda t: _sp.jv(alpha, t) + _sp.yv(alpha, t)
     return float(brentq(fn, xs[i - 1], xs[i], xtol=1e-12, rtol=8.9e-16))
 

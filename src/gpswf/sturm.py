@@ -7,10 +7,17 @@ k (k + 2 alpha + 1) and the c^2 x^2 potential couples k-2, k, k+2 through
 the squared multiplication-by-x recurrence, so the operator splits into two
 symmetric tridiagonal blocks (even and odd degrees).  Eigenvalues chi_n and
 Jacobi coefficient vectors of the eigenfunctions psi_n come out of a
-symmetric tridiagonal eigensolve per parity block.
+symmetric tridiagonal eigensolve per parity block.  A block that keeps few
+of its modes (32 k <= R for k kept of R rows, as when c is large and n_max
+small) solves for those k eigenpairs alone; other blocks take the full
+solve and keep the first k.  A block with no kept mode is not solved.
 
 Normalization: int psi_n^2 (1-x^2)^alpha dx = 1 (automatic, the basis is
-orthonormal) and psi_n(1) > 0 (sign fixed after the solve).
+orthonormal) and psi_n(1) > 0.  For c beyond ~50 the first modes have
+psi_n(1) at the rounding level, so the sign is fixed at x = 0 instead:
+(-1)^(n//2) psi_n(0) > 0 for even n and (-1)^(n//2) psi_n'(0) > 0 for odd
+n.  psi_n has exactly n simple zeros in (-1, 1), so the two rules agree
+wherever psi_n(1) is resolved.
 """
 
 from __future__ import annotations
@@ -20,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .specfun import (
-    jacobi_h,
     jacobi_series_deriv_coeffs,
     jacobi_series_eval,
     sym_offdiag,
@@ -56,13 +61,6 @@ def default_truncation(n_max: int, c: float) -> int:
     # coefficient decay is super-exponential past the turning region,
     # so a fixed margin beyond n_max + O(c) is ample
     return n_max + max(32, math.ceil(1.2 * c) + 10)
-
-
-def _normalized_value_at_one(alpha: float, n_trunc: int) -> np.ndarray:
-    # Ptilde_k(1) = binom(k+alpha, k) / sqrt(h_k), in log space
-    k = np.arange(n_trunc, dtype=float)
-    log_p1 = gammaln(k + alpha + 1.0) - gammaln(alpha + 1.0) - gammaln(k + 1.0)
-    return np.exp(log_p1 - 0.5 * np.log(jacobi_h(k, alpha, alpha)))
 
 
 @dataclass(frozen=True)
@@ -151,6 +149,28 @@ def ode_residual(f: GpswfFunction, x, chi: float | None = None):
 
 
 _TAIL_TOL = 1e-12
+# A block that keeps k of its R modes solves for those k alone when
+# 32 k <= R: bisection plus inverse iteration beats the full solve there
+# and loses to it somewhere between k = 0.03 R and k = 0.1 R.
+_SELECT_RATIO = 32
+# Inverse-iteration vectors (unit norm) carry ~1e-45 rounding where the full
+# solver returns exact zeros; zeroing it lets the Clenshaw pass skip the tail.
+_CHOP = 1e-30
+
+
+def _sign_reference(alpha: float, b: np.ndarray, parity: int, rows: int) -> np.ndarray:
+    """Ptilde_{2m}(0) (even block) or Ptilde_{2m+1}'(0) (odd block), m < rows.
+
+    Up to a positive factor.  At x = 0 the recurrence gives
+    Ptilde_{k+1}(0) = -b_k / b_{k+1} Ptilde_{k-1}(0), and
+    Ptilde_k' = sqrt(k (k + 2 alpha + 1)) Ptilde_{k-1}^(alpha+1); ``b`` holds
+    the offdiagonals for ``alpha``.
+    """
+    if parity:
+        k = np.arange(1, 2 * rows, 2, dtype=float)
+        return np.sqrt(k * (k + 2 * alpha + 1)) * _sign_reference(
+            alpha + 1.0, sym_offdiag(alpha + 1.0, 2 * rows), 0, rows)
+    return np.concatenate(([1.0], np.cumprod(-b[1:2 * rows - 1:2] / b[2:2 * rows - 1:2])))
 
 
 def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
@@ -162,30 +182,36 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
 
     chis = np.empty(n_max + 1)
     coeffs = np.zeros((n_max + 1, n_trunc))
-    p1 = _normalized_value_at_one(alpha, n_trunc)
 
     for parity in (0, 1):
-        idx = np.arange(parity, n_trunc, 2)
-        if idx.size == 0:
+        n_here = np.arange(parity, n_max + 1, 2)
+        if n_here.size == 0:
             continue
+        idx = np.arange(parity, n_trunc, 2)
         d = diag_full[idx]
         e = c * c * b[idx[:-1] + 1] * b[idx[:-1] + 2]
-        vals, vecs = eigh_tridiagonal(d, e)
-        n_here = np.arange(parity, n_max + 1, 2)
-        for m, n in enumerate(n_here):
-            v = vecs[:, m]
-            tail = float(v[-2] ** 2 + v[-1] ** 2)
-            if tail > _TAIL_TOL:
-                raise TruncationError(
-                    f"truncation N={n_trunc} too small for mode n={n} at "
-                    f"(alpha={alpha}, c={c}): trailing coefficient mass {tail:.3e}; "
-                    f"retry with n_trunc={2 * n_trunc}",
-                    required=2 * n_trunc,
-                )
-            if float(np.dot(v, p1[idx])) < 0:
-                v = -v
-            chis[n] = vals[m]
-            coeffs[n, idx] = v
+        kept = n_here.size
+        if _SELECT_RATIO * kept <= idx.size:
+            vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, kept - 1))
+            vecs[np.abs(vecs) < _CHOP] = 0.0
+        else:
+            vals, vecs = eigh_tridiagonal(d, e)
+            vals, vecs = vals[:kept], vecs[:, :kept]
+        tail = vecs[-2] ** 2 + vecs[-1] ** 2
+        bad = np.flatnonzero(tail > _TAIL_TOL)
+        if bad.size:
+            n, mass = n_here[bad[0]], tail[bad[0]]
+            raise TruncationError(
+                f"truncation N={n_trunc} too small for mode n={n} at "
+                f"(alpha={alpha}, c={c}): trailing coefficient mass {mass:.3e}; "
+                f"retry with n_trunc={2 * n_trunc}",
+                required=2 * n_trunc,
+            )
+        # (-1)^(n//2) psi_n(0) > 0 for even n, (-1)^(n//2) psi_n'(0) > 0 for odd n
+        at_zero = _sign_reference(alpha, b, parity, idx.size) @ vecs
+        vecs[:, (at_zero < 0) != (n_here % 4 >= 2)] *= -1.0
+        chis[n_here] = vals
+        coeffs[np.ix_(n_here, idx)] = vecs.T
     return ChiSpectrum(params=params, n_max=n_max, n_trunc=n_trunc,
                        chis=chis, coeffs=coeffs)
 
@@ -194,7 +220,14 @@ def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) 
     """Solve for chi_0..chi_n_max and the eigenfunction coefficient vectors.
 
     Every call solves afresh; callers that need several modes at one
-    (alpha, c) solve once for the largest and share the result.
+    (alpha, c) solve once for the largest and share the result.  Only the
+    kept eigenpairs are computed when they are few against the basis size
+    (see the module docstring): chi_spectrum(ProblemParams(0.5, 1e4), 5)
+    finds 3 eigenpairs in each of its two ~6,000-row blocks, and stores
+    coefficients below 1e-30 in those vectors as 0.  Signs follow
+    psi_n(1) > 0, fixed at x = 0 (module docstring).  Raises
+    TruncationError, naming the first mode that fails, when a kept vector
+    has trailing coefficient mass above 1e-12.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

@@ -211,3 +211,12 @@ def test_thread_cap_env_not_integer():
                    env={"GPSWF_THREADS": "two"})
     assert proc.returncode == 2, proc.stderr
     assert "GPSWF_THREADS must be an integer" in proc.stderr
+
+
+def test_import_leaves_out_scipy_optimize():
+    # only the Bessel envelope constants need brentq; they import it on use
+    probe = "import sys, gpswf, gpswf.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": PACKAGE_PARENT})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -289,6 +289,33 @@ def test_clenshaw_batched_rows_bit_identical():
                               jacobi_series_eval(coeffs, a, np.array([0.3]))[..., 0])
 
 
+def test_clenshaw_zero_tail_bit_identical():
+    rng = np.random.default_rng(11)
+    xs = np.linspace(-1, 1, 41)
+    for a in (-0.5, 0.6):
+        # one series, with an interior zero column kept
+        short = rng.standard_normal(25)
+        short[10] = 0.0
+        padded = np.concatenate([short, np.zeros(30)])
+        assert np.array_equal(jacobi_series_eval(padded, a, xs),
+                              jacobi_series_eval(short, a, xs))
+        assert jacobi_series_eval(padded, a, 0.3) == jacobi_series_eval(short, a, 0.3)
+        # a stack whose rows end at different columns
+        lengths = (12, 25, 7)
+        stack = np.zeros((3, 60))
+        for i, n in enumerate(lengths):
+            stack[i, :n] = rng.standard_normal(n)
+        batched = jacobi_series_eval(stack, a, xs)
+        assert np.array_equal(batched, jacobi_series_eval(stack[:, :25], a, xs))
+        for i, n in enumerate(lengths):
+            assert np.array_equal(batched[i], jacobi_series_eval(stack[i, :n], a, xs))
+        # an all-zero series
+        assert np.array_equal(jacobi_series_eval(np.zeros(30), a, xs), np.zeros_like(xs))
+        assert np.array_equal(jacobi_series_eval(np.zeros((2, 30)), a, xs),
+                              np.zeros((2, xs.size)))
+        assert jacobi_series_eval(np.zeros(30), a, 0.5) == 0.0
+
+
 def test_gauss_jacobi_one_node():
     rule = g.gauss_jacobi(1, 0.0)
     assert_allclose(rule.nodes, [0.0], atol=1e-15)

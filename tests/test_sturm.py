@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.special import eval_jacobi
 
 import gpswf as g
-from gpswf.specfun import jacobi_h, sym_offdiag
+from gpswf import sturm
+from gpswf.specfun import jacobi_h, jacobi_series_eval, sym_offdiag
 from gpswf.sturm import TruncationError, ode_residual
 
 
@@ -96,6 +97,62 @@ def test_sign_convention():
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.9, c=6.0), 12)
     for n in range(13):
         assert spec.eigenfunction(n).value(1.0) > 0
+
+
+def test_sign_rule_where_endpoint_value_is_rounding():
+    # at c = 50, psi_n(1) is ~1e-15 for the first modes, so the sign is fixed
+    # at 0: (-1)^(n//2) psi_n(0) > 0 (even n), (-1)^(n//2) psi_n'(0) > 0 (odd n)
+    params = g.ProblemParams(alpha=0.5, c=50.0)
+    for n_max in (3, 5):
+        spec = g.chi_spectrum(params, n_max)
+        assert spec.eigenfunction(0).value(0.0) > 0
+        for n in range(n_max + 1):
+            f = spec.eigenfunction(n)
+            at_zero = f.value(0.0) if n % 2 == 0 else f.derivative(0.0)
+            assert (-1) ** (n // 2) * at_zero > 0, (n_max, n, at_zero)
+
+
+@pytest.mark.parametrize("alpha, c", [(0.5, 3000.0), (1.3, 800.0), (-0.5, 600.0)])
+def test_few_mode_solve_matches_many_mode_solve(monkeypatch, alpha, c):
+    calls, solver = [], sturm.eigh_tridiagonal
+
+    def recording(d, e, **kwargs):
+        calls.append(kwargs.get("select", "a"))
+        return solver(d, e, **kwargs)
+
+    monkeypatch.setattr(sturm, "eigh_tridiagonal", recording)
+    params = g.ProblemParams(alpha=alpha, c=c)
+    few = g.chi_spectrum(params, 5)
+    assert calls == ["i", "i"]          # both parity blocks solve 3 modes only
+    many = g.chi_spectrum(params, int(0.2 * c))
+    assert calls[2:] == ["a", "a"]
+    assert_allclose(few.chis, many.chis[:6], rtol=1e-11, atol=0)
+    xs = np.linspace(-1, 1, 801)
+    psi_few = jacobi_series_eval(few.coeffs, alpha, xs)
+    psi_many = jacobi_series_eval(many.coeffs[:6], alpha, xs)
+    sup = np.max(np.abs(psi_many), axis=1, keepdims=True)
+    assert np.all(np.abs(psi_few - psi_many) <= 1e-11 * sup)
+
+
+def test_large_c_few_modes():
+    alpha, c = 0.5, 1e4
+    spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), 5)
+    ns = np.arange(6)
+    lo = ns * (ns + 2 * alpha + 1)
+    assert np.all(spec.chis >= lo) and np.all(spec.chis <= lo + c * c)
+    xs = np.linspace(-1, 1, 2001)
+    for n in range(6):
+        f = spec.eigenfunction(n)
+        val, d1, d2 = f.value(xs), f.derivative(xs), f.second_derivative(xs)
+        scale = np.max(np.abs((1 - xs * xs) * d2) + np.abs(2 * (alpha + 1) * xs * d1)
+                       + np.abs((f.chi - c * c * xs * xs) * val))
+        assert np.max(np.abs(ode_residual(f, xs))) <= 1e-8 * scale
+
+
+def test_truncation_refusal_few_modes():
+    # 2 kept modes per 100-row block take the selected solve; it must still refuse
+    with pytest.raises(TruncationError):
+        g.chi_spectrum(g.ProblemParams(alpha=0.5, c=3000.0), 2, n_trunc=200)
 
 
 def test_ode_residual_c_zero():
