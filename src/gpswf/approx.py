@@ -188,7 +188,7 @@ def bessel_uniform(spectrum: ChiSpectrum, n: int, x):
     return value, envelope
 
 
-def approximant_norm_sq(spectrum: ChiSpectrum, n: int, n_nodes: int | None = None) -> float:
+def approximant_norm_sq(spectrum: ChiSpectrum, n: int) -> float:
     """Weighted L2([0,1]) norm squared of the Bessel-form approximant A * main.
 
     The substitution x = sin(theta) removes the (1-x)^(-1/2) endpoint
@@ -200,7 +200,7 @@ def approximant_norm_sq(spectrum: ChiSpectrum, n: int, n_nodes: int | None = Non
         raise ValueError(frame.failure)
     a_exact = a_alpha_exact(spectrum, n)
     chi, q, alpha = frame.chi, frame.q, frame.alpha
-    m = n_nodes or max(256, int(3.0 * math.sqrt(chi)) + 64)
+    m = max(256, int(3.0 * math.sqrt(chi)) + 64)
     t, w = np.polynomial.legendre.leggauss(m)
     theta = 0.25 * math.pi * (t + 1.0)
     wt = 0.25 * math.pi * w

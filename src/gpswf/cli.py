@@ -287,6 +287,8 @@ def main(argv=None) -> int:
     if args.command == "chi" and args.n_max < 0:
         raise UsageError("--n-max must be nonnegative")
     try:
+        if args.grid < 1:
+            raise UsageError(f"--grid must be at least 1, got {args.grid}")
         return args.handler(args)
     except UsageError as exc:
         return exc.code

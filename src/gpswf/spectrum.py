@@ -16,8 +16,10 @@ Three computational routes, cross-checked against each other:
 
 * Explicit product formula: mu_n = i^n sqrt(pi) * Gamma-ratio * c^n
   exp(Phi_n) with Phi_n = int_0^c (F_n(tau) - n)/tau dtau, evaluated in log
-  space; this is the only trustworthy route once lambda_n drops under the
-  double-precision floor, and it is what the decay diagnostics use.
+  space; F_n at each tau node comes from the Jacobi coefficients of psi_n by
+  one banded solve, with no quadrature rule in x.  This is the only
+  trustworthy route once lambda_n drops under the double-precision floor,
+  and it is what the decay diagnostics use.
 
 Trace and Hilbert-Schmidt closed forms plus the counting bounds for
 #{lambda_n >= delta} complete the module.
@@ -30,14 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
-from scipy.linalg import eigh
+from scipy.linalg import eigh, solve_banded
 
 from .specfun import (
-    beta_fn,
     gauss_jacobi,
     jacobi_h,
     jacobi_series_deriv_coeffs,
-    jacobi_series_eval,
+    sym_offdiag,
     total_mass,
 )
 from .sturm import ChiSpectrum, ProblemParams, chi_spectrum
@@ -89,14 +90,15 @@ class OperatorSpectrum:
 
 
 def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
-                     n_keep: int = 12, check_stability: bool = True) -> OperatorSpectrum:
+                     n_keep: int = 12) -> OperatorSpectrum:
     """Discretize the composition operator and keep the top n_keep eigenvalues.
 
     Stability of each kept eigenvalue is probed by doubling the rule; an
     eigenvalue is flagged unstable when the refinement moves it by more than
     1e-10 relative.  The refinement delta is of the size of the error against
     the explicit formula (at alpha = 0.5, c = 5: 2e-11 against 1e-11 at
-    n = 11, 8e-10 against 8e-10 at n = 12).
+    n = 11, 8e-10 against 8e-10 at n = 12).  The refinement always runs; it
+    is about 85 % of the cost of a call.
     """
     if params.c <= 0:
         raise ValueError("the composition operator is trivial at c = 0")
@@ -105,11 +107,8 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
         raise ValueError(f"n_quad={nq} too small for n_keep={n_keep}")
     vals = _nystrom_lambdas(params, nq)
     lambdas = vals[:n_keep].copy()
-    if check_stability:
-        refined = _nystrom_lambdas(params, 2 * nq)
-        stable = np.abs(lambdas - refined[:n_keep]) <= 1e-10 * lambdas
-    else:
-        stable = np.ones(n_keep, dtype=bool)
+    refined = _nystrom_lambdas(params, 2 * nq)
+    stable = np.abs(lambdas - refined[:n_keep]) <= 1e-10 * lambdas
 
     spec = chi_spectrum(params, n_keep - 1)
     mus = np.array([mu_eigenrelation(params, n, spec) for n in range(n_keep)])
@@ -157,21 +156,18 @@ def fourier_jacobi_moments(alpha: float, u: float, n_modes: int) -> np.ndarray:
 
 
 def mu_eigenrelation(params: ProblemParams, n: int,
-                     spectrum: ChiSpectrum | None = None,
-                     method: str = "moments") -> complex:
+                     spectrum: ChiSpectrum | None = None) -> complex:
     """mu_n from applying the transform to psi_n at a well-conditioned point.
 
     mu_n = (1/psi_n(x0)) int e^{i c x0 y} psi_n(y) (1-y^2)^alpha dy with x0
-    the coarse-grid argmax of |psi_n|.  The default route expands the
-    integral over the closed-form Fourier-Jacobi moments.  Its relative
-    error still grows as mu_n decays.  Measured at alpha = 0.5 against
-    log_mu_magnitude, with psi_n from chi_spectrum(params, 40), it is 2e-9
-    at n = 20, 9e-6 at n = 28 and 0.85 at n = 32 for c = 2, and 6e-8 at
-    n = 24, 2e-3 at n = 28 for c = 10; with the default spectrum (n_max = n)
-    it is already 2e-2 at n = 24 for c = 2.  Use log_mu_magnitude (or
-    mu_explicit) for deeper modes.  method="quadrature" uses the direct
-    Gauss-Jacobi sum instead (fine down to |mu| ~ 1e-8, then cancellation
-    noise takes over).
+    the coarse-grid argmax of |psi_n|, the integral expanded over the
+    closed-form Fourier-Jacobi moments.  Its relative error still grows as
+    mu_n decays.  Measured at alpha = 0.5 against log_mu_magnitude, with
+    psi_n from chi_spectrum(params, 40), it is 2e-9 at n = 20, 9e-6 at
+    n = 28 and 0.85 at n = 32 for c = 2, and 6e-8 at n = 24, 2e-3 at n = 28
+    for c = 10; with the default spectrum (n_max = n) it is already 2e-2 at
+    n = 24 for c = 2.  Use log_mu_magnitude (or mu_explicit) for deeper
+    modes.
     """
     spec = spectrum if spectrum is not None else chi_spectrum(params, n)
     f = spec.eigenfunction(n)
@@ -185,27 +181,23 @@ def mu_eigenrelation(params: ProblemParams, n: int,
             break
     if x0 is None:
         raise RuntimeError(f"no evaluation point with |psi_{n}| >= 1e-8 found")
-    if method == "moments":
-        moments = fourier_jacobi_moments(params.alpha, params.c * x0, spec.n_trunc)
-        integral = complex(np.dot(f.coeffs, moments))
-    elif method == "quadrature":
-        rule = gauss_jacobi(spec.n_trunc + int(2.0 * params.c) + 32, params.alpha)
-        psi_vals = f.value(rule.nodes)
-        phases = np.exp(1j * params.c * x0 * rule.nodes)
-        integral = complex(np.dot(rule.weights, phases * psi_vals))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return complex(integral / f.value(x0))
+    moments = fourier_jacobi_moments(params.alpha, params.c * x0, spec.n_trunc)
+    integral = complex(np.dot(f.coeffs, moments))
+    return integral / f.value(x0)
 
 
 def f_n_moment(params: ProblemParams, n, spectrum: ChiSpectrum | None = None):
     """Moment F_n(c, alpha) = int x psi_n psi_n' (1-x^2)^alpha dx.
 
-    Equals n at c = 0.  n is a mode index or an array of them; an array
-    shares one quadrature rule and one batched evaluation of psi_n and
-    psi_n', and gives an array.  The direct form is used for every alpha;
-    the integration-by-parts variant (only valid for alpha > 0) is exposed
-    separately for the identity checks.
+    Equals n at c = 0.  n is a mode index or an array of them (an array
+    gives an array).  Computed from the Jacobi coefficients alone: x psi_n'
+    has coefficients e in the Ptilde^(alpha+1) basis, and the two-term
+    connection Ptilde^alpha_k = p_k Ptilde^(alpha+1)_k
+    + q_k Ptilde^(alpha+1)_(k-2) (DLMF 18.9.7, normalised) turns them into
+    alpha-basis coefficients g by one upper-banded solve B g = e, shared by
+    every mode; then F_n = c_n . g.  p_k is the ratio of the two leading
+    coefficients and q_k = -b_k b_(k-1) / p_(k-2), with b the alpha
+    offdiagonals, so both stay finite at alpha = -1/2.
     """
     ns = np.asarray(n)
     spec = spectrum if spectrum is not None else chi_spectrum(params, int(ns.max()))
@@ -213,41 +205,36 @@ def f_n_moment(params: ProblemParams, n, spectrum: ChiSpectrum | None = None):
         raise ValueError(f"mode index {n} outside computed range 0..{spec.n_max}")
     a = params.alpha
     coeffs = spec.coeffs[ns]
-    rule = gauss_jacobi(spec.n_trunc + 8, a)
-    x = rule.nodes
-    psi = jacobi_series_eval(coeffs, a, x)
-    dpsi = jacobi_series_eval(jacobi_series_deriv_coeffs(coeffs, a), a + 1.0, x)
-    out = np.dot(x * psi * dpsi, rule.weights)
+    size = spec.n_trunc
+    b = sym_offdiag(a, size - 1)
+    b_up = sym_offdiag(a + 1.0, size - 1)
+    # x psi' in the alpha+1 basis: x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1)
+    d = jacobi_series_deriv_coeffs(coeffs, a)
+    e = np.zeros(coeffs.shape)
+    e[..., 1:] = b_up[1:] * d
+    e[..., :-2] += b_up[1:-1] * d[..., 1:]
+    p = math.sqrt(total_mass(a + 1.0) / total_mass(a)) \
+        * np.concatenate(([1.0], np.cumprod(b_up[1:] / b[1:])))
+    banded = np.zeros((3, size))
+    banded[0, 2:] = -b[2:] * b[1:-1] / p[:-2]
+    banded[2] = p
+    g = solve_banded((0, 2), banded, e.reshape(-1, size).T).T.reshape(e.shape)
+    out = np.sum(coeffs * g, axis=-1)
     return out if out.ndim else float(out)
 
 
-def f_n_weighted_identity(params: ProblemParams, n: int,
-                          spectrum: ChiSpectrum | None = None) -> float:
-    """alpha int psi_n^2 (1-x^2)^(alpha-1) dx, defined for alpha > 0.
-
-    For c = 0 this equals n + alpha + 1/2; in general F_n = -(alpha + 1/2)
-    + this quantity.
-    """
-    if params.alpha <= 0:
-        raise ValueError("the weighted-identity form requires alpha > 0")
-    spec = spectrum if spectrum is not None else chi_spectrum(params, n)
-    f = spec.eigenfunction(n)
-    rule = gauss_jacobi(spec.n_trunc + 8, params.alpha - 1.0)
-    return float(params.alpha * np.dot(rule.weights, f.value(rule.nodes) ** 2))
-
-
-def phi_n(params: ProblemParams, n, tau_nodes: int = 64, n_max: int | None = None):
+def phi_n(params: ProblemParams, n, tau_nodes: int = 64):
     """Phi_n(c) = int_0^c (F_n(tau) - n)/tau dtau by Gauss-Legendre.
 
     The integrand extends by 0 at tau = 0 (it is O(tau)); interior
     Gauss-Legendre nodes never sample the endpoint.  Each node costs one
-    Sturm-Liouville solve up to n_max (default: the largest n), shared by
-    every mode when n is an array.
+    Sturm-Liouville solve up to the largest n and one banded F_n solve,
+    shared by every mode when n is an array.
     """
     ns = np.asarray(n)
     if params.c == 0:
         return np.zeros(ns.shape) if ns.ndim else 0.0
-    nm = int(ns.max()) if n_max is None else n_max
+    nm = int(ns.max())
     t, w = np.polynomial.legendre.leggauss(tau_nodes)
     taus = 0.5 * params.c * (t + 1.0)
     wts = 0.5 * params.c * w
@@ -259,8 +246,7 @@ def phi_n(params: ProblemParams, n, tau_nodes: int = 64, n_max: int | None = Non
     return out if out.ndim else float(out)
 
 
-def log_mu_magnitude(params: ProblemParams, n, tau_nodes: int = 64,
-                     n_max: int | None = None):
+def log_mu_magnitude(params: ProblemParams, n, tau_nodes: int = 64):
     """log |mu_n| from the explicit product formula, safe for any decay depth.
 
     n is a mode index or an array of them (one tau-grid serves them all).
@@ -272,7 +258,7 @@ def log_mu_magnitude(params: ProblemParams, n, tau_nodes: int = 64,
     log_pref = (0.5 * math.log(math.pi)
                 + _sp.gammaln(k + a + 1.0) + _sp.gammaln(k + 2 * a + 1.0)
                 - _sp.gammaln(k + a + 1.5) - _sp.gammaln(2 * k + 2 * a + 1.0))
-    out = log_pref + k * math.log(c) + phi_n(params, n, tau_nodes, n_max)
+    out = log_pref + k * math.log(c) + phi_n(params, n, tau_nodes)
     return out if out.ndim else float(out)
 
 
@@ -283,11 +269,10 @@ def mu_explicit(params: ProblemParams, n: int, tau_nodes: int = 64) -> complex:
     return complex(1j ** n) * mag
 
 
-def log_lambda_explicit(params: ProblemParams, n, tau_nodes: int = 64,
-                        n_max: int | None = None):
+def log_lambda_explicit(params: ProblemParams, n, tau_nodes: int = 64):
     """log lambda_n via lambda = (c/2pi) |mu_n|^2 in log space; n may be an array."""
     return math.log(params.c / (2.0 * math.pi)) \
-        + 2.0 * log_mu_magnitude(params, n, tau_nodes, n_max)
+        + 2.0 * log_mu_magnitude(params, n, tau_nodes)
 
 
 @dataclass(frozen=True)
@@ -348,20 +333,24 @@ def trace_and_norm(params: ProblemParams) -> TraceAndNorm:
     gamma_alpha uses the squared Beta-ratio form that the Hilbert-Schmidt
     computation produces (consistent with gamma_0 = 1).  The two equivalent
     trace expressions (Beta form and Gamma-ratio form) are asserted equal as
-    a self-check; they match through the Legendre duplication identity.
+    a self-check, which a non-finite value fails; they match through the
+    Legendre duplication identity.  The Gamma and Beta ratios are taken in
+    log form, so every field stays finite for large alpha.
     gamma_alpha diverges as alpha -> -1/2+, so alpha <= -1/2 is refused.
     """
     a, c = params.alpha, params.c
     if a <= -0.5:
         raise ValueError(f"the Hilbert-Schmidt limit needs alpha > -1/2, got alpha = {a}")
     trace_beta = (c / (2.0 * math.pi)) * total_mass(a) ** 2
-    trace_gamma = (c / (2.0 * math.pi)) * math.pi * (_sp.gamma(a + 1.0) / _sp.gamma(a + 1.5)) ** 2
-    if c > 0 and abs(trace_beta - trace_gamma) > 1e-12 * abs(trace_beta):
+    # log forms: Gamma(2a + 1.5) overflows past alpha ~ 85 and 2^(4a) past 255
+    lg = _sp.gammaln
+    trace_gamma = 0.5 * c * math.exp(2.0 * (lg(a + 1.0) - lg(a + 1.5)))
+    if c > 0 and not abs(trace_beta - trace_gamma) <= 1e-12 * abs(trace_beta):
         raise RuntimeError("trace self-check failed: Beta and Gamma forms disagree")
-    gamma_alpha = 2.0 ** (4 * a) * (beta_fn(2 * a + 1.0, 2 * a + 1.0)
-                                    / beta_fn(a + 1.0, a + 1.0)) ** 2
-    moment = (2.0 ** (-2 * a) * math.sqrt(math.pi) * _sp.gamma(2 * a + 1.0)
-              / (_sp.gamma(2 * a + 1.5) * _sp.gamma(a + 1.0) ** 2))
+    gamma_alpha = math.exp(4 * a * math.log(2.0) + 2.0 * (
+        _sp.betaln(2 * a + 1.0, 2 * a + 1.0) - _sp.betaln(a + 1.0, a + 1.0)))
+    moment = math.exp(0.5 * math.log(math.pi) - 2 * a * math.log(2.0) + lg(2 * a + 1.0)
+                      - lg(2 * a + 1.5) - 2.0 * lg(a + 1.0))
     return TraceAndNorm(trace=trace_beta, hs_norm_limit=gamma_alpha * trace_beta,
                         gamma_alpha=gamma_alpha, bessel_moment=moment)
 

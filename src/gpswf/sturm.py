@@ -80,11 +80,6 @@ class ChiSpectrum:
         """Spectral ratio c^2 / chi_n (the oscillatory regime has q < 1)."""
         return self.params.c ** 2 / self.chi(n)
 
-    @property
-    def parities(self) -> np.ndarray:
-        """Per-mode parity flags; psi_n(-x) = (-1)^n psi_n(x)."""
-        return np.arange(self.n_max + 1) % 2
-
     def eigenfunction(self, n: int) -> "GpswfFunction":
         if not 0 <= n <= self.n_max:
             raise ValueError(f"mode index {n} outside computed range 0..{self.n_max}")

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 import gpswf as g
 from gpswf.approx import make_frame
+from test_spectrum import f_n_weighted_identity
 
 
 def _report(num: int, name: str, ok: bool, t0: float, detail: str = ""):
@@ -124,7 +125,7 @@ def test_criterion_05_lambda_mu_identity():
     for alpha in (0.5, 1.0):
         for c in (2.0, 5.0):
             params = g.ProblemParams(alpha=alpha, c=c)
-            op = g.nystrom_spectrum(params, n_keep=11, check_stability=False)
+            op = g.nystrom_spectrum(params, n_keep=11)
             worst, n_explicit = 0.0, 0
             for n in range(11):
                 lam_mu = (c / (2 * math.pi)) * abs(op.mus[n]) ** 2
@@ -151,7 +152,7 @@ def test_criterion_06_trace_identity():
     for alpha in (0.5, 1.0):
         for c in (5.0, 10.0, 20.0):
             params = g.ProblemParams(alpha=alpha, c=c)
-            op = g.nystrom_spectrum(params, n_quad=300, n_keep=8, check_stability=False)
+            op = g.nystrom_spectrum(params, n_quad=300, n_keep=8)
             tn = g.trace_and_norm(params)
             worst = max(worst, abs(op.trace_discrete - tn.trace) / tn.trace)
     _report(6, "trace identity", worst <= 1e-6, t0, f"worst relative error {worst:.2e}")
@@ -197,7 +198,6 @@ def test_criterion_09_decay():
         spec = g.chi_spectrum(params, 12)
         for n in range(13):
             worst = max(worst, abs(g.f_n_moment(params, n, spec) - n))
-            from gpswf.spectrum import f_n_weighted_identity
             worst = max(worst, abs(f_n_weighted_identity(params, n, spec)
                                    - (n + alpha + 0.5)))
     ok &= worst <= 1e-9
@@ -211,7 +211,7 @@ def test_criterion_10_sinc_oracle():
     details = []
     for c in (1.0, 5.0):
         op = g.nystrom_spectrum(g.ProblemParams(alpha=0.0, c=c), n_quad=300,
-                                n_keep=8, check_stability=False)
+                                n_keep=8)
         x, w = np.polynomial.legendre.leggauss(300)
         u = c * (x[:, None] - x[None, :])
         safe = np.where(u == 0.0, 1.0, u)

@@ -147,6 +147,14 @@ def test_spectrum_refuses_negative_alpha(capsys):
         assert "alpha >= 0" in capsys.readouterr().err
 
 
+def test_empty_grid_is_a_usage_error(capsys):
+    for argv in (["eigenfunction", "--n", "3"],
+                 ["approx", "--kind", "bessel", "--n", "40"],
+                 ["approx", "--kind", "jacobi", "--n", "100"]):
+        assert main([*argv, "--alpha", "0.5", "--c", "2", "--grid", "0"]) == 2
+        assert "--grid" in capsys.readouterr().err
+
+
 def test_spectrum_landau_window(tmp_path):
     out = tmp_path / "spec.json"
     code = main(["spectrum", "--alpha", "0", "--c", "10", "--delta", "0.5",

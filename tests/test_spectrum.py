@@ -1,6 +1,7 @@
 """Integral-operator spectrum tests: Q_c oracle, Nystrom, mu routes, bounds."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,11 +11,7 @@ from scipy.linalg import eigh
 
 import gpswf as g
 from gpswf.specfun import jacobi_h
-from gpswf.spectrum import (
-    f_n_weighted_identity,
-    fourier_jacobi_moments,
-    phi_n,
-)
+from gpswf.spectrum import fourier_jacobi_moments, phi_n
 
 
 def kernel_eval(alpha, u):
@@ -47,6 +44,65 @@ def qc_oracle_matrix(params, n_quad):
     u = params.c * (rule.nodes[:, None] - rule.nodes[None, :])
     sw = np.sqrt(rule.weights)
     return (params.c / (2.0 * math.pi)) * kernel_eval(params.alpha, u) * sw[:, None] * sw[None, :]
+
+
+def mu_quadrature(params, n, spec):
+    """mu_n by the direct Gauss-Jacobi sum, at the point mu_eigenrelation uses.
+
+    Oracle for the closed-form moment route: fine down to |mu| ~ 1e-8, where
+    cancellation noise takes over.
+    """
+    f = spec.eigenfunction(n)
+    coarse = np.linspace(-1.0, 1.0, 501)
+    x0 = float(coarse[np.argsort(np.abs(f.value(coarse)))[::-1][0]])
+    rule = g.gauss_jacobi(spec.n_trunc + int(2.0 * params.c) + 32, params.alpha)
+    phases = np.exp(1j * params.c * x0 * rule.nodes)
+    return complex(np.dot(rule.weights, phases * f.value(rule.nodes)) / f.value(x0))
+
+
+def f_n_weighted_identity(params, n, spec):
+    """alpha int psi_n^2 (1-x^2)^(alpha-1) dx for alpha > 0, by Gauss-Jacobi.
+
+    Oracle for F_n through the alpha -> alpha-1 identity: it equals
+    F_n + alpha + 1/2, so n + alpha + 1/2 at c = 0.
+    """
+    rule = g.gauss_jacobi(spec.n_trunc + 8, params.alpha - 1.0)
+    return float(params.alpha * np.dot(rule.weights, spec.eigenfunction(n).value(rule.nodes) ** 2))
+
+
+def f_n_mpmath(alpha, coeffs):
+    """F_n = int x psi psi' (1-x^2)^alpha dx at 30 digits, from the same coefficients.
+
+    psi and psi' are summed by the three-term recurrence of the orthonormal
+    alpha and alpha+1 bases; tanh-sinh quadrature takes the endpoint factor.
+    """
+    from mpmath import mp
+
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+        cs = [mp.mpf(float(v)) for v in np.trim_zeros(coeffs, "b")]
+        dcs = [cs[k] * mp.sqrt(k * (k + 2 * a + 1)) for k in range(1, len(cs))]
+
+        def recurrence(al):
+            b = [mp.mpf(0), 1 / mp.sqrt(3 + 2 * al)] + [
+                mp.sqrt(k * (k + 2 * al) / ((2 * k + 2 * al + 1) * (2 * k + 2 * al - 1)))
+                for k in range(2, len(cs) + 1)]
+            return b, 1 / mp.sqrt(2 ** (2 * al + 1) * mp.beta(al + 1, al + 1))
+
+        def series(coef, rec, x):
+            b, cur = rec
+            prev, total = mp.mpf(0), coef[0] * cur
+            for k in range(1, len(coef)):
+                prev, cur = cur, (x * cur - b[k - 1] * prev) / b[k]
+                total += coef[k] * cur
+            return total
+
+        rec, rec_up = recurrence(a), recurrence(a + 1)
+        # the integrand is even
+        value, err = mp.quad(lambda x: x * series(cs, rec, x) * series(dcs, rec_up, x)
+                             * (1 - x * x) ** a, [0, 1], error=True)
+        assert err <= mp.mpf(10) ** -20
+        return 2 * value
 
 
 def sinc_nystrom_oracle(c, n_quad, n_keep):
@@ -102,14 +158,14 @@ def test_no_spurious_negative_eigenvalues():
 
 def test_trace_identity():
     p = g.ProblemParams(alpha=0.5, c=5.0)
-    op = g.nystrom_spectrum(p, n_quad=300, n_keep=8, check_stability=False)
+    op = g.nystrom_spectrum(p, n_quad=300, n_keep=8)
     tn = g.trace_and_norm(p)
     assert abs(op.trace_discrete - tn.trace) / tn.trace <= 1e-8
 
 
 def test_alpha_zero_sinc_oracle():
     p = g.ProblemParams(alpha=0.0, c=1.0)
-    op = g.nystrom_spectrum(p, n_quad=300, n_keep=8, check_stability=False)
+    op = g.nystrom_spectrum(p, n_quad=300, n_keep=8)
     oracle = sinc_nystrom_oracle(1.0, 300, 8)
     # spectrum-scale agreement on all kept modes, strict relative where
     # double precision can represent the eigenvalue relative to lambda_0
@@ -141,8 +197,8 @@ def test_deep_modes_match_explicit_formula():
 def test_odd_n_quad_matches_even(alpha, c):
     # an odd rule has a node at 0 that is its own mirror
     p = g.ProblemParams(alpha=alpha, c=c)
-    odd = g.nystrom_spectrum(p, n_quad=241, n_keep=10, check_stability=False)
-    even = g.nystrom_spectrum(p, n_quad=240, n_keep=10, check_stability=False)
+    odd = g.nystrom_spectrum(p, n_quad=241, n_keep=10)
+    even = g.nystrom_spectrum(p, n_quad=240, n_keep=10)
     assert_allclose(odd.lambdas, even.lambdas, rtol=1e-12, atol=0)
     assert g.counting(p, 0.5, n_quad=241).m_empirical \
         == g.counting(p, 0.5, n_quad=240).m_empirical
@@ -150,7 +206,7 @@ def test_odd_n_quad_matches_even(alpha, c):
 
 def test_parity_split_matches_qc_oracle():
     p = g.ProblemParams(alpha=0.5, c=5.0)
-    op = g.nystrom_spectrum(p, n_quad=240, n_keep=30, check_stability=False)
+    op = g.nystrom_spectrum(p, n_quad=240, n_keep=30)
     oracle = eigh(qc_oracle_matrix(p, 240), eigvals_only=True)[::-1][:30]
     resolved = oracle >= 1e-6 * oracle[0]
     assert_allclose(op.lambdas[resolved], oracle[resolved], rtol=1e-11, atol=0)
@@ -174,8 +230,8 @@ def test_mu_moment_and_quadrature_routes_agree():
     p = g.ProblemParams(alpha=0.5, c=3.0)
     spec = g.chi_spectrum(p, 6)
     for n in range(7):
-        mm = g.mu_eigenrelation(p, n, spec, method="moments")
-        mq = g.mu_eigenrelation(p, n, spec, method="quadrature")
+        mm = g.mu_eigenrelation(p, n, spec)
+        mq = mu_quadrature(p, n, spec)
         assert abs(mm - mq) / abs(mm) <= 1e-10
 
 
@@ -183,7 +239,7 @@ def test_lambda_mu_identity_nystrom():
     # hybrid check: Nystrom lambda above the double-precision trust floor,
     # the log-space explicit route below it
     p = g.ProblemParams(alpha=0.5, c=5.0)
-    op = g.nystrom_spectrum(p, n_keep=11, check_stability=False)
+    op = g.nystrom_spectrum(p, n_keep=11)
     for n in range(11):
         lam_mu = (p.c / (2 * math.pi)) * abs(op.mus[n]) ** 2
         if op.lambdas[n] >= 1e-10:
@@ -243,8 +299,8 @@ def test_mu_routes_agree_at_alpha_minus_half():
     p = g.ProblemParams(alpha=-0.5, c=3.0)
     spec = g.chi_spectrum(p, 2)
     for n in range(3):
-        mm = g.mu_eigenrelation(p, n, spec, method="moments")
-        mq = g.mu_eigenrelation(p, n, spec, method="quadrature")
+        mm = g.mu_eigenrelation(p, n, spec)
+        mq = mu_quadrature(p, n, spec)
         assert abs(mm - mq) <= 1e-12 * abs(mq)
 
 
@@ -253,10 +309,41 @@ def test_mu_routes_agree_at_alpha_minus_half():
 # ---------------------------------------------------------------------------
 
 def test_f_n_at_c_zero():
-    p = g.ProblemParams(alpha=0.5, c=0.0)
-    spec = g.chi_spectrum(p, 12)
-    for n in range(13):
-        assert abs(g.f_n_moment(p, n, spec) - n) <= 1e-10
+    for alpha in (-0.9, -0.5, 0.0, 0.5, 1.4, 4.0):
+        p = g.ProblemParams(alpha=alpha, c=0.0)
+        spec = g.chi_spectrum(p, 200)
+        ns = np.arange(201)
+        assert np.max(np.abs(g.f_n_moment(p, ns, spec) - ns)) <= 1e-12
+        assert abs(g.f_n_moment(p, 12, spec) - 12) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, c, n", [(-0.5, 20.0, 5), (0.0, 20.0, 5), (0.5, 100.0, 10)])
+def test_f_n_matches_mpmath(alpha, c, n):
+    p = g.ProblemParams(alpha=alpha, c=c)
+    spec = g.chi_spectrum(p, n)
+    exact = f_n_mpmath(alpha, spec.coeffs[n])
+    assert abs(g.f_n_moment(p, n, spec) - float(exact)) <= 1e-13
+
+
+def test_decay_check_builds_no_rule_and_runs_no_clenshaw(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "gpswf" or mod_name.startswith("gpswf."):
+            for name in ("gauss_jacobi", "jacobi_series_eval"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    g.decay_check(g.ProblemParams(alpha=0.5, c=10.0), range(15, 31))
+    assert calls == []
+    # the counters see calls through the module bindings
+    g.chi_spectrum(g.ProblemParams(alpha=0.5, c=10.0), 0).eigenfunction(0).value(0.0)
+    assert calls == ["jacobi_series_eval"]
 
 
 def test_f_n_weighted_identity():
@@ -269,12 +356,6 @@ def test_f_n_weighted_identity():
         ss = g.chi_spectrum(pp, 12)
         for n in range(13):
             assert abs(f_n_weighted_identity(pp, n, ss) - (n + alpha + 0.5)) <= 1e-9
-
-
-def test_f_n_weighted_identity_requires_positive_alpha():
-    p = g.ProblemParams(alpha=0.0, c=1.0)
-    with pytest.raises(ValueError):
-        f_n_weighted_identity(p, 3)
 
 
 def test_f_n_quadratic_in_bandwidth():
@@ -302,16 +383,14 @@ def test_log_lambda_explicit_batched_matches_per_mode():
     ns = np.arange(10, 17)
     batched = g.log_lambda_explicit(p, ns)
     assert batched.shape == ns.shape
-    per_mode = [g.log_lambda_explicit(p, int(n), n_max=int(ns.max())) for n in ns]
+    per_mode = [g.log_lambda_explicit(p, int(n)) for n in ns]
     assert_allclose(batched, per_mode, rtol=1e-12)
     assert isinstance(per_mode[0], float)
 
 
 def test_decay_alpha_monotonicity():
-    op_lo = g.nystrom_spectrum(g.ProblemParams(alpha=0.5, c=4.0), n_keep=11,
-                               check_stability=False)
-    op_hi = g.nystrom_spectrum(g.ProblemParams(alpha=1.0, c=4.0), n_keep=11,
-                               check_stability=False)
+    op_lo = g.nystrom_spectrum(g.ProblemParams(alpha=0.5, c=4.0), n_keep=11)
+    op_hi = g.nystrom_spectrum(g.ProblemParams(alpha=1.0, c=4.0), n_keep=11)
     assert np.all(op_hi.lambdas <= op_lo.lambdas)
 
 
@@ -345,6 +424,25 @@ def test_trace_closed_forms():
 def test_trace_and_norm_names_alpha_hypothesis():
     with pytest.raises(ValueError, match=r"alpha > -1/2"):
         g.trace_and_norm(g.ProblemParams(alpha=-0.9, c=5.0))
+
+
+def test_trace_and_norm_finite_at_large_alpha():
+    from mpmath import mp
+
+    for alpha in (85.5, 200.0, 260.0):
+        tn = g.trace_and_norm(g.ProblemParams(alpha=alpha, c=5.0))
+        fields = (tn.trace, tn.hs_norm_limit, tn.gamma_alpha, tn.bessel_moment)
+        assert all(math.isfinite(v) for v in fields)
+        with mp.workdps(30):
+            a = mp.mpf(alpha)
+            gamma_alpha = 2 ** (4 * a) * (mp.beta(2 * a + 1, 2 * a + 1)
+                                          / mp.beta(a + 1, a + 1)) ** 2
+            moment = (2 ** (-2 * a) * mp.sqrt(mp.pi) * mp.gamma(2 * a + 1)
+                      / (mp.gamma(2 * a + 1.5) * mp.gamma(a + 1) ** 2))
+        assert abs(tn.gamma_alpha - float(gamma_alpha)) <= 1e-11 * float(gamma_alpha)
+        if alpha == 85.5:
+            # a subnormal double: about 12 significant digits are left
+            assert abs(tn.bessel_moment - float(moment)) <= 1e-9 * float(moment)
 
 
 def test_bessel_moment_value():
