@@ -109,6 +109,15 @@ def g_bound(alpha: float, q: float, x):
     return out if np.ndim(x) else float(out)
 
 
+def _a_alpha(spectrum: ChiSpectrum, frame: WkbFrame) -> float:
+    if frame.q >= 1.0:
+        raise ValueError(frame.failure)
+    alpha, chi, q = frame.alpha, frame.chi, frame.q
+    psi1 = spectrum.eigenfunction(frame.n).value(1.0)
+    return (2.0 ** alpha) * gamma_fn(1.0 + alpha) * psi1 \
+        / ((1.0 - q) ** (alpha / 2.0) * chi ** (0.25 + alpha / 2.0))
+
+
 def a_alpha_exact(spectrum: ChiSpectrum, n: int) -> float:
     """Normalization constant of the Bessel form from the endpoint value.
 
@@ -116,13 +125,7 @@ def a_alpha_exact(spectrum: ChiSpectrum, n: int) -> float:
     positive under the psi_n(1) > 0 sign convention (which sturm fixes at x = 0,
     where it is well conditioned).
     """
-    frame = make_frame(spectrum, n)
-    if frame.q >= 1.0:
-        raise ValueError(frame.failure)
-    alpha, chi, q = frame.alpha, frame.chi, frame.q
-    psi1 = spectrum.eigenfunction(n).value(1.0)
-    return (2.0 ** alpha) * gamma_fn(1.0 + alpha) * psi1 \
-        / ((1.0 - q) ** (alpha / 2.0) * chi ** (0.25 + alpha / 2.0))
+    return _a_alpha(spectrum, make_frame(spectrum, n))
 
 
 def _main_term(frame: WkbFrame, x: np.ndarray) -> np.ndarray:
@@ -178,7 +181,7 @@ def bessel_uniform(spectrum: ChiSpectrum, n: int, x):
     if np.any(arr < 0) or np.any(arr > 1):
         raise ValueError("bessel_uniform is defined on [0, 1]")
     a_hat = leading_amplitude(frame.q)
-    a_exact = a_alpha_exact(spectrum, n)
+    a_exact = _a_alpha(spectrum, frame)
     main = _main_term(frame, arr)
     value = a_hat * main
     envelope = frame.eps * a_exact * _envelope_factor(frame, arr) \
@@ -188,17 +191,7 @@ def bessel_uniform(spectrum: ChiSpectrum, n: int, x):
     return value, envelope
 
 
-def approximant_norm_sq(spectrum: ChiSpectrum, n: int) -> float:
-    """Weighted L2([0,1]) norm squared of the Bessel-form approximant A * main.
-
-    The substitution x = sin(theta) removes the (1-x)^(-1/2) endpoint
-    singularity of the integrand; a Gauss-Legendre rule in theta does the
-    rest.
-    """
-    frame = make_frame(spectrum, n)
-    if frame.q >= 1.0:
-        raise ValueError(frame.failure)
-    a_exact = a_alpha_exact(spectrum, n)
+def _norm_sq(frame: WkbFrame, a_exact: float) -> float:
     chi, q, alpha = frame.chi, frame.q, frame.alpha
     m = max(256, int(3.0 * math.sqrt(chi)) + 64)
     t, w = np.polynomial.legendre.leggauss(m)
@@ -211,6 +204,17 @@ def approximant_norm_sq(spectrum: ChiSpectrum, n: int) -> float:
     return float(a_exact ** 2 * np.dot(wt, integrand))
 
 
+def approximant_norm_sq(spectrum: ChiSpectrum, n: int) -> float:
+    """Weighted L2([0,1]) norm squared of the Bessel-form approximant A * main.
+
+    The substitution x = sin(theta) removes the (1-x)^(-1/2) endpoint
+    singularity of the integrand; a Gauss-Legendre rule in theta does the
+    rest.
+    """
+    frame = make_frame(spectrum, n)
+    return _norm_sq(frame, _a_alpha(spectrum, frame))
+
+
 def approximant_norm_check(spectrum: ChiSpectrum, n: int) -> float:
     """Deviation |  ||approximant||^2 - A^2 K(sqrt(q))/pi  |.
 
@@ -218,10 +222,9 @@ def approximant_norm_check(spectrum: ChiSpectrum, n: int) -> float:
     with M_cap the eta bound from the envelope constants.
     """
     frame = make_frame(spectrum, n)
-    a_exact = a_alpha_exact(spectrum, n)
-    norm2 = approximant_norm_sq(spectrum, n)
+    a_exact = _a_alpha(spectrum, frame)
     target = a_exact ** 2 * elliptic_K(math.sqrt(frame.q)) / math.pi
-    return abs(norm2 - target)
+    return abs(_norm_sq(frame, a_exact) - target)
 
 
 def jacobi_uniform(spectrum: ChiSpectrum, n: int, x, q0: float = 0.9):

@@ -258,8 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="weight exponent (> -1)")
         p.add_argument("--c", type=float, required=True, help="bandwidth (>= 0)")
         p.add_argument("--n", type=int, default=None, help="mode index")
-        p.add_argument("--n-max", dest="n_max", type=int, default=None,
-                       help="largest mode index")
+        p.add_argument("--n-max", dest="n_max", type=int,
+                       default=10 if name == "chi" else None, help="largest mode index")
         p.add_argument("--grid", type=int, default=2001, help="evaluation grid size")
         p.add_argument("--quad", type=int, default=None,
                        help="quadrature size override")
@@ -282,11 +282,10 @@ def main(argv=None) -> int:
         raise UsageError(cap_error)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("chi", "spectrum") and args.n_max is None:
-        args.n_max = 10 if args.command == "chi" else None
-    if args.command == "chi" and args.n_max < 0:
-        raise UsageError("--n-max must be nonnegative")
     try:
+        for flag, value in (("--n", args.n), ("--n-max", args.n_max)):
+            if value is not None and value < 0:
+                raise UsageError(f"{flag} must be nonnegative, got {value}")
         if args.grid < 1:
             raise UsageError(f"--grid must be at least 1, got {args.grid}")
         return args.handler(args)

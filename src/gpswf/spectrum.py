@@ -8,8 +8,8 @@ Three computational routes, cross-checked against each other:
   to the phase i^n, and lambda_n = (c/2pi) mu_n^2.  Rounding in mu is about
   1e-16 |mu_0|, so lambda_n keeps a relative error near
   1e-16 sqrt(lambda_0/lambda_n) (1e-10 at lambda ~ 1e-14) and is noise
-  below lambda ~ 1e-28; eigenvalues that move under refinement of the rule
-  are flagged unstable.
+  below lambda ~ 1e-28; an eigenvalue is flagged stable only where it agrees
+  with the eigen-relation below.
 
 * Eigen-relation: mu_n is obtained by applying the transform to psi_n from
   the Sturm-Liouville solver at a point where |psi_n| is large.
@@ -84,7 +84,7 @@ class OperatorSpectrum:
     lambdas: np.ndarray            # descending, length n_keep
     mus: np.ndarray                # complex, from the eigen-relation
     cross_residuals: np.ndarray    # |lambda_n - (c/2pi) |mu_n|^2|
-    stable: np.ndarray             # |lambda - lambda at 2 n_quad| <= 1e-10 lambda
+    stable: np.ndarray             # cross_residuals <= 1e-10 lambda
     trace_discrete: float          # sum of all n_quad discrete lambda = (c/2pi) mu^2
     hs_discrete: float             # sum of their squares
 
@@ -93,12 +93,13 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
                      n_keep: int = 12) -> OperatorSpectrum:
     """Discretize the composition operator and keep the top n_keep eigenvalues.
 
-    Stability of each kept eigenvalue is probed by doubling the rule; an
-    eigenvalue is flagged unstable when the refinement moves it by more than
-    1e-10 relative.  The refinement delta is of the size of the error against
-    the explicit formula (at alpha = 0.5, c = 5: 2e-11 against 1e-11 at
-    n = 11, 8e-10 against 8e-10 at n = 12).  The refinement always runs; it
-    is about 85 % of the cost of a call.
+    The n-th eigenvalue in descending order is paired with mu_n from the
+    eigen-relation, and it is flagged stable when the two independent routes
+    to lambda_n = (c/2pi) |mu_n|^2 agree to 1e-10 relative, so a stable value
+    is within ~2e-10 of the exact one.  A mode that sorted order pairs with
+    the wrong psi_n (seen at alpha < 0) disagrees and is flagged; from
+    lambda ~ 1e-10 down the eigen-relation's own rounding can exceed 1e-10,
+    so accurate edge modes may be flagged unstable too.
     """
     if params.c <= 0:
         raise ValueError("the composition operator is trivial at c = 0")
@@ -107,15 +108,12 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
         raise ValueError(f"n_quad={nq} too small for n_keep={n_keep}")
     vals = _nystrom_lambdas(params, nq)
     lambdas = vals[:n_keep].copy()
-    refined = _nystrom_lambdas(params, 2 * nq)
-    stable = np.abs(lambdas - refined[:n_keep]) <= 1e-10 * lambdas
-
     spec = chi_spectrum(params, n_keep - 1)
     mus = np.array([mu_eigenrelation(params, n, spec) for n in range(n_keep)])
     cross = np.abs(lambdas - (params.c / (2.0 * math.pi)) * np.abs(mus) ** 2)
     return OperatorSpectrum(
         params=params, n_quad=nq, lambdas=lambdas, mus=mus,
-        cross_residuals=cross, stable=stable,
+        cross_residuals=cross, stable=cross <= 1e-10 * lambdas,
         trace_discrete=float(vals.sum()), hs_discrete=float((vals ** 2).sum()),
     )
 
@@ -173,14 +171,10 @@ def mu_eigenrelation(params: ProblemParams, n: int,
     f = spec.eigenfunction(n)
     coarse = np.linspace(-1.0, 1.0, 501)
     vals = np.abs(f.value(coarse))
-    order = np.argsort(vals)[::-1]
-    x0 = None
-    for idx in order[:8]:
-        if vals[idx] >= 1e-8:
-            x0 = float(coarse[idx])
-            break
-    if x0 is None:
+    idx = int(np.argsort(vals)[-1])   # not argmax, which picks another x0 among ties
+    if not vals[idx] >= 1e-8:
         raise RuntimeError(f"no evaluation point with |psi_{n}| >= 1e-8 found")
+    x0 = float(coarse[idx])
     moments = fourier_jacobi_moments(params.alpha, params.c * x0, spec.n_trunc)
     integral = complex(np.dot(f.coeffs, moments))
     return integral / f.value(x0)

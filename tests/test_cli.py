@@ -132,13 +132,23 @@ def test_approx_bessel_inadmissible_frame_exit():
     assert "q =" in proc.stderr
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     proc = run_cli(["chi", "--alpha", "0.5"])  # missing --c
     assert proc.returncode == 2
     proc = run_cli(["chi", "--alpha", "-2.0", "--c", "1", "--n-max", "3"])
     assert proc.returncode == 2
     proc = run_cli(["approx", "--alpha", "0.5", "--c", "1", "--n", "5"])  # no kind
     assert proc.returncode == 2
+    # a negative mode flag is refused by main itself, naming that flag
+    for argv, flag in ((["chi", "--n-max", "-1"], "--n-max"),
+                       (["spectrum", "--n-max", "-1"], "--n-max"),
+                       (["eigenfunction", "--n", "-1"], "--n"),
+                       (["approx", "--kind", "bessel", "--n", "-1"], "--n"),
+                       (["approx", "--kind", "jacobi", "--n", "-2"], "--n")):
+        assert main([*argv, "--alpha", "0.5", "--c", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be nonnegative" in err
+        assert "n_max" not in err
 
 
 def test_spectrum_refuses_negative_alpha(capsys):

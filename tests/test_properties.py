@@ -5,7 +5,7 @@ stays deterministic.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gpswf as g
@@ -38,3 +38,16 @@ def test_f_n_equals_n_at_c_zero(alpha, n_max):
     p = g.ProblemParams(alpha=alpha, c=0.0)
     ns = np.arange(n_max + 1)
     assert np.max(np.abs(g.f_n_moment(p, ns, g.chi_spectrum(p, n_max)) - ns)) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(alpha=st.floats(min_value=-0.45, max_value=3.0, exclude_min=True, exclude_max=True),
+       c=st.floats(min_value=0.5, max_value=30.0))
+@example(alpha=-0.3, c=6.0)   # sorted order pairs modes 0-3 with the wrong psi_n
+def test_stable_nystrom_values_match_explicit(alpha, c):
+    # the flag's 1e-10 agreement bound plus up to 1e-10 in either route
+    p = g.ProblemParams(alpha=alpha, c=c)
+    op = g.nystrom_spectrum(p, n_keep=12)
+    lam_x = np.exp(g.log_lambda_explicit(p, np.arange(12), tau_nodes=256))
+    err = np.abs(op.lambdas - lam_x) / lam_x
+    assert np.all(err[op.stable] <= 2e-10)
