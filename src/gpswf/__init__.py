@@ -54,9 +54,7 @@ from .specfun import (
     BesselEnvelopeConstants,
     QuadratureRule,
     bessel_j,
-    bessel_y,
     beta_fn,
-    elliptic_E,
     elliptic_K,
     envelope_constants,
     eta_fn,
@@ -94,8 +92,8 @@ __all__ = [
     "DecayReport", "GpswfFunction", "OperatorSpectrum", "ProblemParams",
     "QuadratureRule", "TraceAndNorm", "TruncationError", "WkbFrame",
     "a_alpha_exact", "approximant_norm_check", "approximant_norm_sq", "bessel_j",
-    "bessel_report", "bessel_uniform", "bessel_y", "beta_fn", "chi_spectrum",
-    "counting", "decay_check", "elliptic_E", "elliptic_K", "envelope_constants",
+    "bessel_report", "bessel_uniform", "beta_fn", "chi_spectrum",
+    "counting", "decay_check", "elliptic_K", "envelope_constants",
     "eta_fn", "f_n_moment", "g_bound", "gamma_fn", "gauss_jacobi", "incomplete_K",
     "jacobi_report", "jacobi_uniform", "log_lambda_explicit",
     "make_frame", "mu_eigenrelation", "mu_explicit", "nystrom_spectrum",

@@ -38,6 +38,7 @@ from .specfun import (
     gauss_jacobi,
     jacobi_h,
     jacobi_series_deriv_coeffs,
+    jacobi_series_eval,
     sym_offdiag,
     total_mass,
 )
@@ -109,7 +110,7 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
     vals = _nystrom_lambdas(params, nq)
     lambdas = vals[:n_keep].copy()
     spec = chi_spectrum(params, n_keep - 1)
-    mus = np.array([mu_eigenrelation(params, n, spec) for n in range(n_keep)])
+    mus = mu_eigenrelation(params, np.arange(n_keep), spec)
     cross = np.abs(lambdas - (params.c / (2.0 * math.pi)) * np.abs(mus) ** 2)
     return OperatorSpectrum(
         params=params, n_quad=nq, lambdas=lambdas, mus=mus,
@@ -118,14 +119,16 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
     )
 
 
-def fourier_jacobi_moments(alpha: float, u: float, n_modes: int) -> np.ndarray:
+def fourier_jacobi_moments(alpha: float, u, n_modes: int) -> np.ndarray:
     """Transforms m_k(u) = int e^{iuy} Ptilde_k^(a,a)(y) (1-y^2)^a dy, k < n_modes.
 
     Closed form via the Gegenbauer-Bessel pair:
     m_k(u) = coef_k i^k J_{k+a+1/2}(u) / u^(a+1/2) with a Gamma-ratio
     coefficient; relative accuracy is that of the Bessel evaluation, with no
     cancellation, which is what makes the eigen-relation stable for deeply
-    decayed modes.
+    decayed modes.  u is a point or an array of them; an array of shape S
+    gives shape S + (n_modes,), one Bessel call for all points, and each row
+    bit-identical to the call with that point alone.
     """
     a = alpha
     lam = a + 0.5
@@ -137,47 +140,63 @@ def fourier_jacobi_moments(alpha: float, u: float, n_modes: int) -> np.ndarray:
                 + 2 * a * math.log(2.0) - 0.5 * math.log(math.pi)
                 + _sp.gammaln(k + a + 1.0) - _sp.gammaln(k + 1.0) - 0.5 * log_h)
     phase = 1j ** np.arange(n_modes)
-    signs = np.ones(n_modes) if u >= 0 else (-1.0) ** np.arange(n_modes)
-    au = abs(u)
-    if au < 1e-8:
+    us = np.asarray(u, dtype=float)
+    au = np.abs(us.reshape(-1))
+    signs = np.where(us.reshape(-1, 1) >= 0, 1.0, (-1.0) ** np.arange(n_modes))
+    small = au < 1e-8
+    out = np.empty((au.size, n_modes), dtype=complex)
+    # u^lam and log(u/2) in Python floats, point by point: numpy's SIMD power
+    # and log can differ from them in the last bit
+    if small.any():
         # leading term of J_{k+lam}(u)/u^lam; only k = 0 survives at u = 0
-        if au == 0.0:
-            log_bessel = np.where(k == 0, 0.0, -np.inf)
-        else:
-            log_bessel = k * math.log(au / 2.0)
+        log_bessel = np.array([np.where(k == 0, 0.0, -np.inf) if x == 0.0
+                               else k * math.log(x / 2.0) for x in au[small].tolist()])
         vals = np.exp(log_coef + log_bessel - lam * math.log(2.0)
                       - _sp.gammaln(k + lam + 1.0))
-        return phase * vals * signs
-    with np.errstate(under="ignore"):
-        bessel = _sp.jv(k + lam, au) / au ** lam
-    return phase * np.exp(log_coef) * bessel * signs
+        out[small] = phase * vals * signs[small]
+    if not small.all():
+        big = au[~small]
+        with np.errstate(under="ignore"):
+            bessel = (_sp.jv(k + lam, big[:, None])
+                      / np.array([x ** lam for x in big.tolist()])[:, None])
+        out[~small] = phase * np.exp(log_coef) * bessel * signs[~small]
+    return out.reshape(us.shape + (n_modes,))
 
 
-def mu_eigenrelation(params: ProblemParams, n: int,
-                     spectrum: ChiSpectrum | None = None) -> complex:
+def mu_eigenrelation(params: ProblemParams, n, spectrum: ChiSpectrum | None = None):
     """mu_n from applying the transform to psi_n at a well-conditioned point.
 
     mu_n = (1/psi_n(x0)) int e^{i c x0 y} psi_n(y) (1-y^2)^alpha dy with x0
     the coarse-grid argmax of |psi_n|, the integral expanded over the
-    closed-form Fourier-Jacobi moments.  Its relative error still grows as
-    mu_n decays.  Measured at alpha = 0.5 against log_mu_magnitude, with
-    psi_n from chi_spectrum(params, 40), it is 2e-9 at n = 20, 9e-6 at
-    n = 28 and 0.85 at n = 32 for c = 2, and 6e-8 at n = 24, 2e-3 at n = 28
-    for c = 10; with the default spectrum (n_max = n) it is already 2e-2 at
-    n = 24 for c = 2.  Use log_mu_magnitude (or mu_explicit) for deeper
-    modes.
+    closed-form Fourier-Jacobi moments.  n is a mode index or an array of
+    them (an array gives a complex array of its shape): every mode shares one
+    Clenshaw pass on the coarse grid, which also gives psi_n(x0), and one
+    moment call, and each value is bit-identical to the call for that mode
+    alone.  Its relative error still grows as mu_n decays.  Measured at
+    alpha = 0.5 against log_mu_magnitude, with psi_n from
+    chi_spectrum(params, 40), it is 2e-9 at n = 20, 9e-6 at n = 28 and 0.85
+    at n = 32 for c = 2, and 6e-8 at n = 24, 2e-3 at n = 28 for c = 10; with
+    the default spectrum (n_max = max n) it is already 2e-2 at n = 24 for
+    c = 2.  Use log_mu_magnitude (or mu_explicit) for deeper modes.
     """
-    spec = spectrum if spectrum is not None else chi_spectrum(params, n)
-    f = spec.eigenfunction(n)
+    ns = np.asarray(n)
+    spec = spectrum if spectrum is not None else chi_spectrum(params, int(ns.max()))
+    if np.any(ns < 0) or np.any(ns > spec.n_max):
+        raise ValueError(f"mode index {n} outside computed range 0..{spec.n_max}")
+    modes = ns.reshape(-1)
+    coeffs = spec.coeffs[modes]
     coarse = np.linspace(-1.0, 1.0, 501)
-    vals = np.abs(f.value(coarse))
-    idx = int(np.argsort(vals)[-1])   # not argmax, which picks another x0 among ties
-    if not vals[idx] >= 1e-8:
-        raise RuntimeError(f"no evaluation point with |psi_{n}| >= 1e-8 found")
-    x0 = float(coarse[idx])
-    moments = fourier_jacobi_moments(params.alpha, params.c * x0, spec.n_trunc)
-    integral = complex(np.dot(f.coeffs, moments))
-    return integral / f.value(x0)
+    psi = jacobi_series_eval(coeffs, params.alpha, coarse)
+    # not argmax, which picks another x0 among ties
+    idx = np.argsort(np.abs(psi), axis=-1)[:, -1]
+    psi_x0 = psi[np.arange(modes.size), idx]
+    weak = modes[~(np.abs(psi_x0) >= 1e-8)]
+    if weak.size:
+        raise RuntimeError(f"no evaluation point with |psi_{weak[0]}| >= 1e-8 found")
+    moments = fourier_jacobi_moments(params.alpha, params.c * coarse[idx], spec.n_trunc)
+    mus = np.array([complex(np.dot(row, mom)) / float(value)
+                    for row, mom, value in zip(coeffs, moments, psi_x0)])
+    return mus.reshape(ns.shape) if ns.ndim else complex(mus[0])
 
 
 def f_n_moment(params: ProblemParams, n, spectrum: ChiSpectrum | None = None):

@@ -8,7 +8,15 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import gpswf as g
-from gpswf.specfun import jacobi_h, jacobi_series_deriv_coeffs, jacobi_series_eval
+from gpswf.specfun import (
+    bessel_y,
+    elliptic_E,
+    jacobi_h,
+    jacobi_series_deriv_coeffs,
+    jacobi_series_eval,
+    sym_offdiag,
+    total_mass,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +43,45 @@ def bessel_y_integral_oracle(nu, x):
     second = quad(lambda t: (math.exp(nu * t) + math.exp(-nu * t) * math.cos(nu * math.pi))
                   * math.exp(-x * math.sinh(t)), 0.0, 30.0, limit=200, epsabs=1e-13)[0]
     return (first - second) / math.pi
+
+
+def golub_welsch_oracle(n_nodes, alpha):
+    """Full-size Golub-Welsch: eigenvalues and squared first components of J."""
+    from scipy.linalg import eigh_tridiagonal
+
+    b = sym_offdiag(alpha, n_nodes - 1)
+    vals, vecs = eigh_tridiagonal(np.zeros(n_nodes), b[1:])
+    return vals, total_mass(alpha) * vecs[0, :] ** 2
+
+
+def gauss_jacobi_mpmath_oracle(n_nodes, alpha, x_start):
+    """Nodes x >= 0 and their weights at 40 digits, from double-precision starts.
+
+    Newton on the orthonormal three-term recurrence, carried with its
+    derivative; the Christoffel weight 1 / sum_(k<N) Ptilde_k(x)^2 is summed
+    on the last sweep, whose point is already accurate far beyond double.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(40):
+        a = mpf(alpha)
+        b = [mpf(0), mp.sqrt(1 / (3 + 2 * a))]
+        b += [mp.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
+              for k in range(2, n_nodes + 1)]
+        p0 = 1 / mp.sqrt(2 ** (2 * a + 1) * mp.beta(a + 1, a + 1))
+        nodes, weights = [], []
+        for x in x_start:
+            x = mpf(float(x))
+            for _ in range(2):
+                p_prev, p, d_prev, d, total = mpf(0), p0, mpf(0), mpf(0), mpf(0)
+                for k in range(n_nodes):
+                    total += p * p
+                    p_prev, p, d_prev, d = (p, (x * p - b[k] * p_prev) / b[k + 1],
+                                            d, (p + x * d - b[k] * d_prev) / b[k + 1])
+                x -= p / d
+            nodes.append(float(x))
+            weights.append(float(1 / total))
+        return np.array(nodes), np.array(weights)
 
 
 def agm_K_oracle(r):
@@ -96,7 +143,7 @@ def test_bessel_half_integer_closed_forms():
     for x in (0.5, 1.0, 2.0):
         assert_allclose(g.bessel_j(0.5, x), math.sqrt(2 / (math.pi * x)) * math.sin(x),
                         rtol=1e-13)
-        assert_allclose(g.bessel_y(0.5, x), -math.sqrt(2 / (math.pi * x)) * math.cos(x),
+        assert_allclose(bessel_y(0.5, x), -math.sqrt(2 / (math.pi * x)) * math.cos(x),
                         rtol=1e-13)
 
 
@@ -109,14 +156,14 @@ def test_bessel_j_series_oracle():
 
 
 def test_bessel_y_integral_oracle():
-    assert_allclose(g.bessel_y(0.3, 5.0), bessel_y_integral_oracle(0.3, 5.0), atol=1e-10)
+    assert_allclose(bessel_y(0.3, 5.0), bessel_y_integral_oracle(0.3, 5.0), atol=1e-10)
 
 
 def test_bessel_domain_errors():
     with pytest.raises(ValueError):
         g.bessel_j(0.5, -1.0)
     with pytest.raises(ValueError):
-        g.bessel_y(0.5, 0.0)
+        bessel_y(0.5, 0.0)
     with pytest.raises(ValueError):
         g.bessel_j(-0.75, 1.0)
 
@@ -125,9 +172,9 @@ def test_wronskian_identity():
     # J Y' - J' Y = 2/(pi x), with derivatives via the recurrence shift
     for nu in (0.0, 0.3, 0.5, 1.0, 2.7):
         for x in np.linspace(0.1, 50.0, 120):
-            jn, yn = g.bessel_j(nu, x), g.bessel_y(nu, x)
+            jn, yn = g.bessel_j(nu, x), bessel_y(nu, x)
             jp = nu / x * jn - g.bessel_j(nu + 1, x)
-            yp = nu / x * yn - g.bessel_y(nu + 1, x)
+            yp = nu / x * yn - bessel_y(nu + 1, x)
             assert abs(jn * yp - jp * yn - 2.0 / (math.pi * x)) <= 1e-10
 
 
@@ -145,8 +192,8 @@ def test_bessel_sup_bound():
 
 def test_elliptic_special_values():
     assert_allclose(g.elliptic_K(0.0), math.pi / 2, rtol=1e-15)
-    assert_allclose(g.elliptic_E(0.0), math.pi / 2, rtol=1e-15)
-    assert_allclose(g.elliptic_E(1.0), 1.0, rtol=1e-15)
+    assert_allclose(elliptic_E(0.0), math.pi / 2, rtol=1e-15)
+    assert_allclose(elliptic_E(1.0), 1.0, rtol=1e-15)
     with pytest.raises(ValueError):
         g.elliptic_K(1.0)
 
@@ -160,7 +207,7 @@ def test_elliptic_K_agm_oracle():
 def test_elliptic_monotonicity():
     rs = np.linspace(0.0, 0.999, 200)
     ks = np.array([g.elliptic_K(r) for r in rs])
-    es = np.array([g.elliptic_E(r) for r in rs])
+    es = np.array([elliptic_E(r) for r in rs])
     assert np.all(ks >= math.pi / 2 - 1e-15)
     assert np.all(np.diff(ks) > 0)
     assert np.all(np.diff(es) < 0)
@@ -169,7 +216,7 @@ def test_elliptic_monotonicity():
 def test_s_map_endpoints_and_oracle():
     q = 0.3
     assert g.s_map(1.0, q) == 0.0
-    assert_allclose(g.s_map(0.0, q), g.elliptic_E(math.sqrt(q)), rtol=1e-14)
+    assert_allclose(g.s_map(0.0, q), elliptic_E(math.sqrt(q)), rtol=1e-14)
     assert_allclose(g.s_map(0.5, 0.25), s_map_quad_oracle(0.5, 0.25), atol=1e-12)
 
 
@@ -329,7 +376,7 @@ def test_gauss_jacobi_total_mass():
 
 def test_gauss_jacobi_monomial_exactness():
     # int x^{2j} (1-x^2)^a dx = B(j+1/2, a+1); odd moments vanish
-    for n_nodes, alpha in ((3, 0.0), (8, 0.5), (12, 1.4)):
+    for n_nodes, alpha in ((2, 0.3), (3, 0.0), (4, -0.7), (8, 0.5), (12, 1.4)):
         rule = g.gauss_jacobi(n_nodes, alpha)
         for deg in range(2 * n_nodes):
             got = rule.integrate(rule.nodes ** deg)
@@ -352,6 +399,56 @@ def test_gauss_jacobi_against_scipy():
     rule = g.gauss_jacobi(24, 0.8)
     assert_allclose(rule.nodes, nodes, atol=1e-13)
     assert_allclose(rule.weights, weights, rtol=1e-11)
+
+
+@pytest.mark.parametrize("n_nodes", [65, 161])
+def test_gauss_jacobi_matches_mpmath(n_nodes):
+    for alpha in (-0.99, 0.5, 1.4):
+        rule = g.gauss_jacobi(n_nodes, alpha)
+        half = n_nodes // 2
+        nodes, weights = gauss_jacobi_mpmath_oracle(n_nodes, alpha, rule.nodes[half:])
+        assert np.max(np.abs(rule.nodes[half:] - nodes)) <= 1e-15
+        assert np.max(np.abs(rule.weights[half:] - weights) / weights) <= 5e-12
+
+
+def test_gauss_jacobi_matches_golub_welsch():
+    # the gap in the weights is the full-size Golub-Welsch end-weight error
+    for n_nodes in (480, 481, 720):
+        for alpha in (-0.99, 0.5, 1.4):
+            rule = g.gauss_jacobi(n_nodes, alpha)
+            nodes, weights = golub_welsch_oracle(n_nodes, alpha)
+            assert np.max(np.abs(rule.nodes - nodes)) <= 3e-15
+            sel = weights >= 1e-10 * weights.sum()
+            assert np.max(np.abs(rule.weights[sel] - weights[sel]) / weights[sel]) <= 3e-10
+
+
+def test_gauss_jacobi_mirror_symmetric_with_exact_mass():
+    for n_nodes in (1, 2, 3, 4, 5, 64, 65, 480, 481):
+        for alpha in (-0.99, -0.5, 0.0, 1.4, 10.0):
+            rule = g.gauss_jacobi(n_nodes, alpha)
+            assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+            assert np.array_equal(rule.weights, rule.weights[::-1])
+            mass = total_mass(alpha)
+            assert abs(rule.weights.sum() - mass) <= 1e-14 * mass
+
+
+def test_gauss_jacobi_solves_half_size_blocks(monkeypatch):
+    from gpswf import specfun
+
+    rows = []
+
+    def recorded(fn):
+        def wrapper(d, *args, **kwargs):
+            rows.append(len(d))
+            return fn(d, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(specfun, "eigh_tridiagonal", recorded(specfun.eigh_tridiagonal))
+    monkeypatch.setattr(specfun, "dpteqr", recorded(specfun.dpteqr))
+    for n_nodes in (720, 721):
+        rows.clear()
+        specfun.gauss_jacobi(n_nodes, 0.5)
+        assert max(rows) == (n_nodes + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +479,7 @@ def test_envelope_constants_values():
     assert_allclose(g.envelope_constants(0.0).m_alpha, 2 / math.pi, rtol=1e-15)
     assert_allclose(g.envelope_constants(0.25).c_alpha, math.sqrt(2 / math.pi), rtol=1e-15)
     cst = g.envelope_constants(1.0)
-    j1, y1 = g.bessel_j(1.0, 1.0), g.bessel_y(1.0, 1.0)
+    j1, y1 = g.bessel_j(1.0, 1.0), bessel_y(1.0, 1.0)
     expect = max(-2 * j1 * y1 + 4 / math.pi, j1 * j1 + y1 * y1)
     assert_allclose(cst.m_alpha, expect, rtol=1e-13)
     assert cst.x_alpha > 1.0  # X_alpha > alpha for alpha >= 1/2
@@ -403,7 +500,7 @@ def test_weight_modulus_branches():
     e_big, m_big = g.weight_modulus(alpha, cst.x_alpha + 2.0)
     assert e_big == 1.0
     x = cst.x_alpha + 2.0
-    assert_allclose(m_big, math.hypot(g.bessel_j(alpha, x), g.bessel_y(alpha, x)),
+    assert_allclose(m_big, math.hypot(g.bessel_j(alpha, x), bessel_y(alpha, x)),
                     rtol=1e-14)
     # continuity at X_alpha: Y = -J there, so both M branches agree
     m_lo = g.weight_modulus(alpha, cst.x_alpha * (1 - 1e-10))[1]

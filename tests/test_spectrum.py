@@ -60,6 +60,34 @@ def mu_quadrature(params, n, spec):
     return complex(np.dot(rule.weights, phases * f.value(rule.nodes)) / f.value(x0))
 
 
+def mu_eigenrelation_per_mode(params, n, spec):
+    """mu_n by the one-mode route: its own Clenshaw passes and one-point moments.
+
+    Reference for the batched eigen-relation, which must match it bit for bit:
+    psi_n(x0) by a scalar Clenshaw call, u^lam and log(u/2) in Python floats.
+    """
+    f = spec.eigenfunction(n)
+    coarse = np.linspace(-1.0, 1.0, 501)
+    x0 = float(coarse[np.argsort(np.abs(f.value(coarse)))[-1]])
+    a, u = params.alpha, params.c * x0
+    lam, au = a + 0.5, abs(u)
+    k = np.arange(spec.n_trunc, dtype=float)
+    log_coef = (math.log(math.pi) + (0.5 - a) * math.log(2.0)
+                + 2 * a * math.log(2.0) - 0.5 * math.log(math.pi)
+                + sp.gammaln(k + a + 1.0) - sp.gammaln(k + 1.0)
+                - 0.5 * np.log(jacobi_h(k, a, a)))
+    phase = 1j ** np.arange(spec.n_trunc)
+    signs = np.ones(spec.n_trunc) if u >= 0 else (-1.0) ** np.arange(spec.n_trunc)
+    if au < 1e-8:
+        log_bessel = np.where(k == 0, 0.0, -np.inf) if au == 0.0 else k * math.log(au / 2.0)
+        moments = phase * np.exp(log_coef + log_bessel - lam * math.log(2.0)
+                                 - sp.gammaln(k + lam + 1.0)) * signs
+    else:
+        with np.errstate(under="ignore"):
+            moments = phase * np.exp(log_coef) * (sp.jv(k + lam, au) / au ** lam) * signs
+    return complex(np.dot(f.coeffs, moments)) / f.value(x0)
+
+
 def f_n_weighted_identity(params, n, spec):
     """alpha int psi_n^2 (1-x^2)^(alpha-1) dx for alpha > 0, by Gauss-Jacobi.
 
@@ -307,6 +335,32 @@ def test_mu_routes_agree_at_alpha_minus_half():
         assert abs(mm - mq) <= 1e-12 * abs(mq)
 
 
+@pytest.mark.parametrize("alpha, c", [(0.5, 10.0), (-0.3, 6.0), (1.4, 60.0)])
+def test_batched_eigenrelation_bit_identical(alpha, c):
+    p = g.ProblemParams(alpha=alpha, c=c)
+    op = g.nystrom_spectrum(p, n_keep=12)
+    spec = g.chi_spectrum(p, 11)
+    for n in range(12):
+        mu = g.mu_eigenrelation(p, n, spec)
+        assert isinstance(mu, complex)
+        assert op.mus[n] == mu == mu_eigenrelation_per_mode(p, n, spec)
+    assert np.array_equal(g.mu_eigenrelation(p, np.array([[3, 0], [7, 11]]), spec),
+                          op.mus[[[3, 0], [7, 11]]])
+    with pytest.raises(ValueError, match="outside computed range"):
+        g.mu_eigenrelation(p, np.arange(13), spec)
+
+
+def test_fourier_jacobi_moments_rows_bit_identical():
+    us = np.array([0.0, 3e-9, -4e-10, 1e-8, -2.5, 0.7, 41.3, -300.0])
+    for alpha in (-0.5, 0.0, 0.8):
+        batched = fourier_jacobi_moments(alpha, us, 40)
+        assert batched.shape == (us.size, 40)
+        for u, row in zip(us, batched):
+            assert np.array_equal(row, fourier_jacobi_moments(alpha, float(u), 40))
+        assert np.array_equal(fourier_jacobi_moments(alpha, us.reshape(2, 4), 40),
+                              batched.reshape(2, 4, 40))
+
+
 # ---------------------------------------------------------------------------
 # F_n moment
 # ---------------------------------------------------------------------------
@@ -328,7 +382,8 @@ def test_f_n_matches_mpmath(alpha, c, n):
     assert abs(g.f_n_moment(p, n, spec) - float(exact)) <= 1e-13
 
 
-def test_decay_check_builds_no_rule_and_runs_no_clenshaw(monkeypatch):
+def count_calls(monkeypatch, names=("gauss_jacobi", "jacobi_series_eval")):
+    """Record calls to the named functions through every gpswf module binding."""
     calls = []
 
     def counted(name, fn):
@@ -339,14 +394,26 @@ def test_decay_check_builds_no_rule_and_runs_no_clenshaw(monkeypatch):
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "gpswf" or mod_name.startswith("gpswf."):
-            for name in ("gauss_jacobi", "jacobi_series_eval"):
+            for name in names:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    return calls
+
+
+def test_decay_check_builds_no_rule_and_runs_no_clenshaw(monkeypatch):
+    calls = count_calls(monkeypatch)
     g.decay_check(g.ProblemParams(alpha=0.5, c=10.0), range(15, 31))
     assert calls == []
     # the counters see calls through the module bindings
     g.chi_spectrum(g.ProblemParams(alpha=0.5, c=10.0), 0).eigenfunction(0).value(0.0)
     assert calls == ["jacobi_series_eval"]
+
+
+def test_nystrom_spectrum_builds_one_rule_and_runs_one_clenshaw(monkeypatch):
+    calls = count_calls(monkeypatch, ("gauss_jacobi", "jacobi_series_eval",
+                                      "fourier_jacobi_moments"))
+    g.nystrom_spectrum(g.ProblemParams(alpha=0.5, c=10.0), n_keep=12)
+    assert sorted(calls) == ["fourier_jacobi_moments", "gauss_jacobi", "jacobi_series_eval"]
 
 
 def test_f_n_weighted_identity():
