@@ -81,16 +81,9 @@ def _emit(columns, rows, summary, config, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _common_config(args) -> dict:
-    cfg = {}
-    for key in ("alpha", "c", "n", "n_max", "grid", "quad", "q0", "delta",
-                "kind", "format"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    return cfg
-
-
-def _cmd_chi(args) -> int:
+# Each handler returns (columns, rows, summary, violated); main checks the
+# numbers are finite, emits the table and turns violated into exit code 1.
+def _cmd_chi(args):
     from .sturm import ProblemParams, chi_spectrum
 
     params = ProblemParams(alpha=args.alpha, c=args.c)
@@ -106,19 +99,14 @@ def _cmd_chi(args) -> int:
         violated |= not ok
         rows.append([n, chi, lo, hi])
     summary = {"bracket_violated": violated, "n_trunc": spec.n_trunc}
-    if not _check_finite(rows, summary):
-        return EXIT_VIOLATION
-    _emit(columns, rows, summary, _common_config(args), args.format, args.out)
-    return EXIT_VIOLATION if violated else EXIT_OK
+    return columns, rows, summary, violated
 
 
-def _cmd_eigenfunction(args) -> int:
+def _cmd_eigenfunction(args):
     import numpy as np
 
     from .sturm import ProblemParams, chi_spectrum, ode_residual
 
-    if args.n is None:
-        raise UsageError("eigenfunction requires --n")
     params = ProblemParams(alpha=args.alpha, c=args.c)
     spec = chi_spectrum(params, args.n)
     f = spec.eigenfunction(args.n)
@@ -131,20 +119,13 @@ def _cmd_eigenfunction(args) -> int:
     rows = [[float(x), float(v), float(d), float(r)]
             for x, v, d, r in zip(xs, vals, ders, res)]
     summary = {"chi": spec.chi(args.n), "max_abs_residual": float(np.max(np.abs(res)))}
-    if not _check_finite(rows, summary):
-        return EXIT_VIOLATION
-    _emit(columns, rows, summary, _common_config(args), args.format, args.out)
-    return EXIT_OK
+    return columns, rows, summary, False
 
 
-def _cmd_approx(args) -> int:
-    import numpy as np
-
+def _cmd_approx(args):
     from .approx import bessel_report, jacobi_report
     from .sturm import ProblemParams, chi_spectrum
 
-    if args.n is None:
-        raise UsageError("approx requires --n")
     if args.kind == "jacobi" and not 0.0 < args.alpha < 1.5:
         raise UsageError("alpha must lie in (0,3/2) for --kind jacobi")
     params = ProblemParams(alpha=args.alpha, c=args.c)
@@ -157,8 +138,9 @@ def _cmd_approx(args) -> int:
             from .approx import symmetric_grid
             rep = jacobi_report(spec, args.n, grid=symmetric_grid(args.grid), q0=args.q0)
     except ValueError as exc:
+        # an inadmissible frame is a property violation: no table
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        raise SystemExit(EXIT_VIOLATION) from None
     columns = ["x [dimensionless]", "approximation [dimensionless]",
                "reference [dimensionless]", "envelope [dimensionless]",
                "abs_error [dimensionless]"]
@@ -174,15 +156,10 @@ def _cmd_approx(args) -> int:
         "scaled_error": rep.scaled_error,
         "a_n_scaled": rep.a_n_scaled,
     }
-    if not _check_finite(rows, summary):
-        return EXIT_VIOLATION
-    _emit(columns, rows, summary, _common_config(args), args.format, args.out)
-    if args.kind == "bessel" and rep.envelope_violated:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return columns, rows, summary, args.kind == "bessel" and rep.envelope_violated
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     import numpy as np
 
     from .spectrum import counting, decay_check, nystrom_spectrum, trace_and_norm
@@ -231,12 +208,29 @@ def _cmd_spectrum(args) -> int:
         "counting_slack": cnt.slack,
         "decay_slope": decay_slope,
     }
-    if not _check_finite(rows, summary):
-        return EXIT_VIOLATION
-    _emit(columns, rows, summary, _common_config(args), args.format, args.out)
-    if not cnt.upper_ok or not bool(np.all(op.stable[: min(4, n_keep)])):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    violated = not cnt.upper_ok or not bool(np.all(op.stable[: min(4, n_keep)]))
+    return columns, rows, summary, violated
+
+
+# the flags each subcommand reads besides --alpha, --c, --format and --out
+_FLAGS = {
+    "--n": dict(type=int, required=True, help="mode index"),
+    "--n-max": dict(dest="n_max", type=int, help="largest mode index"),
+    "--grid": dict(type=int, default=2001, help="evaluation grid size"),
+    "--quad": dict(type=int, help="quadrature size override"),
+    "--q0": dict(type=float, default=0.9,
+                 help="admissibility ceiling for c^2/chi_n (--kind jacobi only)"),
+    "--delta": dict(type=float, default=0.5, help="counting threshold in (0,1)"),
+}
+_COMMANDS = {
+    "chi": (_cmd_chi, "eigenvalues chi_n with bracket bounds", ("--n-max",)),
+    "eigenfunction": (_cmd_eigenfunction, "psi_n, derivative and ODE residual on a grid",
+                      ("--n", "--grid")),
+    "approx": (_cmd_approx, "Bessel- or Jacobi-form approximation report",
+               ("--n", "--grid", "--q0")),
+    "spectrum": (_cmd_spectrum, "lambda/mu table, trace check, counting sandwich, decay slope",
+                 ("--n-max", "--quad", "--delta")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -245,34 +239,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Generalized prolate spheroidal wave function computations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "chi": "eigenvalues chi_n with bracket bounds",
-        "eigenfunction": "psi_n, derivative and ODE residual on a grid",
-        "approx": "Bessel- or Jacobi-form approximation report",
-        "spectrum": "lambda/mu table, trace check, counting sandwich, decay slope",
-    }
-    for name, fn in (("chi", _cmd_chi), ("eigenfunction", _cmd_eigenfunction),
-                     ("approx", _cmd_approx), ("spectrum", _cmd_spectrum)):
-        p = sub.add_parser(name, help=descriptions[name])
+    for name, (fn, description, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=description)
         p.add_argument("--alpha", type=float, required=True,
                        help="weight exponent (> -1)")
         p.add_argument("--c", type=float, required=True, help="bandwidth (>= 0)")
-        p.add_argument("--n", type=int, default=None, help="mode index")
-        p.add_argument("--n-max", dest="n_max", type=int,
-                       default=10 if name == "chi" else None, help="largest mode index")
-        p.add_argument("--grid", type=int, default=2001, help="evaluation grid size")
-        p.add_argument("--quad", type=int, default=None,
-                       help="quadrature size override")
-        p.add_argument("--q0", type=float, default=0.9,
-                       help="admissibility ceiling for c^2/chi_n")
-        p.add_argument("--delta", type=float, default=0.5,
-                       help="counting threshold in (0,1)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        if name == "approx":
+            p.add_argument("--kind", choices=("bessel", "jacobi"), required=True)
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", type=str, default=None,
                        help="output path (stdout if omitted)")
-        if name == "approx":
-            p.add_argument("--kind", choices=("bessel", "jacobi"), required=True)
         p.set_defaults(handler=fn)
+    sub.choices["chi"].set_defaults(n_max=10)
     return parser
 
 
@@ -283,13 +263,22 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag, value in (("--n", args.n), ("--n-max", args.n_max)):
+        for flag, dest in (("--n", "n"), ("--n-max", "n_max")):
+            value = getattr(args, dest, None)
             if value is not None and value < 0:
                 raise UsageError(f"{flag} must be nonnegative, got {value}")
-        if args.grid < 1:
+        if getattr(args, "grid", 1) < 1:
             raise UsageError(f"--grid must be at least 1, got {args.grid}")
-        return args.handler(args)
-    except UsageError as exc:
+        columns, rows, summary, violated = args.handler(args)
+        if not _check_finite(rows, summary):
+            return EXIT_VIOLATION
+        # the parsed flags in declaration order, as the JSON config block
+        config = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "handler", "out")}
+        _emit(columns, rows, summary, config, args.format, args.out)
+        return EXIT_VIOLATION if violated else EXIT_OK
+    except SystemExit as exc:
+        # a UsageError, or a refusal the handler reported itself
         return exc.code
     except ValueError as exc:
         # precondition failures on validated inputs are usage errors

@@ -45,6 +45,10 @@ from .specfun import (
 from .sturm import ChiSpectrum, ProblemParams, chi_spectrum
 
 
+# i^k = _I_POWERS[k % 4] exactly; 1j ** k is inexact from k = 100
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
 def default_nystrom_size(c: float) -> int:
     return max(240, int(6.0 * c) + 120)
 
@@ -139,7 +143,7 @@ def fourier_jacobi_moments(alpha: float, u, n_modes: int) -> np.ndarray:
     log_coef = (math.log(math.pi) + (0.5 - a) * math.log(2.0)
                 + 2 * a * math.log(2.0) - 0.5 * math.log(math.pi)
                 + _sp.gammaln(k + a + 1.0) - _sp.gammaln(k + 1.0) - 0.5 * log_h)
-    phase = 1j ** np.arange(n_modes)
+    phase = _I_POWERS[np.arange(n_modes) % 4]
     us = np.asarray(u, dtype=float)
     au = np.abs(us.reshape(-1))
     signs = np.where(us.reshape(-1, 1) >= 0, 1.0, (-1.0) ** np.arange(n_modes))
@@ -163,6 +167,20 @@ def fourier_jacobi_moments(alpha: float, u, n_modes: int) -> np.ndarray:
     return out.reshape(us.shape + (n_modes,))
 
 
+def _spectrum_for(params: ProblemParams, ns: np.ndarray,
+                  spectrum: ChiSpectrum | None) -> ChiSpectrum:
+    """The spectrum holding modes ns at params: the one given, else a fresh solve.
+
+    A spectrum solved at other parameters is refused, as is a mode it lacks.
+    """
+    spec = spectrum if spectrum is not None else chi_spectrum(params, int(ns.max()))
+    if spec.params != params:
+        raise ValueError(f"spectrum solved at {spec.params}, not at {params}")
+    if np.any(ns < 0) or np.any(ns > spec.n_max):
+        raise ValueError(f"mode index {ns} outside computed range 0..{spec.n_max}")
+    return spec
+
+
 def mu_eigenrelation(params: ProblemParams, n, spectrum: ChiSpectrum | None = None):
     """mu_n from applying the transform to psi_n at a well-conditioned point.
 
@@ -180,9 +198,7 @@ def mu_eigenrelation(params: ProblemParams, n, spectrum: ChiSpectrum | None = No
     c = 2.  Use log_mu_magnitude (or mu_explicit) for deeper modes.
     """
     ns = np.asarray(n)
-    spec = spectrum if spectrum is not None else chi_spectrum(params, int(ns.max()))
-    if np.any(ns < 0) or np.any(ns > spec.n_max):
-        raise ValueError(f"mode index {n} outside computed range 0..{spec.n_max}")
+    spec = _spectrum_for(params, ns, spectrum)
     modes = ns.reshape(-1)
     coeffs = spec.coeffs[modes]
     coarse = np.linspace(-1.0, 1.0, 501)
@@ -213,9 +229,7 @@ def f_n_moment(params: ProblemParams, n, spectrum: ChiSpectrum | None = None):
     offdiagonals, so both stay finite at alpha = -1/2.
     """
     ns = np.asarray(n)
-    spec = spectrum if spectrum is not None else chi_spectrum(params, int(ns.max()))
-    if np.any(ns < 0) or np.any(ns > spec.n_max):
-        raise ValueError(f"mode index {n} outside computed range 0..{spec.n_max}")
+    spec = _spectrum_for(params, ns, spectrum)
     a = params.alpha
     coeffs = spec.coeffs[ns]
     size = spec.n_trunc
@@ -279,7 +293,7 @@ def mu_explicit(params: ProblemParams, n: int, tau_nodes: int = 64) -> complex:
     """mu_n = i^n sqrt(pi) Gamma-ratio c^n exp(Phi_n); may underflow to 0."""
     log_abs = log_mu_magnitude(params, n, tau_nodes)
     mag = math.exp(log_abs) if log_abs > -700.0 else 0.0
-    return complex(1j ** n) * mag
+    return complex(_I_POWERS[n % 4]) * mag
 
 
 def log_lambda_explicit(params: ProblemParams, n, tau_nodes: int = 64):

@@ -149,6 +149,36 @@ def test_usage_errors(capsys):
         err = capsys.readouterr().err
         assert f"{flag} must be nonnegative" in err
         assert "n_max" not in err
+    # each subcommand refuses a flag it does not read; --n is required
+    for argv in (["chi", "--quad", "7"], ["eigenfunction", "--n", "3", "--delta", "0.5"],
+                 ["approx", "--kind", "bessel", "--n", "40", "--n-max", "40"],
+                 ["spectrum", "--grid", "5"], ["eigenfunction"],
+                 ["approx", "--kind", "jacobi"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--alpha", "0.5", "--c", "1"])
+        assert exc.value.code == 2
+
+
+# the JSON config block holds exactly the flags each subcommand reads
+CONFIG_KEYS = {
+    "chi": ["alpha", "c", "n_max", "format"],
+    "eigenfunction": ["alpha", "c", "n", "grid", "format"],
+    "approx": ["alpha", "c", "n", "grid", "q0", "kind", "format"],
+    "spectrum": ["alpha", "c", "n_max", "quad", "delta", "format"],
+}
+
+
+def test_readme_invocations(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    invocations = [line.split()[1:] for line in block.splitlines()
+                   if line.startswith("gpswf ")]
+    assert sorted({argv[0] for argv in invocations}) == sorted(CONFIG_KEYS)
+    for i, argv in enumerate(invocations):
+        out = tmp_path / f"{i}.json"
+        argv[argv.index("--out") + 1] = str(out)
+        assert main([*argv, "--format", "json"]) == 0, argv
+        assert list(json.loads(out.read_text())["config"]) == CONFIG_KEYS[argv[0]]
 
 
 def test_spectrum_refuses_negative_alpha(capsys):

@@ -76,7 +76,7 @@ def mu_eigenrelation_per_mode(params, n, spec):
                 + 2 * a * math.log(2.0) - 0.5 * math.log(math.pi)
                 + sp.gammaln(k + a + 1.0) - sp.gammaln(k + 1.0)
                 - 0.5 * np.log(jacobi_h(k, a, a)))
-    phase = 1j ** np.arange(spec.n_trunc)
+    phase = np.array([1, 1j, -1, -1j])[np.arange(spec.n_trunc) % 4]
     signs = np.ones(spec.n_trunc) if u >= 0 else (-1.0) ** np.arange(spec.n_trunc)
     if au < 1e-8:
         log_bessel = np.where(k == 0, 0.0, -np.inf) if au == 0.0 else k * math.log(au / 2.0)
@@ -359,6 +359,25 @@ def test_fourier_jacobi_moments_rows_bit_identical():
             assert np.array_equal(row, fourier_jacobi_moments(alpha, float(u), 40))
         assert np.array_equal(fourier_jacobi_moments(alpha, us.reshape(2, 4), 40),
                               batched.reshape(2, 4, 40))
+
+
+def test_moment_and_mu_phases_exact_at_high_order():
+    # i^k from a four-entry table: 1j ** k leaves rounding in the zero part from k = 100
+    us = np.array([0.0, 3e-9, -2.5, 37.0, -300.0])
+    m = fourier_jacobi_moments(0.5, us, 400)
+    assert np.all(m[:, 0::2].imag == 0.0)
+    assert np.all(m[:, 1::2].real == 0.0)
+    mu = g.mu_explicit(g.ProblemParams(alpha=0.5, c=2.0), 101)
+    assert mu.real == 0.0 and mu.imag > 0.0
+
+
+def test_spectrum_at_other_params_refused():
+    p = g.ProblemParams(alpha=0.5, c=10.0)
+    other = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=12.0), 5)
+    for route in (g.mu_eigenrelation, g.f_n_moment):
+        with pytest.raises(ValueError, match=r"c=12.0.*c=10.0"):
+            route(p, 2, other)
+        assert route(p, 2, g.chi_spectrum(p, 2)) == route(p, 2)
 
 
 # ---------------------------------------------------------------------------
