@@ -233,7 +233,7 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="gpswf",
         description="Generalized prolate spheroidal wave function computations",
@@ -253,16 +253,19 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output path (stdout if omitted)")
         p.set_defaults(handler=fn)
     sub.choices["chi"].set_defaults(n_max=10)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    cap_error = _apply_thread_cap()
-    if cap_error:
-        raise UsageError(cap_error)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, subcommands = _build_parser()
     try:
+        cap_error = _apply_thread_cap()
+        if cap_error:
+            raise UsageError(cap_error)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            # the subcommand's usage line, where parse_args would print gpswf's
+            subcommands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
         for flag, dest in (("--n", "n"), ("--n-max", "n_max")):
             value = getattr(args, dest, None)
             if value is not None and value < 0:
@@ -278,7 +281,8 @@ def main(argv=None) -> int:
         _emit(columns, rows, summary, config, args.format, args.out)
         return EXIT_VIOLATION if violated else EXIT_OK
     except SystemExit as exc:
-        # a UsageError, or a refusal the handler reported itself
+        # an argparse or UsageError usage error, --help, or a refusal the
+        # handler reported itself
         return exc.code
     except ValueError as exc:
         # precondition failures on validated inputs are usage errors

@@ -186,28 +186,76 @@ def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
 
     The one Jacobi evaluator.  Coefficients of shape (..., N) give values of
     shape (..., *x.shape); each row is bit-identical to a call with that row
-    alone, so many modes share one pass over the recurrence.  Trailing columns
-    that are zero in every row are skipped: they leave the recurrence at
-    exactly 0, so the values are bit-identical to the full pass.
+    alone, so many modes share one pass over the recurrence.
+
+    The even-degree and odd-degree halves are summed apart, each by Clenshaw
+    on the recurrence in t = x^2 that squaring x Ptilde_k = b_(k+1) Ptilde_(k+1)
+    + b_k Ptilde_(k-1) gives,
+
+        t Ptilde_k = b_(k+1) b_(k+2) Ptilde_(k+2) + (b_k^2 + b_(k+1)^2) Ptilde_k
+                     + b_k b_(k-1) Ptilde_(k-2),
+
+    started from Ptilde_0 on the even half and Ptilde_1 / x = Ptilde_0 / b_1 on
+    the odd half, which then takes a final factor x.  A series of one parity,
+    such as psi_n or one of its derivatives, takes N/2 steps instead of N.  A
+    half runs only over the rows with a nonzero coefficient of its parity, up
+    to the last such column; the zero columns it skips would leave the
+    recurrence at exactly 0, so the values are bit-identical to the full pass.
+
+    Accuracy: the map t = x^2 makes x = 0 an end of the t-interval, so the
+    rounding error near x = 0 grows with the number of steps, as it does at
+    x = +-1 in either form.  Against a 40-digit sum of the same coefficients,
+    psi_4 at alpha = 0.5, c = 2000 (557 terms) is within 1.9e-13 max|psi_4|
+    near x = 0, and psi_830 at alpha = 1.4, c = 400 (989 terms) within
+    8.6e-12 there, where it is O(1); the x-recurrence was within 5e-16
+    max|psi_4| and 1.2e-14.  At x = 1, where psi_830 is 98,941, both forms
+    are off by 4.7e-12 of it.
     """
     arr = _check_unit_interval(x)
     c = np.asarray(coeffs, dtype=float)
-    if c.shape[-1] and not c[..., -1].any():
-        nonzero = np.flatnonzero(c.reshape(-1, c.shape[-1]).any(axis=0))
-        c = c[..., :nonzero[-1] + 1 if nonzero.size else 1]
-    u1 = np.zeros(c.shape[:-1] + arr.shape)
-    u2 = np.zeros_like(u1)
-    # terms first; a stack of series gets axes that broadcast over the
-    # points, while one series keeps scalar terms (a scalar add runs ~10 %
-    # faster than a broadcast one at N = 3000 terms and 2001 points)
-    c = np.moveaxis(c, -1, 0)
-    if c.ndim > 1:
-        c = c[(Ellipsis,) + (None,) * arr.ndim]
-    n = len(c) - 1
-    b = sym_offdiag(alpha, n + 2)
-    for k in range(n, -1, -1):
-        u1, u2 = c[k] + arr * u1 / b[k + 1] - (b[k + 1] / b[k + 2]) * u2, u1
-    out = u1 / math.sqrt(jacobi_h(0, alpha, alpha))
+    rows = c.reshape(math.prod(c.shape[:-1]), c.shape[-1])
+    pts = arr.reshape(-1)
+    out = np.zeros((len(rows), pts.size))
+    used = np.flatnonzero(rows.any(axis=0))
+    if used.size:
+        # Clenshaw on a half: u_j = c_j + (t - d_j) s_j u_(j+1) + r_j u_(j+2),
+        # where for degree k the diagonal is b_k^2 + b_(k+1)^2, the scale
+        # 1 / (b_(k+1) b_(k+2)) and the ratio -b_(k+1) b_(k+2) / (b_(k+3) b_(k+4))
+        top = used[-1] + 1
+        b = sym_offdiag(alpha, top + 3)
+        bb = b[:-1] * b[1:]   # b_k b_(k+1)
+        diag = b[:top] ** 2 + b[1:top + 1] ** 2
+        scale = 1.0 / bb[1:top + 1]
+        ratio = -bb[1:top + 1] / bb[3:top + 3]
+        t = pts * pts
+        p0 = 1.0 / math.sqrt(total_mass(alpha))
+        for parity, factor in ((0, p0), (1, pts * (p0 / b[1]))):
+            half = rows[:, parity::2]
+            live = np.flatnonzero(half.any(axis=1))
+            if not live.size:
+                continue
+            half = half[live]
+            m = np.flatnonzero(half.any(axis=0))[-1] + 1
+            d, s, r = (v[parity::2][:m].tolist() for v in (diag, scale, ratio))
+            # one series runs on 1-D buffers and adds scalar terms (~10 %
+            # faster than a (1, points) buffer); a stack adds (rows, 1) columns
+            if len(half) == 1:
+                u1, terms = np.zeros(pts.size), half[0, :m].tolist()
+            else:
+                u1, terms = np.zeros((len(half), pts.size)), list(half[:, :m, None].swapaxes(0, 1))
+            u2 = np.zeros_like(u1)
+            w = np.empty_like(u1)
+            tk = np.empty_like(t)
+            for j in range(m - 1, -1, -1):
+                np.subtract(t, d[j], out=tk)
+                tk *= s[j]
+                np.multiply(u1, tk, out=w)
+                u2 *= r[j]
+                u2 += terms[j]
+                u2 += w
+                u1, u2 = u2, u1
+            out[live] += u1 * factor
+    out = out.reshape(c.shape[:-1] + arr.shape)
     return out if out.ndim else float(out)
 
 

@@ -222,11 +222,16 @@ def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) 
     coefficients below 1e-30 in those vectors as 0.  Signs follow
     psi_n(1) > 0, fixed at x = 0 (module docstring).  Raises
     TruncationError, naming the first mode that fails, when a kept vector
-    has trailing coefficient mass above 1e-12.
+    has trailing coefficient mass above 1e-12.  A defaulted n_trunc is
+    retried once, at the basis size the error asks for, before it raises.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    n = default_truncation(n_max, params.c) if n_trunc is None else n_trunc
-    if n < n_max + 3:
-        raise ValueError(f"n_trunc={n} too small for n_max={n_max}")
-    return _solve(params.alpha, params.c, n_max, n)
+    if n_trunc is None:
+        try:
+            return _solve(params.alpha, params.c, n_max, default_truncation(n_max, params.c))
+        except TruncationError as exc:
+            return _solve(params.alpha, params.c, n_max, exc.required)
+    if n_trunc < n_max + 3:
+        raise ValueError(f"n_trunc={n_trunc} too small for n_max={n_max}")
+    return _solve(params.alpha, params.c, n_max, n_trunc)

@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import gpswf
 from gpswf.cli import main
@@ -149,14 +148,15 @@ def test_usage_errors(capsys):
         err = capsys.readouterr().err
         assert f"{flag} must be nonnegative" in err
         assert "n_max" not in err
-    # each subcommand refuses a flag it does not read; --n is required
+    # each subcommand refuses a flag it does not read, printing its own
+    # usage line; --n is required
     for argv in (["chi", "--quad", "7"], ["eigenfunction", "--n", "3", "--delta", "0.5"],
                  ["approx", "--kind", "bessel", "--n", "40", "--n-max", "40"],
                  ["spectrum", "--grid", "5"], ["eigenfunction"],
                  ["approx", "--kind", "jacobi"]):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--alpha", "0.5", "--c", "1"])
-        assert exc.value.code == 2
+        assert main([*argv, "--alpha", "0.5", "--c", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: gpswf {argv[0]} ")
 
 
 # the JSON config block holds exactly the flags each subcommand reads
@@ -253,12 +253,15 @@ def test_thread_cap_env(tmp_path):
         f"OPENBLAS_NUM_THREADS when numpy was imported: {proc.stdout.strip()}"
 
 
-def test_thread_cap_env_not_integer():
+def test_thread_cap_env_not_integer(monkeypatch):
     # a bad cap must not break ``import gpswf``; the CLI names it and exits 2
     proc = run_cli(["chi", "--alpha", "0.5", "--c", "1", "--n-max", "3"],
                    env={"GPSWF_THREADS": "two"})
     assert proc.returncode == 2, proc.stderr
     assert "GPSWF_THREADS must be an integer" in proc.stderr
+    # in process, main returns the code instead of raising SystemExit
+    monkeypatch.setenv("GPSWF_THREADS", "two")
+    assert main(["chi", "--alpha", "0.5", "--c", "1"]) == 2
 
 
 def test_import_leaves_out_scipy_optimize():

@@ -192,6 +192,24 @@ def test_truncation_refusal():
         g.chi_spectrum(g.ProblemParams(alpha=0.5, c=60.0), 10, n_trunc=14)
 
 
+def test_default_truncation_retried_once(monkeypatch):
+    # a defaulted basis that is too short (12 terms at c = 10) is retried at
+    # the 24 terms the error asks for; an explicit one still raises
+    p = g.ProblemParams(alpha=0.5, c=10.0)
+    monkeypatch.setattr(sturm, "default_truncation", lambda n_max, c: 12)
+    with pytest.raises(TruncationError) as exc:
+        g.chi_spectrum(p, 4, n_trunc=12)
+    assert exc.value.required == 24
+    spec = g.chi_spectrum(p, 4)
+    assert spec.n_trunc == 24
+    assert np.array_equal(spec.chis, g.chi_spectrum(p, 4, n_trunc=24).chis)
+    assert_allclose(spec.chis, g.chi_spectrum(p, 4, n_trunc=200).chis, rtol=1e-13)
+    # one retry only: 10 terms, then 20, both too short
+    monkeypatch.setattr(sturm, "default_truncation", lambda n_max, c: 10)
+    with pytest.raises(TruncationError):
+        g.chi_spectrum(p, 4)
+
+
 def test_large_c_bracket_still_holds():
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=25.0), 5)
     ns = np.arange(6)
