@@ -162,7 +162,7 @@ def _cmd_approx(args):
 def _cmd_spectrum(args):
     import numpy as np
 
-    from .spectrum import counting, decay_check, nystrom_spectrum, trace_and_norm
+    from .spectrum import _counting_report, decay_check, nystrom_spectrum, trace_and_norm
     from .sturm import ProblemParams
 
     params = ProblemParams(alpha=args.alpha, c=args.c)
@@ -173,7 +173,7 @@ def _cmd_spectrum(args):
     n_keep = args.n_max + 1 if args.n_max is not None else 12
     op = nystrom_spectrum(params, n_quad=args.quad, n_keep=n_keep)
     tn = trace_and_norm(params)
-    cnt = counting(params, args.delta, n_quad=args.quad)
+    cnt = _counting_report(params, args.delta, op.discrete)
 
     decay_slope = None
     if 0.0 < args.alpha < 1.5:

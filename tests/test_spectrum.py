@@ -11,7 +11,7 @@ from scipy.linalg import eigh
 
 import gpswf as g
 from gpswf.specfun import jacobi_h
-from gpswf.spectrum import fourier_jacobi_moments, phi_n
+from gpswf.spectrum import _nystrom_lambdas, default_nystrom_size, fourier_jacobi_moments, phi_n
 
 
 def kernel_eval(alpha, u):
@@ -214,14 +214,71 @@ def test_deep_modes_match_explicit_formula():
     # lambda_13..16 lie at 2e-9..4e-14, where the ~1e-18 absolute rounding of
     # a Q_c discretization leaves only a few digits
     p = g.ProblemParams(alpha=0.5, c=10.0)
-    op = g.nystrom_spectrum(p, n_keep=17)
+    op = g.nystrom_spectrum(p, n_quad=240, n_keep=17)
     ns = np.arange(13, 17)
     lam_x = np.exp(g.log_lambda_explicit(p, ns))
     assert np.all(np.abs(op.lambdas[ns] - lam_x) <= 1e-9 * lam_x)
-    # lambda_16 is ~1.5e-10 relative off, and the two routes disagree by
-    # ~1.8e-10, so it must not be flagged stable at the 1e-10 bound
+    # on 240 nodes lambda_16 is ~1.5e-10 relative off, and the two routes
+    # disagree by ~1.8e-10, so it must not be flagged stable at the 1e-10 bound
     assert np.all(op.stable[13:16])
     assert not op.stable[16]
+    # the default rule (87 nodes) rounds less; whatever it flags stable is right
+    op = g.nystrom_spectrum(p, n_keep=17)
+    lam_x = np.exp(g.log_lambda_explicit(p, np.arange(17), tau_nodes=256))
+    assert np.all(op.stable[:16])
+    assert np.all(np.abs(op.lambdas - lam_x)[op.stable] <= 2e-10 * lam_x[op.stable])
+
+
+SWEEP_ALPHAS = (-0.9, -0.3, 0.0, 0.5, 1.4, 3.0)
+
+
+def test_default_size_matches_twice_the_rule():
+    # a 20-node margin instead of 60 is 1.7e-9 off at (-0.9, 400, 12)
+    for alpha in SWEEP_ALPHAS:
+        for c in (1.0, 10.0, 30.0, 150.0, 400.0):
+            p = g.ProblemParams(alpha=alpha, c=c)
+            for n_keep in (12, 24, 48):
+                nq = default_nystrom_size(c, n_keep)
+                vals = _nystrom_lambdas(p, nq)
+                ref = _nystrom_lambdas(p, 2 * nq)
+                top = ref[:n_keep]
+                resolved = top >= 1e-10 * ref[0]
+                assert_allclose(vals[:n_keep][resolved], top[resolved], rtol=5e-11, atol=0,
+                                err_msg=f"alpha={alpha}, c={c}, n_keep={n_keep}")
+                for delta in (0.01, 0.1, 0.5, 0.9):
+                    assert np.count_nonzero(vals >= delta) == np.count_nonzero(ref >= delta)
+
+
+@pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+def test_stable_modes_at_default_size_match_explicit(alpha):
+    # the flag's 1e-10 agreement bound plus up to 1e-10 in either route;
+    # 256 tau nodes resolve Phi_n here but not at c = 400
+    for c in (1.0, 10.0, 30.0):
+        p = g.ProblemParams(alpha=alpha, c=c)
+        op = g.nystrom_spectrum(p, n_keep=48)
+        assert op.n_quad == default_nystrom_size(c, 48)
+        lam_x = np.exp(g.log_lambda_explicit(p, np.arange(48), tau_nodes=256))
+        err = np.abs(op.lambdas - lam_x) / lam_x
+        assert np.all(err[op.stable] <= 2e-10)
+
+
+def test_default_size_never_trips_the_guard():
+    for c in (0.01, 1.0, 7.5, 400.0):
+        for n_keep in (1, 12, 48, 200):
+            assert default_nystrom_size(c, n_keep) >= 2 * n_keep + 20
+    assert default_nystrom_size(1.0, 48) == 116
+    assert default_nystrom_size(400.0) == 472
+
+
+def test_spectrum_keeps_every_discrete_value():
+    p = g.ProblemParams(alpha=0.5, c=10.0)
+    op = g.nystrom_spectrum(p, n_keep=12)
+    assert op.discrete.shape == (op.n_quad,)
+    assert np.array_equal(op.discrete, _nystrom_lambdas(p, op.n_quad))
+    assert np.array_equal(op.lambdas, op.discrete[:12])
+    cnt = g.counting(p, 0.5)
+    assert cnt.n_quad == op.n_quad
+    assert cnt.hs_norm_value == op.hs_discrete
 
 
 @pytest.mark.parametrize("alpha, c", [(0.5, 5.0), (1.3, 20.0), (0.0, 10.0)])
@@ -302,6 +359,26 @@ def test_mu_explicit_small_c_prefactor():
     assert abs(abs(mu) / 1e-3 ** n - pref) / pref <= 1e-6
     # phase i^n
     assert_allclose(mu / abs(mu), (1j) ** n, rtol=1e-12)
+
+
+@pytest.mark.parametrize("c", [1.0, 10.0])
+def test_mu_explicit_at_alpha_minus_half(c):
+    # Gamma(k + 2a + 1) / Gamma(2k + 2a + 1) is inf/inf at k = 0, a = -1/2
+    p = g.ProblemParams(alpha=-0.5, c=c)
+    spec = g.chi_spectrum(p, 2)
+    for n in range(3):
+        mu_e = g.mu_eigenrelation(p, n, spec)
+        assert abs(g.mu_explicit(p, n) - mu_e) <= 1e-12 * abs(mu_e)
+
+
+def test_explicit_route_refuses_a_non_finite_log(monkeypatch):
+    import gpswf.spectrum as spectrum
+
+    monkeypatch.setattr(spectrum, "phi_n", lambda params, n, tau_nodes: math.nan)
+    p = g.ProblemParams(alpha=0.5, c=2.0)
+    for route in (g.mu_explicit, spectrum.log_mu_magnitude):
+        with pytest.raises(RuntimeError, match="not finite"):
+            route(p, 1)
 
 
 def test_mu_explicit_cross_agreement():
