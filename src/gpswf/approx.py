@@ -66,7 +66,7 @@ class WkbFrame:
 def make_frame(spectrum: ChiSpectrum, n: int) -> WkbFrame:
     alpha, c = spectrum.params.alpha, spectrum.params.c
     chi = spectrum.chi(n)
-    q = c * c / chi
+    q = spectrum.q(n)
     cst = envelope_constants(alpha)
     threshold = math.pi * (1.75 + 3.0 * alpha * alpha) * cst.m_alpha
     failure = None
@@ -81,7 +81,7 @@ def make_frame(spectrum: ChiSpectrum, n: int) -> WkbFrame:
             failure = (f"(1-q) sqrt(chi) = {margin:.6g} < "
                        f"pi (7/4 + 3 alpha^2) m_alpha = {threshold:.6g}")
         eps = math.pi * (math.e - 1.0) * (1.75 + 3.0 * alpha * alpha) * cst.m_alpha \
-            / ((1.0 - q) * math.sqrt(chi))
+            / margin if margin else math.inf
     return WkbFrame(alpha=alpha, c=c, n=n, chi=chi, q=q, s0=s0, eps=eps,
                     constants=cst, admissible=failure is None, failure=failure)
 

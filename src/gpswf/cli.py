@@ -148,7 +148,7 @@ def _cmd_approx(args):
             for x, a, r, e in zip(rep.grid, rep.approx, rep.reference, rep.envelope)]
     summary = {
         "chi": rep.chi,
-        "q": params.c ** 2 / rep.chi,
+        "q": spec.q(args.n),
         "sup_error": rep.sup_error,
         "sup_envelope": rep.sup_envelope,
         "envelope_violated": rep.envelope_violated,

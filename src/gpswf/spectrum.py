@@ -18,10 +18,12 @@ Three computational routes, cross-checked against each other:
 
 * Explicit product formula: mu_n = i^n sqrt(pi) * Gamma-ratio * c^n
   exp(Phi_n) with Phi_n = int_0^c (F_n(tau) - n)/tau dtau, evaluated in log
-  space; F_n at each tau node comes from the Jacobi coefficients of psi_n by
-  one banded solve, with no quadrature rule in x.  This is the only
-  trustworthy route once lambda_n drops under the double-precision floor,
-  and it is what the decay diagnostics use.
+  space by one function, log_mu_magnitude; mu_explicit and
+  log_lambda_explicit are one-line uses of it.  F_n at each tau node comes
+  from the Jacobi coefficients of psi_n by one banded solve, with no
+  quadrature rule in x.  This is the only trustworthy route once lambda_n
+  drops under the double-precision floor, and it is what the decay
+  diagnostics use.
 
 Trace and Hilbert-Schmidt closed forms plus the counting bounds for
 #{lambda_n >= delta} complete the module.
@@ -273,39 +275,22 @@ def f_n_moment(params: ProblemParams, n, spectrum: ChiSpectrum | None = None):
     return out if out.ndim else float(out)
 
 
-def phi_n(params: ProblemParams, n, tau_nodes: int = 64):
-    """Phi_n(c) = int_0^c (F_n(tau) - n)/tau dtau by Gauss-Legendre.
-
-    The integrand extends by 0 at tau = 0 (it is O(tau)); interior
-    Gauss-Legendre nodes never sample the endpoint.  Each node costs one
-    Sturm-Liouville solve up to the largest n and one banded F_n solve,
-    shared by every mode when n is an array.
-    """
-    ns = np.asarray(n)
-    if params.c == 0:
-        return np.zeros(ns.shape) if ns.ndim else 0.0
-    nm = int(ns.max())
-    t, w = np.polynomial.legendre.leggauss(tau_nodes)
-    taus = 0.5 * params.c * (t + 1.0)
-    wts = 0.5 * params.c * w
-    vals = []
-    for tau in taus:
-        p_tau = ProblemParams(alpha=params.alpha, c=float(tau))
-        vals.append((f_n_moment(p_tau, ns, chi_spectrum(p_tau, nm)) - ns) / tau)
-    out = np.dot(wts, np.array(vals))
-    return out if out.ndim else float(out)
-
-
 def log_mu_magnitude(params: ProblemParams, n, tau_nodes: int = 64):
     """log |mu_n| from the explicit product formula, safe for any decay depth.
 
-    n is a mode index or an array of them (one tau-grid serves them all).
-    A non-finite value is refused, not returned.
+    log |mu_n| = log(sqrt(pi) Gamma-ratio) + n log c + Phi_n with
+    Phi_n = int_0^c (F_n(tau) - n)/tau dtau on a tau_nodes-point
+    Gauss-Legendre rule.  The integrand extends by 0 at tau = 0 (it is
+    O(tau)); interior nodes never sample the endpoint.  n is a mode index or
+    an array of them: each node costs one Sturm-Liouville solve up to the
+    largest n and one banded F_n solve, shared by every mode.  A non-finite
+    value is refused, not returned.
     """
     a, c = params.alpha, params.c
     if c <= 0:
         raise ValueError("the explicit formula requires c > 0")
-    k = np.asarray(n, dtype=float)
+    ns = np.asarray(n)
+    k = ns.astype(float)
     # Gamma(k + 2a + 1) / Gamma(2k + 2a + 1) is 1 at k = 0, so both terms
     # drop out there; their logs are inf - inf at a = -1/2
     at_zero = k == 0
@@ -314,20 +299,21 @@ def log_mu_magnitude(params: ProblemParams, n, tau_nodes: int = 64):
                 + np.where(at_zero, 0.0, _sp.gammaln(k + 2 * a + 1.0))
                 - _sp.gammaln(k + a + 1.5)
                 - np.where(at_zero, 0.0, _sp.gammaln(2 * k + 2 * a + 1.0)))
-    out = log_pref + k * math.log(c) + phi_n(params, n, tau_nodes)
+    nm = int(ns.max())
+    t, w = np.polynomial.legendre.leggauss(tau_nodes)
+    vals = []
+    for tau in 0.5 * c * (t + 1.0):
+        p_tau = ProblemParams(alpha=a, c=float(tau))
+        vals.append((f_n_moment(p_tau, ns, chi_spectrum(p_tau, nm)) - ns) / tau)
+    out = log_pref + k * math.log(c) + np.dot(0.5 * c * w, np.array(vals))
     if not np.all(np.isfinite(out)):
         raise RuntimeError(f"log |mu_n| is not finite at {params}, n = {n}")
     return out if out.ndim else float(out)
 
 
-def mu_explicit(params: ProblemParams, n: int, tau_nodes: int = 64) -> complex:
-    """mu_n = i^n sqrt(pi) Gamma-ratio c^n exp(Phi_n); may underflow to 0.
-
-    Raises, through log_mu_magnitude, where log |mu_n| is not finite.
-    """
-    log_abs = log_mu_magnitude(params, n, tau_nodes)
-    mag = math.exp(log_abs) if log_abs > -700.0 else 0.0
-    return complex(_I_POWERS[n % 4]) * mag
+def mu_explicit(params: ProblemParams, n: int) -> complex:
+    """mu_n = i^n exp(log |mu_n|); 0 where exp underflows, raises where log_mu_magnitude does."""
+    return complex(_I_POWERS[n % 4]) * math.exp(log_mu_magnitude(params, n))
 
 
 def log_lambda_explicit(params: ProblemParams, n, tau_nodes: int = 64):
@@ -363,9 +349,7 @@ def decay_check(params: ProblemParams, n_range) -> DecayReport:
     if not 0.0 < params.alpha < 1.5:
         raise ValueError("decay_check requires 0 < alpha < 3/2")
     ns = np.asarray(sorted(n_range), dtype=int)
-    spec = chi_spectrum(params, int(ns.max()))
-    keep = [n for n in ns if params.c ** 2 < spec.chi(int(n))]
-    ns = np.asarray(keep, dtype=int)
+    ns = ns[params.c ** 2 < chi_spectrum(params, int(ns.max())).chis[ns]]
     if ns.size < 3:
         raise ValueError("decay_check needs at least three admissible indices")
     loglam = log_lambda_explicit(params, ns)
@@ -426,8 +410,6 @@ class CountingReport:
     m_empirical: int
     lower_bound: float
     upper_bound: float
-    gamma_alpha: float
-    trace_value: float
     hs_norm_value: float       # empirical sum of lambda^2 from the matrix
     slack: float               # max(0, lower_bound - m_empirical), the o(c) gap
     upper_ok: bool
@@ -458,7 +440,6 @@ def _counting_report(params: ProblemParams, delta: float,
     upper = tn.trace / delta
     return CountingReport(
         params=params, delta=delta, n_quad=vals.size, m_empirical=m_emp,
-        lower_bound=lower, upper_bound=upper, gamma_alpha=tn.gamma_alpha,
-        trace_value=tn.trace, hs_norm_value=float((vals ** 2).sum()),
+        lower_bound=lower, upper_bound=upper, hs_norm_value=float((vals ** 2).sum()),
         slack=max(0.0, lower - m_emp), upper_ok=bool(m_emp <= upper),
     )

@@ -77,8 +77,9 @@ class ChiSpectrum:
         return float(self.chis[n])
 
     def q(self, n: int) -> float:
-        """Spectral ratio c^2 / chi_n (the oscillatory regime has q < 1)."""
-        return self.params.c ** 2 / self.chi(n)
+        """Spectral ratio c^2 / chi_n (the oscillatory regime has q < 1); 0 at c = 0."""
+        c = self.params.c
+        return c * c / self.chi(n) if c else 0.0
 
     def eigenfunction(self, n: int) -> "GpswfFunction":
         if not 0 <= n <= self.n_max:
@@ -108,21 +109,13 @@ class GpswfFunction:
     def value(self, x):
         return jacobi_series_eval(self.coeffs, self.params.alpha, x)
 
-    __call__ = value
-
     def derivative(self, x):
         a = self.params.alpha
-        d1 = jacobi_series_deriv_coeffs(self.coeffs, a)
-        if len(d1) == 0:
-            return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        return jacobi_series_eval(d1, a + 1.0, x)
+        return jacobi_series_eval(jacobi_series_deriv_coeffs(self.coeffs, a), a + 1.0, x)
 
     def second_derivative(self, x):
         a = self.params.alpha
-        d1 = jacobi_series_deriv_coeffs(self.coeffs, a)
-        if len(d1) <= 1:
-            return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        d2 = jacobi_series_deriv_coeffs(d1, a + 1.0)
+        d2 = jacobi_series_deriv_coeffs(jacobi_series_deriv_coeffs(self.coeffs, a), a + 1.0)
         return jacobi_series_eval(d2, a + 2.0, x)
 
 

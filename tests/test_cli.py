@@ -116,6 +116,19 @@ def test_approx_jacobi_c_zero(tmp_path):
     assert summary["a_n"] == 1.0
 
 
+def test_approx_mode_zero_at_c_zero(tmp_path):
+    # chi_0 = 0 at c = 0: q is 0 there, and the Bessel frame's margin is 0
+    out = tmp_path / "approx.json"
+    assert main(["approx", "--kind", "jacobi", "--alpha", "0.5", "--c", "0",
+                 "--n", "0", "--grid", "201", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["q"] == 0.0 and summary["a_n"] == 1.0 and summary["sup_error"] == 0.0
+    proc = run_cli(["approx", "--kind", "bessel", "--alpha", "0.5", "--c", "0", "--n", "0"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "(1-q) sqrt(chi) = 0 <" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 def test_approx_jacobi_refuses_alpha_out_of_range():
     proc = run_cli(["approx", "--kind", "jacobi", "--alpha", "2.0", "--c", "2",
                     "--n", "10"])

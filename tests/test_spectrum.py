@@ -11,7 +11,8 @@ from scipy.linalg import eigh
 
 import gpswf as g
 from gpswf.specfun import jacobi_h
-from gpswf.spectrum import _nystrom_lambdas, default_nystrom_size, fourier_jacobi_moments, phi_n
+from gpswf.spectrum import (_nystrom_lambdas, default_nystrom_size, fourier_jacobi_moments,
+                            log_mu_magnitude)
 
 
 def kernel_eval(alpha, u):
@@ -374,7 +375,7 @@ def test_mu_explicit_at_alpha_minus_half(c):
 def test_explicit_route_refuses_a_non_finite_log(monkeypatch):
     import gpswf.spectrum as spectrum
 
-    monkeypatch.setattr(spectrum, "phi_n", lambda params, n, tau_nodes: math.nan)
+    monkeypatch.setattr(spectrum, "f_n_moment", lambda *args: math.nan)
     p = g.ProblemParams(alpha=0.5, c=2.0)
     for route in (g.mu_explicit, spectrum.log_mu_magnitude):
         with pytest.raises(RuntimeError, match="not finite"):
@@ -389,9 +390,14 @@ def test_mu_explicit_cross_agreement():
 
 
 def test_phi_n_bounded_by_c_squared():
+    # Phi_40 = log |mu_40| - log(sqrt(pi) Gamma-ratio) - 40 log c
+    n, a = 40, 0.5
+    log_pref = (0.5 * math.log(math.pi) + sp.gammaln(n + a + 1) + sp.gammaln(n + 2 * a + 1)
+                - sp.gammaln(n + a + 1.5) - sp.gammaln(2 * n + 2 * a + 1))
     for c in (1.0, 2.0, 4.0):
-        p = g.ProblemParams(alpha=0.5, c=c)
-        assert abs(phi_n(p, 40)) <= 0.01 * c * c
+        p = g.ProblemParams(alpha=a, c=c)
+        phi = log_mu_magnitude(p, n) - log_pref - n * math.log(c)
+        assert abs(phi) <= 0.01 * c * c
 
 
 def test_fourier_jacobi_moments_alpha_zero_closed_form():
@@ -542,6 +548,16 @@ def test_decay_slope():
     rep = g.decay_check(g.ProblemParams(alpha=0.5, c=2.0), range(20, 61))
     assert 0.9 <= rep.slope <= 1.1
     assert rep.bound_ok
+
+
+def test_decay_check_keeps_modes_with_chi_above_c_squared():
+    p = g.ProblemParams(alpha=0.5, c=10.0)
+    chis = g.chi_spectrum(p, 29).chis
+    assert chis[5] <= 100.0 < chis[6]
+    rep = g.decay_check(p, range(0, 30))
+    assert np.array_equal(rep.ns, np.arange(6, 30))
+    with pytest.raises(ValueError, match="at least three admissible indices"):
+        g.decay_check(p, range(0, 6))
 
 
 def test_log_lambda_explicit_batched_matches_per_mode():
