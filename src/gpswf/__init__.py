@@ -40,7 +40,6 @@ _apply_thread_cap()
 from .approx import (
     ApproxReport,
     WkbFrame,
-    a_alpha_exact,
     approximant_norm_check,
     approximant_norm_sq,
     bessel_report,
@@ -91,7 +90,7 @@ __all__ = [
     "ApproxReport", "BesselEnvelopeConstants", "ChiSpectrum", "CountingReport",
     "DecayReport", "GpswfFunction", "OperatorSpectrum", "ProblemParams",
     "QuadratureRule", "TraceAndNorm", "TruncationError", "WkbFrame",
-    "a_alpha_exact", "approximant_norm_check", "approximant_norm_sq", "bessel_j",
+    "approximant_norm_check", "approximant_norm_sq", "bessel_j",
     "bessel_report", "bessel_uniform", "beta_fn", "chi_spectrum",
     "counting", "decay_check", "elliptic_K", "envelope_constants",
     "eta_fn", "f_n_moment", "g_bound", "gamma_fn", "gauss_jacobi", "incomplete_K",

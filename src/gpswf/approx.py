@@ -49,46 +49,59 @@ _X_ENDPOINT = 1e-10   # below this distance to x=1 the 0/0 forms switch to limit
 
 @dataclass(frozen=True)
 class WkbFrame:
-    """Scalars of the Bessel-form approximation for one mode."""
+    """Scalars of the Bessel-form approximation for one mode.
+
+    a_exact = A = 2^alpha Gamma(1+alpha) psi_n(1) / ((1-q)^(alpha/2)
+    chi^(1/4+alpha/2)), positive under the psi_n(1) > 0 sign convention, and
+    a_hat = Ahat = sqrt(pi / (2 K(sqrt(q)))); both NaN unless q < 1, chi > 0.
+    """
 
     alpha: float
-    c: float
     n: int
     chi: float
     q: float
-    s0: float
     eps: float
+    a_exact: float
+    a_hat: float
     constants: BesselEnvelopeConstants
     admissible: bool
     failure: str | None
 
 
 def make_frame(spectrum: ChiSpectrum, n: int) -> WkbFrame:
-    alpha, c = spectrum.params.alpha, spectrum.params.c
+    """The frame of mode n: eps, admissibility, envelope constants, A and Ahat.
+
+    eps = pi (e-1) (7/4 + 3 alpha^2) m_alpha / ((1-q) sqrt(chi)); admissible
+    means q < 1 and (1-q) sqrt(chi) >= pi (7/4 + 3 alpha^2) m_alpha, and
+    failure names the hypothesis that fails.  Where q < 1 and chi > 0,
+    A = 2^alpha Gamma(1+alpha) psi_n(1) / ((1-q)^(alpha/2) chi^(1/4+alpha/2))
+    and Ahat = sqrt(pi / (2 K(sqrt(q)))); elsewhere both are NaN.
+    """
+    alpha = spectrum.params.alpha
     chi = spectrum.chi(n)
     q = spectrum.q(n)
     cst = envelope_constants(alpha)
     threshold = math.pi * (1.75 + 3.0 * alpha * alpha) * cst.m_alpha
     failure = None
+    a_exact = a_hat = math.nan
     if q >= 1.0:
         failure = f"q = c^2/chi_n = {q:.6g} >= 1 (oscillatory regime required)"
         eps = math.inf
-        s0 = math.nan
     else:
-        s0 = s_map(0.0, q)
         margin = (1.0 - q) * math.sqrt(chi)
         if margin < threshold:
             failure = (f"(1-q) sqrt(chi) = {margin:.6g} < "
                        f"pi (7/4 + 3 alpha^2) m_alpha = {threshold:.6g}")
         eps = math.pi * (math.e - 1.0) * (1.75 + 3.0 * alpha * alpha) * cst.m_alpha \
             / margin if margin else math.inf
-    return WkbFrame(alpha=alpha, c=c, n=n, chi=chi, q=q, s0=s0, eps=eps,
-                    constants=cst, admissible=failure is None, failure=failure)
-
-
-def leading_amplitude(q: float) -> float:
-    """Explicit leading constant Ahat = sqrt(pi / (2 K(sqrt(q))))."""
-    return math.sqrt(math.pi / (2.0 * elliptic_K(math.sqrt(q))))
+        if chi > 0:
+            psi1 = spectrum.eigenfunction(n).value(1.0)
+            a_exact = (2.0 ** alpha) * gamma_fn(1.0 + alpha) * psi1 \
+                / ((1.0 - q) ** (alpha / 2.0) * chi ** (0.25 + alpha / 2.0))
+            a_hat = math.sqrt(math.pi / (2.0 * elliptic_K(math.sqrt(q))))
+    return WkbFrame(alpha=alpha, n=n, chi=chi, q=q, eps=eps, a_exact=a_exact,
+                    a_hat=a_hat, constants=cst, admissible=failure is None,
+                    failure=failure)
 
 
 def g_bound(alpha: float, q: float, x):
@@ -109,61 +122,34 @@ def g_bound(alpha: float, q: float, x):
     return out if np.ndim(x) else float(out)
 
 
-def _a_alpha(spectrum: ChiSpectrum, frame: WkbFrame) -> float:
-    if frame.q >= 1.0:
-        raise ValueError(frame.failure)
-    alpha, chi, q = frame.alpha, frame.chi, frame.q
-    psi1 = spectrum.eigenfunction(frame.n).value(1.0)
-    return (2.0 ** alpha) * gamma_fn(1.0 + alpha) * psi1 \
-        / ((1.0 - q) ** (alpha / 2.0) * chi ** (0.25 + alpha / 2.0))
+def _bessel_terms(frame: WkbFrame, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Main term and Olver-modulus envelope factor of the Bessel form at x.
 
-
-def a_alpha_exact(spectrum: ChiSpectrum, n: int) -> float:
-    """Normalization constant of the Bessel form from the endpoint value.
-
-    A = 2^alpha Gamma(1+alpha) psi_n(1) / ((1-q)^(alpha/2) chi^(1/4+alpha/2));
-    positive under the psi_n(1) > 0 sign convention (which sturm fixes at x = 0,
-    where it is well conditioned).
-    """
-    return _a_alpha(spectrum, make_frame(spectrum, n))
-
-
-def _main_term(frame: WkbFrame, x: np.ndarray) -> np.ndarray:
-    """chi^(1/4) sqrt(S) J_alpha(sqrt(chi) S) / ((1-x^2)^(1/4+a/2) (1-q x^2)^(1/4)).
-
-    The x -> 1 limit chi^(1/4+a/2) (1-q)^(a/2) / (2^a Gamma(1+a)) replaces
-    the 0/0 expression near the endpoint.
+    main = chi^(1/4) sqrt(S) J_alpha(sqrt(chi) S) / ((1-x^2)^(1/4+a/2)
+    (1-q x^2)^(1/4)) and factor = (1-x^2)^(1/4-a/2) chi^(1/4) sqrt(S)
+    M_alpha(sqrt(chi) S) / ((1-q x^2)^(3/4) E_alpha(sqrt(chi) S)).  Near
+    x = 1 the 0/0 form of main is replaced by its limit
+    chi^(1/4+a/2) (1-q)^(a/2) / (2^a Gamma(1+a)), and factor by its limit 0.
     """
     alpha, chi, q = frame.alpha, frame.chi, frame.q
-    out = np.empty_like(x)
+    main = np.empty_like(x)
+    factor = np.zeros_like(x)
     near = 1.0 - x < _X_ENDPOINT
     if np.any(near):
-        out[near] = chi ** (0.25 + alpha / 2.0) * (1.0 - q) ** (alpha / 2.0) \
+        main[near] = chi ** (0.25 + alpha / 2.0) * (1.0 - q) ** (alpha / 2.0) \
             / (2.0 ** alpha * gamma_fn(1.0 + alpha))
     reg = ~near
     if np.any(reg):
         xr = x[reg]
         s = s_map(xr, q)
         z = math.sqrt(chi) * s
-        out[reg] = chi ** 0.25 * np.sqrt(s) * bessel_j(alpha, z) \
-            / ((1.0 - xr * xr) ** (0.25 + alpha / 2.0) * (1.0 - q * xr * xr) ** 0.25)
-    return out
-
-
-def _envelope_factor(frame: WkbFrame, x: np.ndarray) -> np.ndarray:
-    """Olver-modulus envelope factor; tends to 0 as x -> 1."""
-    alpha, chi, q = frame.alpha, frame.chi, frame.q
-    out = np.zeros_like(x)
-    reg = 1.0 - x >= _X_ENDPOINT
-    if np.any(reg):
-        xr = x[reg]
-        s = s_map(xr, q)
-        z = math.sqrt(chi) * s
-        e_a, m_a = weight_modulus(alpha, z)
-        one_mx2 = 1.0 - xr * xr
-        out[reg] = (one_mx2 ** 0.25 / (1.0 - q * xr * xr) ** 0.75) \
+        one_mx2, one_mqx2 = 1.0 - xr * xr, 1.0 - q * xr * xr
+        main[reg] = chi ** 0.25 * np.sqrt(s) * bessel_j(alpha, z) \
+            / (one_mx2 ** (0.25 + alpha / 2.0) * one_mqx2 ** 0.25)
+        e_a, m_a = weight_modulus(frame.constants, z)
+        factor[reg] = (one_mx2 ** 0.25 / one_mqx2 ** 0.75) \
             * chi ** 0.25 * np.sqrt(s) * m_a / (one_mx2 ** (alpha / 2.0) * e_a)
-    return out
+    return main, factor
 
 
 def bessel_uniform(spectrum: ChiSpectrum, n: int, x):
@@ -180,18 +166,18 @@ def bessel_uniform(spectrum: ChiSpectrum, n: int, x):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(arr < 0) or np.any(arr > 1):
         raise ValueError("bessel_uniform is defined on [0, 1]")
-    a_hat = leading_amplitude(frame.q)
-    a_exact = _a_alpha(spectrum, frame)
-    main = _main_term(frame, arr)
-    value = a_hat * main
-    envelope = frame.eps * a_exact * _envelope_factor(frame, arr) \
-        + abs(a_exact - a_hat) * np.abs(main)
+    main, factor = _bessel_terms(frame, arr)
+    value = frame.a_hat * main
+    envelope = frame.eps * frame.a_exact * factor \
+        + abs(frame.a_exact - frame.a_hat) * np.abs(main)
     if np.ndim(x) == 0:
         return float(value[0]), float(envelope[0])
     return value, envelope
 
 
-def _norm_sq(frame: WkbFrame, a_exact: float) -> float:
+def _norm_sq(frame: WkbFrame) -> float:
+    if math.isnan(frame.a_exact):
+        raise ValueError(frame.failure)
     chi, q, alpha = frame.chi, frame.q, frame.alpha
     m = max(256, int(3.0 * math.sqrt(chi)) + 64)
     t, w = np.polynomial.legendre.leggauss(m)
@@ -201,7 +187,7 @@ def _norm_sq(frame: WkbFrame, a_exact: float) -> float:
     s = s_map(xs, q)
     z = np.sqrt(chi) * s
     integrand = math.sqrt(chi) * s * bessel_j(alpha, z) ** 2 / np.sqrt(1.0 - q * xs * xs)
-    return float(a_exact ** 2 * np.dot(wt, integrand))
+    return float(frame.a_exact ** 2 * np.dot(wt, integrand))
 
 
 def approximant_norm_sq(spectrum: ChiSpectrum, n: int) -> float:
@@ -209,10 +195,9 @@ def approximant_norm_sq(spectrum: ChiSpectrum, n: int) -> float:
 
     The substitution x = sin(theta) removes the (1-x)^(-1/2) endpoint
     singularity of the integrand; a Gauss-Legendre rule in theta does the
-    rest.
+    rest.  Raises where A is undefined (q >= 1 or chi = 0).
     """
-    frame = make_frame(spectrum, n)
-    return _norm_sq(frame, _a_alpha(spectrum, frame))
+    return _norm_sq(make_frame(spectrum, n))
 
 
 def approximant_norm_check(spectrum: ChiSpectrum, n: int) -> float:
@@ -222,9 +207,7 @@ def approximant_norm_check(spectrum: ChiSpectrum, n: int) -> float:
     with M_cap the eta bound from the envelope constants.
     """
     frame = make_frame(spectrum, n)
-    a_exact = _a_alpha(spectrum, frame)
-    target = a_exact ** 2 * elliptic_K(math.sqrt(frame.q)) / math.pi
-    return abs(_norm_sq(frame, a_exact) - target)
+    return abs(_norm_sq(frame) - frame.a_exact ** 2 * elliptic_K(math.sqrt(frame.q)) / math.pi)
 
 
 def jacobi_uniform(spectrum: ChiSpectrum, n: int, x, q0: float = 0.9):
@@ -305,7 +288,7 @@ def jacobi_report(spectrum: ChiSpectrum, n: int, grid=None, q0: float = 0.9) -> 
     ref = spectrum.eigenfunction(n).value(xs)
     err = float(np.max(np.abs(approx - ref)))
     alpha, c = spectrum.params.alpha, spectrum.params.c
-    if c > 0:
+    if c ** 2 > 0:   # c * c underflows to 0 below about 1e-162
         scaled = err * (n + 2 * alpha + 1) / c ** 2
         a_scaled = abs(1.0 - a_n) * (2 * n + 2 * alpha + 1) / c ** 2
     else:

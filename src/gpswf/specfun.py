@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -409,7 +408,6 @@ def _first_zero_j_plus_y(alpha: float) -> float:
     return float(brentq(fn, xs[i - 1], xs[i], xtol=1e-12, rtol=8.9e-16))
 
 
-@lru_cache(maxsize=256)
 def envelope_constants(alpha: float) -> BesselEnvelopeConstants:
     """All order-dependent envelope constants for a given alpha >= -1/2."""
     if alpha < -0.5:
@@ -436,14 +434,15 @@ def envelope_constants(alpha: float) -> BesselEnvelopeConstants:
     )
 
 
-def weight_modulus(alpha: float, x):
+def weight_modulus(constants: BesselEnvelopeConstants, x):
     """Olver weight and modulus functions (E_alpha(x), M_alpha(x)) for x > 0.
 
+    alpha and X_alpha are read from constants (see envelope_constants).
     Piecewise about X_alpha, the first zero of J_alpha + Y_alpha; below it
     E = sqrt(-Y/J), M = sqrt(2 |Y| J), above it E = 1, M = sqrt(J^2 + Y^2),
     so M/E = sqrt(2) J below and the Hankel modulus above.
     """
-    cst = envelope_constants(alpha)
+    alpha = constants.alpha
     arr = _as_float_array(x)
     if np.any(arr <= 0):
         raise ValueError("weight_modulus requires x > 0")
@@ -452,7 +451,7 @@ def weight_modulus(alpha: float, x):
     y = _sp.yv(alpha, arr1)
     e_out = np.ones_like(arr1)
     m_out = np.hypot(j, y)
-    small = arr1 <= cst.x_alpha
+    small = arr1 <= constants.x_alpha
     if np.any(small):
         e_out[small] = np.sqrt(-y[small] / j[small])
         m_out[small] = np.sqrt(2.0 * np.abs(y[small]) * j[small])

@@ -139,8 +139,7 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
         raise ValueError(f"n_quad={nq} too small for n_keep={n_keep}")
     vals = _nystrom_lambdas(params, nq)
     lambdas = vals[:n_keep].copy()
-    spec = chi_spectrum(params, n_keep - 1)
-    mus = mu_eigenrelation(params, np.arange(n_keep), spec)
+    mus = mu_eigenrelation(chi_spectrum(params, n_keep - 1), np.arange(n_keep))
     cross = np.abs(lambdas - (params.c / (2.0 * math.pi)) * np.abs(mus) ** 2)
     return OperatorSpectrum(
         params=params, n_quad=nq, lambdas=lambdas, mus=mus,
@@ -192,22 +191,24 @@ def fourier_jacobi_moments(alpha: float, u, n_modes: int) -> np.ndarray:
     return out.reshape(us.shape + (n_modes,))
 
 
-def _spectrum_for(params: ProblemParams, ns: np.ndarray,
-                  spectrum: ChiSpectrum | None) -> ChiSpectrum:
-    """The spectrum holding modes ns at params: the one given, else a fresh solve.
-
-    A spectrum solved at other parameters is refused, as is a mode it lacks.
-    """
-    spec = spectrum if spectrum is not None else chi_spectrum(params, int(ns.max()))
-    if spec.params != params:
-        raise ValueError(f"spectrum solved at {spec.params}, not at {params}")
-    if np.any(ns < 0) or np.any(ns > spec.n_max):
-        raise ValueError(f"mode index {ns} outside computed range 0..{spec.n_max}")
-    return spec
+def _modes(n) -> np.ndarray:
+    """n as an array of mode indices; an empty one is refused."""
+    ns = np.asarray(n)
+    if ns.size == 0:
+        raise ValueError("no mode index given")
+    return ns
 
 
-def mu_eigenrelation(params: ProblemParams, n, spectrum: ChiSpectrum | None = None):
-    """mu_n from applying the transform to psi_n at a well-conditioned point.
+def _spectrum_modes(spectrum: ChiSpectrum, n) -> np.ndarray:
+    """n as an array of modes that spectrum holds; a mode it lacks is refused."""
+    ns = _modes(n)
+    if np.any(ns < 0) or np.any(ns > spectrum.n_max):
+        raise ValueError(f"mode index {ns} outside computed range 0..{spectrum.n_max}")
+    return ns
+
+
+def mu_eigenrelation(spectrum: ChiSpectrum, n):
+    """mu_n from applying the transform to the solved psi_n at a well-conditioned point.
 
     mu_n = (1/psi_n(x0)) int e^{i c x0 y} psi_n(y) (1-y^2)^alpha dy with x0
     the coarse-grid argmax of |psi_n|, the integral expanded over the
@@ -219,13 +220,13 @@ def mu_eigenrelation(params: ProblemParams, n, spectrum: ChiSpectrum | None = No
     alpha = 0.5 against log_mu_magnitude, with psi_n from
     chi_spectrum(params, 40), it is 2e-9 at n = 20, 9e-6 at n = 28 and 0.85
     at n = 32 for c = 2, and 6e-8 at n = 24, 2e-3 at n = 28 for c = 10; with
-    the default spectrum (n_max = max n) it is already 2e-2 at n = 24 for
-    c = 2.  Use log_mu_magnitude (or mu_explicit) for deeper modes.
+    chi_spectrum(params, 24) it is already 2e-2 at n = 24 for c = 2.  Use
+    log_mu_magnitude (or mu_explicit) for deeper modes.
     """
-    ns = np.asarray(n)
-    spec = _spectrum_for(params, ns, spectrum)
+    ns = _spectrum_modes(spectrum, n)
+    params = spectrum.params
     modes = ns.reshape(-1)
-    coeffs = spec.coeffs[modes]
+    coeffs = spectrum.coeffs[modes]
     coarse = np.linspace(-1.0, 1.0, 501)
     psi = jacobi_series_eval(coeffs, params.alpha, coarse)
     # not argmax, which picks another x0 among ties
@@ -234,14 +235,14 @@ def mu_eigenrelation(params: ProblemParams, n, spectrum: ChiSpectrum | None = No
     weak = modes[~(np.abs(psi_x0) >= 1e-8)]
     if weak.size:
         raise RuntimeError(f"no evaluation point with |psi_{weak[0]}| >= 1e-8 found")
-    moments = fourier_jacobi_moments(params.alpha, params.c * coarse[idx], spec.n_trunc)
+    moments = fourier_jacobi_moments(params.alpha, params.c * coarse[idx], spectrum.n_trunc)
     mus = np.array([complex(np.dot(row, mom)) / float(value)
                     for row, mom, value in zip(coeffs, moments, psi_x0)])
     return mus.reshape(ns.shape) if ns.ndim else complex(mus[0])
 
 
-def f_n_moment(params: ProblemParams, n, spectrum: ChiSpectrum | None = None):
-    """Moment F_n(c, alpha) = int x psi_n psi_n' (1-x^2)^alpha dx.
+def f_n_moment(spectrum: ChiSpectrum, n):
+    """Moment F_n(c, alpha) = int x psi_n psi_n' (1-x^2)^alpha dx of the solved psi_n.
 
     Equals n at c = 0.  n is a mode index or an array of them (an array
     gives an array).  Computed from the Jacobi coefficients alone: x psi_n'
@@ -253,11 +254,10 @@ def f_n_moment(params: ProblemParams, n, spectrum: ChiSpectrum | None = None):
     coefficients and q_k = -b_k b_(k-1) / p_(k-2), with b the alpha
     offdiagonals, so both stay finite at alpha = -1/2.
     """
-    ns = np.asarray(n)
-    spec = _spectrum_for(params, ns, spectrum)
-    a = params.alpha
-    coeffs = spec.coeffs[ns]
-    size = spec.n_trunc
+    ns = _spectrum_modes(spectrum, n)
+    a = spectrum.params.alpha
+    coeffs = spectrum.coeffs[ns]
+    size = spectrum.n_trunc
     b = sym_offdiag(a, size - 1)
     b_up = sym_offdiag(a + 1.0, size - 1)
     # x psi' in the alpha+1 basis: x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1)
@@ -289,7 +289,7 @@ def log_mu_magnitude(params: ProblemParams, n, tau_nodes: int = 64):
     a, c = params.alpha, params.c
     if c <= 0:
         raise ValueError("the explicit formula requires c > 0")
-    ns = np.asarray(n)
+    ns = _modes(n)
     k = ns.astype(float)
     # Gamma(k + 2a + 1) / Gamma(2k + 2a + 1) is 1 at k = 0, so both terms
     # drop out there; their logs are inf - inf at a = -1/2
@@ -304,7 +304,7 @@ def log_mu_magnitude(params: ProblemParams, n, tau_nodes: int = 64):
     vals = []
     for tau in 0.5 * c * (t + 1.0):
         p_tau = ProblemParams(alpha=a, c=float(tau))
-        vals.append((f_n_moment(p_tau, ns, chi_spectrum(p_tau, nm)) - ns) / tau)
+        vals.append((f_n_moment(chi_spectrum(p_tau, nm), ns) - ns) / tau)
     out = log_pref + k * math.log(c) + np.dot(0.5 * c * w, np.array(vals))
     if not np.all(np.isfinite(out)):
         raise RuntimeError(f"log |mu_n| is not finite at {params}, n = {n}")
@@ -348,7 +348,7 @@ def decay_check(params: ProblemParams, n_range) -> DecayReport:
     """
     if not 0.0 < params.alpha < 1.5:
         raise ValueError("decay_check requires 0 < alpha < 3/2")
-    ns = np.asarray(sorted(n_range), dtype=int)
+    ns = _modes(np.asarray(sorted(n_range), dtype=int))
     ns = ns[params.c ** 2 < chi_spectrum(params, int(ns.max())).chis[ns]]
     if ns.size < 3:
         raise ValueError("decay_check needs at least three admissible indices")

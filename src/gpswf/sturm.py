@@ -77,9 +77,10 @@ class ChiSpectrum:
         return float(self.chis[n])
 
     def q(self, n: int) -> float:
-        """Spectral ratio c^2 / chi_n (the oscillatory regime has q < 1); 0 at c = 0."""
+        """Spectral ratio c^2 / chi_n (the oscillatory regime has q < 1); 0 where
+        c * c is 0, as the solver reads only c * c and gives the c = 0 spectrum."""
         c = self.params.c
-        return c * c / self.chi(n) if c else 0.0
+        return c * c / self.chi(n) if c * c else 0.0
 
     def eigenfunction(self, n: int) -> "GpswfFunction":
         if not 0 <= n <= self.n_max:

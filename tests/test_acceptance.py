@@ -197,7 +197,7 @@ def test_criterion_09_decay():
         params = g.ProblemParams(alpha=alpha, c=0.0)
         spec = g.chi_spectrum(params, 12)
         for n in range(13):
-            worst = max(worst, abs(g.f_n_moment(params, n, spec) - n))
+            worst = max(worst, abs(g.f_n_moment(spec, n) - n))
             worst = max(worst, abs(f_n_weighted_identity(params, n, spec)
                                    - (n + alpha + 0.5)))
     ok &= worst <= 1e-9

@@ -74,7 +74,7 @@ def test_eps_halves_when_sqrt_chi_doubles_at_fixed_q():
     eps2 = math.pi * (math.e - 1) * (1.75 + 3 * 0.25) \
         * g.envelope_constants(0.5).m_alpha / ((1 - fr.q) * math.sqrt(chi2))
     assert abs(eps2 / fr.eps - 0.5) <= 0.05 * 0.5
-    assert c2 > fr.c
+    assert c2 > spec.params.c
 
 
 def test_bessel_value_at_endpoint():
@@ -101,7 +101,7 @@ def test_a_alpha_exact_inside_prop2_bracket():
     for n in (40, 80, 160):
         spec = g.chi_spectrum(params, n)
         fr = make_frame(spec, n)
-        a = g.a_alpha_exact(spec, n)
+        a = fr.a_exact
         a_hat = math.sqrt(math.pi / (2 * g.elliptic_K(math.sqrt(fr.q))))
         cs.append(abs(a - a_hat) / (a_hat * fr.eps))
     # non-growth across doublings (the fitted constant actually decays)
@@ -110,7 +110,7 @@ def test_a_alpha_exact_inside_prop2_bracket():
     for n in (40, 80, 160):
         spec = g.chi_spectrum(params, n)
         fr = make_frame(spec, n)
-        a = g.a_alpha_exact(spec, n)
+        a = fr.a_exact
         a_hat = math.sqrt(math.pi / (2 * g.elliptic_K(math.sqrt(fr.q))))
         assert a_hat / (1 + fr.eps * c_cal) <= a <= a_hat / (1 - fr.eps * c_cal)
 
@@ -118,14 +118,14 @@ def test_a_alpha_exact_inside_prop2_bracket():
 def test_a_alpha_small_c_matches_bracket_midpoint():
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=0.01), 40)
     fr = make_frame(spec, 40)
-    a = g.a_alpha_exact(spec, 40)
+    a = fr.a_exact
     midpoint = math.sqrt(math.pi / (2 * g.elliptic_K(math.sqrt(fr.q))))
     assert abs(a - midpoint) <= 1e-3
 
 
 def test_a_alpha_positive():
     spec = g.chi_spectrum(g.ProblemParams(alpha=1.2, c=3.0), 25)
-    assert g.a_alpha_exact(spec, 25) > 0
+    assert make_frame(spec, 25).a_exact > 0
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_a_alpha_positive():
 def test_norm_check_bound():
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.8, c=4.0), 50)
     fr = make_frame(spec, 50)
-    a = g.a_alpha_exact(spec, 50)
+    a = fr.a_exact
     dev = g.approximant_norm_check(spec, 50)
     bound = a * a * g.envelope_constants(0.8).m_alpha_cap / ((1 - fr.q) * math.sqrt(fr.chi))
     assert dev <= bound
@@ -144,7 +144,7 @@ def test_norm_check_bound():
 def test_norm_small_q_limit():
     # K(0) = pi/2, so the squared norm tends to A^2/2
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=0.2), 60)
-    a = g.a_alpha_exact(spec, 60)
+    a = make_frame(spec, 60).a_exact
     norm2 = g.approximant_norm_sq(spec, 60)
     assert abs(norm2 - a * a / 2) / norm2 <= 1e-3
 
@@ -152,7 +152,7 @@ def test_norm_small_q_limit():
 def test_norm_adaptive_integration_oracle():
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.8, c=4.0), 50)
     fr = make_frame(spec, 50)
-    a = g.a_alpha_exact(spec, 50)
+    a = fr.a_exact
     alpha, q, chi = 0.8, fr.q, fr.chi
 
     def integrand_theta(t):
@@ -171,12 +171,12 @@ def test_norm_adaptive_integration_oracle():
 # ---------------------------------------------------------------------------
 
 def test_remark_boundedness_stable_under_grid_refinement():
-    from gpswf.approx import _envelope_factor
+    from gpswf.approx import _bessel_terms
 
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=5.0), 40)
     fr = make_frame(spec, 40)
-    coarse = np.max(_envelope_factor(fr, default_grid(2001)))
-    fine = np.max(_envelope_factor(fr, default_grid(8001)))
+    coarse = np.max(_bessel_terms(fr, default_grid(2001))[1])
+    fine = np.max(_bessel_terms(fr, default_grid(8001))[1])
     assert np.isfinite(coarse) and np.isfinite(fine)
     assert abs(fine - coarse) / coarse <= 0.01
 

@@ -117,16 +117,18 @@ def test_approx_jacobi_c_zero(tmp_path):
 
 
 def test_approx_mode_zero_at_c_zero(tmp_path):
-    # chi_0 = 0 at c = 0: q is 0 there, and the Bessel frame's margin is 0
+    # chi_0 = 0 at c = 0: q is 0 there, and the Bessel frame's margin is 0;
+    # at c = 1e-300 c * c underflows, so the solved spectrum is the c = 0 one
     out = tmp_path / "approx.json"
-    assert main(["approx", "--kind", "jacobi", "--alpha", "0.5", "--c", "0",
-                 "--n", "0", "--grid", "201", "--out", str(out)]) == 0
-    summary = json.loads(out.read_text())["summary"]
-    assert summary["q"] == 0.0 and summary["a_n"] == 1.0 and summary["sup_error"] == 0.0
-    proc = run_cli(["approx", "--kind", "bessel", "--alpha", "0.5", "--c", "0", "--n", "0"])
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and "(1-q) sqrt(chi) = 0 <" in proc.stderr
-    assert proc.stderr.count("\n") == 1
+    for c in ("0", "1e-300"):
+        assert main(["approx", "--kind", "jacobi", "--alpha", "0.5", "--c", c,
+                     "--n", "0", "--grid", "201", "--out", str(out)]) == 0
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["q"] == 0.0 and summary["a_n"] == 1.0 and summary["sup_error"] == 0.0
+        proc = run_cli(["approx", "--kind", "bessel", "--alpha", "0.5", "--c", c, "--n", "0"])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "(1-q) sqrt(chi) = 0 <" in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
 
 def test_approx_jacobi_refuses_alpha_out_of_range():
@@ -192,6 +194,12 @@ def test_readme_invocations(tmp_path):
         argv[argv.index("--out") + 1] = str(out)
         assert main([*argv, "--format", "json"]) == 0, argv
         assert list(json.loads(out.read_text())["config"]) == CONFIG_KEYS[argv[0]]
+
+
+def test_readme_library_sketch():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_spectrum_refuses_negative_alpha(capsys):

@@ -37,7 +37,7 @@ def test_chi_in_bracket_and_sign_rule_at_zero(alpha, c, n_max):
 def test_f_n_equals_n_at_c_zero(alpha, n_max):
     p = g.ProblemParams(alpha=alpha, c=0.0)
     ns = np.arange(n_max + 1)
-    assert np.max(np.abs(g.f_n_moment(p, ns, g.chi_spectrum(p, n_max)) - ns)) <= 1e-12
+    assert np.max(np.abs(g.f_n_moment(g.chi_spectrum(p, n_max), ns) - ns)) <= 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=20, database=None)

@@ -571,29 +571,29 @@ def test_kernel_sup_bound_scan():
     xs = np.linspace(1e-3, 60.0, 8000)
     for alpha in (0.0, 0.3, 1.0):
         cst = g.envelope_constants(alpha)
-        _, m = g.weight_modulus(alpha, xs)
+        _, m = g.weight_modulus(cst, xs)
         assert np.max(xs * m * m) <= cst.m_alpha + 1e-10
 
 
 def test_weight_modulus_branches():
     alpha = 0.3
     cst = g.envelope_constants(alpha)
-    e_big, m_big = g.weight_modulus(alpha, cst.x_alpha + 2.0)
+    e_big, m_big = g.weight_modulus(cst, cst.x_alpha + 2.0)
     assert e_big == 1.0
     x = cst.x_alpha + 2.0
     assert_allclose(m_big, math.hypot(g.bessel_j(alpha, x), bessel_y(alpha, x)),
                     rtol=1e-14)
     # continuity at X_alpha: Y = -J there, so both M branches agree
-    m_lo = g.weight_modulus(alpha, cst.x_alpha * (1 - 1e-10))[1]
-    m_hi = g.weight_modulus(alpha, cst.x_alpha * (1 + 1e-10))[1]
+    m_lo = g.weight_modulus(cst, cst.x_alpha * (1 - 1e-10))[1]
+    m_hi = g.weight_modulus(cst, cst.x_alpha * (1 + 1e-10))[1]
     assert abs(m_lo - m_hi) <= 1e-8
     # below X_alpha, M/E = sqrt(2) J and x M^2 <= 2/pi
     x_small = cst.x_alpha / 2
-    e_s, m_s = g.weight_modulus(alpha, x_small)
+    e_s, m_s = g.weight_modulus(cst, x_small)
     assert_allclose(m_s / e_s, math.sqrt(2) * g.bessel_j(alpha, x_small), rtol=1e-12)
     assert x_small * m_s ** 2 <= 2 / math.pi
 
 
 def test_weight_modulus_domain():
     with pytest.raises(ValueError):
-        g.weight_modulus(0.3, 0.0)
+        g.weight_modulus(g.envelope_constants(0.3), 0.0)

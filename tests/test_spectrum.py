@@ -309,7 +309,7 @@ def test_mu_phase_alternation():
     p = g.ProblemParams(alpha=0.5, c=5.0)
     spec = g.chi_spectrum(p, 8)
     for n in range(9):
-        mu = g.mu_eigenrelation(p, n, spec)
+        mu = g.mu_eigenrelation(spec, n)
         rotated = mu * (1j) ** (-n)
         assert rotated.real > 0
         assert abs(rotated.imag) <= 1e-8 * abs(mu)
@@ -319,7 +319,7 @@ def test_mu_moment_and_quadrature_routes_agree():
     p = g.ProblemParams(alpha=0.5, c=3.0)
     spec = g.chi_spectrum(p, 6)
     for n in range(7):
-        mm = g.mu_eigenrelation(p, n, spec)
+        mm = g.mu_eigenrelation(spec, n)
         mq = mu_quadrature(p, n, spec)
         assert abs(mm - mq) / abs(mm) <= 1e-10
 
@@ -342,7 +342,7 @@ def test_mu_small_c_limit():
     # mu_0(c -> 0) tends to the weight mass 2^(2a+1) B(a+1,a+1), which equals
     # the c^0 prefactor sqrt(pi) Gamma(a+1)/Gamma(a+3/2) of the product formula
     p = g.ProblemParams(alpha=0.5, c=0.001)
-    mu0 = g.mu_eigenrelation(p, 0)
+    mu0 = g.mu_eigenrelation(g.chi_spectrum(p, 0), 0)
     mass = jacobi_h(0, 0.5, 0.5)
     assert_allclose(mass, math.sqrt(math.pi) * g.gamma_fn(1.5) / g.gamma_fn(2.0),
                     rtol=1e-14)
@@ -368,7 +368,7 @@ def test_mu_explicit_at_alpha_minus_half(c):
     p = g.ProblemParams(alpha=-0.5, c=c)
     spec = g.chi_spectrum(p, 2)
     for n in range(3):
-        mu_e = g.mu_eigenrelation(p, n, spec)
+        mu_e = g.mu_eigenrelation(spec, n)
         assert abs(g.mu_explicit(p, n) - mu_e) <= 1e-12 * abs(mu_e)
 
 
@@ -385,7 +385,7 @@ def test_explicit_route_refuses_a_non_finite_log(monkeypatch):
 def test_mu_explicit_cross_agreement():
     p = g.ProblemParams(alpha=0.5, c=3.0)
     mu_x = g.mu_explicit(p, 12)
-    mu_e = g.mu_eigenrelation(p, 12)
+    mu_e = g.mu_eigenrelation(g.chi_spectrum(p, 12), 12)
     assert abs(mu_x - mu_e) / abs(mu_e) <= 1e-6
 
 
@@ -413,7 +413,7 @@ def test_mu_routes_agree_at_alpha_minus_half():
     p = g.ProblemParams(alpha=-0.5, c=3.0)
     spec = g.chi_spectrum(p, 2)
     for n in range(3):
-        mm = g.mu_eigenrelation(p, n, spec)
+        mm = g.mu_eigenrelation(spec, n)
         mq = mu_quadrature(p, n, spec)
         assert abs(mm - mq) <= 1e-12 * abs(mq)
 
@@ -424,13 +424,13 @@ def test_batched_eigenrelation_bit_identical(alpha, c):
     op = g.nystrom_spectrum(p, n_keep=12)
     spec = g.chi_spectrum(p, 11)
     for n in range(12):
-        mu = g.mu_eigenrelation(p, n, spec)
+        mu = g.mu_eigenrelation(spec, n)
         assert isinstance(mu, complex)
         assert op.mus[n] == mu == mu_eigenrelation_per_mode(p, n, spec)
-    assert np.array_equal(g.mu_eigenrelation(p, np.array([[3, 0], [7, 11]]), spec),
+    assert np.array_equal(g.mu_eigenrelation(spec, np.array([[3, 0], [7, 11]])),
                           op.mus[[[3, 0], [7, 11]]])
     with pytest.raises(ValueError, match="outside computed range"):
-        g.mu_eigenrelation(p, np.arange(13), spec)
+        g.mu_eigenrelation(spec, np.arange(13))
 
 
 def test_fourier_jacobi_moments_rows_bit_identical():
@@ -454,13 +454,13 @@ def test_moment_and_mu_phases_exact_at_high_order():
     assert mu.real == 0.0 and mu.imag > 0.0
 
 
-def test_spectrum_at_other_params_refused():
+@pytest.mark.parametrize("route", ["mu_eigenrelation", "f_n_moment", "log_lambda_explicit",
+                                   "decay_check"])
+def test_empty_mode_list_refused(route):
     p = g.ProblemParams(alpha=0.5, c=10.0)
-    other = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=12.0), 5)
-    for route in (g.mu_eigenrelation, g.f_n_moment):
-        with pytest.raises(ValueError, match=r"c=12.0.*c=10.0"):
-            route(p, 2, other)
-        assert route(p, 2, g.chi_spectrum(p, 2)) == route(p, 2)
+    first = g.chi_spectrum(p, 5) if route in ("mu_eigenrelation", "f_n_moment") else p
+    with pytest.raises(ValueError, match="no mode index given"):
+        getattr(g, route)(first, [])
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +472,8 @@ def test_f_n_at_c_zero():
         p = g.ProblemParams(alpha=alpha, c=0.0)
         spec = g.chi_spectrum(p, 200)
         ns = np.arange(201)
-        assert np.max(np.abs(g.f_n_moment(p, ns, spec) - ns)) <= 1e-12
-        assert abs(g.f_n_moment(p, 12, spec) - 12) <= 1e-12
+        assert np.max(np.abs(g.f_n_moment(spec, ns) - ns)) <= 1e-12
+        assert abs(g.f_n_moment(spec, 12) - 12) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha, c, n", [(-0.5, 20.0, 5), (0.0, 20.0, 5), (0.5, 100.0, 10)])
@@ -481,7 +481,7 @@ def test_f_n_matches_mpmath(alpha, c, n):
     p = g.ProblemParams(alpha=alpha, c=c)
     spec = g.chi_spectrum(p, n)
     exact = f_n_mpmath(alpha, spec.coeffs[n])
-    assert abs(g.f_n_moment(p, n, spec) - float(exact)) <= 1e-13
+    assert abs(g.f_n_moment(spec, n) - float(exact)) <= 1e-13
 
 
 def count_calls(monkeypatch, names=("gauss_jacobi", "jacobi_series_eval")):
@@ -535,7 +535,7 @@ def test_f_n_quadratic_in_bandwidth():
     gaps = []
     for tau in taus:
         p = g.ProblemParams(alpha=0.5, c=float(tau))
-        gaps.append(abs(g.f_n_moment(p, 40) - 40))
+        gaps.append(abs(g.f_n_moment(g.chi_spectrum(p, 40), 40) - 40))
     slope = np.polyfit(np.log(taus), np.log(gaps), 1)[0]
     assert abs(slope - 2.0) <= 0.1
 
