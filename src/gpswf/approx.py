@@ -27,6 +27,7 @@ Admissibility for the Bessel form means q < 1 together with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +74,11 @@ def make_frame(spectrum: ChiSpectrum, n: int) -> WkbFrame:
 
     eps = pi (e-1) (7/4 + 3 alpha^2) m_alpha / ((1-q) sqrt(chi)); admissible
     means q < 1 and (1-q) sqrt(chi) >= pi (7/4 + 3 alpha^2) m_alpha, and
-    failure names the hypothesis that fails.  Where q < 1 and chi > 0,
-    A = 2^alpha Gamma(1+alpha) psi_n(1) / ((1-q)^(alpha/2) chi^(1/4+alpha/2))
-    and Ahat = sqrt(pi / (2 K(sqrt(q)))); elsewhere both are NaN.
+    failure names the hypothesis that fails.  Where q < 1 and chi is a
+    normal double, A = 2^alpha Gamma(1+alpha) psi_n(1) / ((1-q)^(alpha/2)
+    chi^(1/4+alpha/2)) and Ahat = sqrt(pi / (2 K(sqrt(q)))); elsewhere both
+    are NaN.  (A subnormal chi_0 is the c = 0 value to rounding, as in
+    ChiSpectrum.q, and its power can underflow to 0.)
     """
     alpha = spectrum.params.alpha
     chi = spectrum.chi(n)
@@ -94,7 +97,7 @@ def make_frame(spectrum: ChiSpectrum, n: int) -> WkbFrame:
                        f"pi (7/4 + 3 alpha^2) m_alpha = {threshold:.6g}")
         eps = math.pi * (math.e - 1.0) * (1.75 + 3.0 * alpha * alpha) * cst.m_alpha \
             / margin if margin else math.inf
-        if chi > 0:
+        if chi >= sys.float_info.min:
             psi1 = spectrum.eigenfunction(n).value(1.0)
             a_exact = (2.0 ** alpha) * gamma_fn(1.0 + alpha) * psi1 \
                 / ((1.0 - q) ** (alpha / 2.0) * chi ** (0.25 + alpha / 2.0))

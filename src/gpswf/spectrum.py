@@ -19,11 +19,12 @@ Three computational routes, cross-checked against each other:
 * Explicit product formula: mu_n = i^n sqrt(pi) * Gamma-ratio * c^n
   exp(Phi_n) with Phi_n = int_0^c (F_n(tau) - n)/tau dtau, evaluated in log
   space by one function, log_mu_magnitude; mu_explicit and
-  log_lambda_explicit are one-line uses of it.  F_n at each tau node comes
-  from the Jacobi coefficients of psi_n by one banded solve, with no
-  quadrature rule in x.  This is the only trustworthy route once lambda_n
-  drops under the double-precision floor, and it is what the decay
-  diagnostics use.
+  log_lambda_explicit are one-line uses of it.  Each tau node solves only
+  the window of requested modes in each parity block, and F_n comes from
+  their Jacobi coefficients, with no quadrature rule in x: the rows of all
+  nodes share one banded connection solve per parity.  This is the only
+  trustworthy route once lambda_n drops under the double-precision floor,
+  and it is what the decay diagnostics use.
 
 Trace and Hilbert-Schmidt closed forms plus the counting bounds for
 #{lambda_n >= delta} complete the module.
@@ -41,12 +42,11 @@ from scipy.linalg import eigh, solve_banded
 from .specfun import (
     gauss_jacobi,
     jacobi_h,
-    jacobi_series_deriv_coeffs,
     jacobi_series_eval,
     sym_offdiag,
     total_mass,
 )
-from .sturm import ChiSpectrum, ProblemParams, chi_spectrum
+from .sturm import ChiSpectrum, ProblemParams, chi_spectrum, window_vectors
 
 
 # i^k = _I_POWERS[k % 4] exactly; 1j ** k is inexact from k = 100
@@ -118,6 +118,10 @@ class OperatorSpectrum:
     def hs_discrete(self) -> float:
         """Sum of the squares of the discrete lambda."""
         return float((self.discrete ** 2).sum())
+
+    def counting(self, delta: float) -> "CountingReport":
+        """The counting report for delta from the discrete lambda, with no second solve."""
+        return _counting_report(self.params, delta, self.discrete)
 
 
 def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
@@ -241,38 +245,54 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
     return mus.reshape(ns.shape) if ns.ndim else complex(mus[0])
 
 
+def _f_n_rows(alpha: float, parity: int, rows: np.ndarray) -> np.ndarray:
+    """F_n = int x psi_n psi_n' (1-x^2)^alpha dx for a stack of psi_n of one parity.
+
+    rows[..., i] is the coefficient of Ptilde_(2i + parity), so every row is
+    in that parity's own columns.  x psi_n' has coefficients e in the
+    Ptilde^(alpha+1) basis, and the two-term connection Ptilde^alpha_k =
+    p_k Ptilde^(alpha+1)_k + q_k Ptilde^(alpha+1)_(k-2) (DLMF 18.9.7,
+    normalised) turns them into alpha-basis coefficients g by solving B g = e;
+    then F_n = psi_n . g.  B keeps the parity, so on these columns it is upper
+    bidiagonal, and one banded solve serves every row.  p_k is the ratio of
+    the two leading coefficients and q_k = -b_k b_(k-1) / p_(k-2), with b the
+    alpha offdiagonals, so both stay finite at alpha = -1/2.
+    """
+    size = rows.shape[-1]
+    m = np.arange(parity, parity + 2 * size, 2)
+    b = sym_offdiag(alpha, int(m[-1]))
+    b_up = sym_offdiag(alpha + 1.0, int(m[-1]))
+    # psi' has coefficient d_(k-1) = psi_k sqrt(k (k + 2 alpha + 1)) on
+    # Ptilde^(alpha+1)_(k-1), and x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1)
+    d = rows * np.sqrt(m * (m + 2 * alpha + 1))
+    e = b_up[m] * d
+    d[..., 1:] *= b_up[m[:-1] + 1]
+    e[..., :-1] += d[..., 1:]
+    p = math.sqrt(total_mass(alpha + 1.0) / total_mass(alpha)) \
+        * np.concatenate(([1.0], np.cumprod(b_up[1:] / b[1:])))
+    banded = np.zeros((2, size))
+    banded[0, 1:] = -b[m[1:]] * b[m[1:] - 1] / p[m[:-1]]
+    banded[1] = p[m]
+    g = solve_banded((0, 1), banded, e.reshape(-1, size).T, overwrite_b=True).T.reshape(e.shape)
+    return np.sum(rows * g, axis=-1)
+
+
 def f_n_moment(spectrum: ChiSpectrum, n):
     """Moment F_n(c, alpha) = int x psi_n psi_n' (1-x^2)^alpha dx of the solved psi_n.
 
     Equals n at c = 0.  n is a mode index or an array of them (an array
-    gives an array).  Computed from the Jacobi coefficients alone: x psi_n'
-    has coefficients e in the Ptilde^(alpha+1) basis, and the two-term
-    connection Ptilde^alpha_k = p_k Ptilde^(alpha+1)_k
-    + q_k Ptilde^(alpha+1)_(k-2) (DLMF 18.9.7, normalised) turns them into
-    alpha-basis coefficients g by one upper-banded solve B g = e, shared by
-    every mode; then F_n = c_n . g.  p_k is the ratio of the two leading
-    coefficients and q_k = -b_k b_(k-1) / p_(k-2), with b the alpha
-    offdiagonals, so both stay finite at alpha = -1/2.
+    gives an array).  Computed from the Jacobi coefficients alone, by one
+    banded connection solve per parity (_f_n_rows).
     """
     ns = _spectrum_modes(spectrum, n)
-    a = spectrum.params.alpha
-    coeffs = spectrum.coeffs[ns]
-    size = spectrum.n_trunc
-    b = sym_offdiag(a, size - 1)
-    b_up = sym_offdiag(a + 1.0, size - 1)
-    # x psi' in the alpha+1 basis: x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1)
-    d = jacobi_series_deriv_coeffs(coeffs, a)
-    e = np.zeros(coeffs.shape)
-    e[..., 1:] = b_up[1:] * d
-    e[..., :-2] += b_up[1:-1] * d[..., 1:]
-    p = math.sqrt(total_mass(a + 1.0) / total_mass(a)) \
-        * np.concatenate(([1.0], np.cumprod(b_up[1:] / b[1:])))
-    banded = np.zeros((3, size))
-    banded[0, 2:] = -b[2:] * b[1:-1] / p[:-2]
-    banded[2] = p
-    g = solve_banded((0, 2), banded, e.reshape(-1, size).T).T.reshape(e.shape)
-    out = np.sum(coeffs * g, axis=-1)
-    return out if out.ndim else float(out)
+    modes = ns.reshape(-1)
+    out = np.empty(modes.size)
+    for parity in (0, 1):
+        own = modes % 2 == parity
+        if own.any():
+            out[own] = _f_n_rows(spectrum.params.alpha, parity,
+                                 spectrum.coeffs[modes[own], parity::2])
+    return out.reshape(ns.shape) if ns.ndim else float(out[0])
 
 
 def log_mu_magnitude(params: ProblemParams, n, tau_nodes: int = 64):
@@ -282,14 +302,20 @@ def log_mu_magnitude(params: ProblemParams, n, tau_nodes: int = 64):
     Phi_n = int_0^c (F_n(tau) - n)/tau dtau on a tau_nodes-point
     Gauss-Legendre rule.  The integrand extends by 0 at tau = 0 (it is
     O(tau)); interior nodes never sample the endpoint.  n is a mode index or
-    an array of them: each node costs one Sturm-Liouville solve up to the
-    largest n and one banded F_n solve, shared by every mode.  A non-finite
-    value is refused, not returned.
+    an array of them.  At each node only the window of modes between the
+    smallest and largest n of each parity is solved (sturm.window_vectors,
+    in the basis chi_spectrum would use for the largest n); F_n is quadratic
+    in psi_n, so the vectors need no sign fixing.  The rows of every node
+    then share one banded F_n solve per parity.  A non-finite value is
+    refused, not returned.
     """
     a, c = params.alpha, params.c
     if c <= 0:
         raise ValueError("the explicit formula requires c > 0")
     ns = _modes(n)
+    modes = ns.reshape(-1)
+    if np.any(modes < 0):
+        raise ValueError(f"mode index {ns} is negative")
     k = ns.astype(float)
     # Gamma(k + 2a + 1) / Gamma(2k + 2a + 1) is 1 at k = 0, so both terms
     # drop out there; their logs are inf - inf at a = -1/2
@@ -299,13 +325,31 @@ def log_mu_magnitude(params: ProblemParams, n, tau_nodes: int = 64):
                 + np.where(at_zero, 0.0, _sp.gammaln(k + 2 * a + 1.0))
                 - _sp.gammaln(k + a + 1.5)
                 - np.where(at_zero, 0.0, _sp.gammaln(2 * k + 2 * a + 1.0)))
-    nm = int(ns.max())
     t, w = np.polynomial.legendre.leggauss(tau_nodes)
-    vals = []
-    for tau in 0.5 * c * (t + 1.0):
-        p_tau = ProblemParams(alpha=a, c=float(tau))
-        vals.append((f_n_moment(chi_spectrum(p_tau, nm), ns) - ns) / tau)
-    out = log_pref + k * math.log(c) + np.dot(0.5 * c * w, np.array(vals))
+    taus = 0.5 * c * (t + 1.0)
+    # per parity: the modes, their places in ns and their columns in the window
+    windows, picks = [], []
+    for parity in (0, 1):
+        own = np.flatnonzero(modes % 2 == parity)
+        if own.size:
+            j = modes[own] // 2
+            windows.append((parity, int(j.min()), int(j.max())))
+            picks.append((own, j - j.min()))
+    # rows[s][i] holds the requested vectors of window s at node i, zero-padded
+    # to the widest basis (zero coefficients leave F_n unchanged); the largest
+    # tau comes first, as its basis is the widest unless a node retries wider
+    rows = [np.zeros((tau_nodes, own.size, 0)) for own, _ in picks]
+    for i in reversed(range(tau_nodes)):
+        vecs = window_vectors(ProblemParams(alpha=a, c=float(taus[i])), windows)
+        for s, (v, (_, cols)) in enumerate(zip(vecs, picks)):
+            if v.shape[0] > rows[s].shape[2]:
+                rows[s] = np.pad(rows[s], ((0, 0), (0, 0), (0, v.shape[0] - rows[s].shape[2])))
+            rows[s][i, :, :v.shape[0]] = v[:, cols].T
+    f_n = np.empty((tau_nodes, modes.size))
+    for (parity, _, _), (own, _), r in zip(windows, picks, rows):
+        f_n[:, own] = _f_n_rows(a, parity, r)
+    vals = (f_n - modes) / taus[:, None]
+    out = log_pref + k * math.log(c) + np.dot(0.5 * c * w, vals).reshape(ns.shape)
     if not np.all(np.isfinite(out)):
         raise RuntimeError(f"log |mu_n| is not finite at {params}, n = {n}")
     return out if out.ndim else float(out)

@@ -7,10 +7,14 @@ k (k + 2 alpha + 1) and the c^2 x^2 potential couples k-2, k, k+2 through
 the squared multiplication-by-x recurrence, so the operator splits into two
 symmetric tridiagonal blocks (even and odd degrees).  Eigenvalues chi_n and
 Jacobi coefficient vectors of the eigenfunctions psi_n come out of a
-symmetric tridiagonal eigensolve per parity block.  A block that keeps few
-of its modes (32 k <= R for k kept of R rows, as when c is large and n_max
-small) solves for those k eigenpairs alone; other blocks take the full
-solve and keep the first k.  A block with no kept mode is not solved.
+symmetric tridiagonal eigensolve per parity block.  One kernel solves a
+window of consecutive modes in one block: a window of k modes in a block of
+R rows (32 k <= R, as when c is large and the window short) is solved for
+those k eigenpairs alone; other windows take the full solve and keep their
+k.  chi_spectrum solves the window from mode 0 up to n_max in each block (a
+block with no kept mode is not solved); window_vectors solves windows that
+start higher, for callers such as the explicit formula's tau loop that need
+only a few modes and no signs.
 
 Normalization: int psi_n^2 (1-x^2)^alpha dx = 1 (automatic, the basis is
 orthonormal) and psi_n(1) > 0.  For c beyond ~50 the first modes have
@@ -23,6 +27,7 @@ wherever psi_n(1) is resolved.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +82,17 @@ class ChiSpectrum:
         return float(self.chis[n])
 
     def q(self, n: int) -> float:
-        """Spectral ratio c^2 / chi_n (the oscillatory regime has q < 1); 0 where
-        c * c is 0, as the solver reads only c * c and gives the c = 0 spectrum."""
+        """Spectral ratio c^2 / chi_n (the oscillatory regime has q < 1).
+
+        c is taken as 0, and q is 0, wherever chi_0 (about c^2 / (2 alpha + 3))
+        is not a normal double, c below about 1.5e-154 sqrt(2 alpha + 3): there
+        c * c and chi_0 keep too few digits to divide (or underflow to 0), and
+        the solved spectrum is the c = 0 one to rounding.
+        """
+        if not self.chis[0] >= sys.float_info.min:
+            return 0.0
         c = self.params.c
-        return c * c / self.chi(n) if c * c else 0.0
+        return c * c / self.chi(n)
 
     def eigenfunction(self, n: int) -> "GpswfFunction":
         if not 0 <= n <= self.n_max:
@@ -162,47 +174,86 @@ def _sign_reference(alpha: float, b: np.ndarray, parity: int, rows: int) -> np.n
     return np.concatenate(([1.0], np.cumprod(-b[1:2 * rows - 1:2] / b[2:2 * rows - 1:2])))
 
 
-def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
-    params = ProblemParams(alpha=alpha, c=c)
-    b = sym_offdiag(alpha, n_trunc + 1)
-    b2 = b * b
-    k = np.arange(n_trunc, dtype=float)
-    diag_full = k * (k + 2 * alpha + 1) + c * c * (b2[:n_trunc] + b2[1:n_trunc + 1])
+def _block(alpha: float, c: float, b: np.ndarray, parity: int, lo: int, hi: int,
+           n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs j = lo..hi of one parity block, modes n = 2 j + parity.
 
+    The block has rows for the degrees parity, parity + 2, ... below n_trunc;
+    ``b`` holds the offdiagonals sym_offdiag(alpha, m) for some m >= n_trunc.
+    Returns the window's chi and its vectors as columns over the block's own
+    degrees, signs as the solver gives them.  The window alone is solved when
+    32 (hi - lo + 1) <= rows; otherwise the full solve is sliced.  Raises
+    TruncationError, naming the first window mode whose last two
+    coefficients carry mass above 1e-12.
+    """
+    idx = np.arange(parity, n_trunc, 2)
+    k = idx.astype(float)
+    d = k * (k + 2 * alpha + 1) + c * c * (b[idx] ** 2 + b[idx + 1] ** 2)
+    e = c * c * b[idx[:-1] + 1] * b[idx[:-1] + 2]
+    if _SELECT_RATIO * (hi - lo + 1) <= idx.size:
+        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(lo, hi))
+        vecs[np.abs(vecs) < _CHOP] = 0.0
+    else:
+        vals, vecs = eigh_tridiagonal(d, e)
+        vals, vecs = vals[lo:hi + 1], vecs[:, lo:hi + 1]
+    tail = vecs[-2] ** 2 + vecs[-1] ** 2
+    bad = np.flatnonzero(tail > _TAIL_TOL)
+    if bad.size:
+        n, mass = 2 * (lo + bad[0]) + parity, tail[bad[0]]
+        raise TruncationError(
+            f"truncation N={n_trunc} too small for mode n={n} at "
+            f"(alpha={alpha}, c={c}): trailing coefficient mass {mass:.3e}; "
+            f"retry with n_trunc={2 * n_trunc}",
+            required=2 * n_trunc,
+        )
+    return vals, vecs
+
+
+def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
+    b = sym_offdiag(alpha, n_trunc + 1)
     chis = np.empty(n_max + 1)
     coeffs = np.zeros((n_max + 1, n_trunc))
-
     for parity in (0, 1):
         n_here = np.arange(parity, n_max + 1, 2)
         if n_here.size == 0:
             continue
-        idx = np.arange(parity, n_trunc, 2)
-        d = diag_full[idx]
-        e = c * c * b[idx[:-1] + 1] * b[idx[:-1] + 2]
-        kept = n_here.size
-        if _SELECT_RATIO * kept <= idx.size:
-            vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, kept - 1))
-            vecs[np.abs(vecs) < _CHOP] = 0.0
-        else:
-            vals, vecs = eigh_tridiagonal(d, e)
-            vals, vecs = vals[:kept], vecs[:, :kept]
-        tail = vecs[-2] ** 2 + vecs[-1] ** 2
-        bad = np.flatnonzero(tail > _TAIL_TOL)
-        if bad.size:
-            n, mass = n_here[bad[0]], tail[bad[0]]
-            raise TruncationError(
-                f"truncation N={n_trunc} too small for mode n={n} at "
-                f"(alpha={alpha}, c={c}): trailing coefficient mass {mass:.3e}; "
-                f"retry with n_trunc={2 * n_trunc}",
-                required=2 * n_trunc,
-            )
+        vals, vecs = _block(alpha, c, b, parity, 0, n_here.size - 1, n_trunc)
         # (-1)^(n//2) psi_n(0) > 0 for even n, (-1)^(n//2) psi_n'(0) > 0 for odd n
-        at_zero = _sign_reference(alpha, b, parity, idx.size) @ vecs
+        at_zero = _sign_reference(alpha, b, parity, vecs.shape[0]) @ vecs
         vecs[:, (at_zero < 0) != (n_here % 4 >= 2)] *= -1.0
         chis[n_here] = vals
-        coeffs[np.ix_(n_here, idx)] = vecs.T
-    return ChiSpectrum(params=params, n_max=n_max, n_trunc=n_trunc,
-                       chis=chis, coeffs=coeffs)
+        coeffs[n_here, parity::2] = vecs.T
+    return ChiSpectrum(params=ProblemParams(alpha=alpha, c=c), n_max=n_max,
+                       n_trunc=n_trunc, chis=chis, coeffs=coeffs)
+
+
+def _at_default_basis(solve, n_max: int, c: float):
+    """solve(n_trunc) at default_truncation(n_max, c), retried once at the
+    basis size a TruncationError asks for."""
+    try:
+        return solve(default_truncation(n_max, c))
+    except TruncationError as exc:
+        return solve(exc.required)
+
+
+def window_vectors(params: ProblemParams, windows) -> list[np.ndarray]:
+    """Unsigned eigenvectors of mode windows, in the basis chi_spectrum uses.
+
+    ``windows`` holds (parity, lo, hi) triples, each the modes 2 j + parity
+    for j = lo..hi; the basis is that of chi_spectrum(params, n_max) with
+    n_max the largest of these modes, retried once as there.  Gives, per
+    window, the block's vectors as columns over its own degrees parity,
+    parity + 2, ...: the same eigenpairs that chi_spectrum computes, without
+    its sign fixing, and with only the window solved where it is small
+    against the block.  Raises TruncationError as chi_spectrum does, on the
+    window modes only.
+    """
+    def solve(n_trunc):
+        b = sym_offdiag(params.alpha, n_trunc + 1)
+        return [_block(params.alpha, params.c, b, parity, lo, hi, n_trunc)[1]
+                for parity, lo, hi in windows]
+    n_max = max(2 * hi + parity for parity, _, hi in windows)
+    return _at_default_basis(solve, n_max, params.c)
 
 
 def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) -> ChiSpectrum:
@@ -222,10 +273,8 @@ def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) 
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_trunc is None:
-        try:
-            return _solve(params.alpha, params.c, n_max, default_truncation(n_max, params.c))
-        except TruncationError as exc:
-            return _solve(params.alpha, params.c, n_max, exc.required)
+        return _at_default_basis(lambda n: _solve(params.alpha, params.c, n_max, n),
+                                 n_max, params.c)
     if n_trunc < n_max + 3:
         raise ValueError(f"n_trunc={n_trunc} too small for n_max={n_max}")
     return _solve(params.alpha, params.c, n_max, n_trunc)

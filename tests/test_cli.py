@@ -131,6 +131,19 @@ def test_approx_mode_zero_at_c_zero(tmp_path):
         assert proc.stderr.count("\n") == 1
 
 
+def test_approx_never_fails_where_chi_0_is_subnormal(capsys):
+    # c in [1e-163, 1e-150]: c * c or chi_0 underflows; each run either
+    # succeeds or refuses in one line
+    for alpha in ("-0.5", "0.5", "3"):
+        for c in np.logspace(-163, -150, 40):
+            for kind in ("jacobi", "bessel"):
+                code = main(["approx", "--kind", kind, "--alpha", alpha, "--c", repr(float(c)),
+                             "--n", "0", "--grid", "21"])
+                err = capsys.readouterr().err
+                assert code == 0 and err == "" or (
+                    code in (1, 2) and err.startswith("error: ") and err.count("\n") == 1)
+
+
 def test_approx_jacobi_refuses_alpha_out_of_range():
     proc = run_cli(["approx", "--kind", "jacobi", "--alpha", "2.0", "--c", "2",
                     "--n", "10"])

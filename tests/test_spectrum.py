@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import special as sp
-from scipy.linalg import eigh
+from scipy.linalg import eigh, solve_banded
 
 import gpswf as g
-from gpswf.specfun import jacobi_h
+from gpswf.specfun import jacobi_h, jacobi_series_deriv_coeffs, sym_offdiag, total_mass
 from gpswf.spectrum import (_nystrom_lambdas, default_nystrom_size, fourier_jacobi_moments,
                             log_mu_magnitude)
 
@@ -280,6 +280,7 @@ def test_spectrum_keeps_every_discrete_value():
     cnt = g.counting(p, 0.5)
     assert cnt.n_quad == op.n_quad
     assert cnt.hs_norm_value == op.hs_discrete
+    assert op.counting(0.5) == cnt
 
 
 @pytest.mark.parametrize("alpha, c", [(0.5, 5.0), (1.3, 20.0), (0.0, 10.0)])
@@ -375,7 +376,7 @@ def test_mu_explicit_at_alpha_minus_half(c):
 def test_explicit_route_refuses_a_non_finite_log(monkeypatch):
     import gpswf.spectrum as spectrum
 
-    monkeypatch.setattr(spectrum, "f_n_moment", lambda *args: math.nan)
+    monkeypatch.setattr(spectrum, "_f_n_rows", lambda *args: math.nan)
     p = g.ProblemParams(alpha=0.5, c=2.0)
     for route in (g.mu_explicit, spectrum.log_mu_magnitude):
         with pytest.raises(RuntimeError, match="not finite"):
@@ -484,6 +485,82 @@ def test_f_n_matches_mpmath(alpha, c, n):
     assert abs(g.f_n_moment(spec, n) - float(exact)) <= 1e-13
 
 
+def f_n_full_width(spectrum, ns):
+    """F_n by one (0, 2)-banded connection solve over full-width coefficient rows.
+
+    The form f_n_moment had before it split the rows by parity: reference for
+    the parity-split kernel, which must agree with it to rounding.
+    """
+    a, size = spectrum.params.alpha, spectrum.n_trunc
+    coeffs = spectrum.coeffs[ns]
+    b = sym_offdiag(a, size - 1)
+    b_up = sym_offdiag(a + 1.0, size - 1)
+    d = jacobi_series_deriv_coeffs(coeffs, a)
+    e = np.zeros(coeffs.shape)
+    e[..., 1:] = b_up[1:] * d
+    e[..., :-2] += b_up[1:-1] * d[..., 1:]
+    p = math.sqrt(total_mass(a + 1.0) / total_mass(a)) \
+        * np.concatenate(([1.0], np.cumprod(b_up[1:] / b[1:])))
+    banded = np.zeros((3, size))
+    banded[0, 2:] = -b[2:] * b[1:-1] / p[:-2]
+    banded[2] = p
+    g_ = solve_banded((0, 2), banded, e.reshape(-1, size).T).T.reshape(e.shape)
+    return np.sum(coeffs * g_, axis=-1)
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 1.4, 3.0])
+def test_f_n_matches_full_width_solve(alpha):
+    for c in (0.0, 1.0, 30.0, 150.0):
+        spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), 60)
+        ns = np.arange(61)
+        gap = np.abs(g.f_n_moment(spec, ns) - f_n_full_width(spec, ns))
+        assert np.all(gap <= 1e-13 * np.maximum(1, ns))
+        assert g.f_n_moment(spec, 7) == g.f_n_moment(spec, ns)[7]
+
+
+def log_mu_per_node(params, ns, tau_nodes=64):
+    """log |mu_n| with a full Sturm solve and f_n_moment at every tau node.
+
+    Oracle for log_mu_magnitude, which solves only the window of requested
+    modes at each node and shares one F_n solve among all nodes: here each
+    node solves chi_spectrum(p_tau, max n), every mode from 0 up, with signs
+    fixed, and calls f_n_moment on it.
+    """
+    a, c = params.alpha, params.c
+    k = ns.astype(float)
+    at_zero = k == 0
+    log_pref = (0.5 * math.log(math.pi) + sp.gammaln(k + a + 1.0)
+                + np.where(at_zero, 0.0, sp.gammaln(k + 2 * a + 1.0))
+                - sp.gammaln(k + a + 1.5)
+                - np.where(at_zero, 0.0, sp.gammaln(2 * k + 2 * a + 1.0)))
+    t, w = np.polynomial.legendre.leggauss(tau_nodes)
+    vals = [(g.f_n_moment(g.chi_spectrum(g.ProblemParams(a, float(tau)), int(ns.max())), ns)
+             - ns) / tau for tau in 0.5 * c * (t + 1.0)]
+    return log_pref + k * math.log(c) + np.dot(0.5 * c * w, np.array(vals))
+
+
+def assert_matches_per_node(params, ns, tau_nodes=64):
+    got = log_mu_magnitude(params, ns, tau_nodes)
+    want = log_mu_per_node(params, ns, tau_nodes)
+    assert got.shape == ns.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 1.4, 3.0])
+@pytest.mark.parametrize("c", [0.1, 1.0, 10.0, 30.0, 150.0])
+def test_log_mu_matches_per_node_oracle(alpha, c):
+    p = g.ProblemParams(alpha=alpha, c=c)
+    for ns in (np.arange(20), np.array([0, 1, 5, 101]), np.array([12]), np.arange(40, 56)):
+        assert_matches_per_node(p, ns)
+
+
+def test_log_mu_matches_per_node_oracle_on_fine_rule_and_cli_window():
+    assert_matches_per_node(g.ProblemParams(alpha=0.5, c=10.0), np.arange(5, 20), 256)
+    # the window gpswf spectrum uses at c = 400: each block solves its 8 modes alone
+    lo = int(math.e * 400.0 / 2) + 2
+    assert_matches_per_node(g.ProblemParams(alpha=0.5, c=400.0), np.arange(lo, lo + 16))
+
+
 def count_calls(monkeypatch, names=("gauss_jacobi", "jacobi_series_eval")):
     """Record calls to the named functions through every gpswf module binding."""
     calls = []
@@ -516,6 +593,17 @@ def test_nystrom_spectrum_builds_one_rule_and_runs_one_clenshaw(monkeypatch):
                                       "fourier_jacobi_moments"))
     g.nystrom_spectrum(g.ProblemParams(alpha=0.5, c=10.0), n_keep=12)
     assert sorted(calls) == ["fourier_jacobi_moments", "gauss_jacobi", "jacobi_series_eval"]
+
+
+def test_explicit_route_solves_no_spectrum_and_one_f_n_system_per_parity(monkeypatch):
+    calls = count_calls(monkeypatch, ("chi_spectrum", "solve_banded"))
+    log_mu_magnitude(g.ProblemParams(alpha=0.5, c=10.0), np.arange(15, 31))
+    assert calls.count("chi_spectrum") == 0
+    assert calls.count("solve_banded") <= 2
+    calls.clear()
+    # decay_check's one spectrum solve is its admissibility filter
+    g.decay_check(g.ProblemParams(alpha=0.5, c=10.0), range(15, 31))
+    assert calls.count("chi_spectrum") == 1
 
 
 def test_f_n_weighted_identity():

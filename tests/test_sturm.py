@@ -1,6 +1,7 @@
 """Sturm-Liouville solver tests: brackets, parity, residuals, oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +133,47 @@ def test_few_mode_solve_matches_many_mode_solve(monkeypatch, alpha, c):
     psi_many = jacobi_series_eval(many.coeffs[:6], alpha, xs)
     sup = np.max(np.abs(psi_many), axis=1, keepdims=True)
     assert np.all(np.abs(psi_few - psi_many) <= 1e-11 * sup)
+
+
+@pytest.mark.parametrize("alpha, c, lo", [(0.5, 10.0, 9), (1.3, 400.0, 20), (-0.5, 0.5, 0)])
+def test_window_vectors_match_chi_spectrum_up_to_sign(alpha, c, lo):
+    # at c = 400 each 4-mode window of a ~250-row block is solved alone
+    params = g.ProblemParams(alpha=alpha, c=c)
+    hi = lo + 3
+    n_max = 2 * hi + 1
+    spec = g.chi_spectrum(params, n_max)
+    vecs = sturm.window_vectors(params, [(0, lo, hi), (1, lo, hi)])
+    for parity, v in enumerate(vecs):
+        assert v.shape == (len(range(parity, spec.n_trunc, 2)), 4)
+        want = spec.coeffs[2 * np.arange(lo, hi + 1) + parity, parity::2].T
+        signs = np.sign(np.sum(v * want, axis=0))
+        assert np.max(np.abs(v * signs - want)) <= 1e-12
+
+
+def test_window_vectors_retry_once_and_refuse(monkeypatch):
+    p = g.ProblemParams(alpha=0.5, c=10.0)
+    monkeypatch.setattr(sturm, "default_truncation", lambda n_max, c: 12)
+    (v,) = sturm.window_vectors(p, [(0, 1, 2)])
+    assert v.shape == (12, 2)     # 24 terms, 12 of them even
+    monkeypatch.setattr(sturm, "default_truncation", lambda n_max, c: 10)
+    with pytest.raises(TruncationError, match="mode n=2"):
+        sturm.window_vectors(p, [(0, 1, 2)])
+
+
+def test_q_where_chi_0_is_not_a_normal_double():
+    # c counts as 0, and q is 0, wherever chi_0 ~ c^2/(2 alpha + 3) is not a
+    # normal double; elsewhere q_0 is its c -> 0 limit 2 alpha + 3
+    for alpha in (-0.5, 0.5, 3.0):
+        seen = set()
+        for c in np.logspace(-163, -150, 40):
+            spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=float(c)), 1)
+            normal = spec.chis[0] >= sys.float_info.min
+            seen.add(normal)
+            if normal:
+                assert abs(spec.q(0) - (2 * alpha + 3)) <= 1e-12 * (2 * alpha + 3)
+            else:
+                assert spec.q(0) == 0.0 and spec.q(1) == 0.0
+        assert seen == {True, False}
 
 
 def test_large_c_few_modes():
