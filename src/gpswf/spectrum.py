@@ -19,12 +19,20 @@ Three computational routes, cross-checked against each other:
 * Explicit product formula: mu_n = i^n sqrt(pi) * Gamma-ratio * c^n
   exp(Phi_n) with Phi_n = int_0^c (F_n(tau) - n)/tau dtau, evaluated in log
   space by one function, log_mu_magnitude; mu_explicit and
-  log_lambda_explicit are one-line uses of it.  Each tau node solves only
-  the window of requested modes in each parity block, and F_n comes from
-  their Jacobi coefficients, with no quadrature rule in x: the rows of all
-  nodes share one banded connection solve per parity.  This is the only
-  trustworthy route once lambda_n drops under the double-precision floor,
-  and it is what the decay diagnostics use.
+  log_lambda_explicit are one-line uses of it.  Phi_n is integrated on
+  adaptive Gauss-Kronrod panels (QUADPACK's G7/K15 pair) with an error
+  estimate per mode: a mode is accepted once its estimate, less the rounding
+  floor 50 eps int |integrand|, is at most 1e-13 max(1, |log |mu_n||), each
+  mode bisects only its own panels whose estimate exceeds their share of
+  that, and a mode that needs more than 256 panels is refused by name.
+  Each round of panels is one batch: every node solves only the runs of open
+  modes in each parity block, by bisection and inverse iteration, and
+  F_n - n comes from their Jacobi coefficients, with no quadrature rule in
+  x, by one banded connection solve per parity for all nodes.  On the decay
+  window (n >= e c/2) one panel, 15 nodes, meets the tolerance.  This is the
+  only trustworthy route once lambda_n drops under the double-precision
+  floor, and it is what the decay diagnostics use; DecayReport carries the
+  estimate.
 
 Trace and Hilbert-Schmidt closed forms plus the counting bounds for
 #{lambda_n >= delta} complete the module.
@@ -196,17 +204,19 @@ def fourier_jacobi_moments(alpha: float, u, n_modes: int) -> np.ndarray:
 
 
 def _modes(n) -> np.ndarray:
-    """n as an array of mode indices; an empty one is refused."""
+    """n as an array of mode indices; an empty one, or a negative index, is refused."""
     ns = np.asarray(n)
     if ns.size == 0:
         raise ValueError("no mode index given")
+    if np.any(ns < 0):
+        raise ValueError(f"mode index {ns} is negative")
     return ns
 
 
 def _spectrum_modes(spectrum: ChiSpectrum, n) -> np.ndarray:
     """n as an array of modes that spectrum holds; a mode it lacks is refused."""
     ns = _modes(n)
-    if np.any(ns < 0) or np.any(ns > spectrum.n_max):
+    if np.any(ns > spectrum.n_max):
         raise ValueError(f"mode index {ns} outside computed range 0..{spectrum.n_max}")
     return ns
 
@@ -245,36 +255,45 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
     return mus.reshape(ns.shape) if ns.ndim else complex(mus[0])
 
 
-def _f_n_rows(alpha: float, parity: int, rows: np.ndarray) -> np.ndarray:
-    """F_n = int x psi_n psi_n' (1-x^2)^alpha dx for a stack of psi_n of one parity.
+def _f_n_rows(alpha: float, parity: int, rows: np.ndarray, n) -> np.ndarray:
+    """F_n - n, F_n = int x psi_n psi_n' (1-x^2)^alpha dx, for a stack of psi_n of one parity.
 
     rows[..., i] is the coefficient of Ptilde_(2i + parity), so every row is
-    in that parity's own columns.  x psi_n' has coefficients e in the
-    Ptilde^(alpha+1) basis, and the two-term connection Ptilde^alpha_k =
-    p_k Ptilde^(alpha+1)_k + q_k Ptilde^(alpha+1)_(k-2) (DLMF 18.9.7,
-    normalised) turns them into alpha-basis coefficients g by solving B g = e;
-    then F_n = psi_n . g.  B keeps the parity, so on these columns it is upper
-    bidiagonal, and one banded solve serves every row.  p_k is the ratio of
-    the two leading coefficients and q_k = -b_k b_(k-1) / p_(k-2), with b the
-    alpha offdiagonals, so both stay finite at alpha = -1/2.
+    in that parity's own columns, and n (broadcast against rows[..., 0]) is
+    each row's mode.  x psi_n' has coefficients e in the Ptilde^(alpha+1)
+    basis, and the two-term connection Ptilde^alpha_k = p_k Ptilde^(alpha+1)_k
+    + q_k Ptilde^(alpha+1)_(k-2) (DLMF 18.9.7, normalised) turns them into
+    alpha-basis coefficients g by solving B g = e; then F_n = psi_n . g.  B
+    keeps the parity, so on these columns it is upper bidiagonal, and one
+    banded solve serves every row.  The degree-k part of e is k p_k psi_k, so
+    g = k psi + B^-1 r with r the rest of e - B (k psi), and
+    F_n - n |psi_n|^2 = sum (k - n) psi_k^2 + psi_n . B^-1 r.  That form has
+    no cancellation: at c = 0 it is exactly 0, and it stays O(c^2) with no
+    rounding offset as c -> 0, which the explicit formula's (F_n - n)/tau
+    needs.  p_k = b^(alpha+1)_k sqrt(k (k + 2 alpha + 1)) / k, the ratio of
+    the two leading coefficients, and q_k = -b_k b_(k-1) / p_(k-2), with b
+    the alpha offdiagonals, so both stay finite at alpha = -1/2.
     """
     size = rows.shape[-1]
     m = np.arange(parity, parity + 2 * size, 2)
     b = sym_offdiag(alpha, int(m[-1]))
     b_up = sym_offdiag(alpha + 1.0, int(m[-1]))
-    # psi' has coefficient d_(k-1) = psi_k sqrt(k (k + 2 alpha + 1)) on
-    # Ptilde^(alpha+1)_(k-1), and x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1)
-    d = rows * np.sqrt(m * (m + 2 * alpha + 1))
-    e = b_up[m] * d
-    d[..., 1:] *= b_up[m[:-1] + 1]
-    e[..., :-1] += d[..., 1:]
-    p = math.sqrt(total_mass(alpha + 1.0) / total_mass(alpha)) \
-        * np.concatenate(([1.0], np.cumprod(b_up[1:] / b[1:])))
+    k = np.arange(1, m[-1] + 1, dtype=float)
+    p = np.concatenate(([math.sqrt(total_mass(alpha + 1.0) / total_mass(alpha))],
+                        b_up[1:m[-1] + 1] * np.sqrt(k * (k + 2 * alpha + 1)) / k))
+    q = -b[m[1:]] * b[m[1:] - 1] / p[m[:-1]]
+    # psi' has coefficient psi_k sqrt(k (k + 2 alpha + 1)) on
+    # Ptilde^(alpha+1)_(k-1), and x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1):
+    # beyond its degree-k part, x psi' puts b_(k-1) times that on degree k - 2
+    r = np.zeros_like(rows)
+    r[..., :-1] = (b_up[m[1:] - 1] * np.sqrt(m[1:] * (m[1:] + 2 * alpha + 1))
+                   - q * m[1:]) * rows[..., 1:]
     banded = np.zeros((2, size))
-    banded[0, 1:] = -b[m[1:]] * b[m[1:] - 1] / p[m[:-1]]
+    banded[0, 1:] = q
     banded[1] = p[m]
-    g = solve_banded((0, 1), banded, e.reshape(-1, size).T, overwrite_b=True).T.reshape(e.shape)
-    return np.sum(rows * g, axis=-1)
+    h = solve_banded((0, 1), banded, r.reshape(-1, size).T, overwrite_b=True).T.reshape(r.shape)
+    return (np.sum((m - np.asarray(n, dtype=float)[..., None]) * rows ** 2, axis=-1)
+            + np.sum(rows * h, axis=-1))
 
 
 def f_n_moment(spectrum: ChiSpectrum, n):
@@ -290,69 +309,221 @@ def f_n_moment(spectrum: ChiSpectrum, n):
     for parity in (0, 1):
         own = modes % 2 == parity
         if own.any():
-            out[own] = _f_n_rows(spectrum.params.alpha, parity,
-                                 spectrum.coeffs[modes[own], parity::2])
+            out[own] = modes[own] + _f_n_rows(spectrum.params.alpha, parity,
+                                              spectrum.coeffs[modes[own], parity::2],
+                                              modes[own])
     return out.reshape(ns.shape) if ns.ndim else float(out[0])
 
 
-def log_mu_magnitude(params: ProblemParams, n, tau_nodes: int = 64):
-    """log |mu_n| from the explicit product formula, safe for any decay depth.
+# QUADPACK's qk15 rule on [-1, 1] (Piessens et al., 1983): the 15 Kronrod
+# nodes, ascending, with their weights; the 7 Gauss nodes are every second one
+_GK_NODES = np.array([
+    -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
+    -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
+    -0.586087235467691130294144838258730, -0.405845151377397166906606412076961,
+    -0.207784955007898467600689403773245, 0.0,
+    0.207784955007898467600689403773245, 0.405845151377397166906606412076961,
+    0.586087235467691130294144838258730, 0.741531185599394439863864773280788,
+    0.864864423359769072789712788640926, 0.949107912342758524526189684047851,
+    0.991455371120812639206854697526329])
+_GK_WEIGHTS = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+    0.204432940075298892414161999234649, 0.190350578064785409913256402421014,
+    0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
+    0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
+    0.022935322010529224963732008058970])
+_G_WEIGHTS = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+    0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
+    0.129484966168869693270611432679082])
+# a mode's Phi_n is accepted once its summed estimate above the rounding floor
+# is at most _PHI_TOL max(1, |log |mu_n||); a mode needing more than
+# _MAX_PANELS panels is refused
+_PHI_TOL = 1e-13
+_MAX_PANELS = 256
 
-    log |mu_n| = log(sqrt(pi) Gamma-ratio) + n log c + Phi_n with
-    Phi_n = int_0^c (F_n(tau) - n)/tau dtau on a tau_nodes-point
-    Gauss-Legendre rule.  The integrand extends by 0 at tau = 0 (it is
-    O(tau)); interior nodes never sample the endpoint.  n is a mode index or
-    an array of them.  At each node only the window of modes between the
-    smallest and largest n of each parity is solved (sturm.window_vectors,
-    in the basis chi_spectrum would use for the largest n); F_n is quadratic
-    in psi_n, so the vectors need no sign fixing.  The rows of every node
-    then share one banded F_n solve per parity.  A non-finite value is
-    refused, not returned.
+
+def _windows(modes: np.ndarray):
+    """The windows (parity, lo, hi) of modes 2 j + parity to solve for modes,
+    one per run of consecutive j, and per parity present the pick
+    (parity, slice of its windows, places of its modes in modes, their
+    columns in its windows' solutions laid side by side)."""
+    windows, picks = [], []
+    for parity in (0, 1):
+        own = np.flatnonzero(modes % 2 == parity)
+        if own.size:
+            js = np.unique(modes[own] // 2)
+            ends = np.flatnonzero(np.diff(js) > 1)
+            first = len(windows)
+            windows += [(parity, int(lo), int(hi)) for lo, hi in
+                        zip(js[np.r_[0, ends + 1]], js[np.r_[ends, js.size - 1]])]
+            picks.append((parity, slice(first, len(windows)), own,
+                          np.searchsorted(js, modes[own] // 2)))
+    return windows, picks
+
+
+def _side_by_side(solved, windows: slice, part: int) -> np.ndarray:
+    """Part 0 (chi) or 1 (vectors) of the solved windows in the slice, laid side by side."""
+    return np.concatenate([pair[part] for pair in solved[windows]], axis=-1)
+
+
+def _phi_integrand(params: ProblemParams, modes: np.ndarray, taus: np.ndarray,
+                   n_max: int | None = None) -> np.ndarray:
+    """(F_n(tau) - n) / tau, rows over taus > 0 and columns over modes.
+
+    At each tau only the requested modes are solved, one window per run of
+    consecutive modes of a parity (sturm.window_vectors, in the basis
+    chi_spectrum would use for n_max, by default the largest n); F_n is
+    quadratic in psi_n, so the vectors need no sign fixing.  The rows of
+    every tau then share one banded F_n solve per parity.
+    """
+    windows, picks = _windows(modes)
+    # rows[s][i] holds the requested vectors of parity pick s at tau i,
+    # zero-padded to the widest basis (zero coefficients leave F_n unchanged);
+    # the largest tau comes first, as its basis is the widest unless a solve
+    # retries wider
+    rows = [np.zeros((taus.size, own.size, 0)) for _, _, own, _ in picks]
+    for i in np.argsort(taus)[::-1]:
+        solved = window_vectors(ProblemParams(alpha=params.alpha, c=float(taus[i])), windows,
+                                n_max)
+        for s, (_, runs, _, cols) in enumerate(picks):
+            v = _side_by_side(solved, runs, 1)
+            if v.shape[0] > rows[s].shape[2]:
+                rows[s] = np.pad(rows[s], ((0, 0), (0, 0), (0, v.shape[0] - rows[s].shape[2])))
+            rows[s][i, :, :v.shape[0]] = v[:, cols].T
+    shifted = np.empty((taus.size, modes.size))
+    for (parity, _, own, _), r in zip(picks, rows):
+        shifted[:, own] = _f_n_rows(params.alpha, parity, r, modes[own])
+    return shifted / taus[:, None]
+
+
+def _gk15(f: np.ndarray, half: np.ndarray):
+    """QUADPACK qk15 value, error estimate and rounding floor per panel and mode.
+
+    f[p, i, m] is the integrand of mode m at Kronrod node i of panel p, whose
+    half-width is half[p].  The estimate is |K15 - G7| scaled as QUADPACK
+    does, resasc min(1, (200 |K15 - G7| / resasc)^1.5), which discounts a
+    difference at the rounding level of smooth values, and it is never below
+    the rounding floor 50 eps resabs, resabs the rule applied to |f|.
+    """
+    h = half[:, None]
+    kron = np.einsum("i,pim->pm", _GK_WEIGHTS, f)
+    gauss = np.einsum("i,pim->pm", _G_WEIGHTS, f[:, 1::2])
+    resabs = h * np.einsum("i,pim->pm", _GK_WEIGHTS, np.abs(f))
+    resasc = h * np.einsum("i,pim->pm", _GK_WEIGHTS, np.abs(f - 0.5 * kron[:, None]))
+    err = h * np.abs(kron - gauss)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0) & (err != 0), scaled, err)
+    floor = 50.0 * np.finfo(float).eps * resabs
+    return h * kron, np.maximum(err, floor), floor
+
+
+def _log_mu_with_error(params: ProblemParams, n):
+    """log |mu_n| and the estimate of its error, both shaped as n.
+
+    Phi_n = int_0^c (F_n(tau) - n)/tau dtau on adaptive Gauss-Kronrod panels
+    (see log_mu_magnitude).
     """
     a, c = params.alpha, params.c
     if c <= 0:
         raise ValueError("the explicit formula requires c > 0")
     ns = _modes(n)
     modes = ns.reshape(-1)
-    if np.any(modes < 0):
-        raise ValueError(f"mode index {ns} is negative")
-    k = ns.astype(float)
+    k = modes.astype(float)
     # Gamma(k + 2a + 1) / Gamma(2k + 2a + 1) is 1 at k = 0, so both terms
     # drop out there; their logs are inf - inf at a = -1/2
     at_zero = k == 0
-    log_pref = (0.5 * math.log(math.pi)
-                + _sp.gammaln(k + a + 1.0)
-                + np.where(at_zero, 0.0, _sp.gammaln(k + 2 * a + 1.0))
-                - _sp.gammaln(k + a + 1.5)
-                - np.where(at_zero, 0.0, _sp.gammaln(2 * k + 2 * a + 1.0)))
-    t, w = np.polynomial.legendre.leggauss(tau_nodes)
-    taus = 0.5 * c * (t + 1.0)
-    # per parity: the modes, their places in ns and their columns in the window
-    windows, picks = [], []
-    for parity in (0, 1):
-        own = np.flatnonzero(modes % 2 == parity)
-        if own.size:
-            j = modes[own] // 2
-            windows.append((parity, int(j.min()), int(j.max())))
-            picks.append((own, j - j.min()))
-    # rows[s][i] holds the requested vectors of window s at node i, zero-padded
-    # to the widest basis (zero coefficients leave F_n unchanged); the largest
-    # tau comes first, as its basis is the widest unless a node retries wider
-    rows = [np.zeros((tau_nodes, own.size, 0)) for own, _ in picks]
-    for i in reversed(range(tau_nodes)):
-        vecs = window_vectors(ProblemParams(alpha=a, c=float(taus[i])), windows)
-        for s, (v, (_, cols)) in enumerate(zip(vecs, picks)):
-            if v.shape[0] > rows[s].shape[2]:
-                rows[s] = np.pad(rows[s], ((0, 0), (0, 0), (0, v.shape[0] - rows[s].shape[2])))
-            rows[s][i, :, :v.shape[0]] = v[:, cols].T
-    f_n = np.empty((tau_nodes, modes.size))
-    for (parity, _, _), (own, _), r in zip(windows, picks, rows):
-        f_n[:, own] = _f_n_rows(a, parity, r)
-    vals = (f_n - modes) / taus[:, None]
-    out = log_pref + k * math.log(c) + np.dot(0.5 * c * w, vals).reshape(ns.shape)
+    base = (0.5 * math.log(math.pi)
+            + _sp.gammaln(k + a + 1.0)
+            + np.where(at_zero, 0.0, _sp.gammaln(k + 2 * a + 1.0))
+            - _sp.gammaln(k + a + 1.5)
+            - np.where(at_zero, 0.0, _sp.gammaln(2 * k + 2 * a + 1.0))
+            + k * math.log(c))
+    out, est = np.empty(modes.size), np.empty(modes.size)
+    open_ = np.ones(modes.size, dtype=bool)
+    # every panel evaluated so far, and leaf[p, m]: panel p is one of mode m's
+    # panels; a mode's panels partition [0, c], and it splits only its own
+    lo, hi = np.empty(0), np.empty(0)
+    value, error, floor = (np.empty((0, modes.size)) for _ in range(3))
+    leaf = np.empty((0, modes.size), dtype=bool)
+    new_lo, new_hi = np.array([0.0]), np.array([c])
+    new_leaf = np.ones((1, modes.size), dtype=bool)
+    while True:
+        half, mid = 0.5 * (new_hi - new_lo), 0.5 * (new_hi + new_lo)
+        taus = (mid[:, None] + half[:, None] * _GK_NODES).reshape(-1)
+        f = np.zeros((taus.size, modes.size))
+        # in the basis of the largest requested mode throughout, so that a
+        # mode's integrand does not change as other modes are accepted
+        f[:, open_] = _phi_integrand(params, modes[open_], taus, int(modes.max()))
+        if not np.all(np.isfinite(f)):
+            raise RuntimeError(f"log |mu_n| is not finite at {params}, n = {n}")
+        v, e, r = _gk15(f.reshape(new_lo.size, _GK_NODES.size, modes.size), half)
+        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+        value, error, floor, leaf = (np.concatenate(pair) for pair in
+                                     ((value, v), (error, e), (floor, r), (leaf, new_leaf)))
+        log_mu = base + np.sum(value, axis=0, where=leaf)
+        total = np.sum(error, axis=0, where=leaf)
+        # bisection cannot take an estimate below its rounding floor, so
+        # only the part above the floor is held to the tolerance
+        above = error - floor
+        tol = _PHI_TOL * np.maximum(1.0, np.abs(log_mu))
+        done = open_ & (np.sum(above, axis=0, where=leaf) <= tol)
+        out[done], est[done] = log_mu[done], total[done]
+        open_ &= ~done
+        if not open_.any():
+            break
+        # each open mode splits its panels whose estimate above the floor
+        # exceeds their width's share of the tolerance; at least one does,
+        # as the shares sum to the tolerance
+        split = leaf & open_ & (above > tol * ((hi - lo) / c)[:, None])
+        count = np.count_nonzero(leaf, axis=0) + np.count_nonzero(split, axis=0)
+        if np.any(count > _MAX_PANELS):
+            worst = np.flatnonzero(count > _MAX_PANELS)[0]
+            raise RuntimeError(
+                f"Phi_n integral for mode n = {modes[worst]} at {params} did not "
+                f"converge on {_MAX_PANELS} panels: error estimate {total[worst]:.3e} "
+                f"above the tolerance {tol[worst]:.3e}")
+        parents = np.flatnonzero(split.any(axis=1))
+        centre = 0.5 * (lo[parents] + hi[parents])
+        new_lo = np.concatenate([lo[parents], centre])
+        new_hi = np.concatenate([centre, hi[parents]])
+        new_leaf = np.concatenate([split[parents], split[parents]])
+        leaf &= ~split
     if not np.all(np.isfinite(out)):
         raise RuntimeError(f"log |mu_n| is not finite at {params}, n = {n}")
-    return out if out.ndim else float(out)
+    if ns.ndim:
+        return out.reshape(ns.shape), est.reshape(ns.shape)
+    return float(out[0]), float(est[0])
+
+
+def log_mu_magnitude(params: ProblemParams, n):
+    """log |mu_n| from the explicit product formula, safe for any decay depth.
+
+    log |mu_n| = log(sqrt(pi) Gamma-ratio) + n log c + Phi_n with
+    Phi_n = int_0^c (F_n(tau) - n)/tau dtau.  n is a mode index or an array
+    of them.  Phi_n is integrated on adaptive Gauss-Kronrod panels of [0, c]
+    (QUADPACK's G7/K15 pair), starting from one panel.  Each panel's estimate
+    is QUADPACK's, never below its rounding floor 50 eps int |integrand|.  A
+    mode is accepted once the sum of its panel estimates, less the sum of
+    their floors, is at most 1e-13 max(1, |log |mu_n||) (bisection cannot go
+    below the floor, which is ~1e-14 int |integrand|); until then it bisects
+    each of its own panels whose estimate above the floor exceeds that
+    panel's width's share of the tolerance.  Each round evaluates the 15
+    nodes of every new panel for every mode still open, as one batch
+    (_phi_integrand: one Sturm solve per node and one banded F_n solve per
+    parity, in the basis of the largest requested mode throughout).  On the
+    decay window (n >= e c/2) the integrand has no knee and one panel, 15
+    solves, is enough; a low mode at large c has one where tau^2 = chi_n(tau)
+    and takes more.  A mode that needs more than 256 panels is refused,
+    naming it and its estimate, and so is a non-finite value: nothing is
+    returned silently.  decay_check reports the estimate.
+    """
+    return _log_mu_with_error(params, n)[0]
 
 
 def mu_explicit(params: ProblemParams, n: int) -> complex:
@@ -360,10 +531,15 @@ def mu_explicit(params: ProblemParams, n: int) -> complex:
     return complex(_I_POWERS[n % 4]) * math.exp(log_mu_magnitude(params, n))
 
 
-def log_lambda_explicit(params: ProblemParams, n, tau_nodes: int = 64):
-    """log lambda_n via lambda = (c/2pi) |mu_n|^2 in log space; n may be an array."""
-    return math.log(params.c / (2.0 * math.pi)) \
-        + 2.0 * log_mu_magnitude(params, n, tau_nodes)
+def log_lambda_explicit(params: ProblemParams, n):
+    """log lambda_n via lambda = (c/2pi) |mu_n|^2 in log space; n may be an array.
+
+    log |mu_n| is log_mu_magnitude's, whose Gauss-Kronrod estimate less its
+    rounding floor is at most 1e-13 max(1, |log |mu_n||), so log lambda_n's
+    is at most twice that; a mode whose estimate does not meet the tolerance
+    within 256 panels is refused.
+    """
+    return math.log(params.c / (2.0 * math.pi)) + 2.0 * log_mu_magnitude(params, n)
 
 
 @dataclass(frozen=True)
@@ -373,6 +549,7 @@ class DecayReport:
     params: ProblemParams
     ns: np.ndarray
     log_lambdas: np.ndarray
+    log_lambda_errors: np.ndarray   # twice the Gauss-Kronrod estimate of log |mu_n|'s error
     rate_terms: np.ndarray      # (2n+1) log((4n + 4 alpha + 2)/(e c))
     slope: float                # fit of -log lambda_n against the rate term
     residuals: np.ndarray       # log lambda_n + rate term, bounded if decay holds
@@ -382,8 +559,13 @@ class DecayReport:
 def decay_check(params: ProblemParams, n_range) -> DecayReport:
     """Fit -log lambda_n against the super-exponential rate term.
 
+    Admissible indices are those with c^2 < chi_n, read from one window
+    Sturm solve at tau = c (sturm.window_vectors) over the requested modes.
     lambda values come from the log-space explicit formula (the Nystrom
-    floor makes direct eigenvalues meaningless in this regime).  The bound
+    floor makes direct eigenvalues meaningless in this regime), each with
+    log_lambda_errors, twice log_mu_magnitude's Gauss-Kronrod estimate; a
+    mode whose Phi_n integral does not meet its tolerance within 256 panels
+    is refused (RuntimeError naming it), not reported.  The bound
     constant is calibrated at the smallest admissible n, held fixed with a
     factor-2 safety: the residual log lambda_n + rate term creeps toward its
     asymptote from below, so exact equality at the calibration point cannot
@@ -393,16 +575,23 @@ def decay_check(params: ProblemParams, n_range) -> DecayReport:
     if not 0.0 < params.alpha < 1.5:
         raise ValueError("decay_check requires 0 < alpha < 3/2")
     ns = _modes(np.asarray(sorted(n_range), dtype=int))
-    ns = ns[params.c ** 2 < chi_spectrum(params, int(ns.max())).chis[ns]]
+    windows, picks = _windows(ns)
+    solved = window_vectors(params, windows)
+    chis = np.empty(ns.size)
+    for _, runs, own, cols in picks:
+        chis[own] = _side_by_side(solved, runs, 0)[cols]
+    ns = ns[params.c ** 2 < chis]
     if ns.size < 3:
         raise ValueError("decay_check needs at least three admissible indices")
-    loglam = log_lambda_explicit(params, ns)
+    log_mu, errors = _log_mu_with_error(params, ns)
+    loglam = math.log(params.c / (2.0 * math.pi)) + 2.0 * log_mu
     t = (2.0 * ns + 1.0) * np.log((4.0 * ns + 4.0 * params.alpha + 2.0)
                                   / (math.e * params.c))
     slope = float(np.polyfit(t, -loglam, 1)[0])
     resid = loglam + t
     bound_ok = bool(np.all(resid <= resid[0] + math.log(2.0)))
-    return DecayReport(params=params, ns=ns, log_lambdas=loglam, rate_terms=t,
+    return DecayReport(params=params, ns=ns, log_lambdas=loglam,
+                       log_lambda_errors=2.0 * errors, rate_terms=t,
                        slope=slope, residuals=resid, bound_ok=bound_ok)
 
 

@@ -13,8 +13,8 @@ R rows (32 k <= R, as when c is large and the window short) is solved for
 those k eigenpairs alone; other windows take the full solve and keep their
 k.  chi_spectrum solves the window from mode 0 up to n_max in each block (a
 block with no kept mode is not solved); window_vectors solves windows that
-start higher, for callers such as the explicit formula's tau loop that need
-only a few modes and no signs.
+start higher, always alone, for callers such as the explicit formula's tau
+integral that need only a few modes and no signs.
 
 Normalization: int psi_n^2 (1-x^2)^alpha dx = 1 (automatic, the basis is
 orthonormal) and psi_n(1) > 0.  For c beyond ~50 the first modes have
@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
 
 from .specfun import (
     jacobi_series_deriv_coeffs,
@@ -174,24 +174,41 @@ def _sign_reference(alpha: float, b: np.ndarray, parity: int, rows: int) -> np.n
     return np.concatenate(([1.0], np.cumprod(-b[1:2 * rows - 1:2] / b[2:2 * rows - 1:2])))
 
 
+def _selected(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs lo..hi, ascending, of the symmetric tridiagonal (d, e).
+
+    LAPACK's bisection (dstebz) and inverse iteration (dstein), called as
+    eigh_tridiagonal(d, e, select="i", select_range=(lo, hi)) calls them, so
+    the result is bit-identical to it, without its per-call argument checks
+    (about half the time of a 30-row solve).
+    """
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "B")
+    if info == 0:
+        vecs, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+    if info:
+        raise LinAlgError(f"tridiagonal bisection or inverse iteration failed (info {info})")
+    order = np.argsort(w[:m])
+    return w[:m][order], vecs[:, order]
+
+
 def _block(alpha: float, c: float, b: np.ndarray, parity: int, lo: int, hi: int,
-           n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
+           n_trunc: int, select_ratio: int = _SELECT_RATIO) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs j = lo..hi of one parity block, modes n = 2 j + parity.
 
     The block has rows for the degrees parity, parity + 2, ... below n_trunc;
     ``b`` holds the offdiagonals sym_offdiag(alpha, m) for some m >= n_trunc.
     Returns the window's chi and its vectors as columns over the block's own
-    degrees, signs as the solver gives them.  The window alone is solved when
-    32 (hi - lo + 1) <= rows; otherwise the full solve is sliced.  Raises
-    TruncationError, naming the first window mode whose last two
-    coefficients carry mass above 1e-12.
+    degrees, signs as the solver gives them.  The window alone is solved, by
+    bisection and inverse iteration, when select_ratio (hi - lo + 1) <= rows;
+    otherwise the full solve is sliced.  Raises TruncationError, naming the
+    first window mode whose last two coefficients carry mass above 1e-12.
     """
     idx = np.arange(parity, n_trunc, 2)
     k = idx.astype(float)
     d = k * (k + 2 * alpha + 1) + c * c * (b[idx] ** 2 + b[idx + 1] ** 2)
     e = c * c * b[idx[:-1] + 1] * b[idx[:-1] + 2]
-    if _SELECT_RATIO * (hi - lo + 1) <= idx.size:
-        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(lo, hi))
+    if select_ratio * (hi - lo + 1) <= idx.size:
+        vals, vecs = _selected(d, e, lo, hi)
         vecs[np.abs(vecs) < _CHOP] = 0.0
     else:
         vals, vecs = eigh_tridiagonal(d, e)
@@ -236,23 +253,31 @@ def _at_default_basis(solve, n_max: int, c: float):
         return solve(exc.required)
 
 
-def window_vectors(params: ProblemParams, windows) -> list[np.ndarray]:
-    """Unsigned eigenvectors of mode windows, in the basis chi_spectrum uses.
+def window_vectors(params: ProblemParams, windows,
+                   n_max: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """chi and unsigned eigenvectors of mode windows, in the basis chi_spectrum uses.
 
     ``windows`` holds (parity, lo, hi) triples, each the modes 2 j + parity
-    for j = lo..hi; the basis is that of chi_spectrum(params, n_max) with
-    n_max the largest of these modes, retried once as there.  Gives, per
-    window, the block's vectors as columns over its own degrees parity,
-    parity + 2, ...: the same eigenpairs that chi_spectrum computes, without
-    its sign fixing, and with only the window solved where it is small
-    against the block.  Raises TruncationError as chi_spectrum does, on the
-    window modes only.
+    for j = lo..hi; the basis is that of chi_spectrum(params, n_max), retried
+    once as there, with n_max the largest window mode unless given (a caller
+    that solves fewer modes as it goes keeps one basis by passing it).
+    Gives, per window, the pair (chi, vectors): the window's chi_n,
+    ascending, and the block's vectors as columns over its own degrees
+    parity, parity + 2, ...  These are the eigenpairs that chi_spectrum
+    computes, without its sign fixing, and always solved for the window
+    alone, by bisection and inverse iteration.  Those vectors keep their
+    small coefficients to rounding, where the full solve's (divide and
+    conquer) can be ~1e-14 off, which moves F_n by up to ~1e-13 relative
+    (2.3e-12 at (alpha, c, n) = (-0.9, 9.96, 5) in the basis of n_max = 101,
+    against 40-digit vectors).  Raises TruncationError as chi_spectrum does,
+    on the window modes only.
     """
     def solve(n_trunc):
         b = sym_offdiag(params.alpha, n_trunc + 1)
-        return [_block(params.alpha, params.c, b, parity, lo, hi, n_trunc)[1]
+        return [_block(params.alpha, params.c, b, parity, lo, hi, n_trunc, select_ratio=0)
                 for parity, lo, hi in windows]
-    n_max = max(2 * hi + parity for parity, _, hi in windows)
+    if n_max is None:
+        n_max = max(2 * hi + parity for parity, _, hi in windows)
     return _at_default_basis(solve, n_max, params.c)
 
 

@@ -1,5 +1,7 @@
 """Integral-operator spectrum tests: Q_c oracle, Nystrom, mu routes, bounds."""
 
+import dataclasses
+import functools
 import math
 import sys
 
@@ -10,6 +12,7 @@ from scipy import special as sp
 from scipy.linalg import eigh, solve_banded
 
 import gpswf as g
+from gpswf import spectrum
 from gpswf.specfun import jacobi_h, jacobi_series_deriv_coeffs, sym_offdiag, total_mass
 from gpswf.spectrum import (_nystrom_lambdas, default_nystrom_size, fourier_jacobi_moments,
                             log_mu_magnitude)
@@ -225,7 +228,7 @@ def test_deep_modes_match_explicit_formula():
     assert not op.stable[16]
     # the default rule (87 nodes) rounds less; whatever it flags stable is right
     op = g.nystrom_spectrum(p, n_keep=17)
-    lam_x = np.exp(g.log_lambda_explicit(p, np.arange(17), tau_nodes=256))
+    lam_x = np.exp(g.log_lambda_explicit(p, np.arange(17)))
     assert np.all(op.stable[:16])
     assert np.all(np.abs(op.lambdas - lam_x)[op.stable] <= 2e-10 * lam_x[op.stable])
 
@@ -252,13 +255,12 @@ def test_default_size_matches_twice_the_rule():
 
 @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
 def test_stable_modes_at_default_size_match_explicit(alpha):
-    # the flag's 1e-10 agreement bound plus up to 1e-10 in either route;
-    # 256 tau nodes resolve Phi_n here but not at c = 400
+    # the flag's 1e-10 agreement bound plus up to 1e-10 in either route
     for c in (1.0, 10.0, 30.0):
         p = g.ProblemParams(alpha=alpha, c=c)
         op = g.nystrom_spectrum(p, n_keep=48)
         assert op.n_quad == default_nystrom_size(c, 48)
-        lam_x = np.exp(g.log_lambda_explicit(p, np.arange(48), tau_nodes=256))
+        lam_x = np.exp(g.log_lambda_explicit(p, np.arange(48)))
         err = np.abs(op.lambdas - lam_x) / lam_x
         assert np.all(err[op.stable] <= 2e-10)
 
@@ -518,47 +520,186 @@ def test_f_n_matches_full_width_solve(alpha):
         assert g.f_n_moment(spec, 7) == g.f_n_moment(spec, ns)[7]
 
 
-def log_mu_per_node(params, ns, tau_nodes=64):
-    """log |mu_n| with a full Sturm solve and f_n_moment at every tau node.
+def inverse_iteration_step(spec, ns):
+    """spec with the vectors of modes ns replaced by one step of inverse iteration.
 
-    Oracle for log_mu_magnitude, which solves only the window of requested
-    modes at each node and shares one F_n solve among all nodes: here each
-    node solves chi_spectrum(p_tau, max n), every mode from 0 up, with signs
-    fixed, and calls f_n_moment on it.
+    Each solves (T - chi_n) y = psi_n in its parity block of the Sturm matrix
+    and normalises y.  The full (divide and conquer) solve behind a many-mode
+    chi_spectrum leaves small coefficients ~1e-14 off, which moves F_n by up
+    to ~1e-13 relative (2.3e-12 at (alpha, c, n) = (-0.9, 9.96, 5) in the
+    basis of n_max = 101, against 40-digit vectors); the step restores them to
+    rounding.
     """
+    a, c, size = spec.params.alpha, spec.params.c, spec.n_trunc
+    b = sym_offdiag(a, size + 1)
+    coeffs = spec.coeffs.copy()
+    for n in np.unique(ns).tolist():
+        k = np.arange(n % 2, size, 2)
+        band = np.zeros((3, k.size))
+        band[0, 1:] = band[2, :-1] = c * c * b[k[:-1] + 1] * b[k[:-1] + 2]
+        band[1] = k * (k + 2 * a + 1) + c * c * (b[k] ** 2 + b[k + 1] ** 2) - spec.chis[n]
+        y = solve_banded((1, 1), band, spec.coeffs[n, n % 2::2])
+        coeffs[n, n % 2::2] = y / np.linalg.norm(y)
+    return dataclasses.replace(spec, coeffs=coeffs)
+
+
+def f_n_per_node(params, ns, taus):
+    """F_n at each tau (rows) from a full Sturm solve and f_n_moment.
+
+    Oracle for the explicit route's integrand, which solves only the runs of
+    requested modes at each node and shares one F_n solve among all nodes:
+    here each tau solves chi_spectrum(p_tau, max n), every mode from 0 up,
+    with signs fixed, refines the vectors of ns (inverse_iteration_step) and
+    calls f_n_moment on it.
+    """
+    return np.array([g.f_n_moment(inverse_iteration_step(
+        g.chi_spectrum(g.ProblemParams(params.alpha, float(tau)), int(ns.max())), ns), ns)
+        for tau in taus])
+
+
+def log_prefactor(params, ns):
+    """log(sqrt(pi) Gamma-ratio) + n log c: log |mu_n| less Phi_n."""
     a, c = params.alpha, params.c
     k = ns.astype(float)
     at_zero = k == 0
-    log_pref = (0.5 * math.log(math.pi) + sp.gammaln(k + a + 1.0)
-                + np.where(at_zero, 0.0, sp.gammaln(k + 2 * a + 1.0))
-                - sp.gammaln(k + a + 1.5)
-                - np.where(at_zero, 0.0, sp.gammaln(2 * k + 2 * a + 1.0)))
-    t, w = np.polynomial.legendre.leggauss(tau_nodes)
-    vals = [(g.f_n_moment(g.chi_spectrum(g.ProblemParams(a, float(tau)), int(ns.max())), ns)
-             - ns) / tau for tau in 0.5 * c * (t + 1.0)]
-    return log_pref + k * math.log(c) + np.dot(0.5 * c * w, np.array(vals))
+    return (0.5 * math.log(math.pi) + sp.gammaln(k + a + 1.0)
+            + np.where(at_zero, 0.0, sp.gammaln(k + 2 * a + 1.0))
+            - sp.gammaln(k + a + 1.5)
+            - np.where(at_zero, 0.0, sp.gammaln(2 * k + 2 * a + 1.0))) + k * math.log(c)
 
 
-def assert_matches_per_node(params, ns, tau_nodes=64):
-    got = log_mu_magnitude(params, ns, tau_nodes)
-    want = log_mu_per_node(params, ns, tau_nodes)
-    assert got.shape == ns.shape
-    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+@functools.cache
+def gauss_legendre(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], by Newton's method on
+    the Legendre recurrence.
+
+    numpy's leggauss(1024) is off by 1.6e-14 in int x^2 (2e-13 at 2048
+    points), which moves Phi_n by up to ~1e-13 max(1, |log |mu_n||) at
+    c = 150; these are good to ~1e-16.
+    """
+    def legendre(x):
+        p0, p1 = np.ones_like(x), x.copy()
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(10):
+        p, dp = legendre(x)
+        x = x - p / dp
+    _, dp = legendre(x)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+ORACLE_MODE_LISTS = (np.arange(20), np.array([0, 1, 5, 101]), np.array([12]), np.arange(40, 56))
+
+
+def assert_integrand_matches_per_node(params, ns):
+    # at the 15 Gauss-Kronrod nodes of [0, c], the nodes of a one-panel call:
+    # node by node as F_n = n + tau (F_n - n)/tau, the value f_n_moment
+    # returns, to 1e-13 max(1, |F_n|), and as Phi_n on that one panel, to
+    # 1e-13 max(1, |log |mu_n||)
+    taus = 0.5 * params.c * (1.0 + spectrum._GK_NODES)
+    got = spectrum._phi_integrand(params, ns, taus)
+    f_n = f_n_per_node(params, ns, taus)
+    assert got.shape == f_n.shape == (taus.size, ns.size)
+    assert np.all(np.abs(ns + taus[:, None] * got - f_n) <= 1e-13 * np.maximum(1.0, np.abs(f_n)))
+    gap = np.abs(np.dot(0.5 * params.c * spectrum._GK_WEIGHTS, got - (f_n - ns) / taus[:, None]))
+    assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(log_mu_magnitude(params, ns))))
 
 
 @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 1.4, 3.0])
 @pytest.mark.parametrize("c", [0.1, 1.0, 10.0, 30.0, 150.0])
 def test_log_mu_matches_per_node_oracle(alpha, c):
     p = g.ProblemParams(alpha=alpha, c=c)
-    for ns in (np.arange(20), np.array([0, 1, 5, 101]), np.array([12]), np.arange(40, 56)):
-        assert_matches_per_node(p, ns)
+    for ns in ORACLE_MODE_LISTS:
+        assert_integrand_matches_per_node(p, ns)
 
 
 def test_log_mu_matches_per_node_oracle_on_fine_rule_and_cli_window():
-    assert_matches_per_node(g.ProblemParams(alpha=0.5, c=10.0), np.arange(5, 20), 256)
-    # the window gpswf spectrum uses at c = 400: each block solves its 8 modes alone
+    # log |mu_n| within its estimate of Phi_n from f_n_per_node on a 256-node rule
+    p, ns = g.ProblemParams(alpha=0.5, c=10.0), np.arange(5, 20)
+    got, est = spectrum._log_mu_with_error(p, ns)
+    x, w = gauss_legendre(256)
+    taus = 0.5 * p.c * (x + 1.0)
+    want = log_prefactor(p, ns) + np.dot(0.5 * p.c * w, (f_n_per_node(p, ns, taus) - ns)
+                                         / taus[:, None])
+    assert np.all(np.abs(got - want) <= est + 1e-13 * np.maximum(1.0, np.abs(want)))
+    # the window gpswf spectrum uses at c = 400
     lo = int(math.e * 400.0 / 2) + 2
-    assert_matches_per_node(g.ProblemParams(alpha=0.5, c=400.0), np.arange(lo, lo + 16))
+    assert_integrand_matches_per_node(g.ProblemParams(alpha=0.5, c=400.0), np.arange(lo, lo + 16))
+
+
+def tridiagonal_vector_mpmath(alpha, c, n, n_trunc, chi):
+    """psi_n's coefficients at 40 digits by inverse iteration from the double chi_n.
+
+    The parity block of the Sturm matrix (sturm._block) in the n_trunc basis,
+    four Thomas solves of (T - chi) y = x, each followed by a Rayleigh
+    quotient update of chi.
+    """
+    from mpmath import mp
+
+    with mp.workdps(40):
+        a, cc = mp.mpf(alpha), mp.mpf(c) ** 2
+        b = [mp.mpf(0), 1 / mp.sqrt(3 + 2 * a)] + [
+            mp.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
+            for k in range(2, n_trunc + 2)]
+        idx = range(n % 2, n_trunc, 2)
+        d = [k * (k + 2 * a + 1) + cc * (b[k] ** 2 + b[k + 1] ** 2) for k in idx]
+        e = [cc * b[k + 1] * b[k + 2] for k in idx][:-1] + [mp.mpf(0)]
+        size, lam, x = len(d), mp.mpf(chi), [mp.mpf(1)] * len(d)
+        for _ in range(4):
+            sub, rhs, y = [mp.mpf(0)] * size, [mp.mpf(0)] * size, [mp.mpf(0)] * size
+            for i in range(size):
+                den = d[i] - lam - (e[i - 1] * sub[i - 1] if i else 0)
+                sub[i] = e[i] / den
+                rhs[i] = (x[i] - (e[i - 1] * rhs[i - 1] if i else 0)) / den
+            for i in reversed(range(size)):
+                y[i] = rhs[i] - (sub[i] * y[i + 1] if i + 1 < size else 0)
+            norm = mp.sqrt(sum(v * v for v in y))
+            x = [v / norm for v in y]
+            lam = sum(x[i] * (d[i] * x[i] + (e[i] * x[i + 1] if i + 1 < size else 0)
+                              + (e[i - 1] * x[i - 1] if i else 0)) for i in range(size))
+        return np.array([float(v) for v in x])
+
+
+@pytest.mark.parametrize("alpha, c, tau_node, n_max, picked", [
+    (0.5, 400.0, 9, 560, (545, 550, 556)),   # the c = 400 CLI window, at tau ~ 281
+    (-0.9, 10.0, 14, 101, (5,)),             # mode 5 in the basis of modes 0..101
+])
+def test_integrand_and_oracle_match_mpmath_vectors(alpha, c, tau_node, n_max, picked):
+    # F_n - n from the window solve and from the refined per-node oracle are
+    # within 2e-15 max(1, n) of F_n - n on 40-digit eigenvectors; chi_spectrum's
+    # own vectors are 1e-11..2.4e-11 off at the first point and 2.3e-12 at the
+    # second (tau ~ 9.96)
+    p = g.ProblemParams(alpha=alpha, c=c)
+    ns = np.array(picked)
+    tau = float(0.5 * c * (1.0 + spectrum._GK_NODES[tau_node]))
+    got = tau * spectrum._phi_integrand(p, ns, np.array([tau]), n_max)[0]
+    spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=tau), n_max)
+    oracle = g.f_n_moment(inverse_iteration_step(spec, ns), ns) - ns
+    for n, x, y in zip(picked, got, oracle):
+        vec = tridiagonal_vector_mpmath(alpha, tau, n, spec.n_trunc, spec.chis[n])
+        want = spectrum._f_n_rows(alpha, n % 2, vec, n)
+        assert abs(x - want) <= 2e-15 * max(1, n)
+        assert abs(y - want) <= 2e-15 * max(1, n)
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 1.4, 3.0])
+@pytest.mark.parametrize("c", [0.1, 1.0, 10.0, 30.0, 150.0])
+def test_log_mu_within_its_estimate_of_a_fine_rule(alpha, c):
+    # Phi_n from the same integrand, in each list's basis, on a 1,024-node
+    # Gauss-Legendre rule; the integrand itself is held to f_n_per_node by
+    # test_log_mu_matches_per_node_oracle, which at 1,024 nodes would take
+    # 1,024 full solves per mode list
+    p = g.ProblemParams(alpha=alpha, c=c)
+    x, w = gauss_legendre(1024)
+    taus = 0.5 * c * (x + 1.0)
+    for ns in ORACLE_MODE_LISTS:
+        got, est = spectrum._log_mu_with_error(p, ns)
+        assert np.array_equal(log_mu_magnitude(p, ns), got)
+        want = log_prefactor(p, ns) + np.dot(0.5 * c * w, spectrum._phi_integrand(p, ns, taus))
+        assert np.all(np.abs(got - want) <= est + 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 def count_calls(monkeypatch, names=("gauss_jacobi", "jacobi_series_eval")):
@@ -601,9 +742,9 @@ def test_explicit_route_solves_no_spectrum_and_one_f_n_system_per_parity(monkeyp
     assert calls.count("chi_spectrum") == 0
     assert calls.count("solve_banded") <= 2
     calls.clear()
-    # decay_check's one spectrum solve is its admissibility filter
+    # decay_check's admissibility filter reads chi from one window solve at tau = c
     g.decay_check(g.ProblemParams(alpha=0.5, c=10.0), range(15, 31))
-    assert calls.count("chi_spectrum") == 1
+    assert calls.count("chi_spectrum") == 0
 
 
 def test_f_n_weighted_identity():
@@ -646,6 +787,38 @@ def test_decay_check_keeps_modes_with_chi_above_c_squared():
     assert np.array_equal(rep.ns, np.arange(6, 30))
     with pytest.raises(ValueError, match="at least three admissible indices"):
         g.decay_check(p, range(0, 6))
+
+
+@pytest.mark.parametrize("c", [100.0, 400.0])
+def test_low_modes_match_stable_nystrom_at_large_c(c):
+    # Phi_n of modes 0..11 has a knee where c^2 / chi_n crosses 1; the fixed
+    # 64-node tau rule this replaces left lambda 3.2e-7 (c = 100) and 3.4e-3
+    # (c = 400) off, with no flag
+    p = g.ProblemParams(alpha=0.5, c=c)
+    op = g.nystrom_spectrum(p, n_keep=12)
+    assert np.all(op.stable)
+    lam_x = np.exp(g.log_lambda_explicit(p, np.arange(12)))
+    assert np.all(np.abs(lam_x - op.lambdas) <= 1e-11 * op.lambdas)
+
+
+def test_explicit_route_refuses_a_mode_the_panel_cap_leaves_open(monkeypatch):
+    monkeypatch.setattr(spectrum, "_MAX_PANELS", 4)
+    p = g.ProblemParams(alpha=0.5, c=100.0)
+    with pytest.raises(RuntimeError, match=r"for mode n = \d+ .* error estimate \S+ above"):
+        g.log_lambda_explicit(p, np.arange(12))
+    # the decay window needs one panel
+    g.log_lambda_explicit(p, np.arange(140, 156))
+
+
+def test_decay_report_errors_meet_the_tolerance():
+    for alpha in (0.05, 0.5, 1.4):
+        for c in (1.0, 5.0, 10.0, 20.0, 100.0, 400.0):
+            lo = max(8, int(math.e * c / 2) + 2)
+            rep = g.decay_check(g.ProblemParams(alpha=alpha, c=c), range(lo, lo + 16))
+            log_mu = 0.5 * (rep.log_lambdas - math.log(c / (2.0 * math.pi)))
+            assert rep.log_lambda_errors.shape == rep.ns.shape
+            assert np.all(np.isfinite(rep.log_lambda_errors))
+            assert np.all(rep.log_lambda_errors <= 2e-13 * np.maximum(1.0, np.abs(log_mu)))
 
 
 def test_log_lambda_explicit_batched_matches_per_mode():

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_jacobi
 
 import gpswf as g
@@ -115,13 +116,18 @@ def test_sign_rule_where_endpoint_value_is_rounding():
 
 @pytest.mark.parametrize("alpha, c", [(0.5, 3000.0), (1.3, 800.0), (-0.5, 600.0)])
 def test_few_mode_solve_matches_many_mode_solve(monkeypatch, alpha, c):
-    calls, solver = [], sturm.eigh_tridiagonal
+    calls, solver, selected = [], sturm.eigh_tridiagonal, sturm._selected
 
     def recording(d, e, **kwargs):
         calls.append(kwargs.get("select", "a"))
         return solver(d, e, **kwargs)
 
+    def recording_selected(d, e, lo, hi):
+        calls.append("i")
+        return selected(d, e, lo, hi)
+
     monkeypatch.setattr(sturm, "eigh_tridiagonal", recording)
+    monkeypatch.setattr(sturm, "_selected", recording_selected)
     params = g.ProblemParams(alpha=alpha, c=c)
     few = g.chi_spectrum(params, 5)
     assert calls == ["i", "i"]          # both parity blocks solve 3 modes only
@@ -137,23 +143,41 @@ def test_few_mode_solve_matches_many_mode_solve(monkeypatch, alpha, c):
 
 @pytest.mark.parametrize("alpha, c, lo", [(0.5, 10.0, 9), (1.3, 400.0, 20), (-0.5, 0.5, 0)])
 def test_window_vectors_match_chi_spectrum_up_to_sign(alpha, c, lo):
-    # at c = 400 each 4-mode window of a ~250-row block is solved alone
+    # window_vectors solves each 4-mode window alone, by bisection and inverse
+    # iteration; chi_spectrum does so only at c = 400, where the window is
+    # small against its ~250-row block
     params = g.ProblemParams(alpha=alpha, c=c)
     hi = lo + 3
     n_max = 2 * hi + 1
     spec = g.chi_spectrum(params, n_max)
-    vecs = sturm.window_vectors(params, [(0, lo, hi), (1, lo, hi)])
-    for parity, v in enumerate(vecs):
+    solved = sturm.window_vectors(params, [(0, lo, hi), (1, lo, hi)])
+    for parity, (chi, v) in enumerate(solved):
         assert v.shape == (len(range(parity, spec.n_trunc, 2)), 4)
-        want = spec.coeffs[2 * np.arange(lo, hi + 1) + parity, parity::2].T
+        modes = 2 * np.arange(lo, hi + 1) + parity
+        # bisection and the full solve agree to rounding in the block's norm
+        assert np.all(np.abs(chi - spec.chis[modes]) <= 1e-15 * spec.n_trunc ** 2)
+        want = spec.coeffs[modes, parity::2].T
         signs = np.sign(np.sum(v * want, axis=0))
         assert np.max(np.abs(v * signs - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, c, n_trunc", [(0.5, 10.0, 60), (-0.9, 400.0, 1100), (3.0, 1e-3, 40)])
+def test_selected_solve_bit_identical_to_eigh_tridiagonal(alpha, c, n_trunc):
+    b = sym_offdiag(alpha, n_trunc + 1)
+    for parity in (0, 1):
+        idx = np.arange(parity, n_trunc, 2)
+        d = idx * (idx + 2 * alpha + 1) + c * c * (b[idx] ** 2 + b[idx + 1] ** 2)
+        e = c * c * b[idx[:-1] + 1] * b[idx[:-1] + 2]
+        for lo, hi in ((0, 0), (0, 5), (idx.size // 2, idx.size // 2 + 3), (idx.size - 2, idx.size - 1)):
+            want = eigh_tridiagonal(d, e, select="i", select_range=(lo, hi))
+            got = sturm._selected(d, e, lo, hi)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 def test_window_vectors_retry_once_and_refuse(monkeypatch):
     p = g.ProblemParams(alpha=0.5, c=10.0)
     monkeypatch.setattr(sturm, "default_truncation", lambda n_max, c: 12)
-    (v,) = sturm.window_vectors(p, [(0, 1, 2)])
+    ((_, v),) = sturm.window_vectors(p, [(0, 1, 2)])
     assert v.shape == (12, 2)     # 24 terms, 12 of them even
     monkeypatch.setattr(sturm, "default_truncation", lambda n_max, c: 10)
     with pytest.raises(TruncationError, match="mode n=2"):
