@@ -73,7 +73,6 @@ from .spectrum import (
     f_n_moment,
     log_lambda_explicit,
     mu_eigenrelation,
-    mu_explicit,
     nystrom_spectrum,
     trace_and_norm,
 )
@@ -95,7 +94,7 @@ __all__ = [
     "counting", "decay_check", "elliptic_K", "envelope_constants",
     "eta_fn", "f_n_moment", "g_bound", "gamma_fn", "gauss_jacobi", "incomplete_K",
     "jacobi_report", "jacobi_uniform", "log_lambda_explicit",
-    "make_frame", "mu_eigenrelation", "mu_explicit", "nystrom_spectrum",
+    "make_frame", "mu_eigenrelation", "nystrom_spectrum",
     "ode_residual", "s_map", "trace_and_norm", "weight_modulus",
 ]
 

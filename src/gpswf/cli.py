@@ -198,7 +198,7 @@ def _cmd_spectrum(args):
         "trace_formula": tn.trace,
         "trace_nystrom": op.trace_discrete,
         "trace_rel_error": trace_rel_err,
-        "hs_sum_sq": op.hs_discrete,
+        "hs_sum_sq": cnt.hs_norm_value,
         "hs_limit": tn.hs_norm_limit,
         "gamma_alpha": tn.gamma_alpha,
         "delta": args.delta,

@@ -1,17 +1,17 @@
 """Special functions and quadrature for the GPSWF solver stack.
 
 Everything here is double precision, pure and deterministic: Gamma/Beta,
-Bessel J/Y of real order, complete and incomplete Legendre elliptic
-integrals, the elliptic arc-length map S used by the Liouville transform,
-Clenshaw evaluation of orthonormal symmetric-Jacobi series,
+Bessel J of real order, complete and incomplete Legendre elliptic integrals
+of the first kind, the elliptic arc-length map S used by the Liouville
+transform, Clenshaw evaluation of orthonormal symmetric-Jacobi series,
 Gauss-Jacobi quadrature for the weight (1-y^2)^alpha, and the envelope
 constants (m_alpha, c_alpha, kappa_alpha, X_alpha, ...) that control the
 Bessel-form error bounds.
 
-Elliptic integrals follow the modulus convention: K(r), E(r) with
-0 <= r < 1, i.e. ``K(r) = int_0^1 dt / sqrt((1-t^2)(1-r^2 t^2))``.
-SciPy's ellipk/ellipe take the parameter m = r^2, so calls below square
-the modulus.
+Elliptic integrals follow the modulus convention: K(r) with 0 <= r < 1,
+i.e. ``K(r) = int_0^1 dt / sqrt((1-t^2)(1-r^2 t^2))``.  SciPy's
+ellipk/ellipe take the parameter m = r^2, so calls below square the
+modulus.
 """
 
 from __future__ import annotations
@@ -74,16 +74,6 @@ def bessel_j(nu: float, x):
     return _maybe_scalar(_sp.jv(nu, arr), x)
 
 
-def bessel_y(nu: float, x):
-    """Y_nu(x) for real order nu >= -1/2 and x > 0. Accepts arrays."""
-    if nu < -0.5:
-        raise ValueError(f"bessel_y requires nu >= -1/2, got {nu}")
-    arr = _as_float_array(x)
-    if np.any(arr <= 0):
-        raise ValueError("bessel_y requires x > 0")
-    return _maybe_scalar(_sp.yv(nu, arr), x)
-
-
 # ---------------------------------------------------------------------------
 # Elliptic integrals and the arc-length map S
 # ---------------------------------------------------------------------------
@@ -93,13 +83,6 @@ def elliptic_K(r: float) -> float:
     if not 0.0 <= r < 1.0:
         raise ValueError(f"elliptic_K requires 0 <= r < 1, got {r}")
     return float(_sp.ellipk(r * r))
-
-
-def elliptic_E(r: float) -> float:
-    """Complete elliptic integral of the second kind, modulus r in [0, 1]."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"elliptic_E requires 0 <= r <= 1, got {r}")
-    return float(_sp.ellipe(r * r))
 
 
 def s_map(x, q: float):

@@ -18,8 +18,8 @@ Three computational routes, cross-checked against each other:
 
 * Explicit product formula: mu_n = i^n sqrt(pi) * Gamma-ratio * c^n
   exp(Phi_n) with Phi_n = int_0^c (F_n(tau) - n)/tau dtau, evaluated in log
-  space by one function, log_mu_magnitude; mu_explicit and
-  log_lambda_explicit are one-line uses of it.  Phi_n is integrated on
+  space by one function, log_mu_magnitude; log_lambda_explicit is a
+  one-line use of it.  Phi_n is integrated on
   adaptive Gauss-Kronrod panels (QUADPACK's G7/K15 pair) with an error
   estimate per mode: a mode is accepted once its estimate, less the rounding
   floor 50 eps int |integrand|, is at most 1e-13 max(1, |log |mu_n||), each
@@ -121,11 +121,6 @@ class OperatorSpectrum:
     def trace_discrete(self) -> float:
         """Sum of the discrete lambda."""
         return float(self.discrete.sum())
-
-    @property
-    def hs_discrete(self) -> float:
-        """Sum of the squares of the discrete lambda."""
-        return float((self.discrete ** 2).sum())
 
     def counting(self, delta: float) -> "CountingReport":
         """The counting report for delta from the discrete lambda, with no second solve."""
@@ -235,7 +230,7 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
     chi_spectrum(params, 40), it is 2e-9 at n = 20, 9e-6 at n = 28 and 0.85
     at n = 32 for c = 2, and 6e-8 at n = 24, 2e-3 at n = 28 for c = 10; with
     chi_spectrum(params, 24) it is already 2e-2 at n = 24 for c = 2.  Use
-    log_mu_magnitude (or mu_explicit) for deeper modes.
+    log_mu_magnitude for deeper modes.
     """
     ns = _spectrum_modes(spectrum, n)
     params = spectrum.params
@@ -347,30 +342,6 @@ _PHI_TOL = 1e-13
 _MAX_PANELS = 256
 
 
-def _windows(modes: np.ndarray):
-    """The windows (parity, lo, hi) of modes 2 j + parity to solve for modes,
-    one per run of consecutive j, and per parity present the pick
-    (parity, slice of its windows, places of its modes in modes, their
-    columns in its windows' solutions laid side by side)."""
-    windows, picks = [], []
-    for parity in (0, 1):
-        own = np.flatnonzero(modes % 2 == parity)
-        if own.size:
-            js = np.unique(modes[own] // 2)
-            ends = np.flatnonzero(np.diff(js) > 1)
-            first = len(windows)
-            windows += [(parity, int(lo), int(hi)) for lo, hi in
-                        zip(js[np.r_[0, ends + 1]], js[np.r_[ends, js.size - 1]])]
-            picks.append((parity, slice(first, len(windows)), own,
-                          np.searchsorted(js, modes[own] // 2)))
-    return windows, picks
-
-
-def _side_by_side(solved, windows: slice, part: int) -> np.ndarray:
-    """Part 0 (chi) or 1 (vectors) of the solved windows in the slice, laid side by side."""
-    return np.concatenate([pair[part] for pair in solved[windows]], axis=-1)
-
-
 def _phi_integrand(params: ProblemParams, modes: np.ndarray, taus: np.ndarray,
                    n_max: int | None = None) -> np.ndarray:
     """(F_n(tau) - n) / tau, rows over taus > 0 and columns over modes.
@@ -378,26 +349,16 @@ def _phi_integrand(params: ProblemParams, modes: np.ndarray, taus: np.ndarray,
     At each tau only the requested modes are solved, one window per run of
     consecutive modes of a parity (sturm.window_vectors, in the basis
     chi_spectrum would use for n_max, by default the largest n); F_n is
-    quadratic in psi_n, so the vectors need no sign fixing.  The rows of
-    every tau then share one banded F_n solve per parity.
+    quadratic in psi_n, so the vectors need no sign fixing, and the zero
+    padding to the widest basis leaves it unchanged.  The rows of every tau
+    then share one banded F_n solve per parity.
     """
-    windows, picks = _windows(modes)
-    # rows[s][i] holds the requested vectors of parity pick s at tau i,
-    # zero-padded to the widest basis (zero coefficients leave F_n unchanged);
-    # the largest tau comes first, as its basis is the widest unless a solve
-    # retries wider
-    rows = [np.zeros((taus.size, own.size, 0)) for _, _, own, _ in picks]
-    for i in np.argsort(taus)[::-1]:
-        solved = window_vectors(ProblemParams(alpha=params.alpha, c=float(taus[i])), windows,
-                                n_max)
-        for s, (_, runs, _, cols) in enumerate(picks):
-            v = _side_by_side(solved, runs, 1)
-            if v.shape[0] > rows[s].shape[2]:
-                rows[s] = np.pad(rows[s], ((0, 0), (0, 0), (0, v.shape[0] - rows[s].shape[2])))
-            rows[s][i, :, :v.shape[0]] = v[:, cols].T
+    _, vecs = window_vectors(params.alpha, taus, modes, n_max)
     shifted = np.empty((taus.size, modes.size))
-    for (parity, _, own, _), r in zip(picks, rows):
-        shifted[:, own] = _f_n_rows(params.alpha, parity, r, modes[own])
+    for parity in (0, 1):
+        own = modes % 2 == parity
+        if own.any():
+            shifted[:, own] = _f_n_rows(params.alpha, parity, vecs[parity], modes[own])
     return shifted / taus[:, None]
 
 
@@ -526,11 +487,6 @@ def log_mu_magnitude(params: ProblemParams, n):
     return _log_mu_with_error(params, n)[0]
 
 
-def mu_explicit(params: ProblemParams, n: int) -> complex:
-    """mu_n = i^n exp(log |mu_n|); 0 where exp underflows, raises where log_mu_magnitude does."""
-    return complex(_I_POWERS[n % 4]) * math.exp(log_mu_magnitude(params, n))
-
-
 def log_lambda_explicit(params: ProblemParams, n):
     """log lambda_n via lambda = (c/2pi) |mu_n|^2 in log space; n may be an array.
 
@@ -575,12 +531,7 @@ def decay_check(params: ProblemParams, n_range) -> DecayReport:
     if not 0.0 < params.alpha < 1.5:
         raise ValueError("decay_check requires 0 < alpha < 3/2")
     ns = _modes(np.asarray(sorted(n_range), dtype=int))
-    windows, picks = _windows(ns)
-    solved = window_vectors(params, windows)
-    chis = np.empty(ns.size)
-    for _, runs, own, cols in picks:
-        chis[own] = _side_by_side(solved, runs, 0)[cols]
-    ns = ns[params.c ** 2 < chis]
+    ns = ns[params.c ** 2 < window_vectors(params.alpha, [params.c], ns)[0][0]]
     if ns.size < 3:
         raise ValueError("decay_check needs at least three admissible indices")
     log_mu, errors = _log_mu_with_error(params, ns)

@@ -12,9 +12,12 @@ window of consecutive modes in one block: a window of k modes in a block of
 R rows (32 k <= R, as when c is large and the window short) is solved for
 those k eigenpairs alone; other windows take the full solve and keep their
 k.  chi_spectrum solves the window from mode 0 up to n_max in each block (a
-block with no kept mode is not solved); window_vectors solves windows that
-start higher, always alone, for callers such as the explicit formula's tau
-integral that need only a few modes and no signs.
+block with no kept mode is not solved).  window_vectors takes any list of
+modes and a batch of bandwidths, for callers such as the explicit formula's
+tau integral that need only a few modes and no signs: it cuts the list once
+into windows, one per run of consecutive modes of a parity, solves each
+window alone at every bandwidth, and returns chi and vectors in the order
+the modes were given.
 
 Normalization: int psi_n^2 (1-x^2)^alpha dx = 1 (automatic, the basis is
 orthonormal) and psi_n(1) > 0.  For c beyond ~50 the first modes have
@@ -78,8 +81,14 @@ class ChiSpectrum:
     chis: np.ndarray     # shape (n_max+1,)
     coeffs: np.ndarray   # shape (n_max+1, n_trunc); opposite-parity rows are 0
 
+    def _mode(self, n: int) -> int:
+        """n itself; a mode outside 0..n_max is refused."""
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"mode index {n} outside computed range 0..{self.n_max}")
+        return n
+
     def chi(self, n: int) -> float:
-        return float(self.chis[n])
+        return float(self.chis[self._mode(n)])
 
     def q(self, n: int) -> float:
         """Spectral ratio c^2 / chi_n (the oscillatory regime has q < 1).
@@ -89,15 +98,14 @@ class ChiSpectrum:
         c * c and chi_0 keep too few digits to divide (or underflow to 0), and
         the solved spectrum is the c = 0 one to rounding.
         """
+        chi = self.chi(n)
         if not self.chis[0] >= sys.float_info.min:
             return 0.0
         c = self.params.c
-        return c * c / self.chi(n)
+        return c * c / chi
 
     def eigenfunction(self, n: int) -> "GpswfFunction":
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"mode index {n} outside computed range 0..{self.n_max}")
-        return GpswfFunction(spectrum=self, n=n)
+        return GpswfFunction(spectrum=self, n=self._mode(n))
 
 
 @dataclass(frozen=True)
@@ -253,32 +261,63 @@ def _at_default_basis(solve, n_max: int, c: float):
         return solve(exc.required)
 
 
-def window_vectors(params: ProblemParams, windows,
-                   n_max: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """chi and unsigned eigenvectors of mode windows, in the basis chi_spectrum uses.
+def window_vectors(alpha: float, cs, modes,
+                   n_max: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """chi and unsigned eigenvectors of the given modes at each bandwidth in cs.
 
-    ``windows`` holds (parity, lo, hi) triples, each the modes 2 j + parity
-    for j = lo..hi; the basis is that of chi_spectrum(params, n_max), retried
-    once as there, with n_max the largest window mode unless given (a caller
+    The modes, in any order and with repeats, are cut once into windows, one
+    per run of consecutive modes 2 j + parity in a parity block.  At each c,
+    largest first, every window is solved alone, by bisection and inverse
+    iteration, in the basis of chi_spectrum(ProblemParams(alpha, c), n_max),
+    retried once as there; n_max is the largest mode unless given (a caller
     that solves fewer modes as it goes keeps one basis by passing it).
-    Gives, per window, the pair (chi, vectors): the window's chi_n,
-    ascending, and the block's vectors as columns over its own degrees
-    parity, parity + 2, ...  These are the eigenpairs that chi_spectrum
-    computes, without its sign fixing, and always solved for the window
-    alone, by bisection and inverse iteration.  Those vectors keep their
-    small coefficients to rounding, where the full solve's (divide and
-    conquer) can be ~1e-14 off, which moves F_n by up to ~1e-13 relative
-    (2.3e-12 at (alpha, c, n) = (-0.9, 9.96, 5) in the basis of n_max = 101,
-    against 40-digit vectors).  Raises TruncationError as chi_spectrum does,
-    on the window modes only.
+    Returns (chis, vecs): chis[i, m] is chi of modes[m] at cs[i], and
+    vecs[parity][i, k] the vector, over the block's own degrees parity,
+    parity + 2, ..., of the k-th mode of that parity in modes at cs[i],
+    zero-padded to the widest basis.  These are the eigenpairs that
+    chi_spectrum computes, without its sign fixing.  Solved alone, the
+    vectors keep their small coefficients to rounding, where the full solve's
+    (divide and conquer) can be ~1e-14 off, which moves F_n by up to ~1e-13
+    relative (2.3e-12 at (alpha, c, n) = (-0.9, 9.96, 5) in the basis of
+    n_max = 101, against 40-digit vectors).  Raises TruncationError as
+    chi_spectrum does, on the requested modes only.
     """
-    def solve(n_trunc):
-        b = sym_offdiag(params.alpha, n_trunc + 1)
-        return [_block(params.alpha, params.c, b, parity, lo, hi, n_trunc, select_ratio=0)
-                for parity, lo, hi in windows]
+    modes = np.asarray(modes)
     if n_max is None:
-        n_max = max(2 * hi + parity for parity, _, hi in windows)
-    return _at_default_basis(solve, n_max, params.c)
+        n_max = int(modes.max())
+    # per parity present: its places in modes, its runs (lo, hi) of
+    # consecutive j, and its modes' columns in the runs laid side by side
+    # (a slice when the modes are in order, which saves a copy per c)
+    parts = []
+    for parity in (0, 1):
+        own = np.flatnonzero(modes % 2 == parity)
+        if own.size:
+            j = modes[own] // 2
+            js = np.unique(j)
+            runs = np.split(js, np.flatnonzero(np.diff(js) > 1) + 1)
+            parts.append((parity, own, [(int(r[0]), int(r[-1])) for r in runs],
+                          slice(None) if np.array_equal(j, js) else np.searchsorted(js, j)))
+
+    def solve(c, n_trunc):
+        b = sym_offdiag(alpha, n_trunc + 1)
+        return [[_block(alpha, c, b, parity, lo, hi, n_trunc, select_ratio=0) for lo, hi in runs]
+                for parity, _, runs, _ in parts]
+
+    chis = np.empty((len(cs), modes.size))
+    vecs = [np.zeros((len(cs), np.count_nonzero(modes % 2 == parity), 0)) for parity in (0, 1)]
+    for i in np.argsort(cs)[::-1]:
+        c = cs[i]
+        solved = _at_default_basis(lambda n_trunc: solve(c, n_trunc), n_max, c)
+        for (parity, own, _, cols), pairs in zip(parts, solved):
+            chis[i, own] = np.concatenate([vals for vals, _ in pairs])[cols]
+            v = np.concatenate([vec for _, vec in pairs], axis=1)
+            # the largest c's basis is the widest unless a later solve retried wider
+            old = vecs[parity]
+            if v.shape[0] > old.shape[2]:
+                vecs[parity] = np.zeros(old.shape[:2] + v.shape[:1])
+                vecs[parity][..., :old.shape[2]] = old
+            vecs[parity][i, :, :v.shape[0]] = v[:, cols].T
+    return chis, vecs
 
 
 def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) -> ChiSpectrum:

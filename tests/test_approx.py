@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import ellipe
 
 import gpswf as g
 from gpswf.approx import default_grid, make_frame, symmetric_grid
-from gpswf.specfun import elliptic_E
 
 
 def g_bound_quad_oracle(alpha, q, x):
@@ -27,7 +27,7 @@ def g_bound_quad_oracle(alpha, q, x):
 
 def test_g_bound_at_zero():
     alpha, q = 0.5, 0.3
-    expect = (3 + 2 * q + 12 * alpha ** 2) / (4 * (1 - q)) * elliptic_E(math.sqrt(q)) \
+    expect = (3 + 2 * q + 12 * alpha ** 2) / (4 * (1 - q)) * ellipe(q) \
         + alpha * (alpha + 1) * g.elliptic_K(math.sqrt(q))
     assert_allclose(g.g_bound(alpha, q, 0.0), expect, rtol=1e-14)
 
@@ -63,6 +63,21 @@ def test_inadmissible_frame_refused_with_reason():
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=5.0), 2)
     with pytest.raises(ValueError, match="q ="):
         g.bessel_uniform(spec, 2, 0.5)
+
+
+@pytest.mark.parametrize("n", [-1, 4])
+@pytest.mark.parametrize("route", [
+    lambda spec, n: spec.chi(n),
+    lambda spec, n: spec.q(n),
+    make_frame,
+    lambda spec, n: g.bessel_uniform(spec, n, 0.5),
+    lambda spec, n: g.jacobi_uniform(spec, n, 0.5),
+], ids=["chi", "q", "make_frame", "bessel_uniform", "jacobi_uniform"])
+def test_mode_outside_the_spectrum_refused(route, n):
+    # numpy would read n = -1 as mode n_max, and n_max + 1 as an IndexError
+    spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=60.0), 3)
+    with pytest.raises(ValueError, match=r"mode index .* outside computed range 0\.\.3"):
+        route(spec, n)
 
 
 def test_eps_halves_when_sqrt_chi_doubles_at_fixed_q():

@@ -281,7 +281,7 @@ def test_spectrum_keeps_every_discrete_value():
     assert np.array_equal(op.lambdas, op.discrete[:12])
     cnt = g.counting(p, 0.5)
     assert cnt.n_quad == op.n_quad
-    assert cnt.hs_norm_value == op.hs_discrete
+    assert cnt.hs_norm_value == float((op.discrete ** 2).sum())
     assert op.counting(0.5) == cnt
 
 
@@ -352,6 +352,11 @@ def test_mu_small_c_limit():
     assert abs(mu0 - mass) <= 1e-4
 
 
+def mu_explicit(p, n):
+    """mu_n = i^n |mu_n| from the explicit route's log |mu_n|."""
+    return (1j) ** n * math.exp(log_mu_magnitude(p, n))
+
+
 def test_mu_explicit_small_c_prefactor():
     from scipy.special import gammaln
 
@@ -359,7 +364,7 @@ def test_mu_explicit_small_c_prefactor():
     pref = math.exp(0.5 * math.log(math.pi) + gammaln(n + a + 1) + gammaln(n + 2 * a + 1)
                     - gammaln(n + a + 1.5) - gammaln(2 * n + 2 * a + 1))
     p = g.ProblemParams(alpha=a, c=1e-3)
-    mu = g.mu_explicit(p, n)
+    mu = mu_explicit(p, n)
     assert abs(abs(mu) / 1e-3 ** n - pref) / pref <= 1e-6
     # phase i^n
     assert_allclose(mu / abs(mu), (1j) ** n, rtol=1e-12)
@@ -372,7 +377,7 @@ def test_mu_explicit_at_alpha_minus_half(c):
     spec = g.chi_spectrum(p, 2)
     for n in range(3):
         mu_e = g.mu_eigenrelation(spec, n)
-        assert abs(g.mu_explicit(p, n) - mu_e) <= 1e-12 * abs(mu_e)
+        assert abs(mu_explicit(p, n) - mu_e) <= 1e-12 * abs(mu_e)
 
 
 def test_explicit_route_refuses_a_non_finite_log(monkeypatch):
@@ -380,14 +385,14 @@ def test_explicit_route_refuses_a_non_finite_log(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_f_n_rows", lambda *args: math.nan)
     p = g.ProblemParams(alpha=0.5, c=2.0)
-    for route in (g.mu_explicit, spectrum.log_mu_magnitude):
+    for route in (g.log_lambda_explicit, spectrum.log_mu_magnitude):
         with pytest.raises(RuntimeError, match="not finite"):
             route(p, 1)
 
 
 def test_mu_explicit_cross_agreement():
     p = g.ProblemParams(alpha=0.5, c=3.0)
-    mu_x = g.mu_explicit(p, 12)
+    mu_x = mu_explicit(p, 12)
     mu_e = g.mu_eigenrelation(g.chi_spectrum(p, 12), 12)
     assert abs(mu_x - mu_e) / abs(mu_e) <= 1e-6
 
@@ -453,8 +458,6 @@ def test_moment_and_mu_phases_exact_at_high_order():
     m = fourier_jacobi_moments(0.5, us, 400)
     assert np.all(m[:, 0::2].imag == 0.0)
     assert np.all(m[:, 1::2].real == 0.0)
-    mu = g.mu_explicit(g.ProblemParams(alpha=0.5, c=2.0), 101)
-    assert mu.real == 0.0 and mu.imag > 0.0
 
 
 @pytest.mark.parametrize("route", ["mu_eigenrelation", "f_n_moment", "log_lambda_explicit",
@@ -787,6 +790,13 @@ def test_decay_check_keeps_modes_with_chi_above_c_squared():
     assert np.array_equal(rep.ns, np.arange(6, 30))
     with pytest.raises(ValueError, match="at least three admissible indices"):
         g.decay_check(p, range(0, 6))
+
+
+def test_decay_check_on_a_sparse_range_is_the_explicit_route():
+    p = g.ProblemParams(alpha=0.5, c=30)
+    rep = g.decay_check(p, range(10, 80, 3))
+    assert rep.ns[0] > 10 and np.all(np.diff(rep.ns) == 3)
+    assert np.array_equal(rep.log_lambdas, g.log_lambda_explicit(p, rep.ns))
 
 
 @pytest.mark.parametrize("c", [100.0, 400.0])

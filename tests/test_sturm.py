@@ -150,8 +150,9 @@ def test_window_vectors_match_chi_spectrum_up_to_sign(alpha, c, lo):
     hi = lo + 3
     n_max = 2 * hi + 1
     spec = g.chi_spectrum(params, n_max)
-    solved = sturm.window_vectors(params, [(0, lo, hi), (1, lo, hi)])
-    for parity, (chi, v) in enumerate(solved):
+    chis, vecs = sturm.window_vectors(alpha, [c], np.arange(2 * lo, n_max + 1))
+    for parity in (0, 1):
+        chi, v = chis[0, parity::2], vecs[parity][0].T
         assert v.shape == (len(range(parity, spec.n_trunc, 2)), 4)
         modes = 2 * np.arange(lo, hi + 1) + parity
         # bisection and the full solve agree to rounding in the block's norm
@@ -177,11 +178,36 @@ def test_selected_solve_bit_identical_to_eigh_tridiagonal(alpha, c, n_trunc):
 def test_window_vectors_retry_once_and_refuse(monkeypatch):
     p = g.ProblemParams(alpha=0.5, c=10.0)
     monkeypatch.setattr(sturm, "default_truncation", lambda n_max, c: 12)
-    ((_, v),) = sturm.window_vectors(p, [(0, 1, 2)])
-    assert v.shape == (12, 2)     # 24 terms, 12 of them even
+    _, (v, _) = sturm.window_vectors(p.alpha, [p.c], [2, 4])
+    assert v.shape == (1, 2, 12)     # 24 terms, 12 of them even
     monkeypatch.setattr(sturm, "default_truncation", lambda n_max, c: 10)
     with pytest.raises(TruncationError, match="mode n=2"):
-        sturm.window_vectors(p, [(0, 1, 2)])
+        sturm.window_vectors(p.alpha, [p.c], [2, 4])
+
+
+@pytest.mark.parametrize("modes", [[9, 2, 40, 3, 9], [2, 4]])
+def test_window_vectors_keep_the_order_given(modes):
+    # any mode list, unsorted, with gaps and repeats, comes back in its own
+    # order at every bandwidth, each vector zero-padded to the widest basis
+    alpha, cs = 0.5, [3.0, 30.0]
+    chis, vecs = sturm.window_vectors(alpha, cs, modes)
+    modes = np.array(modes)
+    assert chis.shape == (2, modes.size)
+    n_trunc = sturm.default_truncation(modes.max(), max(cs))
+    for parity in (0, 1):
+        count = np.count_nonzero(modes % 2 == parity)
+        width = len(range(parity, n_trunc, 2)) if count else 0
+        assert vecs[parity].shape == (2, count, width)
+    for i, c in enumerate(cs):
+        spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), int(modes.max()))
+        assert np.all(np.abs(chis[i] - spec.chis[modes]) <= 1e-15 * spec.n_trunc ** 2)
+        for parity in np.unique(modes % 2):
+            own = modes[modes % 2 == parity]
+            want = spec.coeffs[own, parity::2]
+            v = vecs[parity][i]
+            assert not np.any(v[:, want.shape[1]:])
+            signs = np.sign(np.sum(v[:, :want.shape[1]] * want, axis=1, keepdims=True))
+            assert np.max(np.abs(v[:, :want.shape[1]] * signs - want)) <= 1e-12
 
 
 def test_q_where_chi_0_is_not_a_normal_double():
