@@ -52,12 +52,9 @@ from .approx import (
 from .specfun import (
     BesselEnvelopeConstants,
     QuadratureRule,
-    bessel_j,
-    beta_fn,
     elliptic_K,
     envelope_constants,
     eta_fn,
-    gamma_fn,
     gauss_jacobi,
     incomplete_K,
     s_map,
@@ -89,10 +86,10 @@ __all__ = [
     "ApproxReport", "BesselEnvelopeConstants", "ChiSpectrum", "CountingReport",
     "DecayReport", "GpswfFunction", "OperatorSpectrum", "ProblemParams",
     "QuadratureRule", "TraceAndNorm", "TruncationError", "WkbFrame",
-    "approximant_norm_check", "approximant_norm_sq", "bessel_j",
-    "bessel_report", "bessel_uniform", "beta_fn", "chi_spectrum",
+    "approximant_norm_check", "approximant_norm_sq",
+    "bessel_report", "bessel_uniform", "chi_spectrum",
     "counting", "decay_check", "elliptic_K", "envelope_constants",
-    "eta_fn", "f_n_moment", "g_bound", "gamma_fn", "gauss_jacobi", "incomplete_K",
+    "eta_fn", "f_n_moment", "g_bound", "gauss_jacobi", "incomplete_K",
     "jacobi_report", "jacobi_uniform", "log_lambda_explicit",
     "make_frame", "mu_eigenrelation", "nystrom_spectrum",
     "ode_residual", "s_map", "trace_and_norm", "weight_modulus",

@@ -31,13 +31,12 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sp
 
 from .specfun import (
     BesselEnvelopeConstants,
-    bessel_j,
     elliptic_K,
     envelope_constants,
-    gamma_fn,
     incomplete_K,
     jacobi_series_eval,
     s_map,
@@ -99,7 +98,7 @@ def make_frame(spectrum: ChiSpectrum, n: int) -> WkbFrame:
             / margin if margin else math.inf
         if chi >= sys.float_info.min:
             psi1 = spectrum.eigenfunction(n).value(1.0)
-            a_exact = (2.0 ** alpha) * gamma_fn(1.0 + alpha) * psi1 \
+            a_exact = (2.0 ** alpha) * _sp.gamma(1.0 + alpha) * psi1 \
                 / ((1.0 - q) ** (alpha / 2.0) * chi ** (0.25 + alpha / 2.0))
             a_hat = math.sqrt(math.pi / (2.0 * elliptic_K(math.sqrt(q))))
     return WkbFrame(alpha=alpha, n=n, chi=chi, q=q, eps=eps, a_exact=a_exact,
@@ -140,14 +139,14 @@ def _bessel_terms(frame: WkbFrame, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     near = 1.0 - x < _X_ENDPOINT
     if np.any(near):
         main[near] = chi ** (0.25 + alpha / 2.0) * (1.0 - q) ** (alpha / 2.0) \
-            / (2.0 ** alpha * gamma_fn(1.0 + alpha))
+            / (2.0 ** alpha * _sp.gamma(1.0 + alpha))
     reg = ~near
     if np.any(reg):
         xr = x[reg]
         s = s_map(xr, q)
         z = math.sqrt(chi) * s
         one_mx2, one_mqx2 = 1.0 - xr * xr, 1.0 - q * xr * xr
-        main[reg] = chi ** 0.25 * np.sqrt(s) * bessel_j(alpha, z) \
+        main[reg] = chi ** 0.25 * np.sqrt(s) * _sp.jv(alpha, z) \
             / (one_mx2 ** (0.25 + alpha / 2.0) * one_mqx2 ** 0.25)
         e_a, m_a = weight_modulus(frame.constants, z)
         factor[reg] = (one_mx2 ** 0.25 / one_mqx2 ** 0.75) \
@@ -189,7 +188,7 @@ def _norm_sq(frame: WkbFrame) -> float:
     xs = np.sin(theta)
     s = s_map(xs, q)
     z = np.sqrt(chi) * s
-    integrand = math.sqrt(chi) * s * bessel_j(alpha, z) ** 2 / np.sqrt(1.0 - q * xs * xs)
+    integrand = math.sqrt(chi) * s * _sp.jv(alpha, z) ** 2 / np.sqrt(1.0 - q * xs * xs)
     return float(frame.a_exact ** 2 * np.dot(wt, integrand))
 
 

@@ -6,9 +6,10 @@ Subcommands
     approx         Bessel- or Jacobi-form approximation report
     spectrum       lambda/mu table, trace check, counting sandwich, decay slope
 
-Exit codes: 0 success, 1 property violation (bracket/envelope/instability),
-2 usage error.  Identical invocations produce byte-identical output files;
-floats are emitted with 17 significant digits so they round-trip exactly.
+Exit codes: 0 success, 1 property violation (bracket/envelope/instability)
+or a numerical failure (reported as one ``error:`` line), 2 usage error.
+Identical invocations produce byte-identical output files; floats are
+emitted with 17 significant digits so they round-trip exactly.
 GPSWF_THREADS caps BLAS worker threads.  The cap is applied when the
 ``gpswf`` package is imported, which for the CLI is always before numpy is
 loaded; ``main`` only turns a non-integer value into a usage error.
@@ -23,7 +24,12 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import _apply_thread_cap
+from .approx import bessel_report, default_grid, jacobi_report, symmetric_grid
+from .spectrum import decay_check, nystrom_spectrum, trace_and_norm
+from .sturm import ProblemParams, chi_spectrum, ode_residual
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -84,8 +90,6 @@ def _emit(columns, rows, summary, config, fmt: str, out: str | None) -> None:
 # Each handler returns (columns, rows, summary, violated); main checks the
 # numbers are finite, emits the table and turns violated into exit code 1.
 def _cmd_chi(args):
-    from .sturm import ProblemParams, chi_spectrum
-
     params = ProblemParams(alpha=args.alpha, c=args.c)
     spec = chi_spectrum(params, args.n_max)
     columns = ["n [index]", "chi [dimensionless]",
@@ -103,10 +107,6 @@ def _cmd_chi(args):
 
 
 def _cmd_eigenfunction(args):
-    import numpy as np
-
-    from .sturm import ProblemParams, chi_spectrum, ode_residual
-
     params = ProblemParams(alpha=args.alpha, c=args.c)
     spec = chi_spectrum(params, args.n)
     f = spec.eigenfunction(args.n)
@@ -123,19 +123,14 @@ def _cmd_eigenfunction(args):
 
 
 def _cmd_approx(args):
-    from .approx import bessel_report, jacobi_report
-    from .sturm import ProblemParams, chi_spectrum
-
     if args.kind == "jacobi" and not 0.0 < args.alpha < 1.5:
         raise UsageError("alpha must lie in (0,3/2) for --kind jacobi")
     params = ProblemParams(alpha=args.alpha, c=args.c)
     spec = chi_spectrum(params, args.n)
     try:
         if args.kind == "bessel":
-            from .approx import default_grid
             rep = bessel_report(spec, args.n, grid=default_grid(args.grid))
         else:
-            from .approx import symmetric_grid
             rep = jacobi_report(spec, args.n, grid=symmetric_grid(args.grid), q0=args.q0)
     except ValueError as exc:
         # an inadmissible frame is a property violation: no table
@@ -160,11 +155,6 @@ def _cmd_approx(args):
 
 
 def _cmd_spectrum(args):
-    import numpy as np
-
-    from .spectrum import decay_check, nystrom_spectrum, trace_and_norm
-    from .sturm import ProblemParams
-
     params = ProblemParams(alpha=args.alpha, c=args.c)
     if params.c <= 0:
         raise UsageError("spectrum requires c > 0")
@@ -288,6 +278,11 @@ def main(argv=None) -> int:
         # precondition failures on validated inputs are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RuntimeError, ArithmeticError) as exc:
+        # a library failure on valid inputs (no convergence, overflow): one
+        # line instead of a traceback, with the exit code a traceback gives
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

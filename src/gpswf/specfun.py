@@ -1,12 +1,14 @@
 """Special functions and quadrature for the GPSWF solver stack.
 
-Everything here is double precision, pure and deterministic: Gamma/Beta,
-Bessel J of real order, complete and incomplete Legendre elliptic integrals
-of the first kind, the elliptic arc-length map S used by the Liouville
-transform, Clenshaw evaluation of orthonormal symmetric-Jacobi series,
-Gauss-Jacobi quadrature for the weight (1-y^2)^alpha, and the envelope
-constants (m_alpha, c_alpha, kappa_alpha, X_alpha, ...) that control the
-Bessel-form error bounds.
+Everything here is double precision, pure and deterministic: the total
+mass of the weight (1-y^2)^alpha and the norms h_n of its Jacobi
+polynomials, complete and incomplete Legendre elliptic integrals of the
+first kind, the elliptic arc-length map S used by the Liouville transform,
+the Bessel moment remainder eta, Clenshaw evaluation of orthonormal
+symmetric-Jacobi series, Gauss-Jacobi quadrature for that weight, and the
+envelope constants (m_alpha, c_alpha, kappa_alpha, X_alpha, ...) that
+control the Bessel-form error bounds.  Gamma, Beta and Bessel J are
+scipy.special's, called directly.
 
 Elliptic integrals follow the modulus convention: K(r) with 0 <= r < 1,
 i.e. ``K(r) = int_0^1 dt / sqrt((1-t^2)(1-r^2 t^2))``.  SciPy's
@@ -25,53 +27,24 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpteqr
 
 
-def _as_float_array(x):
-    return np.asarray(x, dtype=float)
-
-
 def _maybe_scalar(out, x):
     if np.ndim(x) == 0:
         return float(out)
     return out
 
 
-# ---------------------------------------------------------------------------
-# Gamma / Beta
-# ---------------------------------------------------------------------------
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on the positive half line."""
-    if x <= 0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return float(_sp.gamma(x))
-
-
-def beta_fn(a: float, b: float) -> float:
-    """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), a, b > 0."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    return float(_sp.beta(a, b))
-
-
 def total_mass(alpha: float) -> float:
-    """Total mass of the weight: int_{-1}^{1} (1-y^2)^alpha dy."""
+    """Total mass of the weight: int_{-1}^{1} (1-y^2)^alpha dy = h_0.
+
+    2^(2 alpha + 1) B(alpha + 1, alpha + 1), or for alpha > 500, where B
+    nears the subnormal range and from 511.5 on 2^(2 alpha + 1) overflows,
+    the equal Gamma ratio sqrt(pi) / (alpha + 1)_(1/2).
+    """
     if alpha <= -1:
         raise ValueError(f"weight exponent must exceed -1, got {alpha}")
-    return 2.0 ** (2 * alpha + 1) * beta_fn(alpha + 1.0, alpha + 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Bessel functions of real order
-# ---------------------------------------------------------------------------
-
-def bessel_j(nu: float, x):
-    """J_nu(x) for real order nu >= -1/2 and x >= 0. Accepts arrays."""
-    if nu < -0.5:
-        raise ValueError(f"bessel_j requires nu >= -1/2, got {nu}")
-    arr = _as_float_array(x)
-    if np.any(arr < 0):
-        raise ValueError("bessel_j requires x >= 0")
-    return _maybe_scalar(_sp.jv(nu, arr), x)
+    if alpha > 500:
+        return math.sqrt(math.pi) / float(_sp.poch(alpha + 1.0, 0.5))
+    return 2.0 ** (2 * alpha + 1) * float(_sp.beta(alpha + 1.0, alpha + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +67,7 @@ def s_map(x, q: float):
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"s_map requires 0 <= q < 1, got q={q}")
-    arr = _as_float_array(x)
+    arr = np.asarray(x, dtype=float)
     if np.any(arr < 0) or np.any(arr > 1):
         raise ValueError("s_map requires x in [0, 1]")
     out = _sp.ellipe(q) - _sp.ellipeinc(np.arcsin(arr), q)
@@ -105,7 +78,7 @@ def incomplete_K(x, q: float):
     """Incomplete first-kind integral K(x, sqrt(q)) = int_x^1 dt/sqrt((1-t^2)(1-q t^2))."""
     if not 0.0 <= q < 1.0:
         raise ValueError(f"incomplete_K requires 0 <= q < 1, got q={q}")
-    arr = _as_float_array(x)
+    arr = np.asarray(x, dtype=float)
     if np.any(arr < 0) or np.any(arr > 1):
         raise ValueError("incomplete_K requires x in [0, 1]")
     out = _sp.ellipk(q) - _sp.ellipkinc(np.arcsin(arr), q)
@@ -117,32 +90,33 @@ def incomplete_K(x, q: float):
 # ---------------------------------------------------------------------------
 
 def _check_unit_interval(x):
-    arr = _as_float_array(x)
+    arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) > 1.0 + 1e-14):
         raise ValueError("Jacobi polynomials are evaluated on [-1, 1]")
     return arr
 
 
-def jacobi_h(n, alpha: float, beta: float):
-    """Squared weighted L2 norm h_n of P_n^(alpha, beta); n an int or an array.
+def jacobi_h(n, alpha: float):
+    """Squared weighted L2 norm h_n of P_n^(alpha, alpha); n an int or an array.
 
     Computed in log space so it stays finite for degrees far beyond the
-    overflow point of the Gamma function.  Degree 0 takes the Beta form,
-    which stays finite where the general form is 0/0 (alpha + beta = -1).
+    overflow point of the Gamma function.  Degree 0 is total_mass(alpha),
+    which stays finite where the general form is 0/0 (alpha = -1/2).
     """
-    a, b = float(alpha), float(beta)
+    a = float(alpha)
     k = np.asarray(n, dtype=float)
+    g = _sp.gammaln(k + a + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_h = (
-            (a + b + 1) * math.log(2.0)
-            + _sp.gammaln(k + a + 1)
-            + _sp.gammaln(k + b + 1)
-            + np.log(k + a + b + 1)
+            (a + a + 1) * math.log(2.0)
+            + g
+            + g
+            + np.log(k + a + a + 1)
             - _sp.gammaln(k + 1)
-            - np.log(2 * k + a + b + 1)
-            - _sp.gammaln(k + a + b + 2)
+            - np.log(2 * k + a + a + 1)
+            - _sp.gammaln(k + a + a + 2)
         )
-    h = np.where(k == 0, 2.0 ** (a + b + 1) * beta_fn(a + 1, b + 1), np.exp(log_h))
+    h = np.where(k == 0, total_mass(a), np.exp(log_h))
     return _maybe_scalar(h, n)
 
 
@@ -264,9 +238,6 @@ class QuadratureRule:
     weights: np.ndarray
     alpha: float
 
-    def integrate(self, values) -> float:
-        return float(np.dot(self.weights, values))
-
 
 def gauss_jacobi(n_nodes: int, alpha: float) -> QuadratureRule:
     """N-node Gauss-Jacobi rule for the symmetric weight (1-y^2)^alpha.
@@ -342,7 +313,7 @@ def eta_fn(alpha: float, x):
     """
     if alpha < -0.5:
         raise ValueError(f"eta_fn requires alpha >= -1/2, got {alpha}")
-    arr = _as_float_array(x)
+    arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise ValueError("eta_fn requires x >= 0")
     ja = _sp.jv(alpha, arr)
@@ -426,7 +397,7 @@ def weight_modulus(constants: BesselEnvelopeConstants, x):
     so M/E = sqrt(2) J below and the Hankel modulus above.
     """
     alpha = constants.alpha
-    arr = _as_float_array(x)
+    arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("weight_modulus requires x > 0")
     arr1 = np.atleast_1d(arr)

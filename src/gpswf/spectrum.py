@@ -168,7 +168,7 @@ def fourier_jacobi_moments(alpha: float, u, n_modes: int) -> np.ndarray:
     a = alpha
     lam = a + 0.5
     k = np.arange(n_modes, dtype=float)
-    log_h = np.log(jacobi_h(k, a, a))
+    log_h = np.log(jacobi_h(k, a))
     # Gamma(2a+1) / (Gamma(a+1/2) Gamma(a+1)) = 2^(2a) / sqrt(pi) (Legendre
     # duplication); the Gamma form is inf/inf at a = -1/2
     log_coef = (math.log(math.pi) + (0.5 - a) * math.log(2.0)

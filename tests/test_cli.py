@@ -215,6 +215,25 @@ def test_readme_library_sketch():
     exec(compile(block, "README.md", "exec"), {})
 
 
+def test_eigenfunction_past_the_power_of_two_overflow(tmp_path):
+    # alpha = 600 puts 2^(2 alpha + 1) past the largest double
+    out = tmp_path / "psi.json"
+    assert main(["eigenfunction", "--alpha", "600", "--c", "1", "--n", "2",
+                 "--grid", "21", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["rows"]) == 21
+
+
+def test_library_failure_is_one_error_line(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("eigen-iteration failed")
+
+    monkeypatch.setattr("gpswf.cli.nystrom_spectrum", fail)
+    assert main(["spectrum", "--alpha", "0.5", "--c", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: RuntimeError: eigen-iteration failed\n"
+
+
 def test_spectrum_refuses_negative_alpha(capsys):
     for alpha in ("-0.3", "-0.9"):
         assert main(["spectrum", "--alpha", alpha, "--c", "5"]) == 2
@@ -299,8 +318,10 @@ def test_thread_cap_env_not_integer(monkeypatch):
 
 
 def test_import_leaves_out_scipy_optimize():
-    # only the Bessel envelope constants need brentq; they import it on use
-    probe = "import sys, gpswf, gpswf.cli; print('scipy.optimize' in sys.modules)"
+    # only the Bessel envelope constants need brentq, and they import it on
+    # use; nothing in the package needs scipy.integrate
+    probe = ("import sys, gpswf, gpswf.cli; "
+             "print('scipy.optimize' in sys.modules or 'scipy.integrate' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": PACKAGE_PARENT})
     assert proc.returncode == 0, proc.stderr

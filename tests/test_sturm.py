@@ -33,7 +33,7 @@ def test_c_zero_diagonal():
     xs = np.linspace(-1, 1, 13)
     for n in range(9):
         psi = spec.eigenfunction(n).value(xs)
-        ptilde = eval_jacobi(n, alpha, alpha, xs) / math.sqrt(jacobi_h(n, alpha, alpha))
+        ptilde = eval_jacobi(n, alpha, alpha, xs) / math.sqrt(jacobi_h(n, alpha))
         assert_allclose(psi, ptilde, atol=1e-14)
         # coefficient vector is the coordinate vector
         e_n = np.zeros(spec.n_trunc)
@@ -82,6 +82,16 @@ def test_normalization_and_orthogonality():
     table = np.array([spec.eigenfunction(n).value(rule.nodes) for n in range(7)])
     gram = (table * rule.weights) @ table.T
     assert np.max(np.abs(gram - np.eye(7))) <= 1e-10
+
+
+def test_normalization_past_the_power_of_two_overflow():
+    # alpha = 600: 2^(2 alpha + 1) in the weight's total mass is past the
+    # largest double, so the mass takes its Gamma-ratio form
+    spec = g.chi_spectrum(g.ProblemParams(alpha=600.0, c=1.0), 4)
+    rule = g.gauss_jacobi(60, 600.0)
+    for n in range(5):
+        psi = spec.eigenfunction(n).value(rule.nodes)
+        assert abs(np.dot(rule.weights, psi * psi) - 1.0) <= 1e-13
 
 
 def test_parity():
