@@ -69,6 +69,7 @@ from .spectrum import (
     decay_check,
     f_n_moment,
     log_lambda_explicit,
+    log_mu_ratio,
     mu_eigenrelation,
     nystrom_spectrum,
     trace_and_norm,
@@ -91,7 +92,7 @@ __all__ = [
     "counting", "decay_check", "elliptic_K", "envelope_constants",
     "eta_fn", "f_n_moment", "g_bound", "gauss_jacobi", "incomplete_K",
     "jacobi_report", "jacobi_uniform", "log_lambda_explicit",
-    "make_frame", "mu_eigenrelation", "nystrom_spectrum",
+    "log_mu_ratio", "make_frame", "mu_eigenrelation", "nystrom_spectrum",
     "ode_residual", "s_map", "trace_and_norm", "weight_modulus",
 ]
 

@@ -1,6 +1,6 @@
 """Spectra of the weighted finite Fourier transform and its composition.
 
-Three computational routes, cross-checked against each other:
+Four computational routes, cross-checked against each other:
 
 * Nystrom: F_c itself is discretized on a Gauss-Jacobi rule as
   sqrt(w_i w_j) e^{i c x_i x_j} and split by parity into a real cos block
@@ -11,7 +11,14 @@ Three computational routes, cross-checked against each other:
   Rounding in mu is about 1e-16 |mu_0|, so lambda_n keeps a relative error
   near 1e-16 sqrt(lambda_0/lambda_n) (1e-10 at lambda ~ 1e-14) and is noise
   below lambda ~ 1e-28; an eigenvalue is flagged stable only where it
-  agrees with the eigen-relation below.
+  agrees with the ratio route below.
+
+* Ratio route: mu_(n+1) / mu_n = i c A_n / B_n with A_n = int x psi_(n+1)
+  psi_n w and B_n = int psi_(n+1)' psi_n w, bilinear forms in the Jacobi
+  coefficients of one Sturm-Liouville solve, anchored at mu_0 from the
+  eigen-relation at x = 0; log_mu_ratio gives every log |mu_n| of a solved
+  spectrum at once, at any decay depth, and OperatorSpectrum.mus comes
+  from it.
 
 * Eigen-relation: mu_n is obtained by applying the transform to psi_n from
   the Sturm-Liouville solver at a point where |psi_n| is large.
@@ -54,7 +61,7 @@ from .specfun import (
     sym_offdiag,
     total_mass,
 )
-from .sturm import ChiSpectrum, ProblemParams, chi_spectrum, window_vectors
+from .sturm import ChiSpectrum, ProblemParams, _sign_reference, chi_spectrum, window_vectors
 
 
 # i^k = _I_POWERS[k % 4] exactly; 1j ** k is inexact from k = 100
@@ -112,7 +119,7 @@ class OperatorSpectrum:
     params: ProblemParams
     n_quad: int
     lambdas: np.ndarray            # descending, length n_keep
-    mus: np.ndarray                # complex, from the eigen-relation
+    mus: np.ndarray                # complex, i^n exp(log_mu_ratio), the ratio route
     cross_residuals: np.ndarray    # |lambda_n - (c/2pi) |mu_n|^2|
     stable: np.ndarray             # cross_residuals <= 1e-10 lambda
     discrete: np.ndarray           # all n_quad discrete lambda = (c/2pi) mu^2, descending
@@ -131,13 +138,17 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
                      n_keep: int = 12) -> OperatorSpectrum:
     """Discretize the composition operator and keep the top n_keep eigenvalues.
 
-    The n-th eigenvalue in descending order is paired with mu_n from the
-    eigen-relation, and it is flagged stable when the two independent routes
-    to lambda_n = (c/2pi) |mu_n|^2 agree to 1e-10 relative, so a stable value
-    is within ~2e-10 of the exact one.  A mode that sorted order pairs with
-    the wrong psi_n (seen at alpha < 0) disagrees and is flagged; from
-    lambda ~ 1e-10 down the eigen-relation's own rounding can exceed 1e-10,
-    so accurate edge modes may be flagged unstable too.
+    The n-th eigenvalue in descending order is paired with
+    mu_n = i^n exp(log_mu_ratio) from one chi_spectrum solve of modes
+    0..n_keep-1 (no Clenshaw pass, no Bessel moment), and it is flagged
+    stable when the two independent routes to lambda_n = (c/2pi) |mu_n|^2
+    agree to 1e-10 relative, so a stable value is within ~2e-10 of the
+    exact one.  The ratio route's error in log |mu_n| is a few
+    1e-13 max(1, |log |mu_n||), far inside that bound on every mode a
+    Nystrom rule resolves, so a cleared flag points at the Nystrom value: a
+    mode that sorted order pairs with the wrong psi_n (seen at alpha < 0),
+    or one near the Nystrom rounding floor (lambda ~ 1e-10 lambda_0 and
+    below).
     """
     if params.c <= 0:
         raise ValueError("the composition operator is trivial at c = 0")
@@ -146,7 +157,8 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
         raise ValueError(f"n_quad={nq} too small for n_keep={n_keep}")
     vals = _nystrom_lambdas(params, nq)
     lambdas = vals[:n_keep].copy()
-    mus = mu_eigenrelation(chi_spectrum(params, n_keep - 1), np.arange(n_keep))
+    log_mu = log_mu_ratio(chi_spectrum(params, n_keep - 1))
+    mus = _I_POWERS[np.arange(n_keep) % 4] * np.exp(log_mu)
     cross = np.abs(lambdas - (params.c / (2.0 * math.pi)) * np.abs(mus) ** 2)
     return OperatorSpectrum(
         params=params, n_quad=nq, lambdas=lambdas, mus=mus,
@@ -229,8 +241,13 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
     alpha = 0.5 against log_mu_magnitude, with psi_n from
     chi_spectrum(params, 40), it is 2e-9 at n = 20, 9e-6 at n = 28 and 0.85
     at n = 32 for c = 2, and 6e-8 at n = 24, 2e-3 at n = 28 for c = 10; with
-    chi_spectrum(params, 24) it is already 2e-2 at n = 24 for c = 2.  Use
-    log_mu_magnitude for deeper modes.
+    chi_spectrum(params, 24) it is already 2e-2 at n = 24 for c = 2.  It is
+    also wrong at large alpha, where psi_n is concentrated near 0 and its
+    value at x = +-1 is coefficient rounding amplified: there x0 = +-1, and
+    on modes 0..11 log |mu_n| is 39-47 off at c = 100 from alpha = 25 on and
+    65-105 off at c = 300 from alpha = 20 on (alpha <= 50; c = 10 stays
+    within 2e-13 up to alpha = 50); at (150, 200) the moments overflow.  Use
+    log_mu_ratio or log_mu_magnitude for deeper modes and large alpha.
     """
     ns = _spectrum_modes(spectrum, n)
     params = spectrum.params
@@ -250,26 +267,19 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
     return mus.reshape(ns.shape) if ns.ndim else complex(mus[0])
 
 
-def _f_n_rows(alpha: float, parity: int, rows: np.ndarray, n) -> np.ndarray:
-    """F_n - n, F_n = int x psi_n psi_n' (1-x^2)^alpha dx, for a stack of psi_n of one parity.
+def _connect(alpha: float, parity: int, size: int, rhs) -> np.ndarray:
+    """Solve B g = e for every row: a Ptilde^(alpha+1) series taken into the alpha basis.
 
-    rows[..., i] is the coefficient of Ptilde_(2i + parity), so every row is
-    in that parity's own columns, and n (broadcast against rows[..., 0]) is
-    each row's mode.  x psi_n' has coefficients e in the Ptilde^(alpha+1)
-    basis, and the two-term connection Ptilde^alpha_k = p_k Ptilde^(alpha+1)_k
-    + q_k Ptilde^(alpha+1)_(k-2) (DLMF 18.9.7, normalised) turns them into
-    alpha-basis coefficients g by solving B g = e; then F_n = psi_n . g.  B
-    keeps the parity, so on these columns it is upper bidiagonal, and one
-    banded solve serves every row.  The degree-k part of e is k p_k psi_k, so
-    g = k psi + B^-1 r with r the rest of e - B (k psi), and
-    F_n - n |psi_n|^2 = sum (k - n) psi_k^2 + psi_n . B^-1 r.  That form has
-    no cancellation: at c = 0 it is exactly 0, and it stays O(c^2) with no
-    rounding offset as c -> 0, which the explicit formula's (F_n - n)/tau
-    needs.  p_k = b^(alpha+1)_k sqrt(k (k + 2 alpha + 1)) / k, the ratio of
-    the two leading coefficients, and q_k = -b_k b_(k-1) / p_(k-2), with b
-    the alpha offdiagonals, so both stay finite at alpha = -1/2.
+    The columns are one parity's degrees m = parity, parity + 2, ... (size of
+    them), in both bases.  The two-term connection Ptilde^alpha_k =
+    p_k Ptilde^(alpha+1)_k + q_k Ptilde^(alpha+1)_(k-2) (DLMF 18.9.7,
+    normalised) makes B upper bidiagonal on these columns, so one banded
+    solve serves every row.  p_k = b^(alpha+1)_k sqrt(k (k + 2 alpha + 1)) / k,
+    the ratio of the two leading coefficients, and q_k = -b_k b_(k-1) / p_(k-2),
+    with b the alpha offdiagonals, so both stay finite at alpha = -1/2.  The
+    right-hand sides e = rhs(m, b_up, q), b_up the alpha+1 offdiagonals, have
+    shape (..., size).
     """
-    size = rows.shape[-1]
     m = np.arange(parity, parity + 2 * size, 2)
     b = sym_offdiag(alpha, int(m[-1]))
     b_up = sym_offdiag(alpha + 1.0, int(m[-1]))
@@ -277,16 +287,38 @@ def _f_n_rows(alpha: float, parity: int, rows: np.ndarray, n) -> np.ndarray:
     p = np.concatenate(([math.sqrt(total_mass(alpha + 1.0) / total_mass(alpha))],
                         b_up[1:m[-1] + 1] * np.sqrt(k * (k + 2 * alpha + 1)) / k))
     q = -b[m[1:]] * b[m[1:] - 1] / p[m[:-1]]
-    # psi' has coefficient psi_k sqrt(k (k + 2 alpha + 1)) on
-    # Ptilde^(alpha+1)_(k-1), and x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1):
-    # beyond its degree-k part, x psi' puts b_(k-1) times that on degree k - 2
-    r = np.zeros_like(rows)
-    r[..., :-1] = (b_up[m[1:] - 1] * np.sqrt(m[1:] * (m[1:] + 2 * alpha + 1))
-                   - q * m[1:]) * rows[..., 1:]
+    e = rhs(m, b_up, q)
     banded = np.zeros((2, size))
     banded[0, 1:] = q
     banded[1] = p[m]
-    h = solve_banded((0, 1), banded, r.reshape(-1, size).T, overwrite_b=True).T.reshape(r.shape)
+    return solve_banded((0, 1), banded, e.reshape(-1, size).T, overwrite_b=True).T.reshape(e.shape)
+
+
+def _f_n_rows(alpha: float, parity: int, rows: np.ndarray, n) -> np.ndarray:
+    """F_n - n, F_n = int x psi_n psi_n' (1-x^2)^alpha dx, for a stack of psi_n of one parity.
+
+    rows[..., i] is the coefficient of Ptilde_(2i + parity), so every row is
+    in that parity's own columns, and n (broadcast against rows[..., 0]) is
+    each row's mode.  x psi_n' has coefficients e in the Ptilde^(alpha+1)
+    basis, which _connect turns into alpha-basis coefficients g; then
+    F_n = psi_n . g.  The degree-k part of e is k p_k psi_k, so
+    g = k psi + B^-1 r with r the rest of e - B (k psi), and
+    F_n - n |psi_n|^2 = sum (k - n) psi_k^2 + psi_n . B^-1 r.  That form has
+    no cancellation: at c = 0 it is exactly 0, and it stays O(c^2) with no
+    rounding offset as c -> 0, which the explicit formula's (F_n - n)/tau
+    needs.
+    """
+    def rest(m, b_up, q):
+        # psi' has coefficient psi_k sqrt(k (k + 2 alpha + 1)) on
+        # Ptilde^(alpha+1)_(k-1), and x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1):
+        # beyond its degree-k part, x psi' puts b_(k-1) times that on degree k - 2
+        r = np.zeros_like(rows)
+        r[..., :-1] = (b_up[m[1:] - 1] * np.sqrt(m[1:] * (m[1:] + 2 * alpha + 1))
+                       - q * m[1:]) * rows[..., 1:]
+        return r
+
+    m = np.arange(parity, parity + 2 * rows.shape[-1], 2)
+    h = _connect(alpha, parity, rows.shape[-1], rest)
     return (np.sum((m - np.asarray(n, dtype=float)[..., None]) * rows ** 2, axis=-1)
             + np.sum(rows * h, axis=-1))
 
@@ -308,6 +340,65 @@ def f_n_moment(spectrum: ChiSpectrum, n):
                                               spectrum.coeffs[modes[own], parity::2],
                                               modes[own])
     return out.reshape(ns.shape) if ns.ndim else float(out[0])
+
+
+def log_mu_ratio(spectrum: ChiSpectrum) -> np.ndarray:
+    """log |mu_n| for n = 0..n_max from the solved spectrum alone (the ratio route).
+
+    Differentiating F_c psi_n = mu_n psi_n in x and integrating against
+    psi_m (1-x^2)^alpha gives, the kernel being symmetric,
+    mu_n int psi_n' psi_m w = i c mu_m int x psi_n psi_m w, so
+    mu_(n+1) / mu_n = i c A_n / B_n with A_n = int x psi_(n+1) psi_n w and
+    B_n = int psi_(n+1)' psi_n w (Xiao, Rokhlin & Yarvin, Inverse Problems
+    17 (2001), for alpha = 0).  Both are bilinear forms in the Jacobi
+    coefficients: A_n by the x-recurrence, B_n with psi_(n+1)' taken into the
+    alpha basis by _connect, one banded solve per parity for every pair.
+    The anchor is the eigen-relation at x0 = 0, where only the degree-0
+    moment survives: mu_0 = c_0 h_0 / sum_m c_2m r_m, h_0 = total_mass(alpha)
+    and r_m = sqrt(h_0) Ptilde_2m(0) (sturm's sign reference); psi_0 has no
+    zeros, so psi_0(0) > 0.  No Bessel function and no Clenshaw pass is
+    needed, and nothing cancels: A_n is O(1) and B_n O(n), and log |mu_n| is
+    log mu_0 plus the cumulative sum of log(c A_n / B_n).  Against
+    log_mu_magnitude it is within 4e-13 max(1, |log |mu_n||) over the sweep
+    in the tests, down to log |mu_n| = -410.  A_n / B_n > 0 on every pair,
+    so mu_n = i^n |mu_n|; a non-positive or non-finite mu_0 or ratio is
+    refused with RuntimeError.
+    """
+    a, c = spectrum.params.alpha, spectrum.params.c
+    if c <= 0:
+        raise ValueError("the ratio route requires c > 0")
+    even = spectrum.coeffs[0, 0::2]
+    b = sym_offdiag(a, 2 * even.size)
+    mu_0 = even[0] * total_mass(a) / np.dot(even, _sign_reference(a, b, 0, even.size))
+    num, den = _ratio_forms(spectrum)
+    ratio = c * num / den
+    bad = np.flatnonzero(~(ratio > 0) | ~np.isfinite(ratio))
+    if not (mu_0 > 0 and math.isfinite(mu_0)) or bad.size:
+        where = "mu_0" if bad.size == 0 else f"mu_{bad[0] + 1} / mu_{bad[0]}"
+        raise RuntimeError(f"ratio route failed at {spectrum.params}: {where} is not "
+                           f"positive and finite")
+    return math.log(mu_0) + np.concatenate(([0.0], np.cumsum(np.log(ratio))))
+
+
+def _ratio_forms(spectrum: ChiSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """A_n = int x psi_(n+1) psi_n w and B_n = int psi_(n+1)' psi_n w for n < n_max."""
+    a = spectrum.params.alpha
+    u, v = spectrum.coeffs[:-1], spectrum.coeffs[1:]
+    size = u.shape[1]
+    # x Ptilde_k = b_(k+1) Ptilde_(k+1) + b_k Ptilde_(k-1)
+    b = sym_offdiag(a, size - 1)
+    num = np.sum(b[1:] * (u[:, 1:] * v[:, :-1] + u[:, :-1] * v[:, 1:]), axis=1)
+    # psi_(n+1)' has coefficient v_k sqrt(k (k + 2 alpha + 1)) on Ptilde^(alpha+1)_(k-1)
+    k = np.arange(1, size, dtype=float)
+    dv = np.zeros_like(v)
+    dv[:, :-1] = v[:, 1:] * np.sqrt(k * (k + 2 * a + 1))
+    den = np.empty(u.shape[0])
+    for parity in (0, 1):
+        if den[parity::2].size:
+            e = dv[parity::2, parity::2]
+            g = _connect(a, parity, e.shape[-1], lambda *_: e)
+            den[parity::2] = np.sum(u[parity::2, parity::2] * g, axis=1)
+    return num, den
 
 
 # QUADPACK's qk15 rule on [-1, 1] (Piessens et al., 1983): the 15 Kronrod

@@ -234,6 +234,16 @@ def test_library_failure_is_one_error_line(monkeypatch, capsys):
     assert captured.err == "error: RuntimeError: eigen-iteration failed\n"
 
 
+def test_spectrum_at_large_alpha(tmp_path):
+    # both exited 1: mu_n ~ 1e-53 flagged every mode unstable at (60, 300),
+    # and the eigen-relation's moments overflowed at (150, 200)
+    for alpha, c in (("60", "300"), ("150", "200")):
+        out = tmp_path / f"spec{alpha}.json"
+        assert main(["spectrum", "--alpha", alpha, "--c", c, "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 12 and all(row[-1] is True for row in rows)
+
+
 def test_spectrum_refuses_negative_alpha(capsys):
     for alpha in ("-0.3", "-0.9"):
         assert main(["spectrum", "--alpha", alpha, "--c", "5"]) == 2
