@@ -68,6 +68,16 @@ class WkbFrame:
     failure: str | None
 
 
+def _log_a_over_psi1(alpha: float, chi: float, q: float) -> float:
+    """log(A / psi_n(1)) = log(2^alpha Gamma(1+alpha) / ((1-q)^(alpha/2) chi^(1/4+alpha/2))).
+
+    In log space, so that neither Gamma(1+alpha) (inf past alpha ~ 170.6) nor
+    chi^(1/4+alpha/2) overflows at large alpha; needs q < 1 and chi > 0.
+    """
+    return (alpha * math.log(2.0) + float(_sp.gammaln(1.0 + alpha))
+            - 0.5 * alpha * math.log1p(-q) - (0.25 + 0.5 * alpha) * math.log(chi))
+
+
 def make_frame(spectrum: ChiSpectrum, n: int) -> WkbFrame:
     """The frame of mode n: eps, admissibility, envelope constants, A and Ahat.
 
@@ -75,9 +85,9 @@ def make_frame(spectrum: ChiSpectrum, n: int) -> WkbFrame:
     means q < 1 and (1-q) sqrt(chi) >= pi (7/4 + 3 alpha^2) m_alpha, and
     failure names the hypothesis that fails.  Where q < 1 and chi is a
     normal double, A = 2^alpha Gamma(1+alpha) psi_n(1) / ((1-q)^(alpha/2)
-    chi^(1/4+alpha/2)) and Ahat = sqrt(pi / (2 K(sqrt(q)))); elsewhere both
-    are NaN.  (A subnormal chi_0 is the c = 0 value to rounding, as in
-    ChiSpectrum.q, and its power can underflow to 0.)
+    chi^(1/4+alpha/2)), taken in log space so that it stays finite at large
+    alpha, and Ahat = sqrt(pi / (2 K(sqrt(q)))); elsewhere both are NaN.  (A
+    subnormal chi_0 is the c = 0 value to rounding, as in ChiSpectrum.q.)
     """
     alpha = spectrum.params.alpha
     chi = spectrum.chi(n)
@@ -98,8 +108,9 @@ def make_frame(spectrum: ChiSpectrum, n: int) -> WkbFrame:
             / margin if margin else math.inf
         if chi >= sys.float_info.min:
             psi1 = spectrum.eigenfunction(n).value(1.0)
-            a_exact = (2.0 ** alpha) * _sp.gamma(1.0 + alpha) * psi1 \
-                / ((1.0 - q) ** (alpha / 2.0) * chi ** (0.25 + alpha / 2.0))
+            log_a = _log_a_over_psi1(alpha, chi, q) + math.log(abs(psi1))
+            with np.errstate(over="ignore"):   # |A| past the double range is inf
+                a_exact = float(np.copysign(np.exp(log_a), psi1))
             a_hat = math.sqrt(math.pi / (2.0 * elliptic_K(math.sqrt(q))))
     return WkbFrame(alpha=alpha, n=n, chi=chi, q=q, eps=eps, a_exact=a_exact,
                     a_hat=a_hat, constants=cst, admissible=failure is None,
@@ -131,15 +142,15 @@ def _bessel_terms(frame: WkbFrame, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     (1-q x^2)^(1/4)) and factor = (1-x^2)^(1/4-a/2) chi^(1/4) sqrt(S)
     M_alpha(sqrt(chi) S) / ((1-q x^2)^(3/4) E_alpha(sqrt(chi) S)).  Near
     x = 1 the 0/0 form of main is replaced by its limit
-    chi^(1/4+a/2) (1-q)^(a/2) / (2^a Gamma(1+a)), and factor by its limit 0.
+    chi^(1/4+a/2) (1-q)^(a/2) / (2^a Gamma(1+a)) = psi_n(1) / A, taken in log
+    space, and factor by its limit 0.
     """
     alpha, chi, q = frame.alpha, frame.chi, frame.q
     main = np.empty_like(x)
     factor = np.zeros_like(x)
     near = 1.0 - x < _X_ENDPOINT
     if np.any(near):
-        main[near] = chi ** (0.25 + alpha / 2.0) * (1.0 - q) ** (alpha / 2.0) \
-            / (2.0 ** alpha * _sp.gamma(1.0 + alpha))
+        main[near] = math.exp(-_log_a_over_psi1(alpha, chi, q))
     reg = ~near
     if np.any(reg):
         xr = x[reg]

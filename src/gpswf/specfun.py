@@ -157,6 +157,9 @@ def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
     half runs only over the rows with a nonzero coefficient of its parity, up
     to the last such column; the zero columns it skips would leave the
     recurrence at exactly 0, so the values are bit-identical to the full pass.
+    One series at one point, such as psi_n(1), runs each half in Python
+    floats: the same IEEE operations in the same order, so again bit-identical,
+    without six ufunc calls per step on 1-element buffers.
 
     Accuracy: the map t = x^2 makes x = 0 an end of the t-interval, so the
     rounding error near x = 0 grows with the number of steps, as it does at
@@ -193,6 +196,15 @@ def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
             half = half[live]
             m = np.flatnonzero(half.any(axis=0))[-1] + 1
             d, s, r = (v[parity::2][:m].tolist() for v in (diag, scale, ratio))
+            if len(half) == 1 and pts.size == 1:
+                # one series at one point: the buffer steps below in Python
+                # floats, the same IEEE operations in the same order
+                tt, terms = float(t[0]), half[0, :m].tolist()
+                u1 = u2 = 0.0
+                for j in range(m - 1, -1, -1):
+                    u1, u2 = u2 * r[j] + terms[j] + u1 * ((tt - d[j]) * s[j]), u1
+                out[live] += u1 * factor
+                continue
             # one series runs on 1-D buffers and adds scalar terms (~10 %
             # faster than a (1, points) buffer); a stack adds (rows, 1) columns
             if len(half) == 1:
@@ -344,10 +356,18 @@ def _sup_sqrt_x_j(alpha: float) -> float:
 
 
 def _first_zero_j_plus_y(alpha: float) -> float:
-    """First positive root of J_alpha + Y_alpha, located by scan + brentq."""
+    """First positive root of J_alpha + Y_alpha, by scan + bisection to adjacent doubles.
+
+    A 65-point scan of [lo, hi] brackets the first sign change (the roots are
+    about pi apart, the scan step at most 6/64), and float bisection halves
+    the bracket until its midpoint equals an end.  The result is the last
+    double where J + Y <= 0, next to the first where it is > 0: about 50
+    scalar Bessel pairs.  Returns 0.0 at small alpha, where J + Y > 0 already
+    at the scan's start.
+    """
     lo = max(1e-3, alpha if alpha >= 0.5 else 1e-3)
     hi = alpha + 6.0 if alpha > 0 else 6.0
-    xs = np.linspace(lo, hi, 4096)
+    xs = np.linspace(lo, hi, 65)
     f = _sp.jv(alpha, xs) + _sp.yv(alpha, xs)
     if f[0] > 0:
         # degenerate small-alpha case: the ratio -Y/J never reaches 1
@@ -355,11 +375,15 @@ def _first_zero_j_plus_y(alpha: float) -> float:
     idx = np.nonzero(f > 0)[0]
     if idx.size == 0:
         raise RuntimeError(f"failed to bracket the first zero of J+Y for alpha={alpha}")
-    i = idx[0]
-    # imported here, its only use, so that importing gpswf does not load it
-    from scipy.optimize import brentq
-    fn = lambda t: _sp.jv(alpha, t) + _sp.yv(alpha, t)
-    return float(brentq(fn, xs[i - 1], xs[i], xtol=1e-12, rtol=8.9e-16))
+    a, b = float(xs[idx[0] - 1]), float(xs[idx[0]])
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        if _sp.jv(alpha, mid) + _sp.yv(alpha, mid) > 0:
+            b = mid
+        else:
+            a = mid
+        mid = 0.5 * (a + b)
+    return a
 
 
 def envelope_constants(alpha: float) -> BesselEnvelopeConstants:

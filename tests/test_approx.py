@@ -143,6 +143,24 @@ def test_a_alpha_positive():
     assert make_frame(spec, 25).a_exact > 0
 
 
+@pytest.mark.parametrize("alpha, n", [(150.0, 2), (200.0, 2), (600.0, 50)])
+def test_a_exact_finite_at_large_alpha(alpha, n):
+    # 2^alpha Gamma(1+alpha) and chi^(1/4+alpha/2) overflow here, A does not
+    from mpmath import mp, mpf
+
+    spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=1.0), n)
+    fr = make_frame(spec, n)
+    psi1 = spec.eigenfunction(n).value(1.0)
+    with mp.workdps(40):
+        a = mpf(alpha)
+        expect = 2 ** a * mp.gamma(1 + a) * mpf(psi1) \
+            / ((1 - mpf(fr.q)) ** (a / 2) * mpf(fr.chi) ** (mpf(0.25) + a / 2))
+        assert math.isfinite(fr.a_exact)
+        assert abs(fr.a_exact - expect) <= 1e-12 * abs(expect)
+    if alpha <= 200:
+        assert math.isfinite(g.approximant_norm_sq(spec, n))
+
+
 # ---------------------------------------------------------------------------
 # approximant norm
 # ---------------------------------------------------------------------------

@@ -159,6 +159,14 @@ def test_approx_bessel_inadmissible_frame_exit():
     assert "q =" in proc.stderr
 
 
+def test_approx_bessel_inadmissible_at_large_alpha(capsys):
+    # A is taken in log space, so the frame reaches its admissibility check
+    code = main(["approx", "--kind", "bessel", "--alpha", "300", "--c", "1", "--n", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "inadmissible" in err and err.count("\n") == 1
+
+
 def test_usage_errors(capsys):
     proc = run_cli(["chi", "--alpha", "0.5"])  # missing --c
     assert proc.returncode == 2
@@ -328,11 +336,17 @@ def test_thread_cap_env_not_integer(monkeypatch):
 
 
 def test_import_leaves_out_scipy_optimize():
-    # only the Bessel envelope constants need brentq, and they import it on
-    # use; nothing in the package needs scipy.integrate
-    probe = ("import sys, gpswf, gpswf.cli; "
-             "print('scipy.optimize' in sys.modules or 'scipy.integrate' in sys.modules)")
+    # nothing in the package needs scipy.optimize or scipy.integrate, not
+    # even a Bessel report, whose X_alpha is found by bisection
+    probe = """
+import contextlib, io, sys
+import gpswf, gpswf.cli
+gpswf.bessel_report(gpswf.chi_spectrum(gpswf.ProblemParams(0.5, 5.0), 40), 40)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = gpswf.cli.main(["approx", "--kind", "bessel", "--alpha", "0.5", "--c", "5", "--n", "40"])
+print(code, "scipy.optimize" in sys.modules or "scipy.integrate" in sys.modules)
+"""
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": PACKAGE_PARENT})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "0 False"

@@ -406,6 +406,22 @@ def test_clenshaw_batched_rows_bit_identical():
                               jacobi_series_eval(coeffs, a, np.array([0.3]))[..., 0])
 
 
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.7, 1.4])
+def test_clenshaw_one_point_bit_identical(alpha):
+    # one series at one point runs in Python floats; a second point sends
+    # the same series through the buffer pass
+    series = []
+    for c in (0.0, 5.0, 300.0):
+        co = g.chi_spectrum(g.ProblemParams(alpha, c), 9).coeffs
+        for mix in (co[8], co[9], co[8] + co[9], co[0] - 0.5 * co[1]):
+            series += [(mix, alpha), (jacobi_series_deriv_coeffs(mix, alpha), alpha + 1.0)]
+    for coeffs, a in series:
+        for x in (-1.0, -0.77, 0.0, 1e-7, 0.3, 1.0):
+            one = jacobi_series_eval(coeffs, a, x)
+            assert type(one) is float
+            assert one == jacobi_series_eval(coeffs, a, np.array([x, 0.5]))[0]
+
+
 def test_clenshaw_zero_tail_bit_identical():
     rng = np.random.default_rng(11)
     xs = np.linspace(-1, 1, 41)
@@ -553,6 +569,24 @@ def test_envelope_constants_values():
     expect = max(-2 * j1 * y1 + 4 / math.pi, j1 * j1 + y1 * y1)
     assert_allclose(cst.m_alpha, expect, rtol=1e-13)
     assert cst.x_alpha > 1.0  # X_alpha > alpha for alpha >= 1/2
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 1.0, 1.4, 3.0, 10.0])
+def test_x_alpha_matches_mpmath_root(alpha):
+    from mpmath import mp
+
+    x_a = g.envelope_constants(alpha).x_alpha
+    with mp.workdps(40):
+        root = mp.findroot(lambda t: mp.besselj(alpha, t) + mp.bessely(alpha, t), mp.mpf(x_a))
+        assert abs(x_a - root) <= 1e-14 * root
+    # the first root: J + Y < 0 from the scan's start up to it
+    xs = np.linspace(max(1e-3, alpha if alpha >= 0.5 else 1e-3), x_a, 2001)[:-1]
+    assert np.all(jv(alpha, xs) + yv(alpha, xs) < 0)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, -0.25])
+def test_x_alpha_zero_where_j_plus_y_starts_positive(alpha):
+    assert g.envelope_constants(alpha).x_alpha == 0.0
 
 
 def test_kernel_sup_bound_scan():
