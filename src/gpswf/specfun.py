@@ -359,7 +359,7 @@ def _first_zero_j_plus_y(alpha: float) -> float:
     """First positive root of J_alpha + Y_alpha, by scan + bisection to adjacent doubles.
 
     A 65-point scan of [lo, hi] brackets the first sign change (the roots are
-    about pi apart, the scan step at most 6/64), and float bisection halves
+    about pi apart, the scan step about 0.1), and float bisection halves
     the bracket until its midpoint equals an end.  The result is the last
     double where J + Y <= 0, next to the first where it is > 0: about 50
     scalar Bessel pairs.  Returns 0.0 at small alpha, where J + Y > 0 already

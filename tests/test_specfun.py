@@ -569,6 +569,8 @@ def test_envelope_constants_values():
     expect = max(-2 * j1 * y1 + 4 / math.pi, j1 * j1 + y1 * y1)
     assert_allclose(cst.m_alpha, expect, rtol=1e-13)
     assert cst.x_alpha > 1.0  # X_alpha > alpha for alpha >= 1/2
+    # J + Y > 0 from the scan's start on: no branch switch
+    assert g.envelope_constants(-0.5).x_alpha == g.envelope_constants(-0.25).x_alpha == 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 1.0, 1.4, 3.0, 10.0])
@@ -582,11 +584,6 @@ def test_x_alpha_matches_mpmath_root(alpha):
     # the first root: J + Y < 0 from the scan's start up to it
     xs = np.linspace(max(1e-3, alpha if alpha >= 0.5 else 1e-3), x_a, 2001)[:-1]
     assert np.all(jv(alpha, xs) + yv(alpha, xs) < 0)
-
-
-@pytest.mark.parametrize("alpha", [-0.5, -0.25])
-def test_x_alpha_zero_where_j_plus_y_starts_positive(alpha):
-    assert g.envelope_constants(alpha).x_alpha == 0.0
 
 
 def test_kernel_sup_bound_scan():
