@@ -188,7 +188,8 @@ def bessel_uniform(spectrum: ChiSpectrum, n: int, x):
     return value, envelope
 
 
-def _norm_sq(frame: WkbFrame) -> float:
+def _main_norm_sq(frame: WkbFrame) -> float:
+    """Weighted L2([0,1]) norm squared of the main term, the approximant over A."""
     if math.isnan(frame.a_exact):
         raise ValueError(frame.failure)
     chi, q, alpha = frame.chi, frame.q, frame.alpha
@@ -200,7 +201,7 @@ def _norm_sq(frame: WkbFrame) -> float:
     s = s_map(xs, q)
     z = np.sqrt(chi) * s
     integrand = math.sqrt(chi) * s * _sp.jv(alpha, z) ** 2 / np.sqrt(1.0 - q * xs * xs)
-    return float(frame.a_exact ** 2 * np.dot(wt, integrand))
+    return float(np.dot(wt, integrand))
 
 
 def approximant_norm_sq(spectrum: ChiSpectrum, n: int) -> float:
@@ -208,19 +209,26 @@ def approximant_norm_sq(spectrum: ChiSpectrum, n: int) -> float:
 
     The substitution x = sin(theta) removes the (1-x)^(-1/2) endpoint
     singularity of the integrand; a Gauss-Legendre rule in theta does the
-    rest.  Raises where A is undefined (q >= 1 or chi = 0).
+    rest.  A multiplies the integral one factor at a time, since A^2 alone
+    overflows where |A| passes 1e154 (A = 4.6e204 at (alpha, c, n) =
+    (260, 1, 2), where the norm is 4.6e103).  Raises where A is undefined
+    (q >= 1 or chi = 0).
     """
-    return _norm_sq(make_frame(spectrum, n))
+    frame = make_frame(spectrum, n)
+    a = frame.a_exact
+    return a * (a * _main_norm_sq(frame))
 
 
 def approximant_norm_check(spectrum: ChiSpectrum, n: int) -> float:
     """Deviation |  ||approximant||^2 - A^2 K(sqrt(q))/pi  |.
 
     On admissible frames this is bounded by A^2 M_cap / ((1-q) sqrt(chi))
-    with M_cap the eta bound from the envelope constants.
+    with M_cap the eta bound from the envelope constants.  Taken as
+    A (A |  ||main||^2 - K(sqrt(q))/pi  |), so that A^2 is never formed.
     """
     frame = make_frame(spectrum, n)
-    return abs(_norm_sq(frame) - frame.a_exact ** 2 * elliptic_K(math.sqrt(frame.q)) / math.pi)
+    a = frame.a_exact
+    return a * (a * abs(_main_norm_sq(frame) - elliptic_K(math.sqrt(frame.q)) / math.pi))
 
 
 def jacobi_uniform(spectrum: ChiSpectrum, n: int, x, q0: float = 0.9):

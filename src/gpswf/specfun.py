@@ -358,22 +358,29 @@ def _sup_sqrt_x_j(alpha: float) -> float:
 def _first_zero_j_plus_y(alpha: float) -> float:
     """First positive root of J_alpha + Y_alpha, by scan + bisection to adjacent doubles.
 
-    A 65-point scan of [lo, hi] brackets the first sign change (the roots are
-    about pi apart, the scan step about 0.1), and float bisection halves
-    the bracket until its midpoint equals an end.  The result is the last
+    A 65-point scan of [lo, alpha + 6] brackets the first sign change (the
+    roots are about pi apart, the scan step about 0.1), and float bisection
+    halves the bracket until its midpoint equals an end.  The root lies near
+    alpha + 0.29 alpha^(1/3) for large alpha, past alpha + 6 from alpha ~ 8000
+    on; where the first scan finds no sign change, a second 65-point scan
+    over [alpha + 6, alpha + 6 + alpha^(1/3)] does (step alpha^(1/3) / 64
+    there, root spacing about 1.95 alpha^(1/3)).  The result is the last
     double where J + Y <= 0, next to the first where it is > 0: about 50
     scalar Bessel pairs.  Returns 0.0 at small alpha, where J + Y > 0 already
     at the scan's start.
     """
-    lo = max(1e-3, alpha if alpha >= 0.5 else 1e-3)
-    hi = alpha + 6.0 if alpha > 0 else 6.0
-    xs = np.linspace(lo, hi, 65)
-    f = _sp.jv(alpha, xs) + _sp.yv(alpha, xs)
-    if f[0] > 0:
-        # degenerate small-alpha case: the ratio -Y/J never reaches 1
-        return 0.0
-    idx = np.nonzero(f > 0)[0]
-    if idx.size == 0:
+    start = max(1e-3, alpha if alpha >= 0.5 else 1e-3)
+    end = alpha + 6.0 if alpha > 0 else 6.0
+    for lo, hi in ((start, end), (end, end + max(alpha, 0.0) ** (1.0 / 3.0))):
+        xs = np.linspace(lo, hi, 65)
+        f = _sp.jv(alpha, xs) + _sp.yv(alpha, xs)
+        if f[0] > 0:
+            # degenerate small-alpha case: the ratio -Y/J never reaches 1
+            return 0.0
+        idx = np.nonzero(f > 0)[0]
+        if idx.size:
+            break
+    else:
         raise RuntimeError(f"failed to bracket the first zero of J+Y for alpha={alpha}")
     a, b = float(xs[idx[0] - 1]), float(xs[idx[0]])
     mid = 0.5 * (a + b)

@@ -7,17 +7,22 @@ k (k + 2 alpha + 1) and the c^2 x^2 potential couples k-2, k, k+2 through
 the squared multiplication-by-x recurrence, so the operator splits into two
 symmetric tridiagonal blocks (even and odd degrees).  Eigenvalues chi_n and
 Jacobi coefficient vectors of the eigenfunctions psi_n come out of a
-symmetric tridiagonal eigensolve per parity block.  One kernel solves a
-window of consecutive modes in one block: a window of k modes in a block of
-R rows (32 k <= R, as when c is large and the window short) is solved for
-those k eigenpairs alone; other windows take the full solve and keep their
-k.  chi_spectrum solves the window from mode 0 up to n_max in each block (a
-block with no kept mode is not solved).  window_vectors takes any list of
-modes and a batch of bandwidths, for callers such as the explicit formula's
-tau integral that need only a few modes and no signs: it cuts the list once
-into windows, one per run of consecutive modes of a parity, solves each
-window alone at every bandwidth, and returns chi and vectors in the order
-the modes were given.
+symmetric tridiagonal eigensolve per parity block.  The c-free pieces of a
+block (curvature diagonal, potential diagonal and offdiagonal factors) are
+built once per basis, and each bandwidth only scales and adds them.  One
+kernel solves a window of consecutive modes in one block, in one of three
+ways.  A window of k modes in a block of R rows with 32 k <= R (c large, the
+window short) is solved for those k eigenpairs alone, by bisection and
+inverse iteration, whoever calls.  A wider window takes the full solve,
+sliced, in chi_spectrum, and in window_vectors takes every eigenvalue from
+one root-free QR sweep, then inverse iteration on the window's alone (a
+block that splits takes bisection instead).  chi_spectrum solves the window
+from mode 0 up to n_max in each block (a block with no kept mode is not
+solved).  window_vectors takes any list of modes and a batch of bandwidths,
+for callers such as the explicit formula's tau integral that need only a
+few modes and no signs: it cuts the list once into windows, one per run of
+consecutive modes of a parity, solves each window alone at every
+bandwidth, and returns chi and vectors in the order the modes were given.
 
 Normalization: int psi_n^2 (1-x^2)^alpha dx = 1 (automatic, the basis is
 orthonormal) and psi_n(1) > 0.  For c beyond ~50 the first modes have
@@ -158,13 +163,22 @@ def ode_residual(f: GpswfFunction, x, chi: float | None = None):
 
 
 _TAIL_TOL = 1e-12
-# A block that keeps k of its R modes solves for those k alone when
-# 32 k <= R: bisection plus inverse iteration beats the full solve there
-# and loses to it somewhere between k = 0.03 R and k = 0.1 R.
+# Which solve a window of k modes in a block of R rows takes.  When
+# 32 k <= R, the k eigenpairs alone, by bisection and inverse iteration
+# (_selected): that beats chi_spectrum's full solve there and loses to it
+# somewhere between k = 0.03 R and k = 0.1 R.  Otherwise chi_spectrum takes
+# the full solve (_full) and window_vectors one QR sweep for every eigenvalue
+# and inverse iteration on the window's (_swept): on a 36-row block with an
+# 8-mode window the sweep takes 32 us where bisection takes 87 us, and
+# inverse iteration 36 us after either (one CPU of a 2-vCPU x86-64 host).
 _SELECT_RATIO = 32
 # Inverse-iteration vectors (unit norm) carry ~1e-45 rounding where the full
 # solver returns exact zeros; zeroing it lets the Clenshaw pass skip the tail.
 _CHOP = 1e-30
+# dstebz's split test |d_j d_(j-1)| ulp^2 + safmin > e_(j-1)^2, LAPACK's
+# ulp (2^-52) and safmin (the smallest normal double)
+_ULP2 = np.finfo(float).eps ** 2
+_SAFMIN = np.finfo(float).tiny
 
 
 def _sign_reference(alpha: float, b: np.ndarray, parity: int, rows: int) -> np.ndarray:
@@ -180,6 +194,32 @@ def _sign_reference(alpha: float, b: np.ndarray, parity: int, rows: int) -> np.n
         return np.sqrt(k * (k + 2 * alpha + 1)) * _sign_reference(
             alpha + 1.0, sym_offdiag(alpha + 1.0, 2 * rows), 0, rows)
     return np.concatenate(([1.0], np.cumprod(-b[1:2 * rows - 1:2] / b[2:2 * rows - 1:2])))
+
+
+def _basis(alpha: float, b: np.ndarray, parity: int,
+           n_trunc: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The c-free pieces of one parity block, for _tridiagonal.
+
+    The block has rows for the degrees k = parity, parity + 2, ... below
+    n_trunc; ``b`` holds sym_offdiag(alpha, m) for some m >= n_trunc (its
+    entries do not depend on m, so the longest serves every basis).
+    Returns the curvature diagonal k (k + 2 alpha + 1), the potential
+    diagonal b_k^2 + b_(k+1)^2 and the potential offdiagonal's two factors
+    b_(k+1) and b_(k+2).
+    """
+    idx = np.arange(parity, n_trunc, 2)
+    k = idx.astype(float)
+    return k * (k + 2 * alpha + 1), b[idx] ** 2 + b[idx + 1] ** 2, b[idx[:-1] + 1], b[idx[:-1] + 2]
+
+
+def _tridiagonal(basis, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and offdiagonal of the block whose _basis pieces are given, at c.
+
+    The offdiagonal's factors are multiplied in after c^2, one at a time,
+    so every matrix is bit-identical to the one built without the pieces.
+    """
+    curv, pot, b1, b2 = basis
+    return curv + c * c * pot, c * c * b1 * b2
 
 
 def _selected(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,28 +239,53 @@ def _selected(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarra
     return w[:m][order], vecs[:, order]
 
 
-def _block(alpha: float, c: float, b: np.ndarray, parity: int, lo: int, hi: int,
-           n_trunc: int, select_ratio: int = _SELECT_RATIO) -> tuple[np.ndarray, np.ndarray]:
+def _swept(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs lo..hi, ascending: eigenvalues from one QR sweep, vectors as _selected's.
+
+    Every eigenvalue comes from LAPACK's root-free QL/QR iteration (dsterf),
+    the window's are sliced out, and inverse iteration (dstein) makes their
+    vectors, treating the matrix as one block.  Where the matrix splits by
+    dstebz's own test, _selected runs instead, so that dstein always sees
+    the blocks bisection would give it.
+    """
+    # the test passes wherever max d and min e pass it (d, e >= 0 in every
+    # Sturm block), which spares most blocks the entrywise check
+    dmax, emin = float(d.max()), float(e.min())
+    if dmax * dmax * _ULP2 + _SAFMIN > emin * emin and \
+            (np.abs(d[1:] * d[:-1]) * _ULP2 + _SAFMIN > e * e).any():
+        return _selected(d, e, lo, hi)
+    w, info = lapack.dsterf(d, e)
+    if info == 0:
+        one = np.ones(d.size, dtype=np.int32)
+        vecs, info = lapack.dstein(d, e, w[lo:hi + 1], one, d.size * one)
+    if info:
+        raise LinAlgError(f"tridiagonal QR sweep or inverse iteration failed (info {info})")
+    return w[lo:hi + 1], vecs
+
+
+def _full(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs lo..hi, ascending, sliced from the full solve."""
+    vals, vecs = eigh_tridiagonal(d, e)
+    return vals[lo:hi + 1], vecs[:, lo:hi + 1]
+
+
+def _block(alpha: float, c: float, basis, parity: int, lo: int, hi: int,
+           n_trunc: int, wide) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs j = lo..hi of one parity block, modes n = 2 j + parity.
 
-    The block has rows for the degrees parity, parity + 2, ... below n_trunc;
-    ``b`` holds the offdiagonals sym_offdiag(alpha, m) for some m >= n_trunc.
-    Returns the window's chi and its vectors as columns over the block's own
-    degrees, signs as the solver gives them.  The window alone is solved, by
-    bisection and inverse iteration, when select_ratio (hi - lo + 1) <= rows;
-    otherwise the full solve is sliced.  Raises TruncationError, naming the
-    first window mode whose last two coefficients carry mass above 1e-12.
+    ``basis`` holds the block's _basis pieces in the n_trunc basis.  Returns
+    the window's chi and its vectors as columns over the block's own
+    degrees, signs as the solver gives them.  The window alone is solved
+    (_selected) when 32 (hi - lo + 1) <= rows, and otherwise by ``wide``
+    (_full or _swept); inverse-iteration vectors have entries below 1e-30
+    set to 0.  Raises TruncationError, naming the first window mode whose
+    last two coefficients carry mass above 1e-12.
     """
-    idx = np.arange(parity, n_trunc, 2)
-    k = idx.astype(float)
-    d = k * (k + 2 * alpha + 1) + c * c * (b[idx] ** 2 + b[idx + 1] ** 2)
-    e = c * c * b[idx[:-1] + 1] * b[idx[:-1] + 2]
-    if select_ratio * (hi - lo + 1) <= idx.size:
-        vals, vecs = _selected(d, e, lo, hi)
+    d, e = _tridiagonal(basis, c)
+    solve = _selected if _SELECT_RATIO * (hi - lo + 1) <= d.size else wide
+    vals, vecs = solve(d, e, lo, hi)
+    if solve is not _full:
         vecs[np.abs(vecs) < _CHOP] = 0.0
-    else:
-        vals, vecs = eigh_tridiagonal(d, e)
-        vals, vecs = vals[lo:hi + 1], vecs[:, lo:hi + 1]
     tail = vecs[-2] ** 2 + vecs[-1] ** 2
     bad = np.flatnonzero(tail > _TAIL_TOL)
     if bad.size:
@@ -242,7 +307,8 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
         n_here = np.arange(parity, n_max + 1, 2)
         if n_here.size == 0:
             continue
-        vals, vecs = _block(alpha, c, b, parity, 0, n_here.size - 1, n_trunc)
+        vals, vecs = _block(alpha, c, _basis(alpha, b, parity, n_trunc), parity,
+                            0, n_here.size - 1, n_trunc, _full)
         # (-1)^(n//2) psi_n(0) > 0 for even n, (-1)^(n//2) psi_n'(0) > 0 for odd n
         at_zero = _sign_reference(alpha, b, parity, vecs.shape[0]) @ vecs
         vecs[:, (at_zero < 0) != (n_here % 4 >= 2)] *= -1.0
@@ -267,10 +333,14 @@ def window_vectors(alpha: float, cs, modes,
 
     The modes, in any order and with repeats, are cut once into windows, one
     per run of consecutive modes 2 j + parity in a parity block.  At each c,
-    largest first, every window is solved alone, by bisection and inverse
-    iteration, in the basis of chi_spectrum(ProblemParams(alpha, c), n_max),
-    retried once as there; n_max is the largest mode unless given (a caller
-    that solves fewer modes as it goes keeps one basis by passing it).
+    largest first, every window is solved alone in the basis of
+    chi_spectrum(ProblemParams(alpha, c), n_max), retried once as there;
+    n_max is the largest mode unless given (a caller that solves fewer modes
+    as it goes keeps one basis by passing it).  Each basis's c-free pieces
+    are built once per call.  A window of k modes in a block of R rows
+    takes its eigenvalues from bisection when 32 k <= R, or when the block
+    splits, and otherwise from one QR sweep over the block (module
+    docstring); its vectors come from inverse iteration either way.
     Returns (chis, vecs): chis[i, m] is chi of modes[m] at cs[i], and
     vecs[parity][i, k] the vector, over the block's own degrees parity,
     parity + 2, ..., of the k-th mode of that parity in modes at cs[i],
@@ -298,10 +368,18 @@ def window_vectors(alpha: float, cs, modes,
             parts.append((parity, own, [(int(r[0]), int(r[-1])) for r in runs],
                           slice(None) if np.array_equal(j, js) else np.searchsorted(js, j)))
 
+    # the pieces of each basis size, per parity present, all cut from one b
+    # (the largest c comes first, and its basis is the widest unless retried)
+    bases, b = {}, np.zeros(0)
+
     def solve(c, n_trunc):
-        b = sym_offdiag(alpha, n_trunc + 1)
-        return [[_block(alpha, c, b, parity, lo, hi, n_trunc, select_ratio=0) for lo, hi in runs]
-                for parity, _, runs, _ in parts]
+        nonlocal b
+        if n_trunc not in bases:
+            if b.size < n_trunc + 2:
+                b = sym_offdiag(alpha, n_trunc + 1)
+            bases[n_trunc] = [_basis(alpha, b, parity, n_trunc) for parity, *_ in parts]
+        return [[_block(alpha, c, basis, parity, lo, hi, n_trunc, _swept) for lo, hi in runs]
+                for basis, (parity, _, runs, _) in zip(bases[n_trunc], parts)]
 
     chis = np.empty((len(cs), modes.size))
     vecs = [np.zeros((len(cs), np.count_nonzero(modes % 2 == parity), 0)) for parity in (0, 1)]

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import ellipe, gamma, jv
 
 import gpswf as g
-from gpswf.approx import default_grid, make_frame, symmetric_grid
+from gpswf.approx import _main_norm_sq, default_grid, make_frame, symmetric_grid
 
 
 def g_bound_quad_oracle(alpha, q, x):
@@ -197,6 +197,17 @@ def test_norm_adaptive_integration_oracle():
     oracle = quad(integrand_theta, 0.0, math.pi / 2, limit=500,
                   epsabs=1e-13, epsrel=1e-13)[0]
     assert abs(g.approximant_norm_sq(spec, 50) - oracle) <= 1e-10
+
+
+def test_norm_finite_where_a_squared_overflows():
+    # A = 4.6e204 and ||main||^2 = 2.2e-306 at (260, 1, 2): A^2 alone
+    # overflows, the norm (about 4.6e103) does not
+    spec = g.chi_spectrum(g.ProblemParams(alpha=260.0, c=1.0), 2)
+    fr = make_frame(spec, 2)
+    norm2 = g.approximant_norm_sq(spec, 2)
+    assert math.isfinite(norm2)
+    in_logs = math.exp(2.0 * math.log(fr.a_exact) + math.log(_main_norm_sq(fr)))
+    assert abs(norm2 - in_logs) <= 1e-12 * in_logs
 
 
 # ---------------------------------------------------------------------------

@@ -573,13 +573,26 @@ def test_envelope_constants_values():
     assert g.envelope_constants(-0.5).x_alpha == g.envelope_constants(-0.25).x_alpha == 0.0
 
 
-@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 1.0, 1.4, 3.0, 10.0])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 1.0, 1.4, 3.0, 10.0, 9000.0, 12000.0])
 def test_x_alpha_matches_mpmath_root(alpha):
     from mpmath import mp
 
+    def j_plus_y(t):
+        if alpha < 1000:
+            return mp.besselj(alpha, t) + mp.bessely(alpha, t)
+        # mpmath's series does not converge at such orders; the forward
+        # recurrence from orders 0 and 1 neither grows nor damps errors for
+        # orders below t, and 60 digits leave 40
+        with mp.workdps(60):
+            j0, j1, y0, y1 = mp.besselj(0, t), mp.besselj(1, t), mp.bessely(0, t), mp.bessely(1, t)
+            for k in range(1, int(alpha)):
+                j0, j1 = j1, 2 * k / t * j1 - j0
+                y0, y1 = y1, 2 * k / t * y1 - y0
+            return +(j1 + y1)
+
     x_a = g.envelope_constants(alpha).x_alpha
     with mp.workdps(40):
-        root = mp.findroot(lambda t: mp.besselj(alpha, t) + mp.bessely(alpha, t), mp.mpf(x_a))
+        root = mp.findroot(j_plus_y, mp.mpf(x_a))
         assert abs(x_a - root) <= 1e-14 * root
     # the first root: J + Y < 0 from the scan's start up to it
     xs = np.linspace(max(1e-3, alpha if alpha >= 0.5 else 1e-3), x_a, 2001)[:-1]
