@@ -20,8 +20,9 @@ Four computational routes, cross-checked against each other:
   spectrum at once, at any decay depth, and OperatorSpectrum.mus comes
   from it.
 
-* Eigen-relation: mu_n is obtained by applying the transform to psi_n from
-  the Sturm-Liouville solver at a point where |psi_n| is large.
+* Eigen-relation: F_c psi_n = mu_n psi_n at x = 0 gives mu_n from psi_n's
+  degree-0 or degree-1 coefficient over psi_n(0) or psi_n'(0); a
+  cross-check, whose error grows as mu_n decays.
 
 * Explicit product formula: mu_n = i^n sqrt(pi) * Gamma-ratio * c^n
   exp(Phi_n) with Phi_n = int_0^c (F_n(tau) - n)/tau dtau, evaluated in log
@@ -54,13 +55,7 @@ import numpy as np
 from scipy import special as _sp
 from scipy.linalg import eigh, solve_banded
 
-from .specfun import (
-    gauss_jacobi,
-    jacobi_h,
-    jacobi_series_eval,
-    sym_offdiag,
-    total_mass,
-)
+from .specfun import gauss_jacobi, sym_offdiag, total_mass
 from .sturm import ChiSpectrum, ProblemParams, _sign_reference, chi_spectrum, window_vectors
 
 
@@ -140,7 +135,7 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
 
     The n-th eigenvalue in descending order is paired with
     mu_n = i^n exp(log_mu_ratio) from one chi_spectrum solve of modes
-    0..n_keep-1 (no Clenshaw pass, no Bessel moment), and it is flagged
+    0..n_keep-1 (coefficient forms only, no Clenshaw pass), and it is flagged
     stable when the two independent routes to lambda_n = (c/2pi) |mu_n|^2
     agree to 1e-10 relative, so a stable value is within ~2e-10 of the
     exact one.  The ratio route's error in log |mu_n| is a few
@@ -166,50 +161,6 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
     )
 
 
-def fourier_jacobi_moments(alpha: float, u, n_modes: int) -> np.ndarray:
-    """Transforms m_k(u) = int e^{iuy} Ptilde_k^(a,a)(y) (1-y^2)^a dy, k < n_modes.
-
-    Closed form via the Gegenbauer-Bessel pair:
-    m_k(u) = coef_k i^k J_{k+a+1/2}(u) / u^(a+1/2) with a Gamma-ratio
-    coefficient; relative accuracy is that of the Bessel evaluation, with no
-    cancellation, which is what makes the eigen-relation stable for deeply
-    decayed modes.  u is a point or an array of them; an array of shape S
-    gives shape S + (n_modes,), one Bessel call for all points, and each row
-    bit-identical to the call with that point alone.
-    """
-    a = alpha
-    lam = a + 0.5
-    k = np.arange(n_modes, dtype=float)
-    log_h = np.log(jacobi_h(k, a))
-    # Gamma(2a+1) / (Gamma(a+1/2) Gamma(a+1)) = 2^(2a) / sqrt(pi) (Legendre
-    # duplication); the Gamma form is inf/inf at a = -1/2
-    log_coef = (math.log(math.pi) + (0.5 - a) * math.log(2.0)
-                + 2 * a * math.log(2.0) - 0.5 * math.log(math.pi)
-                + _sp.gammaln(k + a + 1.0) - _sp.gammaln(k + 1.0) - 0.5 * log_h)
-    phase = _I_POWERS[np.arange(n_modes) % 4]
-    us = np.asarray(u, dtype=float)
-    au = np.abs(us.reshape(-1))
-    signs = np.where(us.reshape(-1, 1) >= 0, 1.0, (-1.0) ** np.arange(n_modes))
-    small = au < 1e-8
-    out = np.empty((au.size, n_modes), dtype=complex)
-    # u^lam and log(u/2) in Python floats, point by point: numpy's SIMD power
-    # and log can differ from them in the last bit
-    if small.any():
-        # leading term of J_{k+lam}(u)/u^lam; only k = 0 survives at u = 0
-        log_bessel = np.array([np.where(k == 0, 0.0, -np.inf) if x == 0.0
-                               else k * math.log(x / 2.0) for x in au[small].tolist()])
-        vals = np.exp(log_coef + log_bessel - lam * math.log(2.0)
-                      - _sp.gammaln(k + lam + 1.0))
-        out[small] = phase * vals * signs[small]
-    if not small.all():
-        big = au[~small]
-        with np.errstate(under="ignore"):
-            bessel = (_sp.jv(k + lam, big[:, None])
-                      / np.array([x ** lam for x in big.tolist()])[:, None])
-        out[~small] = phase * np.exp(log_coef) * bessel * signs[~small]
-    return out.reshape(us.shape + (n_modes,))
-
-
 def _modes(n) -> np.ndarray:
     """n as an array of mode indices; an empty one, or a negative index, is refused."""
     ns = np.asarray(n)
@@ -229,41 +180,40 @@ def _spectrum_modes(spectrum: ChiSpectrum, n) -> np.ndarray:
 
 
 def mu_eigenrelation(spectrum: ChiSpectrum, n):
-    """mu_n from applying the transform to the solved psi_n at a well-conditioned point.
+    """mu_n from the eigen-relation F_c psi_n = mu_n psi_n at x = 0.
 
-    mu_n = (1/psi_n(x0)) int e^{i c x0 y} psi_n(y) (1-y^2)^alpha dy with x0
-    the coarse-grid argmax of |psi_n|, the integral expanded over the
-    closed-form Fourier-Jacobi moments.  n is a mode index or an array of
-    them (an array gives a complex array of its shape): every mode shares one
-    Clenshaw pass on the coarse grid, which also gives psi_n(x0), and one
-    moment call, and each value is bit-identical to the call for that mode
-    alone.  Its relative error still grows as mu_n decays.  Measured at
-    alpha = 0.5 against log_mu_magnitude, with psi_n from
-    chi_spectrum(params, 40), it is 2e-9 at n = 20, 9e-6 at n = 28 and 0.85
-    at n = 32 for c = 2, and 6e-8 at n = 24, 2e-3 at n = 28 for c = 10; with
-    chi_spectrum(params, 24) it is already 2e-2 at n = 24 for c = 2.  It is
-    also wrong at large alpha, where psi_n is concentrated near 0 and its
-    value at x = +-1 is coefficient rounding amplified: there x0 = +-1, and
-    on modes 0..11 log |mu_n| is 39-47 off at c = 100 from alpha = 25 on and
-    65-105 off at c = 300 from alpha = 20 on (alpha <= 50; c = 10 stays
-    within 2e-13 up to alpha = 50); at (150, 200) the moments overflow.  Use
-    log_mu_ratio or log_mu_magnitude for deeper modes and large alpha.
+    At 0 the transform of psi_n is c_0 sqrt(h_0), h_0 = total_mass(alpha),
+    and its x-derivative i c c_1 b_1 sqrt(h_0), so mu_n is that over psi_n(0)
+    (even n) or psi_n'(0) (odd n): one dot product of the mode's own
+    coefficients with sturm's sign reference, no Bessel function and no
+    Clenshaw pass.  n is a mode index or an array of them (an array gives a
+    complex array of its shape, each value bit-identical to the one-mode
+    call); mode 0 is log_mu_ratio's anchor.  A zero or non-finite psi_n(0),
+    psi_n'(0) or mu_n is refused with RuntimeError naming the mode.  The
+    relative error grows as mu_n decays, to 1.1e-5 at mode 89 of
+    (alpha, c) = (0, 100) against i^n exp(log_mu_ratio), which is the
+    library's route.
     """
     ns = _spectrum_modes(spectrum, n)
-    params = spectrum.params
+    params, a = spectrum.params, spectrum.params.alpha
     modes = ns.reshape(-1)
-    coeffs = spectrum.coeffs[modes]
-    coarse = np.linspace(-1.0, 1.0, 501)
-    psi = jacobi_series_eval(coeffs, params.alpha, coarse)
-    # not argmax, which picks another x0 among ties
-    idx = np.argsort(np.abs(psi), axis=-1)[:, -1]
-    psi_x0 = psi[np.arange(modes.size), idx]
-    weak = modes[~(np.abs(psi_x0) >= 1e-8)]
-    if weak.size:
-        raise RuntimeError(f"no evaluation point with |psi_{weak[0]}| >= 1e-8 found")
-    moments = fourier_jacobi_moments(params.alpha, params.c * coarse[idx], spectrum.n_trunc)
-    mus = np.array([complex(np.dot(row, mom)) / float(value)
-                    for row, mom, value in zip(coeffs, moments, psi_x0)])
+    b = sym_offdiag(a, 2 * spectrum.coeffs[0, 0::2].size)
+    refs = {parity: _sign_reference(a, b, parity, spectrum.coeffs[0, parity::2].size)
+            for parity in set((modes % 2).tolist())}
+    # the references carry sqrt(total_mass) of alpha (even) and alpha + 1 (odd)
+    h_0 = total_mass(a)
+    scale = (h_0, params.c * b[1] * math.sqrt(h_0 * total_mass(a + 1.0)))
+    mus = np.empty(modes.size, dtype=complex)
+    for i, m in enumerate(modes.tolist()):
+        row = spectrum.coeffs[m, m % 2::2]
+        at_zero = np.dot(row, refs[m % 2])
+        mu = row[0] * scale[m % 2] / at_zero if at_zero != 0 else at_zero
+        if not (mu != 0 and math.isfinite(mu)):
+            what = (f"mu_{m}" if at_zero != 0 and math.isfinite(at_zero)
+                    else f"psi_{m}'(0)" if m % 2 else f"psi_{m}(0)")
+            raise RuntimeError(f"eigen-relation failed for mode n = {m} at {params}: "
+                               f"{what} is zero or not finite")
+        mus[i] = complex(0.0, mu) if m % 2 else complex(mu, 0.0)
     return mus.reshape(ns.shape) if ns.ndim else complex(mus[0])
 
 
@@ -353,27 +303,22 @@ def log_mu_ratio(spectrum: ChiSpectrum) -> np.ndarray:
     17 (2001), for alpha = 0).  Both are bilinear forms in the Jacobi
     coefficients: A_n by the x-recurrence, B_n with psi_(n+1)' taken into the
     alpha basis by _connect, one banded solve per parity for every pair.
-    The anchor is the eigen-relation at x0 = 0, where only the degree-0
-    moment survives: mu_0 = c_0 h_0 / sum_m c_2m r_m, h_0 = total_mass(alpha)
-    and r_m = sqrt(h_0) Ptilde_2m(0) (sturm's sign reference); psi_0 has no
-    zeros, so psi_0(0) > 0.  No Bessel function and no Clenshaw pass is
-    needed, and nothing cancels: A_n is O(1) and B_n O(n), and log |mu_n| is
-    log mu_0 plus the cumulative sum of log(c A_n / B_n).  Against
-    log_mu_magnitude it is within 4e-13 max(1, |log |mu_n||) over the sweep
-    in the tests, down to log |mu_n| = -410.  A_n / B_n > 0 on every pair,
-    so mu_n = i^n |mu_n|; a non-positive or non-finite mu_0 or ratio is
-    refused with RuntimeError.
+    The anchor is mu_0 from mu_eigenrelation, the eigen-relation at x = 0,
+    positive as psi_0 has no zeros.  Nothing cancels: A_n is O(1) and B_n
+    O(n), and log |mu_n| is log mu_0 plus the cumulative sum of
+    log(c A_n / B_n).  Against log_mu_magnitude it is within
+    4e-13 max(1, |log |mu_n||) over the sweep in the tests, down to
+    log |mu_n| = -410.  A_n / B_n > 0 on every pair, so mu_n = i^n |mu_n|; a
+    non-positive or non-finite mu_0 or ratio is refused with RuntimeError.
     """
-    a, c = spectrum.params.alpha, spectrum.params.c
+    c = spectrum.params.c
     if c <= 0:
         raise ValueError("the ratio route requires c > 0")
-    even = spectrum.coeffs[0, 0::2]
-    b = sym_offdiag(a, 2 * even.size)
-    mu_0 = even[0] * total_mass(a) / np.dot(even, _sign_reference(a, b, 0, even.size))
+    mu_0 = mu_eigenrelation(spectrum, 0).real
     num, den = _ratio_forms(spectrum)
     ratio = c * num / den
     bad = np.flatnonzero(~(ratio > 0) | ~np.isfinite(ratio))
-    if not (mu_0 > 0 and math.isfinite(mu_0)) or bad.size:
+    if not mu_0 > 0 or bad.size:
         where = "mu_0" if bad.size == 0 else f"mu_{bad[0] + 1} / mu_{bad[0]}"
         raise RuntimeError(f"ratio route failed at {spectrum.params}: {where} is not "
                            f"positive and finite")

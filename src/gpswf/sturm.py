@@ -182,9 +182,11 @@ _SAFMIN = np.finfo(float).tiny
 
 
 def _sign_reference(alpha: float, b: np.ndarray, parity: int, rows: int) -> np.ndarray:
-    """Ptilde_{2m}(0) (even block) or Ptilde_{2m+1}'(0) (odd block), m < rows.
+    """Ptilde_{2m}(0) (even block) or Ptilde_{2m+1}'(0) (odd block), m < rows, times sqrt(H).
 
-    Up to a positive factor.  At x = 0 the recurrence gives
+    H = total_mass(alpha) on the even block and total_mass(alpha + 1) on the
+    odd one, so the m = 0 entry is 1 or sqrt(2 alpha + 2); mu_eigenrelation
+    divides these factors out.  At x = 0 the recurrence gives
     Ptilde_{k+1}(0) = -b_k / b_{k+1} Ptilde_{k-1}(0), and
     Ptilde_k' = sqrt(k (k + 2 alpha + 1)) Ptilde_{k-1}^(alpha+1); ``b`` holds
     the offdiagonals for ``alpha``.

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -14,8 +15,7 @@ from scipy.linalg import eigh, solve_banded
 import gpswf as g
 from gpswf import spectrum
 from gpswf.specfun import jacobi_h, jacobi_series_deriv_coeffs, sym_offdiag, total_mass
-from gpswf.spectrum import (_nystrom_lambdas, default_nystrom_size, fourier_jacobi_moments,
-                            log_mu_magnitude)
+from gpswf.spectrum import _nystrom_lambdas, default_nystrom_size, log_mu_magnitude
 
 
 def kernel_eval(alpha, u):
@@ -51,10 +51,11 @@ def qc_oracle_matrix(params, n_quad):
 
 
 def mu_quadrature(params, n, spec):
-    """mu_n by the direct Gauss-Jacobi sum, at the point mu_eigenrelation uses.
+    """mu_n by the direct Gauss-Jacobi sum, at the coarse-grid argmax x0 of |psi_n|.
 
-    Oracle for the closed-form moment route: fine down to |mu| ~ 1e-8, where
-    cancellation noise takes over.
+    Oracle for the eigen-relation at x = 0: mu_n does not depend on the
+    point, and this one shares neither the point nor the closed-form
+    moments.  Fine down to |mu| ~ 1e-8, where cancellation noise takes over.
     """
     f = spec.eigenfunction(n)
     coarse = np.linspace(-1.0, 1.0, 501)
@@ -62,34 +63,6 @@ def mu_quadrature(params, n, spec):
     rule = g.gauss_jacobi(spec.n_trunc + int(2.0 * params.c) + 32, params.alpha)
     phases = np.exp(1j * params.c * x0 * rule.nodes)
     return complex(np.dot(rule.weights, phases * f.value(rule.nodes)) / f.value(x0))
-
-
-def mu_eigenrelation_per_mode(params, n, spec):
-    """mu_n by the one-mode route: its own Clenshaw passes and one-point moments.
-
-    Reference for the batched eigen-relation, which must match it bit for bit:
-    psi_n(x0) by a scalar Clenshaw call, u^lam and log(u/2) in Python floats.
-    """
-    f = spec.eigenfunction(n)
-    coarse = np.linspace(-1.0, 1.0, 501)
-    x0 = float(coarse[np.argsort(np.abs(f.value(coarse)))[-1]])
-    a, u = params.alpha, params.c * x0
-    lam, au = a + 0.5, abs(u)
-    k = np.arange(spec.n_trunc, dtype=float)
-    log_coef = (math.log(math.pi) + (0.5 - a) * math.log(2.0)
-                + 2 * a * math.log(2.0) - 0.5 * math.log(math.pi)
-                + sp.gammaln(k + a + 1.0) - sp.gammaln(k + 1.0)
-                - 0.5 * np.log(jacobi_h(k, a)))
-    phase = np.array([1, 1j, -1, -1j])[np.arange(spec.n_trunc) % 4]
-    signs = np.ones(spec.n_trunc) if u >= 0 else (-1.0) ** np.arange(spec.n_trunc)
-    if au < 1e-8:
-        log_bessel = np.where(k == 0, 0.0, -np.inf) if au == 0.0 else k * math.log(au / 2.0)
-        moments = phase * np.exp(log_coef + log_bessel - lam * math.log(2.0)
-                                 - sp.gammaln(k + lam + 1.0)) * signs
-    else:
-        with np.errstate(under="ignore"):
-            moments = phase * np.exp(log_coef) * (sp.jv(k + lam, au) / au ** lam) * signs
-    return complex(np.dot(f.coeffs, moments)) / f.value(x0)
 
 
 def f_n_weighted_identity(params, n, spec):
@@ -321,13 +294,13 @@ def test_parity_split_matches_qc_oracle():
 # ---------------------------------------------------------------------------
 
 def test_mu_phase_alternation():
-    p = g.ProblemParams(alpha=0.5, c=5.0)
-    spec = g.chi_spectrum(p, 8)
-    for n in range(9):
-        mu = g.mu_eigenrelation(spec, n)
-        rotated = mu * (1j) ** (-n)
-        assert rotated.real > 0
-        assert abs(rotated.imag) <= 1e-8 * abs(mu)
+    # mu_n = i^n |mu_n| exactly: even modes real, odd modes imaginary
+    for c, n_max in ((5.0, 8), (400.0, 40)):
+        spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=c), n_max)
+        mus = g.mu_eigenrelation(spec, np.arange(n_max + 1))
+        assert np.all(mus[0::2].imag == 0.0)
+        assert np.all(mus[1::2].real == 0.0)
+        assert np.all((mus * np.array([1, -1j, -1, 1j])[np.arange(n_max + 1) % 4]).real > 0)
 
 
 def test_mu_moment_and_quadrature_routes_agree():
@@ -420,16 +393,9 @@ def test_phi_n_bounded_by_c_squared():
         assert abs(phi) <= 0.01 * c * c
 
 
-def test_fourier_jacobi_moments_alpha_zero_closed_form():
-    # m_0(u) = sqrt(2) sin(u)/u for the Legendre weight
-    m = fourier_jacobi_moments(0.0, 1.7, 3)
-    assert_allclose(m[0].real, math.sqrt(2) * math.sin(1.7) / 1.7, rtol=1e-14)
-    assert m[0].imag == 0.0
-
-
 def test_mu_routes_agree_at_alpha_minus_half():
-    # the moment coefficients' Gamma(a + 1/2) has its pole at a = -1/2; the
-    # duplication form of the Gamma ratio keeps the default route finite
+    # Gamma(a + 1/2) has its pole at a = -1/2; the eigen-relation at x = 0
+    # needs only total_mass and b_1, both finite there
     p = g.ProblemParams(alpha=-0.5, c=3.0)
     spec = g.chi_spectrum(p, 2)
     for n in range(3):
@@ -443,13 +409,11 @@ def test_batched_eigenrelation_bit_identical(alpha, c):
     p = g.ProblemParams(alpha=alpha, c=c)
     op = g.nystrom_spectrum(p, n_keep=12)
     spec = g.chi_spectrum(p, 11)
-    mus = []
+    mus = g.mu_eigenrelation(spec, np.arange(12))
     for n in range(12):
         mu = g.mu_eigenrelation(spec, n)
         assert isinstance(mu, complex)
-        assert mu == mu_eigenrelation_per_mode(p, n, spec)
-        mus.append(mu)
-    mus = np.array(mus)
+        assert mu == mus[n]
     # the operator's mu come from the ratio route, which the eigen-relation
     # matches on these shallow modes
     assert np.array_equal(op.mus, np.array([1, 1j, -1, -1j])[np.arange(12) % 4]
@@ -464,6 +428,28 @@ def test_batched_eigenrelation_bit_identical(alpha, c):
 # ---------------------------------------------------------------------------
 # ratio route
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha, c, n_max, n_close", [
+    (0.5, 10.0, 23, 24), (0.5, 2.0, 19, 20), (1.4, 30.0, 39, 40), (0.0, 100.0, 89, 78),
+    (60.0, 300.0, 11, 12), (150.0, 200.0, 11, 12), (-0.9, 5.0, 11, 12), (0.5, 400.0, 40, 41)])
+def test_eigenrelation_matches_ratio_route(alpha, c, n_max, n_close):
+    # counts of modes within 1e-10 relative, as measured
+    spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), n_max)
+    ns = np.arange(n_max + 1)
+    want = np.array([1, 1j, -1, -1j])[ns % 4] * np.exp(g.log_mu_ratio(spec))
+    rel = np.abs(g.mu_eigenrelation(spec, ns) - want) / np.abs(want)
+    assert np.count_nonzero(rel <= 1e-10) >= n_close
+    # the error grows as mu_n decays: the close modes are the leading ones
+    assert np.all(rel[:n_close] <= 1e-10)
+
+
+@pytest.mark.parametrize("n, point", [(0, "psi_0(0)"), (3, "psi_3'(0)")])
+def test_eigenrelation_refuses_zero_psi_at_zero(monkeypatch, n, point):
+    spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=10.0), 5)
+    monkeypatch.setattr(spectrum, "_sign_reference", lambda alpha, b, parity, rows: np.zeros(rows))
+    with pytest.raises(RuntimeError, match=rf"mode n = {n} .*{re.escape(point)} is zero"):
+        g.mu_eigenrelation(spec, [n, 1])
+
 
 @pytest.mark.parametrize("alpha, c, n_max", [
     (0.5, 10.0, 60), (0.5, 100.0, 200), (-0.9, 150.0, 101), (1.4, 30.0, 80),
@@ -482,12 +468,14 @@ def test_ratio_route_matches_explicit_route(alpha, c, n_max):
 
 
 def test_ratio_route_anchor_matches_explicit_mu_0():
-    # mu_0 from the eigen-relation at x = 0: no Bessel moment, no Clenshaw pass
+    # mu_0 is the eigen-relation's at x = 0, bit for bit
     for alpha in (-0.99, -0.5, 0.0, 1.4, 10.0):
         for c in (0.1, 10.0, 300.0):
             p = g.ProblemParams(alpha=alpha, c=c)
-            got = g.log_mu_ratio(g.chi_spectrum(p, 0))
+            spec = g.chi_spectrum(p, 0)
+            got = g.log_mu_ratio(spec)
             assert got.shape == (1,)
+            assert got[0] == math.log(g.mu_eigenrelation(spec, 0).real)
             assert abs(got[0] - log_mu_magnitude(p, 0)) <= 1e-14
 
 
@@ -528,8 +516,11 @@ def test_operator_spectrum_at_large_alpha(alpha, c):
     p = g.ProblemParams(alpha=alpha, c=c)
     op = g.nystrom_spectrum(p, n_keep=12)
     assert np.all(op.stable)
-    got = g.log_mu_ratio(g.chi_spectrum(p, 11))
+    spec = g.chi_spectrum(p, 11)
+    got = g.log_mu_ratio(spec)
     assert np.all(np.abs(got - log_mu_magnitude(p, np.arange(12))) <= 1e-12)
+    mus = g.mu_eigenrelation(spec, np.arange(12))
+    assert np.all(np.abs(mus - op.mus) <= 1e-10 * np.abs(op.mus))
 
 
 @pytest.mark.parametrize("alpha, c, n_keep, n_stable", [
@@ -542,25 +533,6 @@ def test_stable_flags_with_the_ratio_route(alpha, c, n_keep, n_stable):
     assert np.count_nonzero(op.stable) == n_stable
     lam_x = np.exp(g.log_lambda_explicit(p, np.arange(n_keep)))
     assert np.all((np.abs(op.lambdas - lam_x) / lam_x)[op.stable] <= 2e-10)
-
-
-def test_fourier_jacobi_moments_rows_bit_identical():
-    us = np.array([0.0, 3e-9, -4e-10, 1e-8, -2.5, 0.7, 41.3, -300.0])
-    for alpha in (-0.5, 0.0, 0.8):
-        batched = fourier_jacobi_moments(alpha, us, 40)
-        assert batched.shape == (us.size, 40)
-        for u, row in zip(us, batched):
-            assert np.array_equal(row, fourier_jacobi_moments(alpha, float(u), 40))
-        assert np.array_equal(fourier_jacobi_moments(alpha, us.reshape(2, 4), 40),
-                              batched.reshape(2, 4, 40))
-
-
-def test_moment_and_mu_phases_exact_at_high_order():
-    # i^k from a four-entry table: 1j ** k leaves rounding in the zero part from k = 100
-    us = np.array([0.0, 3e-9, -2.5, 37.0, -300.0])
-    m = fourier_jacobi_moments(0.5, us, 400)
-    assert np.all(m[:, 0::2].imag == 0.0)
-    assert np.all(m[:, 1::2].real == 0.0)
 
 
 @pytest.mark.parametrize("route", ["mu_eigenrelation", "f_n_moment", "log_lambda_explicit",
@@ -836,10 +808,15 @@ def test_decay_check_builds_no_rule_and_runs_no_clenshaw(monkeypatch):
 
 
 def test_nystrom_spectrum_builds_one_rule_and_runs_no_clenshaw(monkeypatch):
-    calls = count_calls(monkeypatch, ("gauss_jacobi", "jacobi_series_eval",
-                                      "fourier_jacobi_moments"))
-    g.nystrom_spectrum(g.ProblemParams(alpha=0.5, c=10.0), n_keep=12)
+    calls = count_calls(monkeypatch)
+    p = g.ProblemParams(alpha=0.5, c=10.0)
+    g.nystrom_spectrum(p, n_keep=12)
     assert calls == ["gauss_jacobi"]
+    # nor does the eigen-relation at x = 0
+    spec = g.chi_spectrum(p, 11)
+    calls.clear()
+    g.mu_eigenrelation(spec, np.arange(12))
+    assert calls == []
 
 
 def test_explicit_route_solves_no_spectrum_and_one_f_n_system_per_parity(monkeypatch):

@@ -11,7 +11,8 @@ from scipy.special import eval_jacobi
 
 import gpswf as g
 from gpswf import sturm
-from gpswf.specfun import jacobi_h, jacobi_series_eval, sym_offdiag
+from gpswf.specfun import (jacobi_h, jacobi_series_deriv_coeffs, jacobi_series_eval,
+                           sym_offdiag, total_mass)
 from gpswf.sturm import TruncationError, ode_residual
 
 
@@ -122,6 +123,20 @@ def test_sign_rule_where_endpoint_value_is_rounding():
             f = spec.eigenfunction(n)
             at_zero = f.value(0.0) if n % 2 == 0 else f.derivative(0.0)
             assert (-1) ** (n // 2) * at_zero > 0, (n_max, n, at_zero)
+
+
+@pytest.mark.parametrize("alpha", [-0.9, 0.0, 1.4, 60.0])
+def test_sign_reference_factor(alpha):
+    # sqrt(h_0) Ptilde_2m(0) and sqrt(h_0') Ptilde_2m+1'(0), h_0' the alpha + 1 mass
+    rows = 20
+    basis = np.eye(2 * rows)
+    even = jacobi_series_eval(basis[0::2], alpha, 0.0)
+    odd = jacobi_series_eval(jacobi_series_deriv_coeffs(basis[1::2], alpha), alpha + 1.0, 0.0)
+    b = sym_offdiag(alpha, 2 * rows)
+    assert_allclose(sturm._sign_reference(alpha, b, 0, rows),
+                    math.sqrt(total_mass(alpha)) * even, rtol=1e-13, atol=0)
+    assert_allclose(sturm._sign_reference(alpha, b, 1, rows),
+                    math.sqrt(total_mass(alpha + 1.0)) * odd, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("alpha, c", [(0.5, 3000.0), (1.3, 800.0), (-0.5, 600.0)])
