@@ -17,8 +17,8 @@ Four computational routes, cross-checked against each other:
   psi_n w and B_n = int psi_(n+1)' psi_n w, bilinear forms in the Jacobi
   coefficients of one Sturm-Liouville solve, anchored at mu_0 from the
   eigen-relation at x = 0; log_mu_ratio gives every log |mu_n| of a solved
-  spectrum at once, at any decay depth, and OperatorSpectrum.mus comes
-  from it.
+  spectrum at once, at any decay depth; OperatorSpectrum.mus and
+  decay_check come from it.
 
 * Eigen-relation: F_c psi_n = mu_n psi_n at x = 0 gives mu_n from psi_n's
   degree-0 or degree-1 coefficient over psi_n(0) or psi_n'(0); a
@@ -37,10 +37,9 @@ Four computational routes, cross-checked against each other:
   modes in each parity block, by bisection and inverse iteration, and
   F_n - n comes from their Jacobi coefficients, with no quadrature rule in
   x, by one banded connection solve per parity for all nodes.  On the decay
-  window (n >= e c/2) one panel, 15 nodes, meets the tolerance.  This is the
-  only trustworthy route once lambda_n drops under the double-precision
-  floor, and it is what the decay diagnostics use; DecayReport carries the
-  estimate.
+  window (n >= e c/2) one panel, 15 nodes, meets the tolerance.  It
+  integrates over tau in (0, c], independent of the ratio route's one solve
+  at c, and is the reference the ratio route is tested against.
 
 Trace and Hilbert-Schmidt closed forms plus the counting bounds for
 #{lambda_n >= delta} complete the module.
@@ -188,8 +187,10 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
     coefficients with sturm's sign reference, no Bessel function and no
     Clenshaw pass.  n is a mode index or an array of them (an array gives a
     complex array of its shape, each value bit-identical to the one-mode
-    call); mode 0 is log_mu_ratio's anchor.  A zero or non-finite psi_n(0),
-    psi_n'(0) or mu_n is refused with RuntimeError naming the mode.  The
+    call); mode 0 is log_mu_ratio's anchor.  At c = 0, F_c has rank one and
+    mu_n = 0 exactly for n >= 1, which is returned.  Otherwise a zero or
+    non-finite psi_n(0), psi_n'(0) or mu_n is refused with RuntimeError
+    naming the mode (a zero mu_n is an underflow deep in the decay).  The
     relative error grows as mu_n decays, to 1.1e-5 at mode 89 of
     (alpha, c) = (0, 100) against i^n exp(log_mu_ratio), which is the
     library's route.
@@ -205,6 +206,9 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
     scale = (h_0, params.c * b[1] * math.sqrt(h_0 * total_mass(a + 1.0)))
     mus = np.empty(modes.size, dtype=complex)
     for i, m in enumerate(modes.tolist()):
+        if m and params.c == 0:
+            mus[i] = 0.0
+            continue
         row = spectrum.coeffs[m, m % 2::2]
         at_zero = np.dot(row, refs[m % 2])
         mu = row[0] * scale[m % 2] / at_zero if at_zero != 0 else at_zero
@@ -518,7 +522,7 @@ def log_mu_magnitude(params: ProblemParams, n):
     solves, is enough; a low mode at large c has one where tau^2 = chi_n(tau)
     and takes more.  A mode that needs more than 256 panels is refused,
     naming it and its estimate, and so is a non-finite value: nothing is
-    returned silently.  decay_check reports the estimate.
+    returned silently.
     """
     return _log_mu_with_error(params, n)[0]
 
@@ -541,7 +545,6 @@ class DecayReport:
     params: ProblemParams
     ns: np.ndarray
     log_lambdas: np.ndarray
-    log_lambda_errors: np.ndarray   # twice the Gauss-Kronrod estimate of log |mu_n|'s error
     rate_terms: np.ndarray      # (2n+1) log((4n + 4 alpha + 2)/(e c))
     slope: float                # fit of -log lambda_n against the rate term
     residuals: np.ndarray       # log lambda_n + rate term, bounded if decay holds
@@ -551,13 +554,13 @@ class DecayReport:
 def decay_check(params: ProblemParams, n_range) -> DecayReport:
     """Fit -log lambda_n against the super-exponential rate term.
 
-    Admissible indices are those with c^2 < chi_n, read from one window
-    Sturm solve at tau = c (sturm.window_vectors) over the requested modes.
-    lambda values come from the log-space explicit formula (the Nystrom
-    floor makes direct eigenvalues meaningless in this regime), each with
-    log_lambda_errors, twice log_mu_magnitude's Gauss-Kronrod estimate; a
-    mode whose Phi_n integral does not meet its tolerance within 256 panels
-    is refused (RuntimeError naming it), not reported.  The bound
+    One chi_spectrum solve of modes 0..max n gives both the admissible
+    indices, those with c^2 < chi_n, and log lambda_n = log(c/2pi) +
+    2 log |mu_n| from the ratio route (log_mu_ratio), in log space (the
+    Nystrom floor makes direct eigenvalues meaningless in this regime).
+    On the CLI's window (16 modes from max(8, floor(e c/2) + 2)) at alpha in
+    {0.05, 0.5, 1.4} and c in {1, 5, 10, 20, 100, 400}, log_lambdas is
+    within 2e-13 max(1, |log |mu_n||) of log_lambda_explicit.  The bound
     constant is calibrated at the smallest admissible n, held fixed with a
     factor-2 safety: the residual log lambda_n + rate term creeps toward its
     asymptote from below, so exact equality at the calibration point cannot
@@ -567,18 +570,17 @@ def decay_check(params: ProblemParams, n_range) -> DecayReport:
     if not 0.0 < params.alpha < 1.5:
         raise ValueError("decay_check requires 0 < alpha < 3/2")
     ns = _modes(np.asarray(sorted(n_range), dtype=int))
-    ns = ns[params.c ** 2 < window_vectors(params.alpha, [params.c], ns)[0][0]]
+    spec = chi_spectrum(params, int(ns.max()))
+    ns = ns[params.c ** 2 < spec.chis[ns]]
     if ns.size < 3:
         raise ValueError("decay_check needs at least three admissible indices")
-    log_mu, errors = _log_mu_with_error(params, ns)
-    loglam = math.log(params.c / (2.0 * math.pi)) + 2.0 * log_mu
+    loglam = math.log(params.c / (2.0 * math.pi)) + 2.0 * log_mu_ratio(spec)[ns]
     t = (2.0 * ns + 1.0) * np.log((4.0 * ns + 4.0 * params.alpha + 2.0)
                                   / (math.e * params.c))
     slope = float(np.polyfit(t, -loglam, 1)[0])
     resid = loglam + t
     bound_ok = bool(np.all(resid <= resid[0] + math.log(2.0)))
-    return DecayReport(params=params, ns=ns, log_lambdas=loglam,
-                       log_lambda_errors=2.0 * errors, rate_terms=t,
+    return DecayReport(params=params, ns=ns, log_lambdas=loglam, rate_terms=t,
                        slope=slope, residuals=resid, bound_ok=bound_ok)
 
 
@@ -635,15 +637,16 @@ class CountingReport:
     upper_ok: bool
 
 
-def counting(params: ProblemParams, delta: float, n_quad: int | None = None) -> CountingReport:
+def counting(params: ProblemParams, delta: float) -> CountingReport:
     """Count eigenvalues >= delta and compare with the trace/HS bounds.
 
-    Upper bound trace/delta is exact; the lower bound carries an o(c) term,
-    so only its gap relative to c is meaningful, not the pointwise
-    inequality.
+    The discrete lambda come from the default_nystrom_size rule; for another
+    rule, take nystrom_spectrum(params, n_quad).counting(delta).  Upper bound
+    trace/delta is exact; the lower bound carries an o(c) term, so only its
+    gap relative to c is meaningful, not the pointwise inequality.
     """
-    nq = default_nystrom_size(params.c) if n_quad is None else n_quad
-    return _counting_report(params, delta, _nystrom_lambdas(params, nq))
+    return _counting_report(params, delta,
+                            _nystrom_lambdas(params, default_nystrom_size(params.c)))
 
 
 def _counting_report(params: ProblemParams, delta: float,

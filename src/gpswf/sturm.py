@@ -10,19 +10,18 @@ Jacobi coefficient vectors of the eigenfunctions psi_n come out of a
 symmetric tridiagonal eigensolve per parity block.  The c-free pieces of a
 block (curvature diagonal, potential diagonal and offdiagonal factors) are
 built once per basis, and each bandwidth only scales and adds them.  One
-kernel solves a window of consecutive modes in one block, in one of three
-ways.  A window of k modes in a block of R rows with 32 k <= R (c large, the
-window short) is solved for those k eigenpairs alone, by bisection and
-inverse iteration, whoever calls.  A wider window takes the full solve,
-sliced, in chi_spectrum, and in window_vectors takes every eigenvalue from
-one root-free QR sweep, then inverse iteration on the window's alone (a
-block that splits takes bisection instead).  chi_spectrum solves the window
-from mode 0 up to n_max in each block (a block with no kept mode is not
-solved).  window_vectors takes any list of modes and a batch of bandwidths,
-for callers such as the explicit formula's tau integral that need only a
-few modes and no signs: it cuts the list once into windows, one per run of
-consecutive modes of a parity, solves each window alone at every
-bandwidth, and returns chi and vectors in the order the modes were given.
+kernel solves a window of consecutive modes in one block, in one of two
+ways: by bisection and inverse iteration on the window's eigenpairs alone,
+or by the full solve, sliced.  window_vectors always takes the first;
+chi_spectrum takes it for a window of k modes in a block of R rows with
+32 k <= R (c large, the window short) and the full solve otherwise.
+chi_spectrum solves the window from mode 0 up to n_max in each block (a
+block with no kept mode is not solved).  window_vectors takes any list of
+modes and a batch of bandwidths, for callers such as the explicit
+formula's tau integral that need only a few modes and no signs: it cuts
+the list once into windows, one per run of consecutive modes of a parity,
+solves each window alone at every bandwidth, and returns chi and vectors
+in the order the modes were given.
 
 Normalization: int psi_n^2 (1-x^2)^alpha dx = 1 (automatic, the basis is
 orthonormal) and psi_n(1) > 0.  For c beyond ~50 the first modes have
@@ -163,22 +162,15 @@ def ode_residual(f: GpswfFunction, x, chi: float | None = None):
 
 
 _TAIL_TOL = 1e-12
-# Which solve a window of k modes in a block of R rows takes.  When
-# 32 k <= R, the k eigenpairs alone, by bisection and inverse iteration
-# (_selected): that beats chi_spectrum's full solve there and loses to it
-# somewhere between k = 0.03 R and k = 0.1 R.  Otherwise chi_spectrum takes
-# the full solve (_full) and window_vectors one QR sweep for every eigenvalue
-# and inverse iteration on the window's (_swept): on a 36-row block with an
-# 8-mode window the sweep takes 32 us where bisection takes 87 us, and
-# inverse iteration 36 us after either (one CPU of a 2-vCPU x86-64 host).
+# Which solve chi_spectrum's window of k modes in a block of R rows takes.
+# When 32 k <= R, the k eigenpairs alone, by bisection and inverse iteration
+# (_selected): that beats the full solve (_full) there and loses to it
+# somewhere between k = 0.03 R and k = 0.1 R.  window_vectors takes _selected
+# for every window.
 _SELECT_RATIO = 32
 # Inverse-iteration vectors (unit norm) carry ~1e-45 rounding where the full
 # solver returns exact zeros; zeroing it lets the Clenshaw pass skip the tail.
 _CHOP = 1e-30
-# dstebz's split test |d_j d_(j-1)| ulp^2 + safmin > e_(j-1)^2, LAPACK's
-# ulp (2^-52) and safmin (the smallest normal double)
-_ULP2 = np.finfo(float).eps ** 2
-_SAFMIN = np.finfo(float).tiny
 
 
 def _sign_reference(alpha: float, b: np.ndarray, parity: int, rows: int) -> np.ndarray:
@@ -241,30 +233,6 @@ def _selected(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarra
     return w[:m][order], vecs[:, order]
 
 
-def _swept(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs lo..hi, ascending: eigenvalues from one QR sweep, vectors as _selected's.
-
-    Every eigenvalue comes from LAPACK's root-free QL/QR iteration (dsterf),
-    the window's are sliced out, and inverse iteration (dstein) makes their
-    vectors, treating the matrix as one block.  Where the matrix splits by
-    dstebz's own test, _selected runs instead, so that dstein always sees
-    the blocks bisection would give it.
-    """
-    # the test passes wherever max d and min e pass it (d, e >= 0 in every
-    # Sturm block), which spares most blocks the entrywise check
-    dmax, emin = float(d.max()), float(e.min())
-    if dmax * dmax * _ULP2 + _SAFMIN > emin * emin and \
-            (np.abs(d[1:] * d[:-1]) * _ULP2 + _SAFMIN > e * e).any():
-        return _selected(d, e, lo, hi)
-    w, info = lapack.dsterf(d, e)
-    if info == 0:
-        one = np.ones(d.size, dtype=np.int32)
-        vecs, info = lapack.dstein(d, e, w[lo:hi + 1], one, d.size * one)
-    if info:
-        raise LinAlgError(f"tridiagonal QR sweep or inverse iteration failed (info {info})")
-    return w[lo:hi + 1], vecs
-
-
 def _full(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs lo..hi, ascending, sliced from the full solve."""
     vals, vecs = eigh_tridiagonal(d, e)
@@ -279,8 +247,8 @@ def _block(alpha: float, c: float, basis, parity: int, lo: int, hi: int,
     the window's chi and its vectors as columns over the block's own
     degrees, signs as the solver gives them.  The window alone is solved
     (_selected) when 32 (hi - lo + 1) <= rows, and otherwise by ``wide``
-    (_full or _swept); inverse-iteration vectors have entries below 1e-30
-    set to 0.  Raises TruncationError, naming the first window mode whose
+    (_full in chi_spectrum, _selected in window_vectors); inverse-iteration
+    vectors have entries below 1e-30 set to 0.  Raises TruncationError, naming the first window mode whose
     last two coefficients carry mass above 1e-12.
     """
     d, e = _tridiagonal(basis, c)
@@ -339,10 +307,8 @@ def window_vectors(alpha: float, cs, modes,
     chi_spectrum(ProblemParams(alpha, c), n_max), retried once as there;
     n_max is the largest mode unless given (a caller that solves fewer modes
     as it goes keeps one basis by passing it).  Each basis's c-free pieces
-    are built once per call.  A window of k modes in a block of R rows
-    takes its eigenvalues from bisection when 32 k <= R, or when the block
-    splits, and otherwise from one QR sweep over the block (module
-    docstring); its vectors come from inverse iteration either way.
+    are built once per call.  Every window is solved alone, by bisection and
+    inverse iteration.
     Returns (chis, vecs): chis[i, m] is chi of modes[m] at cs[i], and
     vecs[parity][i, k] the vector, over the block's own degrees parity,
     parity + 2, ..., of the k-th mode of that parity in modes at cs[i],
@@ -380,7 +346,8 @@ def window_vectors(alpha: float, cs, modes,
             if b.size < n_trunc + 2:
                 b = sym_offdiag(alpha, n_trunc + 1)
             bases[n_trunc] = [_basis(alpha, b, parity, n_trunc) for parity, *_ in parts]
-        return [[_block(alpha, c, basis, parity, lo, hi, n_trunc, _swept) for lo, hi in runs]
+        return [[_block(alpha, c, basis, parity, lo, hi, n_trunc, _selected)
+                 for lo, hi in runs]
                 for basis, (parity, _, runs, _) in zip(bases[n_trunc], parts)]
 
     chis = np.empty((len(cs), modes.size))

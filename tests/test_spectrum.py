@@ -277,8 +277,7 @@ def test_odd_n_quad_matches_even(alpha, c):
     odd = g.nystrom_spectrum(p, n_quad=241, n_keep=10)
     even = g.nystrom_spectrum(p, n_quad=240, n_keep=10)
     assert_allclose(odd.lambdas, even.lambdas, rtol=1e-12, atol=0)
-    assert g.counting(p, 0.5, n_quad=241).m_empirical \
-        == g.counting(p, 0.5, n_quad=240).m_empirical
+    assert odd.counting(0.5).m_empirical == even.counting(0.5).m_empirical
 
 
 def test_parity_split_matches_qc_oracle():
@@ -335,6 +334,13 @@ def test_mu_small_c_limit():
     assert_allclose(mass, math.sqrt(math.pi) * sp.gamma(1.5) / sp.gamma(2.0),
                     rtol=1e-14)
     assert abs(mu0 - mass) <= 1e-4
+
+
+def test_mu_eigenrelation_at_c_zero():
+    # F_0 has rank one: mu_0 is the weight mass and every other mu_n is exactly 0
+    mus = g.mu_eigenrelation(g.chi_spectrum(g.ProblemParams(alpha=0.5, c=0.0), 4), np.arange(5))
+    assert abs(mus[0] - total_mass(0.5)) <= 1e-15 * total_mass(0.5)
+    assert np.all(mus[1:] == 0)
 
 
 def mu_explicit(p, n):
@@ -820,14 +826,15 @@ def test_nystrom_spectrum_builds_one_rule_and_runs_no_clenshaw(monkeypatch):
 
 
 def test_explicit_route_solves_no_spectrum_and_one_f_n_system_per_parity(monkeypatch):
-    calls = count_calls(monkeypatch, ("chi_spectrum", "solve_banded"))
+    calls = count_calls(monkeypatch, ("chi_spectrum", "solve_banded", "window_vectors"))
     log_mu_magnitude(g.ProblemParams(alpha=0.5, c=10.0), np.arange(15, 31))
     assert calls.count("chi_spectrum") == 0
     assert calls.count("solve_banded") <= 2
     calls.clear()
-    # decay_check's admissibility filter reads chi from one window solve at tau = c
+    # decay_check reads chi and the ratio route from one solve at c
     g.decay_check(g.ProblemParams(alpha=0.5, c=10.0), range(15, 31))
-    assert calls.count("chi_spectrum") == 0
+    assert calls.count("chi_spectrum") == 1
+    assert calls.count("window_vectors") == 0
 
 
 def test_f_n_weighted_identity():
@@ -872,11 +879,18 @@ def test_decay_check_keeps_modes_with_chi_above_c_squared():
         g.decay_check(p, range(0, 6))
 
 
+def assert_matches_explicit_route(p, rep):
+    """rep.log_lambdas within 2e-13 max(1, |log |mu_n||) of log_lambda_explicit."""
+    want = g.log_lambda_explicit(p, rep.ns)
+    log_mu = 0.5 * (want - math.log(p.c / (2.0 * math.pi)))
+    assert np.all(np.abs(rep.log_lambdas - want) <= 2e-13 * np.maximum(1.0, np.abs(log_mu)))
+
+
 def test_decay_check_on_a_sparse_range_is_the_explicit_route():
     p = g.ProblemParams(alpha=0.5, c=30)
     rep = g.decay_check(p, range(10, 80, 3))
     assert rep.ns[0] > 10 and np.all(np.diff(rep.ns) == 3)
-    assert np.array_equal(rep.log_lambdas, g.log_lambda_explicit(p, rep.ns))
+    assert_matches_explicit_route(p, rep)
 
 
 @pytest.mark.parametrize("c", [100.0, 400.0])
@@ -901,14 +915,12 @@ def test_explicit_route_refuses_a_mode_the_panel_cap_leaves_open(monkeypatch):
 
 
 def test_decay_report_errors_meet_the_tolerance():
+    # the ratio route's log lambda_n against the explicit route's on the CLI window
     for alpha in (0.05, 0.5, 1.4):
         for c in (1.0, 5.0, 10.0, 20.0, 100.0, 400.0):
+            p = g.ProblemParams(alpha=alpha, c=c)
             lo = max(8, int(math.e * c / 2) + 2)
-            rep = g.decay_check(g.ProblemParams(alpha=alpha, c=c), range(lo, lo + 16))
-            log_mu = 0.5 * (rep.log_lambdas - math.log(c / (2.0 * math.pi)))
-            assert rep.log_lambda_errors.shape == rep.ns.shape
-            assert np.all(np.isfinite(rep.log_lambda_errors))
-            assert np.all(rep.log_lambda_errors <= 2e-13 * np.maximum(1.0, np.abs(log_mu)))
+            assert_matches_explicit_route(p, g.decay_check(p, range(lo, lo + 16)))
 
 
 def test_log_lambda_explicit_batched_matches_per_mode():
@@ -1012,7 +1024,7 @@ def test_counting_upper_bound_and_landau():
 def test_counting_plateau_stable_under_refinement():
     p = g.ProblemParams(alpha=0.5, c=20.0)
     cnt = g.counting(p, 0.5)
-    cnt2 = g.counting(p, 0.5, n_quad=2 * cnt.n_quad)
+    cnt2 = g.nystrom_spectrum(p, n_quad=2 * cnt.n_quad).counting(0.5)
     assert abs(cnt.m_empirical - cnt2.m_empirical) <= 2
 
 

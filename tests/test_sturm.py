@@ -200,55 +200,6 @@ def test_selected_solve_bit_identical_to_eigh_tridiagonal(alpha, c, n_trunc):
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
-def _block_matrix(alpha, c, parity, n_trunc):
-    b = sym_offdiag(alpha, n_trunc + 1)
-    return sturm._tridiagonal(sturm._basis(alpha, b, parity, n_trunc), c)
-
-
-def _decay_window(c):
-    # the 16 modes gpswf spectrum's decay check (and the decay benchmark) asks for
-    lo = max(8, int(math.e * c / 2) + 2)
-    return lo + 15, lo // 2, lo // 2 + 7
-
-
-@pytest.mark.parametrize("alpha, c, n_max, lo, hi", [
-    *[(alpha, c, *_decay_window(c)) for alpha in (0.1, 0.7, 1.4) for c in (1.0, 20.0)],
-    (-0.9, 150.0, 101, 0, 50)])
-def test_swept_window_matches_bisection(monkeypatch, alpha, c, n_max, lo, hi):
-    # a window wide against its block takes every eigenvalue from one QR
-    # sweep and its vectors from inverse iteration; both agree with bisection
-    # and inverse iteration to rounding
-    n_trunc = sturm.default_truncation(n_max, c)
-    selected = sturm._selected
-    for parity in (0, 1):
-        d, e = _block_matrix(alpha, c, parity, n_trunc)
-        assert sturm._SELECT_RATIO * (hi - lo + 1) > d.size
-        want_chi, want = selected(d, e, lo, hi)
-        monkeypatch.setattr(sturm, "_selected", None)     # no fallback: the block does not split
-        chi, v = sturm._swept(d, e, lo, hi)
-        monkeypatch.setattr(sturm, "_selected", selected)
-        assert np.all(np.abs(chi - want_chi) <= 1e-15 * n_trunc ** 2)
-        signs = np.sign(np.sum(v * want, axis=0))
-        assert np.max(np.abs(v * signs - want)) <= 1e-14
-
-
-def test_swept_window_of_a_splitting_block_is_bisection(monkeypatch):
-    # at c = 1e-9 the block splits by dstebz's test, so the sweep hands the
-    # window to bisection, which gives inverse iteration the blocks
-    calls, selected = [], sturm._selected
-
-    def recording_selected(d, e, lo, hi):
-        calls.append((lo, hi))
-        return selected(d, e, lo, hi)
-
-    monkeypatch.setattr(sturm, "_selected", recording_selected)
-    for parity in (0, 1):
-        d, e = _block_matrix(0.5, 1e-9, parity, 40)
-        got = sturm._swept(d, e, 0, 7)
-        assert all(np.array_equal(x, y) for x, y in zip(got, selected(d, e, 0, 7)))
-    assert calls == [(0, 7), (0, 7)]
-
-
 def test_window_vectors_retry_once_and_refuse(monkeypatch):
     p = g.ProblemParams(alpha=0.5, c=10.0)
     monkeypatch.setattr(sturm, "default_truncation", lambda n_max, c: 12)
