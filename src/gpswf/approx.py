@@ -220,15 +220,15 @@ def approximant_norm_sq(spectrum: ChiSpectrum, n: int) -> float:
 
 
 def approximant_norm_check(spectrum: ChiSpectrum, n: int) -> float:
-    """Deviation |  ||approximant||^2 - A^2 K(sqrt(q))/pi  |.
+    """Relative deviation |  ||approximant||^2 pi / (A^2 K(sqrt(q))) - 1  |.
 
-    On admissible frames this is bounded by A^2 M_cap / ((1-q) sqrt(chi))
-    with M_cap the eta bound from the envelope constants.  Taken as
-    A (A |  ||main||^2 - K(sqrt(q))/pi  |), so that A^2 is never formed.
+    That is |  ||main||^2 pi / K(sqrt(q)) - 1  |, with no A factor, so it
+    stays finite where A^2 overflows (1.0 at (alpha, c, n) = (260, 1, 2)).
+    On admissible frames it is bounded by M_cap pi / (K(sqrt(q)) (1-q) sqrt(chi))
+    with M_cap the eta bound from the envelope constants.
     """
     frame = make_frame(spectrum, n)
-    a = frame.a_exact
-    return a * (a * abs(_main_norm_sq(frame) - elliptic_K(math.sqrt(frame.q)) / math.pi))
+    return abs(_main_norm_sq(frame) * math.pi / elliptic_K(math.sqrt(frame.q)) - 1.0)
 
 
 def jacobi_uniform(spectrum: ChiSpectrum, n: int, x, q0: float = 0.9):

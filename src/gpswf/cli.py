@@ -165,14 +165,13 @@ def _cmd_spectrum(args):
     tn = trace_and_norm(params)
     cnt = op.counting(args.delta)
 
-    decay_slope = None
-    if 0.0 < args.alpha < 1.5:
-        try:
-            lo = max(8, int(math.e * args.c / 2) + 2)
-            rep = decay_check(params, range(lo, lo + 16))
-            decay_slope = rep.slope
-        except ValueError:
-            decay_slope = None
+    # decay_check refuses an alpha outside (0, 3/2) before any solve, and a
+    # window with fewer than three admissible indices after one
+    try:
+        lo = max(8, int(math.e * args.c / 2) + 2)
+        decay_slope = decay_check(params, range(lo, lo + 16)).slope
+    except ValueError:
+        decay_slope = None
 
     columns = ["n [index]", "lambda [dimensionless]", "mu_real [dimensionless]",
                "mu_imag [dimensionless]", "cross_residual [dimensionless]",

@@ -55,7 +55,8 @@ from scipy import special as _sp
 from scipy.linalg import eigh, solve_banded
 
 from .specfun import gauss_jacobi, sym_offdiag, total_mass
-from .sturm import ChiSpectrum, ProblemParams, _sign_reference, chi_spectrum, window_vectors
+from .sturm import (ChiSpectrum, ProblemParams, _mode_indices, _sign_reference, chi_spectrum,
+                    window_vectors)
 
 
 # i^k = _I_POWERS[k % 4] exactly; 1j ** k is inexact from k = 100
@@ -160,24 +161,6 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
     )
 
 
-def _modes(n) -> np.ndarray:
-    """n as an array of mode indices; an empty one, or a negative index, is refused."""
-    ns = np.asarray(n)
-    if ns.size == 0:
-        raise ValueError("no mode index given")
-    if np.any(ns < 0):
-        raise ValueError(f"mode index {ns} is negative")
-    return ns
-
-
-def _spectrum_modes(spectrum: ChiSpectrum, n) -> np.ndarray:
-    """n as an array of modes that spectrum holds; a mode it lacks is refused."""
-    ns = _modes(n)
-    if np.any(ns > spectrum.n_max):
-        raise ValueError(f"mode index {ns} outside computed range 0..{spectrum.n_max}")
-    return ns
-
-
 def mu_eigenrelation(spectrum: ChiSpectrum, n):
     """mu_n from the eigen-relation F_c psi_n = mu_n psi_n at x = 0.
 
@@ -195,7 +178,7 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
     (alpha, c) = (0, 100) against i^n exp(log_mu_ratio), which is the
     library's route.
     """
-    ns = _spectrum_modes(spectrum, n)
+    ns = _mode_indices(n, spectrum.n_max)
     params, a = spectrum.params, spectrum.params.alpha
     modes = ns.reshape(-1)
     b = sym_offdiag(a, 2 * spectrum.coeffs[0, 0::2].size)
@@ -284,7 +267,7 @@ def f_n_moment(spectrum: ChiSpectrum, n):
     gives an array).  Computed from the Jacobi coefficients alone, by one
     banded connection solve per parity (_f_n_rows).
     """
-    ns = _spectrum_modes(spectrum, n)
+    ns = _mode_indices(n, spectrum.n_max)
     modes = ns.reshape(-1)
     out = np.empty(modes.size)
     for parity in (0, 1):
@@ -386,14 +369,14 @@ def _phi_integrand(params: ProblemParams, modes: np.ndarray, taus: np.ndarray,
                    n_max: int | None = None) -> np.ndarray:
     """(F_n(tau) - n) / tau, rows over taus > 0 and columns over modes.
 
-    At each tau only the requested modes are solved, one window per run of
-    consecutive modes of a parity (sturm.window_vectors, in the basis
-    chi_spectrum would use for n_max, by default the largest n); F_n is
-    quadratic in psi_n, so the vectors need no sign fixing, and the zero
-    padding to the widest basis leaves it unchanged.  The rows of every tau
-    then share one banded F_n solve per parity.
+    At each tau only the requested modes' vectors are solved, one window per
+    run of consecutive modes of a parity (sturm.window_vectors, in the basis
+    chi_spectrum would use for n_max, by default the largest n); no chi is
+    read.  F_n is quadratic in psi_n, so the vectors need no sign fixing,
+    and the zero padding to the widest basis leaves it unchanged.  The rows
+    of every tau then share one banded F_n solve per parity.
     """
-    _, vecs = window_vectors(params.alpha, taus, modes, n_max)
+    vecs = window_vectors(params.alpha, taus, modes, n_max)
     shifted = np.empty((taus.size, modes.size))
     for parity in (0, 1):
         own = modes % 2 == parity
@@ -433,7 +416,7 @@ def _log_mu_with_error(params: ProblemParams, n):
     a, c = params.alpha, params.c
     if c <= 0:
         raise ValueError("the explicit formula requires c > 0")
-    ns = _modes(n)
+    ns = _mode_indices(n)
     modes = ns.reshape(-1)
     k = modes.astype(float)
     # Gamma(k + 2a + 1) / Gamma(2k + 2a + 1) is 1 at k = 0, so both terms
@@ -558,6 +541,7 @@ def decay_check(params: ProblemParams, n_range) -> DecayReport:
     indices, those with c^2 < chi_n, and log lambda_n = log(c/2pi) +
     2 log |mu_n| from the ratio route (log_mu_ratio), in log space (the
     Nystrom floor makes direct eigenvalues meaningless in this regime).
+    The indices must be integers: a float one is refused, not truncated.
     On the CLI's window (16 modes from max(8, floor(e c/2) + 2)) at alpha in
     {0.05, 0.5, 1.4} and c in {1, 5, 10, 20, 100, 400}, log_lambdas is
     within 2e-13 max(1, |log |mu_n||) of log_lambda_explicit.  The bound
@@ -569,7 +553,7 @@ def decay_check(params: ProblemParams, n_range) -> DecayReport:
     """
     if not 0.0 < params.alpha < 1.5:
         raise ValueError("decay_check requires 0 < alpha < 3/2")
-    ns = _modes(np.asarray(sorted(n_range), dtype=int))
+    ns = _mode_indices(sorted(n_range))
     spec = chi_spectrum(params, int(ns.max()))
     ns = ns[params.c ** 2 < spec.chis[ns]]
     if ns.size < 3:

@@ -7,21 +7,16 @@ k (k + 2 alpha + 1) and the c^2 x^2 potential couples k-2, k, k+2 through
 the squared multiplication-by-x recurrence, so the operator splits into two
 symmetric tridiagonal blocks (even and odd degrees).  Eigenvalues chi_n and
 Jacobi coefficient vectors of the eigenfunctions psi_n come out of a
-symmetric tridiagonal eigensolve per parity block.  The c-free pieces of a
-block (curvature diagonal, potential diagonal and offdiagonal factors) are
-built once per basis, and each bandwidth only scales and adds them.  One
-kernel solves a window of consecutive modes in one block, in one of two
+symmetric tridiagonal eigensolve per parity block.  One kernel builds a
+block and solves windows of consecutive modes in it, each in one of two
 ways: by bisection and inverse iteration on the window's eigenpairs alone,
 or by the full solve, sliced.  window_vectors always takes the first;
 chi_spectrum takes it for a window of k modes in a block of R rows with
 32 k <= R (c large, the window short) and the full solve otherwise.
 chi_spectrum solves the window from mode 0 up to n_max in each block (a
-block with no kept mode is not solved).  window_vectors takes any list of
-modes and a batch of bandwidths, for callers such as the explicit
-formula's tau integral that need only a few modes and no signs: it cuts
-the list once into windows, one per run of consecutive modes of a parity,
-solves each window alone at every bandwidth, and returns chi and vectors
-in the order the modes were given.
+block with no kept mode is not solved).  window_vectors solves the windows
+of any list of modes at a batch of bandwidths, for callers such as the
+explicit formula's tau integral that need only a few modes and no signs.
 
 Normalization: int psi_n^2 (1-x^2)^alpha dx = 1 (automatic, the basis is
 orthonormal) and psi_n(1) > 0.  For c beyond ~50 the first modes have
@@ -75,6 +70,21 @@ def default_truncation(n_max: int, c: float) -> int:
     return n_max + max(32, math.ceil(1.2 * c) + 10)
 
 
+def _mode_indices(n, n_max: int | None = None) -> np.ndarray:
+    """n as an array of mode indices; ValueError, naming the index, unless n is
+    non-empty, of integer dtype (not bool, not float) and in 0..n_max (>= 0
+    with no n_max)."""
+    ns = np.asarray(n)
+    if ns.size == 0:
+        raise ValueError("no mode index given")
+    if ns.dtype == bool or not np.issubdtype(ns.dtype, np.integer):
+        raise ValueError(f"mode index {ns} is not an integer")
+    if np.any(ns < 0) or n_max is not None and np.any(ns > n_max):
+        where = "is negative" if n_max is None else f"outside computed range 0..{n_max}"
+        raise ValueError(f"mode index {ns} {where}")
+    return ns
+
+
 @dataclass(frozen=True)
 class ChiSpectrum:
     """Eigenvalues chi_n and Jacobi coefficient vectors of psi_0..psi_n_max."""
@@ -85,14 +95,8 @@ class ChiSpectrum:
     chis: np.ndarray     # shape (n_max+1,)
     coeffs: np.ndarray   # shape (n_max+1, n_trunc); opposite-parity rows are 0
 
-    def _mode(self, n: int) -> int:
-        """n itself; a mode outside 0..n_max is refused."""
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"mode index {n} outside computed range 0..{self.n_max}")
-        return n
-
     def chi(self, n: int) -> float:
-        return float(self.chis[self._mode(n)])
+        return float(self.chis[int(_mode_indices(n, self.n_max))])
 
     def q(self, n: int) -> float:
         """Spectral ratio c^2 / chi_n (the oscillatory regime has q < 1).
@@ -109,7 +113,7 @@ class ChiSpectrum:
         return c * c / chi
 
     def eigenfunction(self, n: int) -> "GpswfFunction":
-        return GpswfFunction(spectrum=self, n=self._mode(n))
+        return GpswfFunction(spectrum=self, n=int(_mode_indices(n, self.n_max)))
 
 
 @dataclass(frozen=True)
@@ -190,32 +194,6 @@ def _sign_reference(alpha: float, b: np.ndarray, parity: int, rows: int) -> np.n
     return np.concatenate(([1.0], np.cumprod(-b[1:2 * rows - 1:2] / b[2:2 * rows - 1:2])))
 
 
-def _basis(alpha: float, b: np.ndarray, parity: int,
-           n_trunc: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The c-free pieces of one parity block, for _tridiagonal.
-
-    The block has rows for the degrees k = parity, parity + 2, ... below
-    n_trunc; ``b`` holds sym_offdiag(alpha, m) for some m >= n_trunc (its
-    entries do not depend on m, so the longest serves every basis).
-    Returns the curvature diagonal k (k + 2 alpha + 1), the potential
-    diagonal b_k^2 + b_(k+1)^2 and the potential offdiagonal's two factors
-    b_(k+1) and b_(k+2).
-    """
-    idx = np.arange(parity, n_trunc, 2)
-    k = idx.astype(float)
-    return k * (k + 2 * alpha + 1), b[idx] ** 2 + b[idx + 1] ** 2, b[idx[:-1] + 1], b[idx[:-1] + 2]
-
-
-def _tridiagonal(basis, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and offdiagonal of the block whose _basis pieces are given, at c.
-
-    The offdiagonal's factors are multiplied in after c^2, one at a time,
-    so every matrix is bit-identical to the one built without the pieces.
-    """
-    curv, pot, b1, b2 = basis
-    return curv + c * c * pot, c * c * b1 * b2
-
-
 def _selected(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs lo..hi, ascending, of the symmetric tridiagonal (d, e).
 
@@ -239,34 +217,43 @@ def _full(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, n
     return vals[lo:hi + 1], vecs[:, lo:hi + 1]
 
 
-def _block(alpha: float, c: float, basis, parity: int, lo: int, hi: int,
-           n_trunc: int, wide) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs j = lo..hi of one parity block, modes n = 2 j + parity.
+def _block(alpha: float, c: float, b: np.ndarray, parity: int, runs, n_trunc: int,
+           wide) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigenpairs j = lo..hi of one parity block, modes n = 2 j + parity, per (lo, hi) in runs.
 
-    ``basis`` holds the block's _basis pieces in the n_trunc basis.  Returns
-    the window's chi and its vectors as columns over the block's own
-    degrees, signs as the solver gives them.  The window alone is solved
-    (_selected) when 32 (hi - lo + 1) <= rows, and otherwise by ``wide``
-    (_full in chi_spectrum, _selected in window_vectors); inverse-iteration
-    vectors have entries below 1e-30 set to 0.  Raises TruncationError, naming the first window mode whose
-    last two coefficients carry mass above 1e-12.
+    The block, built once, has rows for the degrees parity, parity + 2, ...
+    below n_trunc; ``b`` holds sym_offdiag(alpha, m) for some m >= n_trunc
+    (its entries do not depend on m).  Returns each window's chi and its
+    vectors as columns over the block's own degrees, signs as the solver
+    gives them.  A window is solved alone (_selected) when
+    32 (hi - lo + 1) <= rows, and otherwise by ``wide`` (_full in
+    chi_spectrum, _selected in window_vectors); inverse-iteration vectors
+    have entries below 1e-30 set to 0.  Raises TruncationError, naming the
+    first mode whose last two coefficients carry mass above 1e-12.
     """
-    d, e = _tridiagonal(basis, c)
-    solve = _selected if _SELECT_RATIO * (hi - lo + 1) <= d.size else wide
-    vals, vecs = solve(d, e, lo, hi)
-    if solve is not _full:
-        vecs[np.abs(vecs) < _CHOP] = 0.0
-    tail = vecs[-2] ** 2 + vecs[-1] ** 2
-    bad = np.flatnonzero(tail > _TAIL_TOL)
-    if bad.size:
-        n, mass = 2 * (lo + bad[0]) + parity, tail[bad[0]]
-        raise TruncationError(
-            f"truncation N={n_trunc} too small for mode n={n} at "
-            f"(alpha={alpha}, c={c}): trailing coefficient mass {mass:.3e}; "
-            f"retry with n_trunc={2 * n_trunc}",
-            required=2 * n_trunc,
-        )
-    return vals, vecs
+    # b_k and b_(k+1) for the block's degrees k, as strided views of b
+    k = np.arange(parity, n_trunc, 2, dtype=float)
+    b_k, b_k1 = b[parity:n_trunc:2], b[parity + 1:n_trunc + 1:2]
+    d = k * (k + 2 * alpha + 1) + c * c * (b_k ** 2 + b_k1 ** 2)
+    e = c * c * b_k1[:-1] * b_k[1:]
+    pairs = []
+    for lo, hi in runs:
+        solve = _selected if _SELECT_RATIO * (hi - lo + 1) <= d.size else wide
+        vals, vecs = solve(d, e, lo, hi)
+        if solve is not _full:
+            vecs[np.abs(vecs) < _CHOP] = 0.0
+        tail = vecs[-2] ** 2 + vecs[-1] ** 2
+        bad = np.flatnonzero(tail > _TAIL_TOL)
+        if bad.size:
+            n, mass = 2 * (lo + bad[0]) + parity, tail[bad[0]]
+            raise TruncationError(
+                f"truncation N={n_trunc} too small for mode n={n} at "
+                f"(alpha={alpha}, c={c}): trailing coefficient mass {mass:.3e}; "
+                f"retry with n_trunc={2 * n_trunc}",
+                required=2 * n_trunc,
+            )
+        pairs.append((vals, vecs))
+    return pairs
 
 
 def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
@@ -277,8 +264,7 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
         n_here = np.arange(parity, n_max + 1, 2)
         if n_here.size == 0:
             continue
-        vals, vecs = _block(alpha, c, _basis(alpha, b, parity, n_trunc), parity,
-                            0, n_here.size - 1, n_trunc, _full)
+        [(vals, vecs)] = _block(alpha, c, b, parity, [(0, n_here.size - 1)], n_trunc, _full)
         # (-1)^(n//2) psi_n(0) > 0 for even n, (-1)^(n//2) psi_n'(0) > 0 for odd n
         at_zero = _sign_reference(alpha, b, parity, vecs.shape[0]) @ vecs
         vecs[:, (at_zero < 0) != (n_here % 4 >= 2)] *= -1.0
@@ -297,74 +283,56 @@ def _at_default_basis(solve, n_max: int, c: float):
         return solve(exc.required)
 
 
-def window_vectors(alpha: float, cs, modes,
-                   n_max: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """chi and unsigned eigenvectors of the given modes at each bandwidth in cs.
+def window_vectors(alpha: float, cs, modes, n_max: int | None = None) -> list[np.ndarray]:
+    """Unsigned eigenvectors of the given modes at each bandwidth in cs.
 
     The modes, in any order and with repeats, are cut once into windows, one
-    per run of consecutive modes 2 j + parity in a parity block.  At each c,
-    largest first, every window is solved alone in the basis of
-    chi_spectrum(ProblemParams(alpha, c), n_max), retried once as there;
-    n_max is the largest mode unless given (a caller that solves fewer modes
-    as it goes keeps one basis by passing it).  Each basis's c-free pieces
-    are built once per call.  Every window is solved alone, by bisection and
-    inverse iteration.
-    Returns (chis, vecs): chis[i, m] is chi of modes[m] at cs[i], and
-    vecs[parity][i, k] the vector, over the block's own degrees parity,
-    parity + 2, ..., of the k-th mode of that parity in modes at cs[i],
-    zero-padded to the widest basis.  These are the eigenpairs that
-    chi_spectrum computes, without its sign fixing.  Solved alone, the
-    vectors keep their small coefficients to rounding, where the full solve's
-    (divide and conquer) can be ~1e-14 off, which moves F_n by up to ~1e-13
-    relative (2.3e-12 at (alpha, c, n) = (-0.9, 9.96, 5) in the basis of
-    n_max = 101, against 40-digit vectors).  Raises TruncationError as
-    chi_spectrum does, on the requested modes only.
+    per run of consecutive modes 2 j + parity in a parity block.  At each c
+    every window is solved alone (_block), by bisection and inverse
+    iteration, in the basis of chi_spectrum(ProblemParams(alpha, c), n_max),
+    retried once as there; n_max is the largest mode unless given (a caller
+    that solves fewer modes as it goes keeps one basis by passing it).
+    Returns vecs: vecs[parity][i, k] is the vector, over the block's own
+    degrees parity, parity + 2, ..., of the k-th mode of that parity in
+    modes at cs[i], zero-padded to the widest basis.  These are the
+    eigenvectors that chi_spectrum computes, without its sign fixing.
+    Solved alone, the vectors keep their small coefficients to rounding,
+    where the full solve's (divide and conquer) can be ~1e-14 off, which
+    moves F_n by up to ~1e-13 relative (2.3e-12 at (alpha, c, n) =
+    (-0.9, 9.96, 5) in the basis of n_max = 101, against 40-digit vectors).
+    Raises TruncationError as chi_spectrum does, on the requested modes only.
     """
     modes = np.asarray(modes)
     if n_max is None:
         n_max = int(modes.max())
-    # per parity present: its places in modes, its runs (lo, hi) of
-    # consecutive j, and its modes' columns in the runs laid side by side
-    # (a slice when the modes are in order, which saves a copy per c)
+    # per parity present: its runs (lo, hi) of consecutive j, and its modes'
+    # columns in the runs laid side by side
     parts = []
     for parity in (0, 1):
-        own = np.flatnonzero(modes % 2 == parity)
-        if own.size:
-            j = modes[own] // 2
+        j = modes[modes % 2 == parity] // 2
+        if j.size:
             js = np.unique(j)
             runs = np.split(js, np.flatnonzero(np.diff(js) > 1) + 1)
-            parts.append((parity, own, [(int(r[0]), int(r[-1])) for r in runs],
-                          slice(None) if np.array_equal(j, js) else np.searchsorted(js, j)))
-
-    # the pieces of each basis size, per parity present, all cut from one b
-    # (the largest c comes first, and its basis is the widest unless retried)
-    bases, b = {}, np.zeros(0)
+            parts.append((parity, [(int(r[0]), int(r[-1])) for r in runs], np.searchsorted(js, j)))
+    # long enough for the widest basis retried (default_truncation grows with c)
+    b = sym_offdiag(alpha, 2 * default_truncation(n_max, np.max(cs)) + 1)
 
     def solve(c, n_trunc):
-        nonlocal b
-        if n_trunc not in bases:
-            if b.size < n_trunc + 2:
-                b = sym_offdiag(alpha, n_trunc + 1)
-            bases[n_trunc] = [_basis(alpha, b, parity, n_trunc) for parity, *_ in parts]
-        return [[_block(alpha, c, basis, parity, lo, hi, n_trunc, _selected)
-                 for lo, hi in runs]
-                for basis, (parity, _, runs, _) in zip(bases[n_trunc], parts)]
+        # per part, its modes' vectors at c as rows, in the order given
+        out = []
+        for parity, runs, cols in parts:
+            pairs = _block(alpha, c, b, parity, runs, n_trunc, _selected)
+            out.append(np.concatenate([v for _, v in pairs], axis=1)[:, cols].T)
+        return out
 
-    chis = np.empty((len(cs), modes.size))
-    vecs = [np.zeros((len(cs), np.count_nonzero(modes % 2 == parity), 0)) for parity in (0, 1)]
-    for i in np.argsort(cs)[::-1]:
-        c = cs[i]
-        solved = _at_default_basis(lambda n_trunc: solve(c, n_trunc), n_max, c)
-        for (parity, own, _, cols), pairs in zip(parts, solved):
-            chis[i, own] = np.concatenate([vals for vals, _ in pairs])[cols]
-            v = np.concatenate([vec for _, vec in pairs], axis=1)
-            # the largest c's basis is the widest unless a later solve retried wider
-            old = vecs[parity]
-            if v.shape[0] > old.shape[2]:
-                vecs[parity] = np.zeros(old.shape[:2] + v.shape[:1])
-                vecs[parity][..., :old.shape[2]] = old
-            vecs[parity][i, :, :v.shape[0]] = v[:, cols].T
-    return chis, vecs
+    solved = [_at_default_basis(lambda n_trunc: solve(c, n_trunc), n_max, c) for c in cs]
+    vecs = [np.zeros((len(cs), 0, 0)) for _ in (0, 1)]
+    for p, (parity, _, cols) in enumerate(parts):
+        rows = [at_c[p] for at_c in solved]
+        vecs[parity] = np.zeros((len(cs), cols.size, max(r.shape[1] for r in rows)))
+        for i, r in enumerate(rows):
+            vecs[parity][i, :, :r.shape[1]] = r
+    return vecs
 
 
 def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) -> ChiSpectrum:

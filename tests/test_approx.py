@@ -168,9 +168,11 @@ def test_a_exact_finite_at_large_alpha(alpha, n):
 def test_norm_check_bound():
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.8, c=4.0), 50)
     fr = make_frame(spec, 50)
-    a = fr.a_exact
+    # | ||approximant||^2 - A^2 K/pi | <= A^2 M_cap / ((1-q) sqrt(chi)), divided by A^2 K/pi
     dev = g.approximant_norm_check(spec, 50)
-    bound = a * a * g.envelope_constants(0.8).m_alpha_cap / ((1 - fr.q) * math.sqrt(fr.chi))
+    kappa = g.elliptic_K(math.sqrt(fr.q))
+    m_cap = g.envelope_constants(0.8).m_alpha_cap
+    bound = m_cap * math.pi / (kappa * (1 - fr.q) * math.sqrt(fr.chi))
     assert dev <= bound
 
 
@@ -208,6 +210,9 @@ def test_norm_finite_where_a_squared_overflows():
     assert math.isfinite(norm2)
     in_logs = math.exp(2.0 * math.log(fr.a_exact) + math.log(_main_norm_sq(fr)))
     assert abs(norm2 - in_logs) <= 1e-12 * in_logs
+    # the relative check needs no A: ||main||^2 pi / K is ~4e-306, so it reads 1
+    check = g.approximant_norm_check(spec, 2)
+    assert math.isfinite(check) and abs(check - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,15 @@ def test_spectrum_refuses_negative_alpha(capsys):
         assert "alpha >= 0" in capsys.readouterr().err
 
 
+def test_spectrum_decay_slope_null_outside_decay_check_alpha(tmp_path):
+    # decay_check holds the 0 < alpha < 3/2 domain; the CLI reports a null slope
+    for alpha in ("0", "2"):
+        out = tmp_path / f"spec{alpha}.json"
+        assert main(["spectrum", "--alpha", alpha, "--c", "10", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["summary"]["decay_slope"] is None
+        assert '"decay_slope": null' in out.read_text()
+
+
 def test_empty_grid_is_a_usage_error(capsys):
     for argv in (["eigenfunction", "--n", "3"],
                  ["approx", "--kind", "bessel", "--n", "40"],

@@ -41,9 +41,12 @@ def test_f_n_equals_n_at_c_zero(alpha, n_max):
 
 
 @settings(derandomize=True, deadline=None, max_examples=20, database=None)
-@given(alpha=st.floats(min_value=-0.45, max_value=3.0, exclude_min=True, exclude_max=True),
-       c=st.floats(min_value=0.5, max_value=30.0))
+@given(alpha=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True),
+       c=st.floats(min_value=0.5, max_value=50.0))
 @example(alpha=-0.3, c=6.0)   # sorted order pairs modes 0-3 with the wrong psi_n
+@example(alpha=-0.9, c=5.0)
+@example(alpha=-0.25, c=18.0)
+@example(alpha=-0.99, c=50.0)
 def test_stable_nystrom_values_match_explicit(alpha, c):
     # the flag's 1e-10 agreement bound plus up to 1e-10 in either route
     p = g.ProblemParams(alpha=alpha, c=c)

@@ -550,6 +550,29 @@ def test_empty_mode_list_refused(route):
         getattr(g, route)(first, [])
 
 
+_P10 = g.ProblemParams(alpha=0.5, c=10.0)
+
+
+@pytest.mark.parametrize("call, index", [
+    (lambda spec: g.f_n_moment(spec, [1.5]), r"\[1\.5\]"),
+    (lambda spec: g.log_lambda_explicit(_P10, [2.5, 3]), r"\[2\.5 3\. \]"),
+    (lambda spec: log_mu_magnitude(_P10, 2.5), "2.5"),
+    (lambda spec: g.decay_check(_P10, [20.5, 21, 22, 23]), r"\[20\.5"),
+    (lambda spec: spec.chi(2.5), "2.5"),
+    (lambda spec: spec.eigenfunction(True), "True"),
+    (lambda spec: g.mu_eigenrelation(spec, 3.0), "3.0"),
+    (lambda spec: g.f_n_moment(spec, np.array([1, 2], dtype=bool)), r"\[ True"),
+    (lambda spec: log_mu_magnitude(_P10, [3, -1]), r"\[ 3 -1\] is negative"),
+], ids=["f_n_moment", "log_lambda_explicit", "log_mu_magnitude", "decay_check", "chi",
+        "eigenfunction_bool", "mu_eigenrelation", "f_n_moment_bool", "log_mu_negative"])
+def test_invalid_mode_index_refused(call, index):
+    # each was a silent wrong answer or a raw IndexError/TypeError: f_n_moment
+    # read uninitialised memory, log_lambda_explicit gave lambda > 1 at 2.5,
+    # decay_check truncated 20.5 to 20
+    with pytest.raises(ValueError, match=f"mode index {index}"):
+        call(g.chi_spectrum(_P10, 5))
+
+
 # ---------------------------------------------------------------------------
 # F_n moment
 # ---------------------------------------------------------------------------
