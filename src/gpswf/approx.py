@@ -35,12 +35,12 @@ from scipy import special as _sp
 
 from .specfun import (
     BesselEnvelopeConstants,
+    _weight_modulus_from,
     elliptic_K,
     envelope_constants,
     incomplete_K,
     jacobi_series_eval,
     s_map,
-    weight_modulus,
 )
 from .sturm import ChiSpectrum
 
@@ -157,9 +157,11 @@ def _bessel_terms(frame: WkbFrame, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
         s = s_map(xr, q)
         z = math.sqrt(chi) * s
         one_mx2, one_mqx2 = 1.0 - xr * xr, 1.0 - q * xr * xr
-        main[reg] = chi ** 0.25 * np.sqrt(s) * _sp.jv(alpha, z) \
+        # J_alpha and Y_alpha once, for the main term and the envelope
+        j, y = _sp.jv(alpha, z), _sp.yv(alpha, z)
+        main[reg] = chi ** 0.25 * np.sqrt(s) * j \
             / (one_mx2 ** (0.25 + alpha / 2.0) * one_mqx2 ** 0.25)
-        e_a, m_a = weight_modulus(frame.constants, z)
+        e_a, m_a = _weight_modulus_from(frame.constants, z, j, y)
         factor[reg] = (one_mx2 ** 0.25 / one_mqx2 ** 0.75) \
             * chi ** 0.25 * np.sqrt(s) * m_a / (one_mx2 ** (alpha / 2.0) * e_a)
     return main, factor

@@ -23,13 +23,36 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpteqr
+from scipy.linalg import LinAlgError, lapack
 
 
 def _maybe_scalar(out, x):
     if np.ndim(x) == 0:
         return float(out)
+    return out
+
+
+def _lapack(name: str, *args, **kwargs) -> list:
+    """The outputs of scipy.linalg.lapack's routine ``name`` on args, less its info.
+
+    Every hot solve calls LAPACK here: the Sturm blocks and the Gauss-Jacobi
+    blocks (dstevd, dstebz and dstein, dpteqr), the Nystrom blocks (dsyevr)
+    and the connection solves (dgbsv).  scipy.linalg's eigh_tridiagonal, eigh
+    and solve_banded cost more than LAPACK itself on blocks of tens of rows
+    (batching, argument checks, routine choice, workspace query), so callers
+    pass the routine and arguments those functions pass under scipy 1.17, and
+    the results are bit-identical to theirs.  Their guarantees are kept here:
+    ValueError on an array argument holding an inf or NaN, LinAlgError on a
+    nonzero info, and dstevd's quick exit on one row, whose empty offdiagonal
+    the binding rejects: values d, vector [[1.0]].
+    """
+    if not all(np.isfinite(a).all() for a in args if isinstance(a, np.ndarray)):
+        raise ValueError("array must not contain infs or NaNs")
+    if name == "dstevd" and len(args[0]) == 1:
+        return [args[0].copy(), np.ones((1, 1))]
+    *out, info = getattr(lapack, name)(*args, **kwargs)
+    if info:
+        raise LinAlgError(f"LAPACK {name} failed (info {info})")
     return out
 
 
@@ -285,20 +308,16 @@ def gauss_jacobi(n_nodes: int, alpha: float) -> QuadratureRule:
     d_even = (b2[:-2:2] + b2[1:-1:2])[:n_even]
     e_even = (b[1:-1:2] * b[2::2])[:n_even - 1]
     try:
-        _, vecs = eigh_tridiagonal(d_even, e_even)
+        # the routine eigh_tridiagonal(d_even, e_even) calls: divide and conquer
+        _, vecs = _lapack("dstevd", d_even, e_even)
         if n_pos > 1:
-            x2, _, _, info = dpteqr(d_odd, e_odd, np.zeros((1, 1)), compute_z=0)
-        else:   # the wrapper rejects one row with an empty offdiagonal
-            x2, info = d_odd, 0
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            x2 = _lapack("dpteqr", d_odd, e_odd, np.zeros((1, 1)), compute_z=0)[0]
+        else:   # the binding rejects one row with an empty offdiagonal
+            x2 = d_odd
+    except LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError(
             f"Gauss-Jacobi eigen-iteration failed for N={n_nodes}, alpha={alpha}: {exc}"
         ) from exc
-    if info != 0:  # pragma: no cover - LAPACK failure
-        raise RuntimeError(
-            f"Gauss-Jacobi eigen-iteration failed for N={n_nodes}, alpha={alpha}: "
-            f"dpteqr info={info}"
-        )
     pos = np.sqrt(np.sort(x2))
     odd = n_even - n_pos
     w = total_mass(alpha) * vecs[0] ** 2
@@ -427,19 +446,23 @@ def weight_modulus(constants: BesselEnvelopeConstants, x):
     E = sqrt(-Y/J), M = sqrt(2 |Y| J), above it E = 1, M = sqrt(J^2 + Y^2),
     so M/E = sqrt(2) J below and the Hankel modulus above.
     """
-    alpha = constants.alpha
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0):
+    arr1 = np.atleast_1d(np.asarray(x, dtype=float))
+    e_out, m_out = _weight_modulus_from(constants, arr1, _sp.jv(constants.alpha, arr1),
+                                        _sp.yv(constants.alpha, arr1))
+    if np.ndim(x) == 0:
+        return float(e_out[0]), float(m_out[0])
+    return e_out, m_out
+
+
+def _weight_modulus_from(constants: BesselEnvelopeConstants, x: np.ndarray, j: np.ndarray,
+                         y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """weight_modulus on a 1-D x from J_alpha(x) and Y_alpha(x), for callers that hold them."""
+    if np.any(x <= 0):
         raise ValueError("weight_modulus requires x > 0")
-    arr1 = np.atleast_1d(arr)
-    j = _sp.jv(alpha, arr1)
-    y = _sp.yv(alpha, arr1)
-    e_out = np.ones_like(arr1)
+    e_out = np.ones_like(x)
     m_out = np.hypot(j, y)
-    small = arr1 <= constants.x_alpha
+    small = x <= constants.x_alpha
     if np.any(small):
         e_out[small] = np.sqrt(-y[small] / j[small])
         m_out[small] = np.sqrt(2.0 * np.abs(y[small]) * j[small])
-    if np.ndim(x) == 0:
-        return float(e_out[0]), float(m_out[0])
     return e_out, m_out

@@ -52,9 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
-from scipy.linalg import eigh, solve_banded
 
-from .specfun import gauss_jacobi, sym_offdiag, total_mass
+from .specfun import _lapack, gauss_jacobi, sym_offdiag, total_mass
 from .sturm import (ChiSpectrum, ProblemParams, _mode_indices, _sign_reference, chi_spectrum,
                     window_vectors)
 
@@ -89,8 +88,15 @@ def _nystrom_lambdas(params: ProblemParams, n_quad: int) -> np.ndarray:
     sqrt(w_i w_j) cos(c x_i x_j) are the even-mode mu, and i times those of
     sqrt(w_i w_j) sin(c x_i x_j) the odd-mode mu.  The node at 0 (odd n_quad)
     keeps its single weight and enters only the cos block, since its sin row
-    is identically zero.  lambda = (c/2pi) mu^2.
+    is identically zero.  lambda = (c/2pi) mu^2.  Each block is solved as
+    eigh(block, eigvals_only=True) solves it, so bit-identically: LAPACK's
+    dsyevr on the lower triangle, with the workspace its own query gives.
     """
+    def eigvals(block):
+        lwork, liwork = _lapack("dsyevr_lwork", len(block), lower=1)
+        return _lapack("dsyevr", block, compute_v=0, lower=1,
+                       lwork=int(lwork), liwork=int(liwork))[0]
+
     rule = gauss_jacobi(n_quad, params.alpha)
     half = n_quad // 2
     odd = n_quad % 2
@@ -100,9 +106,9 @@ def _nystrom_lambdas(params: ProblemParams, n_quad: int) -> np.ndarray:
         w[0] = rule.weights[half]
     sw = np.sqrt(w)
     arg = params.c * x[:, None] * x[None, :]
-    mu_even = eigh(sw[:, None] * np.cos(arg) * sw, eigvals_only=True)
+    mu_even = eigvals(sw[:, None] * np.cos(arg) * sw)
     s = sw[odd:]
-    mu_odd = eigh(s[:, None] * np.sin(arg[odd:, odd:]) * s, eigvals_only=True)
+    mu_odd = eigvals(s[:, None] * np.sin(arg[odd:, odd:]) * s)
     lambdas = (params.c / (2.0 * math.pi)) * np.concatenate([mu_even, mu_odd]) ** 2
     return np.sort(lambdas)[::-1]
 
@@ -204,31 +210,43 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
     return mus.reshape(ns.shape) if ns.ndim else complex(mus[0])
 
 
-def _connect(alpha: float, parity: int, size: int, rhs) -> np.ndarray:
+def _connection_tables(alpha: float, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_connect's tables for degrees up to top: b, b_up and p.
+
+    b and b_up are the alpha and alpha + 1 offdiagonals (sym_offdiag), and
+    p_k = b_up_k sqrt(k (k + 2 alpha + 1)) / k for k >= 1, the ratio of the
+    leading coefficients of Ptilde^alpha_k and Ptilde^(alpha+1)_k, with p_0
+    the ratio of the two degree-0 constants.  No entry depends on top, so one
+    build serves every parity and size up to it.
+    """
+    b, b_up = sym_offdiag(alpha, top), sym_offdiag(alpha + 1.0, top)
+    k = np.arange(1, top + 1, dtype=float)
+    p = np.concatenate(([math.sqrt(total_mass(alpha + 1.0) / total_mass(alpha))],
+                        b_up[1:] * np.sqrt(k * (k + 2 * alpha + 1)) / k))
+    return b, b_up, p
+
+
+def _connect(b: np.ndarray, p: np.ndarray, parity: int, size: int, rhs) -> np.ndarray:
     """Solve B g = e for every row: a Ptilde^(alpha+1) series taken into the alpha basis.
 
     The columns are one parity's degrees m = parity, parity + 2, ... (size of
     them), in both bases.  The two-term connection Ptilde^alpha_k =
     p_k Ptilde^(alpha+1)_k + q_k Ptilde^(alpha+1)_(k-2) (DLMF 18.9.7,
     normalised) makes B upper bidiagonal on these columns, so one banded
-    solve serves every row.  p_k = b^(alpha+1)_k sqrt(k (k + 2 alpha + 1)) / k,
-    the ratio of the two leading coefficients, and q_k = -b_k b_(k-1) / p_(k-2),
-    with b the alpha offdiagonals, so both stay finite at alpha = -1/2.  The
-    right-hand sides e = rhs(m, b_up, q), b_up the alpha+1 offdiagonals, have
-    shape (..., size).
+    solve serves every row.  b and p come from _connection_tables, built to
+    degree parity + 2 (size - 1) or beyond; q_k = -b_k b_(k-1) / p_(k-2), so
+    both p and q stay finite at alpha = -1/2.  The right-hand sides
+    e = rhs(q) have shape (..., size).  The solve is LAPACK's dgbsv, which
+    solve_banded((0, 1), ...) calls, so bit-identical to it.
     """
     m = np.arange(parity, parity + 2 * size, 2)
-    b = sym_offdiag(alpha, int(m[-1]))
-    b_up = sym_offdiag(alpha + 1.0, int(m[-1]))
-    k = np.arange(1, m[-1] + 1, dtype=float)
-    p = np.concatenate(([math.sqrt(total_mass(alpha + 1.0) / total_mass(alpha))],
-                        b_up[1:m[-1] + 1] * np.sqrt(k * (k + 2 * alpha + 1)) / k))
     q = -b[m[1:]] * b[m[1:] - 1] / p[m[:-1]]
-    e = rhs(m, b_up, q)
+    e = rhs(q)
     banded = np.zeros((2, size))
     banded[0, 1:] = q
     banded[1] = p[m]
-    return solve_banded((0, 1), banded, e.reshape(-1, size).T, overwrite_b=True).T.reshape(e.shape)
+    g = _lapack("dgbsv", 0, 1, banded, e.reshape(-1, size).T, overwrite_ab=1, overwrite_b=1)[2]
+    return g.T.reshape(e.shape)
 
 
 def _f_n_rows(alpha: float, parity: int, rows: np.ndarray, n) -> np.ndarray:
@@ -245,7 +263,10 @@ def _f_n_rows(alpha: float, parity: int, rows: np.ndarray, n) -> np.ndarray:
     rounding offset as c -> 0, which the explicit formula's (F_n - n)/tau
     needs.
     """
-    def rest(m, b_up, q):
+    m = np.arange(parity, parity + 2 * rows.shape[-1], 2)
+    b, b_up, p = _connection_tables(alpha, int(m[-1]))
+
+    def rest(q):
         # psi' has coefficient psi_k sqrt(k (k + 2 alpha + 1)) on
         # Ptilde^(alpha+1)_(k-1), and x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1):
         # beyond its degree-k part, x psi' puts b_(k-1) times that on degree k - 2
@@ -254,8 +275,7 @@ def _f_n_rows(alpha: float, parity: int, rows: np.ndarray, n) -> np.ndarray:
                        - q * m[1:]) * rows[..., 1:]
         return r
 
-    m = np.arange(parity, parity + 2 * rows.shape[-1], 2)
-    h = _connect(alpha, parity, rows.shape[-1], rest)
+    h = _connect(b, p, parity, rows.shape[-1], rest)
     return (np.sum((m - np.asarray(n, dtype=float)[..., None]) * rows ** 2, axis=-1)
             + np.sum(rows * h, axis=-1))
 
@@ -317,8 +337,9 @@ def _ratio_forms(spectrum: ChiSpectrum) -> tuple[np.ndarray, np.ndarray]:
     a = spectrum.params.alpha
     u, v = spectrum.coeffs[:-1], spectrum.coeffs[1:]
     size = u.shape[1]
+    # one build of the tables for both parities' connection solves
+    b, _, p = _connection_tables(a, size - 1)
     # x Ptilde_k = b_(k+1) Ptilde_(k+1) + b_k Ptilde_(k-1)
-    b = sym_offdiag(a, size - 1)
     num = np.sum(b[1:] * (u[:, 1:] * v[:, :-1] + u[:, :-1] * v[:, 1:]), axis=1)
     # psi_(n+1)' has coefficient v_k sqrt(k (k + 2 alpha + 1)) on Ptilde^(alpha+1)_(k-1)
     k = np.arange(1, size, dtype=float)
@@ -328,7 +349,7 @@ def _ratio_forms(spectrum: ChiSpectrum) -> tuple[np.ndarray, np.ndarray]:
     for parity in (0, 1):
         if den[parity::2].size:
             e = dv[parity::2, parity::2]
-            g = _connect(a, parity, e.shape[-1], lambda *_: e)
+            g = _connect(b, p, parity, e.shape[-1], lambda _: e)
             den[parity::2] = np.sum(u[parity::2, parity::2] * g, axis=1)
     return num, den
 
@@ -541,7 +562,9 @@ def decay_check(params: ProblemParams, n_range) -> DecayReport:
     indices, those with c^2 < chi_n, and log lambda_n = log(c/2pi) +
     2 log |mu_n| from the ratio route (log_mu_ratio), in log space (the
     Nystrom floor makes direct eigenvalues meaningless in this regime).
-    The indices must be integers: a float one is refused, not truncated.
+    The indices must be integers: a float one is refused, not truncated.  A
+    repeated index counts once, and at least three distinct indices must be
+    admissible.
     On the CLI's window (16 modes from max(8, floor(e c/2) + 2)) at alpha in
     {0.05, 0.5, 1.4} and c in {1, 5, 10, 20, 100, 400}, log_lambdas is
     within 2e-13 max(1, |log |mu_n||) of log_lambda_explicit.  The bound
@@ -553,11 +576,12 @@ def decay_check(params: ProblemParams, n_range) -> DecayReport:
     """
     if not 0.0 < params.alpha < 1.5:
         raise ValueError("decay_check requires 0 < alpha < 3/2")
-    ns = _mode_indices(sorted(n_range))
+    ns = np.unique(_mode_indices(list(n_range)))
     spec = chi_spectrum(params, int(ns.max()))
     ns = ns[params.c ** 2 < spec.chis[ns]]
     if ns.size < 3:
-        raise ValueError("decay_check needs at least three admissible indices")
+        raise ValueError("decay_check needs at least three admissible indices, "
+                         "a repeated one counted once")
     loglam = math.log(params.c / (2.0 * math.pi)) + 2.0 * log_mu_ratio(spec)[ns]
     t = (2.0 * ns + 1.0) * np.log((4.0 * ns + 4.0 * params.alpha + 2.0)
                                   / (math.e * params.c))

@@ -9,8 +9,11 @@ symmetric tridiagonal blocks (even and odd degrees).  Eigenvalues chi_n and
 Jacobi coefficient vectors of the eigenfunctions psi_n come out of a
 symmetric tridiagonal eigensolve per parity block.  One kernel builds a
 block and solves windows of consecutive modes in it, each in one of two
-ways: by bisection and inverse iteration on the window's eigenpairs alone,
-or by the full solve, sliced.  window_vectors always takes the first;
+ways: by bisection and inverse iteration on the window's eigenpairs alone
+(LAPACK dstebz and dstein), or by the full divide-and-conquer solve
+(dstevd), sliced.  Both call LAPACK directly (specfun._lapack), with the
+routines and arguments scipy.linalg.eigh_tridiagonal would use, so the
+results are bit-identical to it.  window_vectors always takes the first;
 chi_spectrum takes it for a window of k modes in a block of R rows with
 32 k <= R (c large, the window short) and the full solve otherwise.
 chi_spectrum solves the window from mode 0 up to n_max in each block (a
@@ -33,9 +36,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
 
 from .specfun import (
+    _lapack,
     jacobi_series_deriv_coeffs,
     jacobi_series_eval,
     sym_offdiag,
@@ -199,21 +202,22 @@ def _selected(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarra
 
     LAPACK's bisection (dstebz) and inverse iteration (dstein), called as
     eigh_tridiagonal(d, e, select="i", select_range=(lo, hi)) calls them, so
-    the result is bit-identical to it, without its per-call argument checks
-    (about half the time of a 30-row solve).
+    the result is bit-identical to it, through specfun._lapack, without the
+    wrapper's own cost (about half the time of a 30-row solve).
     """
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "B")
-    if info == 0:
-        vecs, info = lapack.dstein(d, e, w[:m], iblock, isplit)
-    if info:
-        raise LinAlgError(f"tridiagonal bisection or inverse iteration failed (info {info})")
+    m, w, iblock, isplit = _lapack("dstebz", d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "B")
+    [vecs] = _lapack("dstein", d, e, w[:m], iblock, isplit)
     order = np.argsort(w[:m])
     return w[:m][order], vecs[:, order]
 
 
 def _full(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs lo..hi, ascending, sliced from the full solve."""
-    vals, vecs = eigh_tridiagonal(d, e)
+    """Eigenpairs lo..hi, ascending, sliced from the full solve.
+
+    LAPACK's divide and conquer (dstevd), the routine eigh_tridiagonal(d, e)
+    calls, so the result is bit-identical to it, through specfun._lapack.
+    """
+    vals, vecs = _lapack("dstevd", d, e)
     return vals[lo:hi + 1], vecs[:, lo:hi + 1]
 
 

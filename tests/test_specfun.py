@@ -518,23 +518,51 @@ def test_gauss_jacobi_mirror_symmetric_with_exact_mass():
             assert abs(rule.weights.sum() - mass) <= 1e-14 * mass
 
 
+@pytest.mark.parametrize("n_nodes", [1, 2, 3])
+def test_gauss_jacobi_with_one_row_blocks(n_nodes):
+    # N = 1 and 2 have a one-row even block (dstevd's quick exit), N = 2 and 3
+    # a one-row odd block (its value read directly)
+    for alpha in (-0.99, -0.5, 0.0, 0.5, 1.4, 10.0):
+        rule = g.gauss_jacobi(n_nodes, alpha)
+        mass = total_mass(alpha)
+        if n_nodes == 1:
+            assert rule.nodes.tolist() == [0.0] and rule.weights.tolist() == [mass]
+        if n_nodes == 2:
+            assert_allclose(rule.nodes, [-1, 1] / np.sqrt(3.0 + 2.0 * alpha), rtol=1e-15)
+            assert_allclose(rule.weights, [mass / 2, mass / 2], rtol=1e-15)
+        for deg in range(0, 2 * n_nodes, 2):
+            got = np.dot(rule.weights, rule.nodes ** deg)
+            assert_allclose(got, beta(deg / 2 + 0.5, alpha + 1.0), rtol=1e-13)
+
+
+def test_lapack_refuses_non_finite_input_and_reports_failure():
+    from scipy.linalg import LinAlgError
+
+    from gpswf import specfun
+
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        specfun._lapack("dstevd", np.array([1.0, np.nan]), np.array([0.5]))
+    # an upper-bidiagonal system with a zero pivot: dgbsv's info is 2
+    with pytest.raises(LinAlgError, match="dgbsv"):
+        specfun._lapack("dgbsv", 0, 1, np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones((2, 1)))
+
+
 def test_gauss_jacobi_solves_half_size_blocks(monkeypatch):
     from gpswf import specfun
 
-    rows = []
+    calls, lapack = [], specfun._lapack
 
-    def recorded(fn):
-        def wrapper(d, *args, **kwargs):
-            rows.append(len(d))
-            return fn(d, *args, **kwargs)
-        return wrapper
+    def recorded(name, d, *args, **kwargs):
+        calls.append((name, len(d)))
+        return lapack(name, d, *args, **kwargs)
 
-    monkeypatch.setattr(specfun, "eigh_tridiagonal", recorded(specfun.eigh_tridiagonal))
-    monkeypatch.setattr(specfun, "dpteqr", recorded(specfun.dpteqr))
+    monkeypatch.setattr(specfun, "_lapack", recorded)
     for n_nodes in (720, 721):
-        rows.clear()
+        calls.clear()
         specfun.gauss_jacobi(n_nodes, 0.5)
-        assert max(rows) == (n_nodes + 1) // 2
+        # the even block's vectors, the odd block's values
+        assert [name for name, _ in calls] == ["dstevd", "dpteqr"]
+        assert max(rows for _, rows in calls) == (n_nodes + 1) // 2
 
 
 # ---------------------------------------------------------------------------

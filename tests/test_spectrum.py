@@ -827,6 +827,21 @@ def count_calls(monkeypatch, names=("gauss_jacobi", "jacobi_series_eval")):
     return calls
 
 
+def recorded_lapack(monkeypatch, name):
+    """Inputs (copied before the call) and outputs of spectrum's LAPACK calls to name."""
+    seen, lapack = [], spectrum._lapack
+
+    def recording(routine, *args, **kwargs):
+        inputs = [np.copy(a) if isinstance(a, np.ndarray) else a for a in args]
+        out = lapack(routine, *args, **kwargs)
+        if routine == name:
+            seen.append((inputs, out))
+        return out
+
+    monkeypatch.setattr(spectrum, "_lapack", recording)
+    return seen
+
+
 def test_decay_check_builds_no_rule_and_runs_no_clenshaw(monkeypatch):
     calls = count_calls(monkeypatch)
     g.decay_check(g.ProblemParams(alpha=0.5, c=10.0), range(15, 31))
@@ -849,15 +864,43 @@ def test_nystrom_spectrum_builds_one_rule_and_runs_no_clenshaw(monkeypatch):
 
 
 def test_explicit_route_solves_no_spectrum_and_one_f_n_system_per_parity(monkeypatch):
-    calls = count_calls(monkeypatch, ("chi_spectrum", "solve_banded", "window_vectors"))
+    calls = count_calls(monkeypatch, ("chi_spectrum", "window_vectors"))
+    solves = recorded_lapack(monkeypatch, "dgbsv")
     log_mu_magnitude(g.ProblemParams(alpha=0.5, c=10.0), np.arange(15, 31))
     assert calls.count("chi_spectrum") == 0
-    assert calls.count("solve_banded") <= 2
+    # one panel on the decay window: one banded connection solve per parity
+    assert len(solves) == 2
     calls.clear()
     # decay_check reads chi and the ratio route from one solve at c
     g.decay_check(g.ProblemParams(alpha=0.5, c=10.0), range(15, 31))
     assert calls.count("chi_spectrum") == 1
     assert calls.count("window_vectors") == 0
+
+
+@pytest.mark.parametrize("alpha, c, n_quad", [(0.5, 10.0, 82), (1.4, 60.0, 133)])
+def test_nystrom_blocks_bit_identical_to_eigh(monkeypatch, alpha, c, n_quad):
+    seen = recorded_lapack(monkeypatch, "dsyevr")
+    _nystrom_lambdas(g.ProblemParams(alpha=alpha, c=c), n_quad)
+    assert [inputs[0].shape[0] for inputs, _ in seen] == [(n_quad + 1) // 2, n_quad // 2]
+    for (block,), out in seen:
+        assert np.array_equal(out[0], eigh(block, eigvals_only=True))
+
+
+@pytest.mark.parametrize("alpha, c", [(0.5, 10.0), (-0.5, 150.0)])
+def test_connection_solves_bit_identical_to_solve_banded(monkeypatch, alpha, c):
+    seen = recorded_lapack(monkeypatch, "dgbsv")
+    spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), 30)
+    spectrum.log_mu_ratio(spec)
+    g.f_n_moment(spec, np.arange(31))
+    # one- and two-column systems, the first of which solve_banded divides out
+    b, _, p = spectrum._connection_tables(alpha, 3)
+    rhs = np.array([[0.3, -1.2], [2.0, 0.7], [1e-300, 5.0]])
+    for size in (1, 2):
+        spectrum._connect(b, p, 1, size, lambda _: rhs[:, :size])
+    assert len(seen) == 6
+    for (lower, upper, banded, e), out in seen:
+        assert (lower, upper) == (0, 1)
+        assert np.array_equal(out[2], solve_banded((0, 1), banded, e))
 
 
 def test_f_n_weighted_identity():
@@ -900,6 +943,20 @@ def test_decay_check_keeps_modes_with_chi_above_c_squared():
     assert np.array_equal(rep.ns, np.arange(6, 30))
     with pytest.raises(ValueError, match="at least three admissible indices"):
         g.decay_check(p, range(0, 6))
+
+
+def test_decay_check_counts_a_repeated_index_once():
+    # a repeated index is one point; fitted as three, [10, 10, 10] gave slope
+    # 0.509 with bound_ok set
+    p = g.ProblemParams(alpha=0.5, c=5.0)
+    with pytest.raises(ValueError, match="at least three admissible indices"):
+        g.decay_check(p, [10, 10, 10])
+    with pytest.raises(ValueError, match="at least three admissible indices"):
+        g.decay_check(p, [11, 10, 11, 10])
+    rep, want = g.decay_check(p, [12, 10, 12, 11, 10]), g.decay_check(p, range(10, 13))
+    assert np.array_equal(rep.ns, [10, 11, 12])
+    assert rep.slope == want.slope
+    assert np.array_equal(rep.log_lambdas, want.log_lambdas)
 
 
 def assert_matches_explicit_route(p, rep):

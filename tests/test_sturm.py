@@ -141,18 +141,15 @@ def test_sign_reference_factor(alpha):
 
 @pytest.mark.parametrize("alpha, c", [(0.5, 3000.0), (1.3, 800.0), (-0.5, 600.0)])
 def test_few_mode_solve_matches_many_mode_solve(monkeypatch, alpha, c):
-    calls, solver, selected = [], sturm.eigh_tridiagonal, sturm._selected
+    # a selected solve starts with bisection (dstebz), a full one is dstevd
+    calls, lapack, kind = [], sturm._lapack, {"dstebz": "i", "dstevd": "a"}
 
-    def recording(d, e, **kwargs):
-        calls.append(kwargs.get("select", "a"))
-        return solver(d, e, **kwargs)
+    def recording(name, *args, **kwargs):
+        if name in kind:
+            calls.append(kind[name])
+        return lapack(name, *args, **kwargs)
 
-    def recording_selected(d, e, lo, hi):
-        calls.append("i")
-        return selected(d, e, lo, hi)
-
-    monkeypatch.setattr(sturm, "eigh_tridiagonal", recording)
-    monkeypatch.setattr(sturm, "_selected", recording_selected)
+    monkeypatch.setattr(sturm, "_lapack", recording)
     params = g.ProblemParams(alpha=alpha, c=c)
     few = g.chi_spectrum(params, 5)
     assert calls == ["i", "i"]          # both parity blocks solve 3 modes only
@@ -185,17 +182,50 @@ def test_window_vectors_match_chi_spectrum_up_to_sign(alpha, c, lo):
         assert np.max(np.abs(v * signs - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("alpha, c, n_trunc", [(0.5, 10.0, 60), (-0.9, 400.0, 1100), (3.0, 1e-3, 40)])
-def test_selected_solve_bit_identical_to_eigh_tridiagonal(alpha, c, n_trunc):
+def sturm_blocks(alpha, c, n_trunc):
+    """The even and odd Sturm blocks (d, e) of an n_trunc-term basis."""
     b = sym_offdiag(alpha, n_trunc + 1)
     for parity in (0, 1):
         idx = np.arange(parity, n_trunc, 2)
         d = idx * (idx + 2 * alpha + 1) + c * c * (b[idx] ** 2 + b[idx + 1] ** 2)
         e = c * c * b[idx[:-1] + 1] * b[idx[:-1] + 2]
-        for lo, hi in ((0, 0), (0, 5), (idx.size // 2, idx.size // 2 + 3), (idx.size - 2, idx.size - 1)):
+        yield d, e
+
+
+STURM_BLOCK_CASES = [(0.5, 10.0, 60), (-0.9, 400.0, 1100), (3.0, 1e-3, 40)]
+
+
+@pytest.mark.parametrize("alpha, c, n_trunc", STURM_BLOCK_CASES)
+def test_selected_solve_bit_identical_to_eigh_tridiagonal(alpha, c, n_trunc):
+    for d, e in sturm_blocks(alpha, c, n_trunc):
+        for lo, hi in ((0, 0), (0, 5), (d.size // 2, d.size // 2 + 3), (d.size - 2, d.size - 1)):
             want = eigh_tridiagonal(d, e, select="i", select_range=(lo, hi))
             got = sturm._selected(d, e, lo, hi)
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("alpha, c, n_trunc", STURM_BLOCK_CASES)
+def test_full_solve_bit_identical_to_eigh_tridiagonal(alpha, c, n_trunc):
+    for d, e in sturm_blocks(alpha, c, n_trunc):
+        vals, vecs = eigh_tridiagonal(d, e)
+        for lo, hi in ((0, d.size - 1), (0, 5), (d.size - 2, d.size - 1)):
+            got = sturm._full(d, e, lo, hi)
+            assert np.array_equal(got[0], vals[lo:hi + 1])
+            assert np.array_equal(got[1], vecs[:, lo:hi + 1])
+    # one row: eigh_tridiagonal's quick exit, which the LAPACK binding lacks
+    got = sturm._full(np.array([2.5]), np.empty(0), 0, 0)
+    want = eigh_tridiagonal(np.array([2.5]), np.empty(0))
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("solve", [sturm._full, sturm._selected])
+def test_non_finite_block_refused(solve):
+    d, e = next(sturm_blocks(0.5, 10.0, 60))
+    for block, bad in ((d, np.nan), (e, np.inf)):
+        kept, block[3] = block[3], bad
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            solve(d, e, 0, 3)
+        block[3] = kept
 
 
 def test_window_vectors_retry_once_and_refuse(monkeypatch):
