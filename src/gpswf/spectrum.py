@@ -53,9 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import _lapack, gauss_jacobi, sym_offdiag, total_mass
-from .sturm import (ChiSpectrum, ProblemParams, _mode_indices, _sign_reference, chi_spectrum,
-                    window_vectors)
+from .specfun import _lapack, gauss_jacobi, jacobi_series_deriv_coeffs, sym_offdiag, total_mass
+from .sturm import (ChiSpectrum, ProblemParams, _count, _mode_indices, _sign_reference,
+                    chi_spectrum, window_vectors)
 
 
 # i^k = _I_POWERS[k % 4] exactly; 1j ** k is inexact from k = 100
@@ -149,8 +149,10 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
     Nystrom rule resolves, so a cleared flag points at the Nystrom value: a
     mode that sorted order pairs with the wrong psi_n (seen at alpha < 0),
     or one near the Nystrom rounding floor (lambda ~ 1e-10 lambda_0 and
-    below).
+    below).  n_keep is an integer >= 1, not a bool or a float (ValueError
+    otherwise).
     """
+    n_keep = _count(n_keep, "n_keep", 1)
     if params.c <= 0:
         raise ValueError("the composition operator is trivial at c = 0")
     nq = default_nystrom_size(params.c, n_keep) if n_quad is None else n_quad
@@ -210,40 +212,43 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
     return mus.reshape(ns.shape) if ns.ndim else complex(mus[0])
 
 
-def _connection_tables(alpha: float, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_connect's tables for degrees up to top: b, b_up and p.
+def _connection_tables(alpha: float, top: int) -> tuple[np.ndarray, ...]:
+    """_connect's tables for degrees up to top: b, b_up, p and q, indexed by degree.
 
-    b and b_up are the alpha and alpha + 1 offdiagonals (sym_offdiag), and
+    b and b_up are the alpha and alpha + 1 offdiagonals (sym_offdiag).  The
+    two-term connection Ptilde^alpha_k = p_k Ptilde^(alpha+1)_k
+    + q_k Ptilde^(alpha+1)_(k-2) (DLMF 18.9.7, normalised) has
     p_k = b_up_k sqrt(k (k + 2 alpha + 1)) / k for k >= 1, the ratio of the
     leading coefficients of Ptilde^alpha_k and Ptilde^(alpha+1)_k, with p_0
-    the ratio of the two degree-0 constants.  No entry depends on top, so one
-    build serves every parity and size up to it.
+    the ratio of the two degree-0 constants, and q_k = -b_k b_(k-1) / p_(k-2)
+    for k >= 2 (q_0 = q_1 = 0), so both stay finite at alpha = -1/2.  No
+    entry depends on top, so one build serves every parity and size up to it.
     """
     b, b_up = sym_offdiag(alpha, top), sym_offdiag(alpha + 1.0, top)
     k = np.arange(1, top + 1, dtype=float)
     p = np.concatenate(([math.sqrt(total_mass(alpha + 1.0) / total_mass(alpha))],
                         b_up[1:] * np.sqrt(k * (k + 2 * alpha + 1)) / k))
-    return b, b_up, p
+    q = np.zeros(top + 1)
+    q[2:] = -b[2:] * b[1:-1] / p[:-2]
+    return b, b_up, p, q
 
 
-def _connect(b: np.ndarray, p: np.ndarray, parity: int, size: int, rhs) -> np.ndarray:
-    """Solve B g = e for every row: a Ptilde^(alpha+1) series taken into the alpha basis.
+def _connect(p: np.ndarray, q: np.ndarray, parity: int, e: np.ndarray) -> np.ndarray:
+    """Solve B g = e for every row of e: Ptilde^(alpha+1) series taken into the alpha basis.
 
-    The columns are one parity's degrees m = parity, parity + 2, ... (size of
-    them), in both bases.  The two-term connection Ptilde^alpha_k =
-    p_k Ptilde^(alpha+1)_k + q_k Ptilde^(alpha+1)_(k-2) (DLMF 18.9.7,
-    normalised) makes B upper bidiagonal on these columns, so one banded
-    solve serves every row.  b and p come from _connection_tables, built to
-    degree parity + 2 (size - 1) or beyond; q_k = -b_k b_(k-1) / p_(k-2), so
-    both p and q stay finite at alpha = -1/2.  The right-hand sides
-    e = rhs(q) have shape (..., size).  The solve is LAPACK's dgbsv, which
-    solve_banded((0, 1), ...) calls, so bit-identical to it.
+    The columns of e, of shape (..., size), are one parity's degrees
+    m = parity, parity + 2, ..., in both bases.  The connection
+    Ptilde^alpha_k = p_k Ptilde^(alpha+1)_k + q_k Ptilde^(alpha+1)_(k-2)
+    makes B upper bidiagonal on these columns, with p_m on the diagonal and
+    q_m above it, so one banded solve serves every row.  p and q come from
+    _connection_tables, built to degree m[-1] or beyond.  The solve is
+    LAPACK's dgbsv, which solve_banded((0, 1), ...) calls, so bit-identical
+    to it.
     """
+    size = e.shape[-1]
     m = np.arange(parity, parity + 2 * size, 2)
-    q = -b[m[1:]] * b[m[1:] - 1] / p[m[:-1]]
-    e = rhs(q)
     banded = np.zeros((2, size))
-    banded[0, 1:] = q
+    banded[0, 1:] = q[m[1:]]
     banded[1] = p[m]
     g = _lapack("dgbsv", 0, 1, banded, e.reshape(-1, size).T, overwrite_ab=1, overwrite_b=1)[2]
     return g.T.reshape(e.shape)
@@ -264,18 +269,14 @@ def _f_n_rows(alpha: float, parity: int, rows: np.ndarray, n) -> np.ndarray:
     needs.
     """
     m = np.arange(parity, parity + 2 * rows.shape[-1], 2)
-    b, b_up, p = _connection_tables(alpha, int(m[-1]))
-
-    def rest(q):
-        # psi' has coefficient psi_k sqrt(k (k + 2 alpha + 1)) on
-        # Ptilde^(alpha+1)_(k-1), and x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1):
-        # beyond its degree-k part, x psi' puts b_(k-1) times that on degree k - 2
-        r = np.zeros_like(rows)
-        r[..., :-1] = (b_up[m[1:] - 1] * np.sqrt(m[1:] * (m[1:] + 2 * alpha + 1))
-                       - q * m[1:]) * rows[..., 1:]
-        return r
-
-    h = _connect(b, p, parity, rows.shape[-1], rest)
+    _, b_up, p, q = _connection_tables(alpha, int(m[-1]))
+    # psi' has coefficient psi_k sqrt(k (k + 2 alpha + 1)) on
+    # Ptilde^(alpha+1)_(k-1), and x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1):
+    # beyond its degree-k part, x psi' puts b_(k-1) times that on degree k - 2
+    r = np.zeros_like(rows)
+    r[..., :-1] = (b_up[m[1:] - 1] * np.sqrt(m[1:] * (m[1:] + 2 * alpha + 1))
+                   - q[m[1:]] * m[1:]) * rows[..., 1:]
+    h = _connect(p, q, parity, r)
     return (np.sum((m - np.asarray(n, dtype=float)[..., None]) * rows ** 2, axis=-1)
             + np.sum(rows * h, axis=-1))
 
@@ -336,20 +337,17 @@ def _ratio_forms(spectrum: ChiSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """A_n = int x psi_(n+1) psi_n w and B_n = int psi_(n+1)' psi_n w for n < n_max."""
     a = spectrum.params.alpha
     u, v = spectrum.coeffs[:-1], spectrum.coeffs[1:]
-    size = u.shape[1]
     # one build of the tables for both parities' connection solves
-    b, _, p = _connection_tables(a, size - 1)
+    b, _, p, q = _connection_tables(a, u.shape[1] - 1)
     # x Ptilde_k = b_(k+1) Ptilde_(k+1) + b_k Ptilde_(k-1)
     num = np.sum(b[1:] * (u[:, 1:] * v[:, :-1] + u[:, :-1] * v[:, 1:]), axis=1)
-    # psi_(n+1)' has coefficient v_k sqrt(k (k + 2 alpha + 1)) on Ptilde^(alpha+1)_(k-1)
-    k = np.arange(1, size, dtype=float)
+    # psi_(n+1)' in the Ptilde^(alpha+1) basis, padded to the width of u
     dv = np.zeros_like(v)
-    dv[:, :-1] = v[:, 1:] * np.sqrt(k * (k + 2 * a + 1))
+    dv[:, :-1] = jacobi_series_deriv_coeffs(v, a)
     den = np.empty(u.shape[0])
     for parity in (0, 1):
         if den[parity::2].size:
-            e = dv[parity::2, parity::2]
-            g = _connect(b, p, parity, e.shape[-1], lambda _: e)
+            g = _connect(p, q, parity, dv[parity::2, parity::2])
             den[parity::2] = np.sum(u[parity::2, parity::2] * g, axis=1)
     return num, den
 

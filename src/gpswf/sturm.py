@@ -47,16 +47,16 @@ from .specfun import (
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Weight exponent alpha and bandwidth c of the operator family."""
+    """Weight exponent alpha > -1 and bandwidth c >= 0 of the operator family, both finite."""
 
     alpha: float
     c: float
 
     def __post_init__(self):
-        if not self.alpha > -1:
-            raise ValueError(f"alpha must exceed -1, got {self.alpha}")
-        if not self.c >= 0:
-            raise ValueError(f"bandwidth c must be nonnegative, got {self.c}")
+        if not (self.alpha > -1 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and exceed -1, got {self.alpha}")
+        if not (self.c >= 0 and math.isfinite(self.c)):
+            raise ValueError(f"bandwidth c must be finite and nonnegative, got {self.c}")
 
 
 class TruncationError(RuntimeError):
@@ -71,6 +71,14 @@ def default_truncation(n_max: int, c: float) -> int:
     # coefficient decay is super-exponential past the turning region,
     # so a fixed margin beyond n_max + O(c) is ample
     return n_max + max(32, math.ceil(1.2 * c) + 10)
+
+
+def _count(value, name: str, least: int = 0) -> int:
+    """value as an int; ValueError naming it unless a single integer >= least, not a bool."""
+    v = np.asarray(value)
+    if v.ndim or v.dtype == bool or not np.issubdtype(v.dtype, np.integer) or v < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(v)
 
 
 def _mode_indices(n, n_max: int | None = None) -> np.ndarray:
@@ -352,9 +360,9 @@ def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) 
     TruncationError, naming the first mode that fails, when a kept vector
     has trailing coefficient mass above 1e-12.  A defaulted n_trunc is
     retried once, at the basis size the error asks for, before it raises.
+    n_max is an integer >= 0, not a bool or a float (ValueError otherwise).
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = _count(n_max, "n_max")
     if n_trunc is None:
         return _at_default_basis(lambda n: _solve(params.alpha, params.c, n_max, n),
                                  n_max, params.c)

@@ -243,13 +243,25 @@ def test_library_failure_is_one_error_line(monkeypatch, capsys):
 
 
 def test_spectrum_at_large_alpha(tmp_path):
-    # both exited 1: mu_n ~ 1e-53 flagged every mode unstable at (60, 300),
-    # and the eigen-relation's moments overflowed at (150, 200)
-    for alpha, c in (("60", "300"), ("150", "200")):
+    # all exited 1: mu_n ~ 1e-53 flagged every mode unstable at (60, 300),
+    # the eigen-relation's moments overflowed at (150, 200), and the
+    # Nystrom rule's exactly-0 end weights were refused at (100, 1200)
+    for alpha, c in (("60", "300"), ("150", "200"), ("100", "1200")):
         out = tmp_path / f"spec{alpha}.json"
         assert main(["spectrum", "--alpha", alpha, "--c", c, "--out", str(out)]) == 0
         rows = json.loads(out.read_text())["rows"]
         assert len(rows) == 12 and all(row[-1] is True for row in rows)
+
+
+def test_non_finite_params_are_one_error_line():
+    # c = inf exited 1 on an int conversion; alpha = inf printed two numpy
+    # warnings before LAPACK refused it
+    for argv, name in ((["chi", "--alpha", "0.5", "--c", "inf"], "bandwidth c"),
+                       (["chi", "--alpha", "inf", "--c", "1"], "alpha")):
+        proc = run_cli(argv)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 2 and proc.stdout == "" and len(lines) == 1
+        assert lines[0].startswith(f"error: {name} must be finite")
 
 
 def test_spectrum_refuses_negative_alpha(capsys):

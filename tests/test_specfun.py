@@ -322,7 +322,7 @@ def test_jacobi_orthogonality_under_quadrature():
     p3 = jacobi_series_eval(unit(3), a, rule.nodes)
     p5 = jacobi_series_eval(unit(5), a, rule.nodes)
     assert abs(np.dot(rule.weights, p3 * p5)) <= 1e-13
-    table = jacobi_series_eval(np.eye(13), a, rule.nodes)
+    table = np.array([jacobi_series_eval(row, a, rule.nodes) for row in np.eye(13)])
     gram = (table * rule.weights) @ table.T
     assert np.max(np.abs(gram - np.eye(13))) <= 1e-12
 
@@ -363,7 +363,8 @@ def test_clenshaw_matches_x_recurrence(alpha, n_terms, rows, parity, decay, seed
     if parity != "mixed":
         coeffs[:, 1 if parity == "even" else 0::2] = 0.0
     xs = np.concatenate([np.linspace(-1.0, 1.0, 101), [1e-3, -1e-2]])
-    new, old = jacobi_series_eval(coeffs, alpha, xs), clenshaw_x(coeffs, alpha, xs)
+    new = np.array([jacobi_series_eval(row, alpha, xs) for row in coeffs])
+    old = clenshaw_x(coeffs, alpha, xs)
     assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
 
@@ -386,24 +387,23 @@ def test_clenshaw_psi_n_matches_mpmath(alpha, c, n):
 
 
 def test_clenshaw_batched_rows_bit_identical():
+    # the derivative coefficients of a stack are those of each row; the ratio
+    # route takes psi_(n+1)' of every pair from one call
     rng = np.random.default_rng(7)
     coeffs = rng.standard_normal((2, 3, 40))
-    xs = np.linspace(-1, 1, 33)
     for a in (-0.5, 0.6):
-        batched = jacobi_series_eval(coeffs, a, xs)
-        assert batched.shape == (2, 3, 33)
         deriv = jacobi_series_deriv_coeffs(coeffs, a)
-        d_batched = jacobi_series_eval(deriv, a + 1.0, xs)
         for i in range(2):
             for j in range(3):
-                row = coeffs[i, j]
-                assert np.array_equal(batched[i, j], jacobi_series_eval(row, a, xs))
-                d_row = jacobi_series_deriv_coeffs(row, a)
-                assert np.array_equal(deriv[i, j], d_row)
-                assert np.array_equal(d_batched[i, j], jacobi_series_eval(d_row, a + 1.0, xs))
-        # a scalar point gives one value per row
-        assert np.array_equal(jacobi_series_eval(coeffs, a, 0.3),
-                              jacobi_series_eval(coeffs, a, np.array([0.3]))[..., 0])
+                assert np.array_equal(deriv[i, j], jacobi_series_deriv_coeffs(coeffs[i, j], a))
+
+
+def test_clenshaw_refuses_a_stack():
+    # read as one series, a stack would be flattened into a wrong answer
+    for coeffs in (np.ones((2, 5)), np.ones((1, 5)), np.float64(1.0)):
+        for x in (0.3, np.linspace(-1, 1, 5)):
+            with pytest.raises(ValueError, match="one series"):
+                jacobi_series_eval(coeffs, 0.5, x)
 
 
 @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.7, 1.4])
@@ -433,19 +433,8 @@ def test_clenshaw_zero_tail_bit_identical():
         assert np.array_equal(jacobi_series_eval(padded, a, xs),
                               jacobi_series_eval(short, a, xs))
         assert jacobi_series_eval(padded, a, 0.3) == jacobi_series_eval(short, a, 0.3)
-        # a stack whose rows end at different columns
-        lengths = (12, 25, 7)
-        stack = np.zeros((3, 60))
-        for i, n in enumerate(lengths):
-            stack[i, :n] = rng.standard_normal(n)
-        batched = jacobi_series_eval(stack, a, xs)
-        assert np.array_equal(batched, jacobi_series_eval(stack[:, :25], a, xs))
-        for i, n in enumerate(lengths):
-            assert np.array_equal(batched[i], jacobi_series_eval(stack[i, :n], a, xs))
         # an all-zero series
         assert np.array_equal(jacobi_series_eval(np.zeros(30), a, xs), np.zeros_like(xs))
-        assert np.array_equal(jacobi_series_eval(np.zeros((2, 30)), a, xs),
-                              np.zeros((2, xs.size)))
         assert jacobi_series_eval(np.zeros(30), a, 0.5) == 0.0
 
 
@@ -458,6 +447,17 @@ def test_gauss_jacobi_one_node():
 def test_gauss_jacobi_total_mass():
     rule = g.gauss_jacobi(20, 1.2)
     assert_allclose(rule.weights.sum(), 2 ** 3.4 * beta(2.2, 2.2), rtol=1e-14)
+
+
+@pytest.mark.parametrize("n_nodes, alpha, zeros", [(1264, 100.0, 2), (1572, 150.0, 12)])
+def test_gauss_jacobi_keeps_zero_end_weights(n_nodes, alpha, zeros):
+    # end weights far below the smallest nonzero one (7.8e-61 at alpha = 150)
+    # come out exactly 0; such rules were refused, and with them the default
+    # Nystrom rule of gpswf spectrum at (100, 1200)
+    rule = g.gauss_jacobi(n_nodes, alpha)
+    assert np.count_nonzero(rule.weights == 0) == zeros
+    assert np.all(np.diff(rule.nodes) > 0) and np.all(rule.weights >= 0)
+    assert abs(rule.weights.sum() - total_mass(alpha)) <= 1e-14 * total_mass(alpha)
 
 
 def test_gauss_jacobi_monomial_exactness():

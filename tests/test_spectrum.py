@@ -14,7 +14,8 @@ from scipy.linalg import eigh, solve_banded
 
 import gpswf as g
 from gpswf import spectrum
-from gpswf.specfun import jacobi_h, jacobi_series_deriv_coeffs, sym_offdiag, total_mass
+from gpswf.specfun import (gauss_jacobi, jacobi_h, jacobi_series_deriv_coeffs, sym_offdiag,
+                           total_mass)
 from gpswf.spectrum import _nystrom_lambdas, default_nystrom_size, log_mu_magnitude
 
 
@@ -541,6 +542,24 @@ def test_stable_flags_with_the_ratio_route(alpha, c, n_keep, n_stable):
     assert np.all((np.abs(op.lambdas - lam_x) / lam_x)[op.stable] <= 2e-10)
 
 
+@pytest.mark.parametrize("alpha, c", [(100.0, 1200.0), (150.0, 1500.0)])
+def test_nystrom_rule_with_zero_end_weights(alpha, c):
+    # the default rules (1,272 and 1,572 nodes) hold end weights that are
+    # exactly 0, which gauss_jacobi refused; the kept lambda match the ratio route
+    op = g.nystrom_spectrum(g.ProblemParams(alpha=alpha, c=c))
+    assert np.count_nonzero(gauss_jacobi(op.n_quad, alpha).weights == 0) > 0
+    assert op.stable.sum() == 12
+    assert np.all(op.cross_residuals <= 1e-12 * op.lambdas)
+
+
+def test_n_keep_checked_by_name():
+    # n_keep = 0 was refused as "n_max must be nonnegative", naming a
+    # parameter the caller did not pass
+    for n_keep in (0, -2, True, 12.0):
+        with pytest.raises(ValueError, match="^n_keep must be an integer >= 1"):
+            g.nystrom_spectrum(g.ProblemParams(alpha=0.5, c=10.0), n_keep=n_keep)
+
+
 @pytest.mark.parametrize("route", ["mu_eigenrelation", "f_n_moment", "log_lambda_explicit",
                                    "decay_check"])
 def test_empty_mode_list_refused(route):
@@ -893,10 +912,10 @@ def test_connection_solves_bit_identical_to_solve_banded(monkeypatch, alpha, c):
     spectrum.log_mu_ratio(spec)
     g.f_n_moment(spec, np.arange(31))
     # one- and two-column systems, the first of which solve_banded divides out
-    b, _, p = spectrum._connection_tables(alpha, 3)
+    _, _, p, q = spectrum._connection_tables(alpha, 3)
     rhs = np.array([[0.3, -1.2], [2.0, 0.7], [1e-300, 5.0]])
     for size in (1, 2):
-        spectrum._connect(b, p, 1, size, lambda _: rhs[:, :size])
+        spectrum._connect(p, q, 1, rhs[:, :size])
     assert len(seen) == 6
     for (lower, upper, banded, e), out in seen:
         assert (lower, upper) == (0, 1)

@@ -130,8 +130,9 @@ def test_sign_reference_factor(alpha):
     # sqrt(h_0) Ptilde_2m(0) and sqrt(h_0') Ptilde_2m+1'(0), h_0' the alpha + 1 mass
     rows = 20
     basis = np.eye(2 * rows)
-    even = jacobi_series_eval(basis[0::2], alpha, 0.0)
-    odd = jacobi_series_eval(jacobi_series_deriv_coeffs(basis[1::2], alpha), alpha + 1.0, 0.0)
+    even = np.array([jacobi_series_eval(row, alpha, 0.0) for row in basis[0::2]])
+    odd = np.array([jacobi_series_eval(jacobi_series_deriv_coeffs(row, alpha), alpha + 1.0, 0.0)
+                    for row in basis[1::2]])
     b = sym_offdiag(alpha, 2 * rows)
     assert_allclose(sturm._sign_reference(alpha, b, 0, rows),
                     math.sqrt(total_mass(alpha)) * even, rtol=1e-13, atol=0)
@@ -157,8 +158,8 @@ def test_few_mode_solve_matches_many_mode_solve(monkeypatch, alpha, c):
     assert calls[2:] == ["a", "a"]
     assert_allclose(few.chis, many.chis[:6], rtol=1e-11, atol=0)
     xs = np.linspace(-1, 1, 801)
-    psi_few = jacobi_series_eval(few.coeffs, alpha, xs)
-    psi_many = jacobi_series_eval(many.coeffs[:6], alpha, xs)
+    psi_few = np.array([jacobi_series_eval(row, alpha, xs) for row in few.coeffs])
+    psi_many = np.array([jacobi_series_eval(row, alpha, xs) for row in many.coeffs[:6]])
     sup = np.max(np.abs(psi_many), axis=1, keepdims=True)
     assert np.all(np.abs(psi_few - psi_many) <= 1e-11 * sup)
 
@@ -372,3 +373,20 @@ def test_params_validation():
         g.ProblemParams(alpha=-1.0, c=1.0)
     with pytest.raises(ValueError):
         g.ProblemParams(alpha=0.5, c=-0.1)
+    # c = inf overflowed an int conversion in the basis size, and alpha = inf
+    # reached LAPACK's argument check after two numpy warnings
+    for alpha, c, name in ((math.inf, 1.0, "alpha"), (-math.inf, 1.0, "alpha"),
+                           (math.nan, 1.0, "alpha"), (0.5, math.inf, "bandwidth c"),
+                           (0.5, math.nan, "bandwidth c")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            g.ProblemParams(alpha=alpha, c=c)
+
+
+def test_n_max_checked_by_name():
+    # a bool n_max gave a spectrum with n_max=True, and 3.0 a TypeError
+    p = g.ProblemParams(alpha=0.5, c=2.0)
+    for n_max in (True, 3.0, -1, np.array([3]), "3"):
+        with pytest.raises(ValueError, match="^n_max must be an integer >= 0"):
+            g.chi_spectrum(p, n_max)
+    spec = g.chi_spectrum(p, np.int32(3))
+    assert type(spec.n_max) is int and spec.n_max == 3
