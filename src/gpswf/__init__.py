@@ -68,7 +68,6 @@ from .spectrum import (
     counting,
     decay_check,
     f_n_moment,
-    log_lambda_explicit,
     log_mu_ratio,
     mu_eigenrelation,
     nystrom_spectrum,
@@ -91,9 +90,9 @@ __all__ = [
     "bessel_report", "bessel_uniform", "chi_spectrum",
     "counting", "decay_check", "elliptic_K", "envelope_constants",
     "eta_fn", "f_n_moment", "g_bound", "gauss_jacobi", "incomplete_K",
-    "jacobi_report", "jacobi_uniform", "log_lambda_explicit",
-    "log_mu_ratio", "make_frame", "mu_eigenrelation", "nystrom_spectrum",
-    "ode_residual", "s_map", "trace_and_norm", "weight_modulus",
+    "jacobi_report", "jacobi_uniform", "log_mu_ratio", "make_frame",
+    "mu_eigenrelation", "nystrom_spectrum", "ode_residual", "s_map",
+    "trace_and_norm", "weight_modulus",
 ]
 
 __version__ = "0.1.0"

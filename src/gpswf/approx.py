@@ -238,11 +238,14 @@ def jacobi_uniform(spectrum: ChiSpectrum, n: int, x, q0: float = 0.9):
 
     A_n is the orthogonal projection of psi_n onto Ptilde_n, i.e. the n-th
     coefficient of its Jacobi expansion.  Requires 0 < alpha < 3/2 and
-    q = c^2/chi_n <= q0.  Returns (value, a_n).
+    q = c^2/chi_n <= q0, with q0 in [0, 1): the form needs q bounded away
+    from 1.  Returns (value, a_n).
     """
     alpha = spectrum.params.alpha
     if not 0.0 < alpha < 1.5:
         raise ValueError("alpha must lie in (0,3/2) for the Jacobi-form approximation")
+    if not 0.0 <= q0 < 1.0:
+        raise ValueError(f"q0 must lie in [0, 1) for the Jacobi-form approximation, got {q0}")
     q = spectrum.q(n)
     if q > q0:
         raise ValueError(f"q = c^2/chi_n = {q:.6g} exceeds q0 = {q0}; increase n")

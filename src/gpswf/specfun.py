@@ -1,11 +1,11 @@
 """Special functions and quadrature for the GPSWF solver stack.
 
 Everything here is double precision, pure and deterministic: the total
-mass of the weight (1-y^2)^alpha and the norms h_n of its Jacobi
-polynomials, complete and incomplete Legendre elliptic integrals of the
-first kind, the elliptic arc-length map S used by the Liouville transform,
-the Bessel moment remainder eta, Clenshaw evaluation of orthonormal
-symmetric-Jacobi series, Gauss-Jacobi quadrature for that weight, and the
+mass of the weight (1-y^2)^alpha, complete and incomplete Legendre
+elliptic integrals of the first kind, the elliptic arc-length map S used by
+the Liouville transform, the Bessel moment remainder eta, Clenshaw
+evaluation of orthonormal symmetric-Jacobi series, Gauss-Jacobi quadrature
+for that weight, and the
 envelope constants (m_alpha, c_alpha, kappa_alpha, X_alpha, ...) that
 control the Bessel-form error bounds.  Gamma, Beta and Bessel J are
 scipy.special's, called directly.
@@ -30,6 +30,14 @@ def _maybe_scalar(out, x):
     if np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def _count(value, name: str, least: int = 0) -> int:
+    """value as an int; ValueError naming it unless a single integer >= least, not a bool."""
+    v = np.asarray(value)
+    if v.ndim or v.dtype == bool or not np.issubdtype(v.dtype, np.integer) or v < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(v)
 
 
 def _lapack(name: str, *args, **kwargs) -> list:
@@ -117,30 +125,6 @@ def _check_unit_interval(x):
     if np.any(np.abs(arr) > 1.0 + 1e-14):
         raise ValueError("Jacobi polynomials are evaluated on [-1, 1]")
     return arr
-
-
-def jacobi_h(n, alpha: float):
-    """Squared weighted L2 norm h_n of P_n^(alpha, alpha); n an int or an array.
-
-    Computed in log space so it stays finite for degrees far beyond the
-    overflow point of the Gamma function.  Degree 0 is total_mass(alpha),
-    which stays finite where the general form is 0/0 (alpha = -1/2).
-    """
-    a = float(alpha)
-    k = np.asarray(n, dtype=float)
-    g = _sp.gammaln(k + a + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_h = (
-            (a + a + 1) * math.log(2.0)
-            + g
-            + g
-            + np.log(k + a + a + 1)
-            - _sp.gammaln(k + 1)
-            - np.log(2 * k + a + a + 1)
-            - _sp.gammaln(k + a + a + 2)
-        )
-    h = np.where(k == 0, total_mass(a), np.exp(log_h))
-    return _maybe_scalar(h, n)
 
 
 def sym_offdiag(alpha: float, kmax: int) -> np.ndarray:
@@ -285,10 +269,10 @@ def gauss_jacobi(n_nodes: int, alpha: float) -> QuadratureRule:
     absolute terms, to about 1e-24 mass at alpha = 10, N = 1440, where this
     and the full-size method differ by up to 1e5 times on the smallest ones.
     Some are exactly 0 (2 of 1,264 at alpha = 100), which is kept; a
-    negative or non-finite weight raises RuntimeError.
+    negative or non-finite weight raises RuntimeError.  n_nodes is an
+    integer >= 1, not a bool or a float (ValueError naming it otherwise).
     """
-    if n_nodes < 1:
-        raise ValueError("quadrature rule needs at least one node")
+    n_nodes = _count(n_nodes, "n_nodes", 1)
     if alpha <= -1:
         raise ValueError(f"weight exponent must exceed -1, got {alpha}")
     b = np.concatenate([sym_offdiag(alpha, n_nodes - 1), [0.0, 0.0]])

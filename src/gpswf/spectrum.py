@@ -1,6 +1,6 @@
 """Spectra of the weighted finite Fourier transform and its composition.
 
-Four computational routes, cross-checked against each other:
+Three computational routes, cross-checked against each other:
 
 * Nystrom: F_c itself is discretized on a Gauss-Jacobi rule as
   sqrt(w_i w_j) e^{i c x_i x_j} and split by parity into a real cos block
@@ -24,22 +24,11 @@ Four computational routes, cross-checked against each other:
   degree-0 or degree-1 coefficient over psi_n(0) or psi_n'(0); a
   cross-check, whose error grows as mu_n decays.
 
-* Explicit product formula: mu_n = i^n sqrt(pi) * Gamma-ratio * c^n
-  exp(Phi_n) with Phi_n = int_0^c (F_n(tau) - n)/tau dtau, evaluated in log
-  space by one function, log_mu_magnitude; log_lambda_explicit is a
-  one-line use of it.  Phi_n is integrated on
-  adaptive Gauss-Kronrod panels (QUADPACK's G7/K15 pair) with an error
-  estimate per mode: a mode is accepted once its estimate, less the rounding
-  floor 50 eps int |integrand|, is at most 1e-13 max(1, |log |mu_n||), each
-  mode bisects only its own panels whose estimate exceeds their share of
-  that, and a mode that needs more than 256 panels is refused by name.
-  Each round of panels is one batch: every node solves only the runs of open
-  modes in each parity block, by bisection and inverse iteration, and
-  F_n - n comes from their Jacobi coefficients, with no quadrature rule in
-  x, by one banded connection solve per parity for all nodes.  On the decay
-  window (n >= e c/2) one panel, 15 nodes, meets the tolerance.  It
-  integrates over tau in (0, c], independent of the ratio route's one solve
-  at c, and is the reference the ratio route is tested against.
+The paper's explicit product formula, mu_n = i^n sqrt(pi) Gamma-ratio c^n
+exp(Phi_n) with Phi_n = int_0^c (F_n(tau) - n)/tau dtau, is the reference
+the ratio route is tested against, and lives with the tests
+(tests/explicit_route.py); it integrates over tau in (0, c], independent of
+the ratio route's one solve at c, and needs F_n - n from _f_n_rows.
 
 Trace and Hilbert-Schmidt closed forms plus the counting bounds for
 #{lambda_n >= delta} complete the module.
@@ -53,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import _lapack, gauss_jacobi, jacobi_series_deriv_coeffs, sym_offdiag, total_mass
-from .sturm import (ChiSpectrum, ProblemParams, _count, _mode_indices, _sign_reference,
-                    chi_spectrum, window_vectors)
+from .specfun import (_count, _lapack, gauss_jacobi, jacobi_series_deriv_coeffs, sym_offdiag,
+                      total_mass)
+from .sturm import ChiSpectrum, ProblemParams, _mode_indices, _sign_reference, chi_spectrum
 
 
 # i^k = _I_POWERS[k % 4] exactly; 1j ** k is inexact from k = 100
@@ -145,19 +134,19 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
     stable when the two independent routes to lambda_n = (c/2pi) |mu_n|^2
     agree to 1e-10 relative, so a stable value is within ~2e-10 of the
     exact one.  The ratio route's error in log |mu_n| is a few
-    1e-13 max(1, |log |mu_n||), far inside that bound on every mode a
-    Nystrom rule resolves, so a cleared flag points at the Nystrom value: a
-    mode that sorted order pairs with the wrong psi_n (seen at alpha < 0),
-    or one near the Nystrom rounding floor (lambda ~ 1e-10 lambda_0 and
-    below).  n_keep is an integer >= 1, not a bool or a float (ValueError
-    otherwise).
+    1e-13 max(1, |log |mu_n||) against the explicit product formula (the
+    tests' reference), far inside that bound on every mode a Nystrom rule
+    resolves, so a cleared flag points at the Nystrom value: a mode that
+    sorted order pairs with the wrong psi_n (seen at alpha < 0), or one near
+    the Nystrom rounding floor (lambda ~ 1e-10 lambda_0 and below).  n_keep
+    is an integer >= 1 and n_quad one >= 2 n_keep + 20, neither a bool nor a
+    float (ValueError naming it otherwise).
     """
     n_keep = _count(n_keep, "n_keep", 1)
     if params.c <= 0:
         raise ValueError("the composition operator is trivial at c = 0")
-    nq = default_nystrom_size(params.c, n_keep) if n_quad is None else n_quad
-    if nq < 2 * n_keep + 20:
-        raise ValueError(f"n_quad={nq} too small for n_keep={n_keep}")
+    nq = (default_nystrom_size(params.c, n_keep) if n_quad is None
+          else _count(n_quad, "n_quad", 2 * n_keep + 20))
     vals = _nystrom_lambdas(params, nq)
     lambdas = vals[:n_keep].copy()
     log_mu = log_mu_ratio(chi_spectrum(params, n_keep - 1))
@@ -266,7 +255,7 @@ def _f_n_rows(alpha: float, parity: int, rows: np.ndarray, n) -> np.ndarray:
     F_n - n |psi_n|^2 = sum (k - n) psi_k^2 + psi_n . B^-1 r.  That form has
     no cancellation: at c = 0 it is exactly 0, and it stays O(c^2) with no
     rounding offset as c -> 0, which the explicit formula's (F_n - n)/tau
-    needs.
+    (the tests' reference) needs.
     """
     m = np.arange(parity, parity + 2 * rows.shape[-1], 2)
     _, b_up, p, q = _connection_tables(alpha, int(m[-1]))
@@ -314,7 +303,8 @@ def log_mu_ratio(spectrum: ChiSpectrum) -> np.ndarray:
     The anchor is mu_0 from mu_eigenrelation, the eigen-relation at x = 0,
     positive as psi_0 has no zeros.  Nothing cancels: A_n is O(1) and B_n
     O(n), and log |mu_n| is log mu_0 plus the cumulative sum of
-    log(c A_n / B_n).  Against log_mu_magnitude it is within
+    log(c A_n / B_n).  Against the explicit product formula, the tests'
+    reference (tests/explicit_route.py), it is within
     4e-13 max(1, |log |mu_n||) over the sweep in the tests, down to
     log |mu_n| = -410.  A_n / B_n > 0 on every pair, so mu_n = i^n |mu_n|; a
     non-positive or non-finite mu_0 or ratio is refused with RuntimeError.
@@ -352,194 +342,6 @@ def _ratio_forms(spectrum: ChiSpectrum) -> tuple[np.ndarray, np.ndarray]:
     return num, den
 
 
-# QUADPACK's qk15 rule on [-1, 1] (Piessens et al., 1983): the 15 Kronrod
-# nodes, ascending, with their weights; the 7 Gauss nodes are every second one
-_GK_NODES = np.array([
-    -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
-    -0.586087235467691130294144838258730, -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245, 0.0,
-    0.207784955007898467600689403773245, 0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730, 0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926, 0.949107912342758524526189684047851,
-    0.991455371120812639206854697526329])
-_GK_WEIGHTS = np.array([
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649, 0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970])
-_G_WEIGHTS = np.array([
-    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082])
-# a mode's Phi_n is accepted once its summed estimate above the rounding floor
-# is at most _PHI_TOL max(1, |log |mu_n||); a mode needing more than
-# _MAX_PANELS panels is refused
-_PHI_TOL = 1e-13
-_MAX_PANELS = 256
-
-
-def _phi_integrand(params: ProblemParams, modes: np.ndarray, taus: np.ndarray,
-                   n_max: int | None = None) -> np.ndarray:
-    """(F_n(tau) - n) / tau, rows over taus > 0 and columns over modes.
-
-    At each tau only the requested modes' vectors are solved, one window per
-    run of consecutive modes of a parity (sturm.window_vectors, in the basis
-    chi_spectrum would use for n_max, by default the largest n); no chi is
-    read.  F_n is quadratic in psi_n, so the vectors need no sign fixing,
-    and the zero padding to the widest basis leaves it unchanged.  The rows
-    of every tau then share one banded F_n solve per parity.
-    """
-    vecs = window_vectors(params.alpha, taus, modes, n_max)
-    shifted = np.empty((taus.size, modes.size))
-    for parity in (0, 1):
-        own = modes % 2 == parity
-        if own.any():
-            shifted[:, own] = _f_n_rows(params.alpha, parity, vecs[parity], modes[own])
-    return shifted / taus[:, None]
-
-
-def _gk15(f: np.ndarray, half: np.ndarray):
-    """QUADPACK qk15 value, error estimate and rounding floor per panel and mode.
-
-    f[p, i, m] is the integrand of mode m at Kronrod node i of panel p, whose
-    half-width is half[p].  The estimate is |K15 - G7| scaled as QUADPACK
-    does, resasc min(1, (200 |K15 - G7| / resasc)^1.5), which discounts a
-    difference at the rounding level of smooth values, and it is never below
-    the rounding floor 50 eps resabs, resabs the rule applied to |f|.
-    """
-    h = half[:, None]
-    kron = np.einsum("i,pim->pm", _GK_WEIGHTS, f)
-    gauss = np.einsum("i,pim->pm", _G_WEIGHTS, f[:, 1::2])
-    resabs = h * np.einsum("i,pim->pm", _GK_WEIGHTS, np.abs(f))
-    resasc = h * np.einsum("i,pim->pm", _GK_WEIGHTS, np.abs(f - 0.5 * kron[:, None]))
-    err = h * np.abs(kron - gauss)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0) & (err != 0), scaled, err)
-    floor = 50.0 * np.finfo(float).eps * resabs
-    return h * kron, np.maximum(err, floor), floor
-
-
-def _log_mu_with_error(params: ProblemParams, n):
-    """log |mu_n| and the estimate of its error, both shaped as n.
-
-    Phi_n = int_0^c (F_n(tau) - n)/tau dtau on adaptive Gauss-Kronrod panels
-    (see log_mu_magnitude).
-    """
-    a, c = params.alpha, params.c
-    if c <= 0:
-        raise ValueError("the explicit formula requires c > 0")
-    ns = _mode_indices(n)
-    modes = ns.reshape(-1)
-    k = modes.astype(float)
-    # Gamma(k + 2a + 1) / Gamma(2k + 2a + 1) is 1 at k = 0, so both terms
-    # drop out there; their logs are inf - inf at a = -1/2
-    at_zero = k == 0
-    base = (0.5 * math.log(math.pi)
-            + _sp.gammaln(k + a + 1.0)
-            + np.where(at_zero, 0.0, _sp.gammaln(k + 2 * a + 1.0))
-            - _sp.gammaln(k + a + 1.5)
-            - np.where(at_zero, 0.0, _sp.gammaln(2 * k + 2 * a + 1.0))
-            + k * math.log(c))
-    out, est = np.empty(modes.size), np.empty(modes.size)
-    open_ = np.ones(modes.size, dtype=bool)
-    # every panel evaluated so far, and leaf[p, m]: panel p is one of mode m's
-    # panels; a mode's panels partition [0, c], and it splits only its own
-    lo, hi = np.empty(0), np.empty(0)
-    value, error, floor = (np.empty((0, modes.size)) for _ in range(3))
-    leaf = np.empty((0, modes.size), dtype=bool)
-    new_lo, new_hi = np.array([0.0]), np.array([c])
-    new_leaf = np.ones((1, modes.size), dtype=bool)
-    while True:
-        half, mid = 0.5 * (new_hi - new_lo), 0.5 * (new_hi + new_lo)
-        taus = (mid[:, None] + half[:, None] * _GK_NODES).reshape(-1)
-        f = np.zeros((taus.size, modes.size))
-        # in the basis of the largest requested mode throughout, so that a
-        # mode's integrand does not change as other modes are accepted
-        f[:, open_] = _phi_integrand(params, modes[open_], taus, int(modes.max()))
-        if not np.all(np.isfinite(f)):
-            raise RuntimeError(f"log |mu_n| is not finite at {params}, n = {n}")
-        v, e, r = _gk15(f.reshape(new_lo.size, _GK_NODES.size, modes.size), half)
-        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
-        value, error, floor, leaf = (np.concatenate(pair) for pair in
-                                     ((value, v), (error, e), (floor, r), (leaf, new_leaf)))
-        log_mu = base + np.sum(value, axis=0, where=leaf)
-        total = np.sum(error, axis=0, where=leaf)
-        # bisection cannot take an estimate below its rounding floor, so
-        # only the part above the floor is held to the tolerance
-        above = error - floor
-        tol = _PHI_TOL * np.maximum(1.0, np.abs(log_mu))
-        done = open_ & (np.sum(above, axis=0, where=leaf) <= tol)
-        out[done], est[done] = log_mu[done], total[done]
-        open_ &= ~done
-        if not open_.any():
-            break
-        # each open mode splits its panels whose estimate above the floor
-        # exceeds their width's share of the tolerance; at least one does,
-        # as the shares sum to the tolerance
-        split = leaf & open_ & (above > tol * ((hi - lo) / c)[:, None])
-        count = np.count_nonzero(leaf, axis=0) + np.count_nonzero(split, axis=0)
-        if np.any(count > _MAX_PANELS):
-            worst = np.flatnonzero(count > _MAX_PANELS)[0]
-            raise RuntimeError(
-                f"Phi_n integral for mode n = {modes[worst]} at {params} did not "
-                f"converge on {_MAX_PANELS} panels: error estimate {total[worst]:.3e} "
-                f"above the tolerance {tol[worst]:.3e}")
-        parents = np.flatnonzero(split.any(axis=1))
-        centre = 0.5 * (lo[parents] + hi[parents])
-        new_lo = np.concatenate([lo[parents], centre])
-        new_hi = np.concatenate([centre, hi[parents]])
-        new_leaf = np.concatenate([split[parents], split[parents]])
-        leaf &= ~split
-    if not np.all(np.isfinite(out)):
-        raise RuntimeError(f"log |mu_n| is not finite at {params}, n = {n}")
-    if ns.ndim:
-        return out.reshape(ns.shape), est.reshape(ns.shape)
-    return float(out[0]), float(est[0])
-
-
-def log_mu_magnitude(params: ProblemParams, n):
-    """log |mu_n| from the explicit product formula, safe for any decay depth.
-
-    log |mu_n| = log(sqrt(pi) Gamma-ratio) + n log c + Phi_n with
-    Phi_n = int_0^c (F_n(tau) - n)/tau dtau.  n is a mode index or an array
-    of them.  Phi_n is integrated on adaptive Gauss-Kronrod panels of [0, c]
-    (QUADPACK's G7/K15 pair), starting from one panel.  Each panel's estimate
-    is QUADPACK's, never below its rounding floor 50 eps int |integrand|.  A
-    mode is accepted once the sum of its panel estimates, less the sum of
-    their floors, is at most 1e-13 max(1, |log |mu_n||) (bisection cannot go
-    below the floor, which is ~1e-14 int |integrand|); until then it bisects
-    each of its own panels whose estimate above the floor exceeds that
-    panel's width's share of the tolerance.  Each round evaluates the 15
-    nodes of every new panel for every mode still open, as one batch
-    (_phi_integrand: one Sturm solve per node and one banded F_n solve per
-    parity, in the basis of the largest requested mode throughout).  On the
-    decay window (n >= e c/2) the integrand has no knee and one panel, 15
-    solves, is enough; a low mode at large c has one where tau^2 = chi_n(tau)
-    and takes more.  A mode that needs more than 256 panels is refused,
-    naming it and its estimate, and so is a non-finite value: nothing is
-    returned silently.
-    """
-    return _log_mu_with_error(params, n)[0]
-
-
-def log_lambda_explicit(params: ProblemParams, n):
-    """log lambda_n via lambda = (c/2pi) |mu_n|^2 in log space; n may be an array.
-
-    log |mu_n| is log_mu_magnitude's, whose Gauss-Kronrod estimate less its
-    rounding floor is at most 1e-13 max(1, |log |mu_n||), so log lambda_n's
-    is at most twice that; a mode whose estimate does not meet the tolerance
-    within 256 panels is refused.
-    """
-    return math.log(params.c / (2.0 * math.pi)) + 2.0 * log_mu_magnitude(params, n)
-
-
 @dataclass(frozen=True)
 class DecayReport:
     """Super-exponential decay diagnostics over an index window."""
@@ -565,7 +367,8 @@ def decay_check(params: ProblemParams, n_range) -> DecayReport:
     admissible.
     On the CLI's window (16 modes from max(8, floor(e c/2) + 2)) at alpha in
     {0.05, 0.5, 1.4} and c in {1, 5, 10, 20, 100, 400}, log_lambdas is
-    within 2e-13 max(1, |log |mu_n||) of log_lambda_explicit.  The bound
+    within 2e-13 max(1, |log |mu_n||) of the explicit product formula, the
+    tests' reference (tests/explicit_route.py).  The bound
     constant is calibrated at the smallest admissible n, held fixed with a
     factor-2 safety: the residual log lambda_n + rate term creeps toward its
     asymptote from below, so exact equality at the calibration point cannot

@@ -7,19 +7,14 @@ k (k + 2 alpha + 1) and the c^2 x^2 potential couples k-2, k, k+2 through
 the squared multiplication-by-x recurrence, so the operator splits into two
 symmetric tridiagonal blocks (even and odd degrees).  Eigenvalues chi_n and
 Jacobi coefficient vectors of the eigenfunctions psi_n come out of a
-symmetric tridiagonal eigensolve per parity block.  One kernel builds a
-block and solves windows of consecutive modes in it, each in one of two
-ways: by bisection and inverse iteration on the window's eigenpairs alone
-(LAPACK dstebz and dstein), or by the full divide-and-conquer solve
-(dstevd), sliced.  Both call LAPACK directly (specfun._lapack), with the
-routines and arguments scipy.linalg.eigh_tridiagonal would use, so the
-results are bit-identical to it.  window_vectors always takes the first;
-chi_spectrum takes it for a window of k modes in a block of R rows with
-32 k <= R (c large, the window short) and the full solve otherwise.
-chi_spectrum solves the window from mode 0 up to n_max in each block (a
-block with no kept mode is not solved).  window_vectors solves the windows
-of any list of modes at a batch of bandwidths, for callers such as the
-explicit formula's tau integral that need only a few modes and no signs.
+symmetric tridiagonal eigensolve per parity block, of modes 0 up to n_max
+(a block with no kept mode is not solved).  A block of R rows keeping k
+modes is solved in one of two ways: for 32 k <= R (c large, few modes) by
+bisection and inverse iteration on the kept eigenpairs alone (LAPACK dstebz
+and dstein), otherwise by the full divide-and-conquer solve (dstevd),
+sliced.  Both call LAPACK directly (specfun._lapack), with the routines and
+arguments scipy.linalg.eigh_tridiagonal would use, so the results are
+bit-identical to it.
 
 Normalization: int psi_n^2 (1-x^2)^alpha dx = 1 (automatic, the basis is
 orthonormal) and psi_n(1) > 0.  For c beyond ~50 the first modes have
@@ -38,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
+    _count,
     _lapack,
     jacobi_series_deriv_coeffs,
     jacobi_series_eval,
@@ -71,14 +67,6 @@ def default_truncation(n_max: int, c: float) -> int:
     # coefficient decay is super-exponential past the turning region,
     # so a fixed margin beyond n_max + O(c) is ample
     return n_max + max(32, math.ceil(1.2 * c) + 10)
-
-
-def _count(value, name: str, least: int = 0) -> int:
-    """value as an int; ValueError naming it unless a single integer >= least, not a bool."""
-    v = np.asarray(value)
-    if v.ndim or v.dtype == bool or not np.issubdtype(v.dtype, np.integer) or v < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(v)
 
 
 def _mode_indices(n, n_max: int | None = None) -> np.ndarray:
@@ -177,11 +165,10 @@ def ode_residual(f: GpswfFunction, x, chi: float | None = None):
 
 
 _TAIL_TOL = 1e-12
-# Which solve chi_spectrum's window of k modes in a block of R rows takes.
-# When 32 k <= R, the k eigenpairs alone, by bisection and inverse iteration
-# (_selected): that beats the full solve (_full) there and loses to it
-# somewhere between k = 0.03 R and k = 0.1 R.  window_vectors takes _selected
-# for every window.
+# A block of R rows keeping k modes solves the k eigenpairs alone, by
+# bisection and inverse iteration (_selected), when 32 k <= R: that beats the
+# full solve (_full) there and loses to it somewhere between k = 0.03 R and
+# k = 0.1 R.
 _SELECT_RATIO = 32
 # Inverse-iteration vectors (unit norm) carry ~1e-45 rounding where the full
 # solver returns exact zeros; zeroing it lets the Clenshaw pass skip the tail.
@@ -205,70 +192,40 @@ def _sign_reference(alpha: float, b: np.ndarray, parity: int, rows: int) -> np.n
     return np.concatenate(([1.0], np.cumprod(-b[1:2 * rows - 1:2] / b[2:2 * rows - 1:2])))
 
 
-def _selected(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs lo..hi, ascending, of the symmetric tridiagonal (d, e).
+def _selected(d: np.ndarray, e: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs 0..hi, ascending, of the symmetric tridiagonal (d, e).
 
     LAPACK's bisection (dstebz) and inverse iteration (dstein), called as
-    eigh_tridiagonal(d, e, select="i", select_range=(lo, hi)) calls them, so
+    eigh_tridiagonal(d, e, select="i", select_range=(0, hi)) calls them, so
     the result is bit-identical to it, through specfun._lapack, without the
     wrapper's own cost (about half the time of a 30-row solve).
     """
-    m, w, iblock, isplit = _lapack("dstebz", d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "B")
+    m, w, iblock, isplit = _lapack("dstebz", d, e, 2, 0.0, 1.0, 1, hi + 1, 0.0, "B")
     [vecs] = _lapack("dstein", d, e, w[:m], iblock, isplit)
     order = np.argsort(w[:m])
     return w[:m][order], vecs[:, order]
 
 
-def _full(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs lo..hi, ascending, sliced from the full solve.
+def _full(d: np.ndarray, e: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs 0..hi, ascending, sliced from the full solve.
 
     LAPACK's divide and conquer (dstevd), the routine eigh_tridiagonal(d, e)
     calls, so the result is bit-identical to it, through specfun._lapack.
     """
     vals, vecs = _lapack("dstevd", d, e)
-    return vals[lo:hi + 1], vecs[:, lo:hi + 1]
-
-
-def _block(alpha: float, c: float, b: np.ndarray, parity: int, runs, n_trunc: int,
-           wide) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Eigenpairs j = lo..hi of one parity block, modes n = 2 j + parity, per (lo, hi) in runs.
-
-    The block, built once, has rows for the degrees parity, parity + 2, ...
-    below n_trunc; ``b`` holds sym_offdiag(alpha, m) for some m >= n_trunc
-    (its entries do not depend on m).  Returns each window's chi and its
-    vectors as columns over the block's own degrees, signs as the solver
-    gives them.  A window is solved alone (_selected) when
-    32 (hi - lo + 1) <= rows, and otherwise by ``wide`` (_full in
-    chi_spectrum, _selected in window_vectors); inverse-iteration vectors
-    have entries below 1e-30 set to 0.  Raises TruncationError, naming the
-    first mode whose last two coefficients carry mass above 1e-12.
-    """
-    # b_k and b_(k+1) for the block's degrees k, as strided views of b
-    k = np.arange(parity, n_trunc, 2, dtype=float)
-    b_k, b_k1 = b[parity:n_trunc:2], b[parity + 1:n_trunc + 1:2]
-    d = k * (k + 2 * alpha + 1) + c * c * (b_k ** 2 + b_k1 ** 2)
-    e = c * c * b_k1[:-1] * b_k[1:]
-    pairs = []
-    for lo, hi in runs:
-        solve = _selected if _SELECT_RATIO * (hi - lo + 1) <= d.size else wide
-        vals, vecs = solve(d, e, lo, hi)
-        if solve is not _full:
-            vecs[np.abs(vecs) < _CHOP] = 0.0
-        tail = vecs[-2] ** 2 + vecs[-1] ** 2
-        bad = np.flatnonzero(tail > _TAIL_TOL)
-        if bad.size:
-            n, mass = 2 * (lo + bad[0]) + parity, tail[bad[0]]
-            raise TruncationError(
-                f"truncation N={n_trunc} too small for mode n={n} at "
-                f"(alpha={alpha}, c={c}): trailing coefficient mass {mass:.3e}; "
-                f"retry with n_trunc={2 * n_trunc}",
-                required=2 * n_trunc,
-            )
-        pairs.append((vals, vecs))
-    return pairs
+    return vals[:hi + 1], vecs[:, :hi + 1]
 
 
 def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
+    """chi_0..chi_n_max and their signed vectors in the n_trunc-term basis.
+
+    Each parity block has rows for the degrees parity, parity + 2, ... below
+    n_trunc, and keeps its modes n = 2 j + parity, j = 0..hi: alone
+    (_selected, entries below 1e-30 then set to 0) when 32 (hi + 1) <= rows,
+    and otherwise sliced from the full solve (_full).  Raises
+    TruncationError, naming the first mode whose last two coefficients carry
+    mass above 1e-12.
+    """
     b = sym_offdiag(alpha, n_trunc + 1)
     chis = np.empty(n_max + 1)
     coeffs = np.zeros((n_max + 1, n_trunc))
@@ -276,7 +233,25 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
         n_here = np.arange(parity, n_max + 1, 2)
         if n_here.size == 0:
             continue
-        [(vals, vecs)] = _block(alpha, c, b, parity, [(0, n_here.size - 1)], n_trunc, _full)
+        # b_k and b_(k+1) for the block's degrees k, as strided views of b
+        k = np.arange(parity, n_trunc, 2, dtype=float)
+        b_k, b_k1 = b[parity:n_trunc:2], b[parity + 1:n_trunc + 1:2]
+        d = k * (k + 2 * alpha + 1) + c * c * (b_k ** 2 + b_k1 ** 2)
+        e = c * c * b_k1[:-1] * b_k[1:]
+        if _SELECT_RATIO * n_here.size <= d.size:
+            vals, vecs = _selected(d, e, n_here.size - 1)
+            vecs[np.abs(vecs) < _CHOP] = 0.0
+        else:
+            vals, vecs = _full(d, e, n_here.size - 1)
+        tail = vecs[-2] ** 2 + vecs[-1] ** 2
+        bad = np.flatnonzero(tail > _TAIL_TOL)
+        if bad.size:
+            raise TruncationError(
+                f"truncation N={n_trunc} too small for mode n={n_here[bad[0]]} at "
+                f"(alpha={alpha}, c={c}): trailing coefficient mass {tail[bad[0]]:.3e}; "
+                f"retry with n_trunc={2 * n_trunc}",
+                required=2 * n_trunc,
+            )
         # (-1)^(n//2) psi_n(0) > 0 for even n, (-1)^(n//2) psi_n'(0) > 0 for odd n
         at_zero = _sign_reference(alpha, b, parity, vecs.shape[0]) @ vecs
         vecs[:, (at_zero < 0) != (n_here % 4 >= 2)] *= -1.0
@@ -284,67 +259,6 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
         coeffs[n_here, parity::2] = vecs.T
     return ChiSpectrum(params=ProblemParams(alpha=alpha, c=c), n_max=n_max,
                        n_trunc=n_trunc, chis=chis, coeffs=coeffs)
-
-
-def _at_default_basis(solve, n_max: int, c: float):
-    """solve(n_trunc) at default_truncation(n_max, c), retried once at the
-    basis size a TruncationError asks for."""
-    try:
-        return solve(default_truncation(n_max, c))
-    except TruncationError as exc:
-        return solve(exc.required)
-
-
-def window_vectors(alpha: float, cs, modes, n_max: int | None = None) -> list[np.ndarray]:
-    """Unsigned eigenvectors of the given modes at each bandwidth in cs.
-
-    The modes, in any order and with repeats, are cut once into windows, one
-    per run of consecutive modes 2 j + parity in a parity block.  At each c
-    every window is solved alone (_block), by bisection and inverse
-    iteration, in the basis of chi_spectrum(ProblemParams(alpha, c), n_max),
-    retried once as there; n_max is the largest mode unless given (a caller
-    that solves fewer modes as it goes keeps one basis by passing it).
-    Returns vecs: vecs[parity][i, k] is the vector, over the block's own
-    degrees parity, parity + 2, ..., of the k-th mode of that parity in
-    modes at cs[i], zero-padded to the widest basis.  These are the
-    eigenvectors that chi_spectrum computes, without its sign fixing.
-    Solved alone, the vectors keep their small coefficients to rounding,
-    where the full solve's (divide and conquer) can be ~1e-14 off, which
-    moves F_n by up to ~1e-13 relative (2.3e-12 at (alpha, c, n) =
-    (-0.9, 9.96, 5) in the basis of n_max = 101, against 40-digit vectors).
-    Raises TruncationError as chi_spectrum does, on the requested modes only.
-    """
-    modes = np.asarray(modes)
-    if n_max is None:
-        n_max = int(modes.max())
-    # per parity present: its runs (lo, hi) of consecutive j, and its modes'
-    # columns in the runs laid side by side
-    parts = []
-    for parity in (0, 1):
-        j = modes[modes % 2 == parity] // 2
-        if j.size:
-            js = np.unique(j)
-            runs = np.split(js, np.flatnonzero(np.diff(js) > 1) + 1)
-            parts.append((parity, [(int(r[0]), int(r[-1])) for r in runs], np.searchsorted(js, j)))
-    # long enough for the widest basis retried (default_truncation grows with c)
-    b = sym_offdiag(alpha, 2 * default_truncation(n_max, np.max(cs)) + 1)
-
-    def solve(c, n_trunc):
-        # per part, its modes' vectors at c as rows, in the order given
-        out = []
-        for parity, runs, cols in parts:
-            pairs = _block(alpha, c, b, parity, runs, n_trunc, _selected)
-            out.append(np.concatenate([v for _, v in pairs], axis=1)[:, cols].T)
-        return out
-
-    solved = [_at_default_basis(lambda n_trunc: solve(c, n_trunc), n_max, c) for c in cs]
-    vecs = [np.zeros((len(cs), 0, 0)) for _ in (0, 1)]
-    for p, (parity, _, cols) in enumerate(parts):
-        rows = [at_c[p] for at_c in solved]
-        vecs[parity] = np.zeros((len(cs), cols.size, max(r.shape[1] for r in rows)))
-        for i, r in enumerate(rows):
-            vecs[parity][i, :, :r.shape[1]] = r
-    return vecs
 
 
 def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) -> ChiSpectrum:
@@ -360,12 +274,14 @@ def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) 
     TruncationError, naming the first mode that fails, when a kept vector
     has trailing coefficient mass above 1e-12.  A defaulted n_trunc is
     retried once, at the basis size the error asks for, before it raises.
-    n_max is an integer >= 0, not a bool or a float (ValueError otherwise).
+    n_max is an integer >= 0 and n_trunc one >= n_max + 3, neither a bool
+    nor a float (ValueError naming it otherwise).
     """
     n_max = _count(n_max, "n_max")
-    if n_trunc is None:
-        return _at_default_basis(lambda n: _solve(params.alpha, params.c, n_max, n),
-                                 n_max, params.c)
-    if n_trunc < n_max + 3:
-        raise ValueError(f"n_trunc={n_trunc} too small for n_max={n_max}")
-    return _solve(params.alpha, params.c, n_max, n_trunc)
+    alpha, c = params.alpha, params.c
+    if n_trunc is not None:
+        return _solve(alpha, c, n_max, _count(n_trunc, "n_trunc", n_max + 3))
+    try:
+        return _solve(alpha, c, n_max, default_truncation(n_max, c))
+    except TruncationError as exc:
+        return _solve(alpha, c, n_max, exc.required)

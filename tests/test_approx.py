@@ -278,6 +278,17 @@ def test_jacobi_refuses_large_q():
         g.jacobi_uniform(spec, 4, 0.1, q0=0.5)
 
 
+def test_jacobi_refuses_q0_outside_unit_interval():
+    # q0 = nan, 5 or inf gave a Jacobi-form report at q = 1.61, where the form
+    # needs q bounded away from 1
+    spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=10.0), 3)
+    for q0 in (math.nan, 5.0, math.inf, 1.0, -0.1):
+        with pytest.raises(ValueError, match=r"^q0 must lie in \[0, 1\)"):
+            g.jacobi_uniform(spec, 3, 0.1, q0=q0)
+        with pytest.raises(ValueError, match=r"^q0 must lie in \[0, 1\)"):
+            g.jacobi_report(spec, 3, q0=q0)
+
+
 def test_jacobi_two_parameter_rate_sweep():
     # log-log slopes: ~ -1 in n at fixed c, ~ +2 in c at fixed n
     ns = np.array([40, 80, 160])

@@ -151,6 +151,16 @@ def test_approx_jacobi_refuses_alpha_out_of_range():
     assert "alpha must lie in (0,3/2)" in proc.stderr
 
 
+def test_approx_jacobi_refuses_q0_out_of_range(capsys):
+    # --q0 nan, 5 and inf exited 0 with a Jacobi-form report at q = 1.61
+    for q0 in ("nan", "5", "inf", "1"):
+        code = main(["approx", "--kind", "jacobi", "--alpha", "0.5", "--c", "10",
+                     "--n", "3", "--q0", q0])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: --q0 must lie in [0, 1)")
+
+
 def test_approx_bessel_inadmissible_frame_exit():
     # low mode at large bandwidth: q >= 1, refusal names the hypothesis
     proc = run_cli(["approx", "--kind", "bessel", "--alpha", "0.5", "--c", "5",

@@ -11,8 +11,8 @@ from scipy.integrate import quad
 from scipy.special import beta, ellipe, gamma, jv, yv
 
 import gpswf as g
+from explicit_route import jacobi_h
 from gpswf.specfun import (
-    jacobi_h,
     jacobi_series_deriv_coeffs,
     jacobi_series_eval,
     sym_offdiag,

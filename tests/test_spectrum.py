@@ -12,11 +12,12 @@ from numpy.testing import assert_allclose
 from scipy import special as sp
 from scipy.linalg import eigh, solve_banded
 
+import explicit_route
 import gpswf as g
+from explicit_route import jacobi_h, log_lambda_explicit, log_mu_magnitude
 from gpswf import spectrum
-from gpswf.specfun import (gauss_jacobi, jacobi_h, jacobi_series_deriv_coeffs, sym_offdiag,
-                           total_mass)
-from gpswf.spectrum import _nystrom_lambdas, default_nystrom_size, log_mu_magnitude
+from gpswf.specfun import gauss_jacobi, jacobi_series_deriv_coeffs, sym_offdiag, total_mass
+from gpswf.spectrum import _nystrom_lambdas, default_nystrom_size
 
 
 def kernel_eval(alpha, u):
@@ -206,7 +207,7 @@ def test_deep_modes_match_explicit_formula():
     p = g.ProblemParams(alpha=0.5, c=10.0)
     op = g.nystrom_spectrum(p, n_quad=240, n_keep=17)
     ns = np.arange(13, 17)
-    lam_x = np.exp(g.log_lambda_explicit(p, ns))
+    lam_x = np.exp(log_lambda_explicit(p, ns))
     assert np.all(np.abs(op.lambdas[ns] - lam_x) <= 1e-9 * lam_x)
     # on 240 nodes lambda_16 is ~1.5e-10 relative off, and the two routes
     # disagree by ~1.1e-10, so it must not be flagged stable at the 1e-10 bound
@@ -214,7 +215,7 @@ def test_deep_modes_match_explicit_formula():
     assert not op.stable[16]
     # the default rule (87 nodes) rounds less; whatever it flags stable is right
     op = g.nystrom_spectrum(p, n_keep=17)
-    lam_x = np.exp(g.log_lambda_explicit(p, np.arange(17)))
+    lam_x = np.exp(log_lambda_explicit(p, np.arange(17)))
     assert np.all(op.stable[:16])
     assert np.all(np.abs(op.lambdas - lam_x)[op.stable] <= 2e-10 * lam_x[op.stable])
 
@@ -246,7 +247,7 @@ def test_stable_modes_at_default_size_match_explicit(alpha):
         p = g.ProblemParams(alpha=alpha, c=c)
         op = g.nystrom_spectrum(p, n_keep=48)
         assert op.n_quad == default_nystrom_size(c, 48)
-        lam_x = np.exp(g.log_lambda_explicit(p, np.arange(48)))
+        lam_x = np.exp(log_lambda_explicit(p, np.arange(48)))
         err = np.abs(op.lambdas - lam_x) / lam_x
         assert np.all(err[op.stable] <= 2e-10)
 
@@ -322,7 +323,7 @@ def test_lambda_mu_identity_nystrom():
         if op.lambdas[n] >= 1e-10:
             assert abs(op.lambdas[n] - lam_mu) / lam_mu <= 1e-8
         else:
-            lam_x = math.exp(g.log_lambda_explicit(p, n))
+            lam_x = math.exp(log_lambda_explicit(p, n))
             assert abs(lam_x - lam_mu) / lam_mu <= 1e-8
 
 
@@ -373,11 +374,9 @@ def test_mu_explicit_at_alpha_minus_half(c):
 
 
 def test_explicit_route_refuses_a_non_finite_log(monkeypatch):
-    import gpswf.spectrum as spectrum
-
     monkeypatch.setattr(spectrum, "_f_n_rows", lambda *args: math.nan)
     p = g.ProblemParams(alpha=0.5, c=2.0)
-    for route in (g.log_lambda_explicit, spectrum.log_mu_magnitude):
+    for route in (log_lambda_explicit, log_mu_magnitude):
         with pytest.raises(RuntimeError, match="not finite"):
             route(p, 1)
 
@@ -538,7 +537,7 @@ def test_stable_flags_with_the_ratio_route(alpha, c, n_keep, n_stable):
     p = g.ProblemParams(alpha=alpha, c=c)
     op = g.nystrom_spectrum(p, n_keep=n_keep)
     assert np.count_nonzero(op.stable) == n_stable
-    lam_x = np.exp(g.log_lambda_explicit(p, np.arange(n_keep)))
+    lam_x = np.exp(log_lambda_explicit(p, np.arange(n_keep)))
     assert np.all((np.abs(op.lambdas - lam_x) / lam_x)[op.stable] <= 2e-10)
 
 
@@ -560,8 +559,24 @@ def test_n_keep_checked_by_name():
             g.nystrom_spectrum(g.ProblemParams(alpha=0.5, c=10.0), n_keep=n_keep)
 
 
-@pytest.mark.parametrize("route", ["mu_eigenrelation", "f_n_moment", "log_lambda_explicit",
-                                   "decay_check"])
+_P_SMALL = g.ProblemParams(alpha=0.5, c=0.5)
+
+
+@pytest.mark.parametrize("name, call, least", [
+    ("n_trunc", lambda v: g.chi_spectrum(_P_SMALL, 5, n_trunc=v), 8),
+    ("n_quad", lambda v: g.nystrom_spectrum(_P_SMALL, n_quad=v), 44),
+    ("n_nodes", lambda v: g.gauss_jacobi(v, 0.5), 1),
+], ids=["n_trunc", "n_quad", "n_nodes"])
+def test_size_arguments_checked_by_name(name, call, least):
+    # a float gave numpy's TypeError about a size the caller did not pass,
+    # True read as "too small" for n_trunc and n_quad, and gauss_jacobi(True,
+    # 0.5) returned a 1-node rule
+    for value in (float(least + 40), True, least - 1):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}, got "):
+            call(value)
+
+
+@pytest.mark.parametrize("route", ["mu_eigenrelation", "f_n_moment", "decay_check"])
 def test_empty_mode_list_refused(route):
     p = g.ProblemParams(alpha=0.5, c=10.0)
     first = g.chi_spectrum(p, 5) if route in ("mu_eigenrelation", "f_n_moment") else p
@@ -574,20 +589,18 @@ _P10 = g.ProblemParams(alpha=0.5, c=10.0)
 
 @pytest.mark.parametrize("call, index", [
     (lambda spec: g.f_n_moment(spec, [1.5]), r"\[1\.5\]"),
-    (lambda spec: g.log_lambda_explicit(_P10, [2.5, 3]), r"\[2\.5 3\. \]"),
-    (lambda spec: log_mu_magnitude(_P10, 2.5), "2.5"),
     (lambda spec: g.decay_check(_P10, [20.5, 21, 22, 23]), r"\[20\.5"),
     (lambda spec: spec.chi(2.5), "2.5"),
     (lambda spec: spec.eigenfunction(True), "True"),
     (lambda spec: g.mu_eigenrelation(spec, 3.0), "3.0"),
     (lambda spec: g.f_n_moment(spec, np.array([1, 2], dtype=bool)), r"\[ True"),
-    (lambda spec: log_mu_magnitude(_P10, [3, -1]), r"\[ 3 -1\] is negative"),
-], ids=["f_n_moment", "log_lambda_explicit", "log_mu_magnitude", "decay_check", "chi",
-        "eigenfunction_bool", "mu_eigenrelation", "f_n_moment_bool", "log_mu_negative"])
+    (lambda spec: g.decay_check(_P10, [3, -1]), r"\[ 3 -1\] is negative"),
+], ids=["f_n_moment", "decay_check", "chi", "eigenfunction_bool", "mu_eigenrelation",
+        "f_n_moment_bool", "log_mu_negative"])
 def test_invalid_mode_index_refused(call, index):
     # each was a silent wrong answer or a raw IndexError/TypeError: f_n_moment
-    # read uninitialised memory, log_lambda_explicit gave lambda > 1 at 2.5,
-    # decay_check truncated 20.5 to 20
+    # read uninitialised memory, decay_check truncated 20.5 to 20; a negative
+    # index is refused where no n_max bounds it (decay_check's log |mu_n|)
     with pytest.raises(ValueError, match=f"mode index {index}"):
         call(g.chi_spectrum(_P10, 5))
 
@@ -725,12 +738,13 @@ def assert_integrand_matches_per_node(params, ns):
     # node by node as F_n = n + tau (F_n - n)/tau, the value f_n_moment
     # returns, to 1e-13 max(1, |F_n|), and as Phi_n on that one panel, to
     # 1e-13 max(1, |log |mu_n||)
-    taus = 0.5 * params.c * (1.0 + spectrum._GK_NODES)
-    got = spectrum._phi_integrand(params, ns, taus)
+    taus = 0.5 * params.c * (1.0 + explicit_route._GK_NODES)
+    got = explicit_route._phi_integrand(params, ns, taus)
     f_n = f_n_per_node(params, ns, taus)
     assert got.shape == f_n.shape == (taus.size, ns.size)
     assert np.all(np.abs(ns + taus[:, None] * got - f_n) <= 1e-13 * np.maximum(1.0, np.abs(f_n)))
-    gap = np.abs(np.dot(0.5 * params.c * spectrum._GK_WEIGHTS, got - (f_n - ns) / taus[:, None]))
+    gap = np.abs(np.dot(0.5 * params.c * explicit_route._GK_WEIGHTS,
+                        got - (f_n - ns) / taus[:, None]))
     assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(log_mu_magnitude(params, ns))))
 
 
@@ -745,7 +759,7 @@ def test_log_mu_matches_per_node_oracle(alpha, c):
 def test_log_mu_matches_per_node_oracle_on_fine_rule_and_cli_window():
     # log |mu_n| within its estimate of Phi_n from f_n_per_node on a 256-node rule
     p, ns = g.ProblemParams(alpha=0.5, c=10.0), np.arange(5, 20)
-    got, est = spectrum._log_mu_with_error(p, ns)
+    got, est = explicit_route._log_mu_with_error(p, ns)
     x, w = gauss_legendre(256)
     taus = 0.5 * p.c * (x + 1.0)
     want = log_prefactor(p, ns) + np.dot(0.5 * p.c * w, (f_n_per_node(p, ns, taus) - ns)
@@ -759,7 +773,7 @@ def test_log_mu_matches_per_node_oracle_on_fine_rule_and_cli_window():
 def tridiagonal_vector_mpmath(alpha, c, n, n_trunc, chi):
     """psi_n's coefficients at 40 digits by inverse iteration from the double chi_n.
 
-    The parity block of the Sturm matrix (sturm._block) in the n_trunc basis,
+    The parity block of the Sturm matrix (as sturm._solve builds it) in the n_trunc basis,
     four Thomas solves of (T - chi) y = x, each followed by a Rayleigh
     quotient update of chi.
     """
@@ -800,8 +814,8 @@ def test_integrand_and_oracle_match_mpmath_vectors(alpha, c, tau_node, n_max, pi
     # second (tau ~ 9.96)
     p = g.ProblemParams(alpha=alpha, c=c)
     ns = np.array(picked)
-    tau = float(0.5 * c * (1.0 + spectrum._GK_NODES[tau_node]))
-    got = tau * spectrum._phi_integrand(p, ns, np.array([tau]), n_max)[0]
+    tau = float(0.5 * c * (1.0 + explicit_route._GK_NODES[tau_node]))
+    got = tau * explicit_route._phi_integrand(p, ns, np.array([tau]), n_max)[0]
     spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=tau), n_max)
     oracle = g.f_n_moment(inverse_iteration_step(spec, ns), ns) - ns
     for n, x, y in zip(picked, got, oracle):
@@ -822,14 +836,15 @@ def test_log_mu_within_its_estimate_of_a_fine_rule(alpha, c):
     x, w = gauss_legendre(1024)
     taus = 0.5 * c * (x + 1.0)
     for ns in ORACLE_MODE_LISTS:
-        got, est = spectrum._log_mu_with_error(p, ns)
+        got, est = explicit_route._log_mu_with_error(p, ns)
         assert np.array_equal(log_mu_magnitude(p, ns), got)
-        want = log_prefactor(p, ns) + np.dot(0.5 * c * w, spectrum._phi_integrand(p, ns, taus))
+        want = log_prefactor(p, ns) + np.dot(0.5 * c * w,
+                                             explicit_route._phi_integrand(p, ns, taus))
         assert np.all(np.abs(got - want) <= est + 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 def count_calls(monkeypatch, names=("gauss_jacobi", "jacobi_series_eval")):
-    """Record calls to the named functions through every gpswf module binding."""
+    """Record calls to the named functions through every gpswf and explicit_route binding."""
     calls = []
 
     def counted(name, fn):
@@ -839,7 +854,7 @@ def count_calls(monkeypatch, names=("gauss_jacobi", "jacobi_series_eval")):
         return wrapper
 
     for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "gpswf" or mod_name.startswith("gpswf."):
+        if mod_name in ("gpswf", "explicit_route") or mod_name.startswith("gpswf."):
             for name in names:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
@@ -887,7 +902,9 @@ def test_explicit_route_solves_no_spectrum_and_one_f_n_system_per_parity(monkeyp
     solves = recorded_lapack(monkeypatch, "dgbsv")
     log_mu_magnitude(g.ProblemParams(alpha=0.5, c=10.0), np.arange(15, 31))
     assert calls.count("chi_spectrum") == 0
-    # one panel on the decay window: one banded connection solve per parity
+    # one panel on the decay window: one batch of windows, and one banded
+    # connection solve per parity
+    assert calls.count("window_vectors") == 1
     assert len(solves) == 2
     calls.clear()
     # decay_check reads chi and the ratio route from one solve at c
@@ -980,7 +997,7 @@ def test_decay_check_counts_a_repeated_index_once():
 
 def assert_matches_explicit_route(p, rep):
     """rep.log_lambdas within 2e-13 max(1, |log |mu_n||) of log_lambda_explicit."""
-    want = g.log_lambda_explicit(p, rep.ns)
+    want = log_lambda_explicit(p, rep.ns)
     log_mu = 0.5 * (want - math.log(p.c / (2.0 * math.pi)))
     assert np.all(np.abs(rep.log_lambdas - want) <= 2e-13 * np.maximum(1.0, np.abs(log_mu)))
 
@@ -1000,17 +1017,17 @@ def test_low_modes_match_stable_nystrom_at_large_c(c):
     p = g.ProblemParams(alpha=0.5, c=c)
     op = g.nystrom_spectrum(p, n_keep=12)
     assert np.all(op.stable)
-    lam_x = np.exp(g.log_lambda_explicit(p, np.arange(12)))
+    lam_x = np.exp(log_lambda_explicit(p, np.arange(12)))
     assert np.all(np.abs(lam_x - op.lambdas) <= 1e-11 * op.lambdas)
 
 
 def test_explicit_route_refuses_a_mode_the_panel_cap_leaves_open(monkeypatch):
-    monkeypatch.setattr(spectrum, "_MAX_PANELS", 4)
+    monkeypatch.setattr(explicit_route, "_MAX_PANELS", 4)
     p = g.ProblemParams(alpha=0.5, c=100.0)
     with pytest.raises(RuntimeError, match=r"for mode n = \d+ .* error estimate \S+ above"):
-        g.log_lambda_explicit(p, np.arange(12))
+        log_lambda_explicit(p, np.arange(12))
     # the decay window needs one panel
-    g.log_lambda_explicit(p, np.arange(140, 156))
+    log_lambda_explicit(p, np.arange(140, 156))
 
 
 def test_decay_report_errors_meet_the_tolerance():
@@ -1025,9 +1042,9 @@ def test_decay_report_errors_meet_the_tolerance():
 def test_log_lambda_explicit_batched_matches_per_mode():
     p = g.ProblemParams(alpha=0.7, c=3.0)
     ns = np.arange(10, 17)
-    batched = g.log_lambda_explicit(p, ns)
+    batched = log_lambda_explicit(p, ns)
     assert batched.shape == ns.shape
-    per_mode = [g.log_lambda_explicit(p, int(n)) for n in ns]
+    per_mode = [log_lambda_explicit(p, int(n)) for n in ns]
     assert_allclose(batched, per_mode, rtol=1e-12)
     assert isinstance(per_mode[0], float)
 
@@ -1043,7 +1060,7 @@ def test_decay_alpha_zero_reference_rate():
     p = g.ProblemParams(alpha=0.0, c=2.0)
     margins = []
     for n in range(20, 41, 5):
-        margins.append(g.log_lambda_explicit(p, n) + 2 * n * math.log(1.2 * n / 2.0))
+        margins.append(log_lambda_explicit(p, n) + 2 * n * math.log(1.2 * n / 2.0))
     assert all(m < 0 for m in margins)
     assert all(margins[i + 1] < margins[i] for i in range(len(margins) - 1))
 
