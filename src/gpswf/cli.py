@@ -125,8 +125,9 @@ def _cmd_eigenfunction(args):
 def _cmd_approx(args):
     if args.kind == "jacobi" and not 0.0 < args.alpha < 1.5:
         raise UsageError("alpha must lie in (0,3/2) for --kind jacobi")
-    if args.kind == "jacobi" and not 0.0 <= args.q0 < 1.0:
-        raise UsageError(f"--q0 must lie in [0, 1) for --kind jacobi, got {args.q0}")
+    # checked for both kinds: the JSON config block echoes --q0 either way
+    if not 0.0 <= args.q0 < 1.0:
+        raise UsageError(f"--q0 must lie in [0, 1), got {args.q0}")
     params = ProblemParams(alpha=args.alpha, c=args.c)
     spec = chi_spectrum(params, args.n)
     try:

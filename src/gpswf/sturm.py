@@ -151,17 +151,26 @@ def ode_residual(f: GpswfFunction, x, chi: float | None = None):
     """Left-hand side of (1-x^2) psi'' - 2(alpha+1) x psi' + (chi - c^2 x^2) psi.
 
     Vanishes (to solver accuracy) at the computed chi; a perturbed chi makes
-    it grow, which is the diagnostic use.
+    it grow, which is the diagnostic use.  The left-hand side is the series
+    sum_j r_j Ptilde_j with r = chi v - T v, v the coefficients of psi padded
+    with two zeros and T the parity block of the Sturm operator that _solve
+    diagonalises (_sturm_block), so it costs one Clenshaw pass.  The padding
+    keeps the spill of c^2 x^2 psi past the basis, the truncation error, in
+    the residual.  It does not evaluate psi' or psi'', so it no longer checks
+    GpswfFunction.derivative and .second_derivative; the tests compare it with
+    the pointwise form built from them.
     """
-    p = f.params
-    chi_val = f.chi if chi is None else chi
-    arr = np.asarray(x, dtype=float)
-    val = f.value(arr)
-    d1 = f.derivative(arr)
-    d2 = f.second_derivative(arr)
-    out = (1.0 - arr * arr) * d2 - 2.0 * (p.alpha + 1.0) * arr * d1 \
-        + (chi_val - p.c ** 2 * arr * arr) * val
-    return out if np.ndim(x) else float(out)
+    p, parity = f.params, f.n % 2
+    size = f.spectrum.n_trunc + 2
+    d, e = _sturm_block(p.alpha, p.c, sym_offdiag(p.alpha, size), parity, size)
+    v = np.zeros(d.size)
+    v[:-1] = f.coeffs[parity::2]
+    r_block = ((f.chi if chi is None else chi) - d) * v
+    r_block[:-1] -= e * v[1:]
+    r_block[1:] -= e * v[:-1]
+    r = np.zeros(size)
+    r[parity::2] = r_block
+    return jacobi_series_eval(r, p.alpha, x)
 
 
 _TAIL_TOL = 1e-12
@@ -216,6 +225,22 @@ def _full(d: np.ndarray, e: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray
     return vals[:hi + 1], vecs[:, :hi + 1]
 
 
+def _sturm_block(alpha: float, c: float, b: np.ndarray, parity: int,
+                 size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and offdiagonal of the Sturm operator on degrees parity, parity + 2, ... below size.
+
+    k (k + 2 alpha + 1) + c^2 (b_k^2 + b_(k+1)^2) on the diagonal and
+    c^2 b_(k+1) b_(k+2) off it, from the squared recurrence for x^2 Ptilde_k;
+    ``b`` holds the offdiagonals for ``alpha`` up to b_size at least.
+    """
+    # b_k and b_(k+1) for the block's degrees k, as strided views of b
+    k = np.arange(parity, size, 2, dtype=float)
+    b_k, b_k1 = b[parity:size:2], b[parity + 1:size + 1:2]
+    d = k * (k + 2 * alpha + 1) + c * c * (b_k ** 2 + b_k1 ** 2)
+    e = c * c * b_k1[:-1] * b_k[1:]
+    return d, e
+
+
 def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
     """chi_0..chi_n_max and their signed vectors in the n_trunc-term basis.
 
@@ -233,11 +258,7 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
         n_here = np.arange(parity, n_max + 1, 2)
         if n_here.size == 0:
             continue
-        # b_k and b_(k+1) for the block's degrees k, as strided views of b
-        k = np.arange(parity, n_trunc, 2, dtype=float)
-        b_k, b_k1 = b[parity:n_trunc:2], b[parity + 1:n_trunc + 1:2]
-        d = k * (k + 2 * alpha + 1) + c * c * (b_k ** 2 + b_k1 ** 2)
-        e = c * c * b_k1[:-1] * b_k[1:]
+        d, e = _sturm_block(alpha, c, b, parity, n_trunc)
         if _SELECT_RATIO * n_here.size <= d.size:
             vals, vecs = _selected(d, e, n_here.size - 1)
             vecs[np.abs(vecs) < _CHOP] = 0.0

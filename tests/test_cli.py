@@ -152,13 +152,17 @@ def test_approx_jacobi_refuses_alpha_out_of_range():
 
 
 def test_approx_jacobi_refuses_q0_out_of_range(capsys):
-    # --q0 nan, 5 and inf exited 0 with a Jacobi-form report at q = 1.61
-    for q0 in ("nan", "5", "inf", "1"):
-        code = main(["approx", "--kind", "jacobi", "--alpha", "0.5", "--c", "10",
-                     "--n", "3", "--q0", q0])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error: --q0 must lie in [0, 1)")
+    # --q0 nan, 5 and inf exited 0 with a Jacobi-form report at q = 1.61;
+    # --kind bessel ignores the flag, but --q0 nan exited 0 in csv and 2 in
+    # json, whose config block could not hold the NaN
+    for kind, n in (("jacobi", "3"), ("bessel", "30")):
+        for fmt in ("csv", "json"):
+            for q0 in ("nan", "5", "inf", "1", "-0.5"):
+                code = main(["approx", "--kind", kind, "--alpha", "0.5", "--c", "10",
+                             "--n", n, "--q0", q0, "--format", fmt])
+                captured = capsys.readouterr()
+                assert code == 2 and captured.out == ""
+                assert captured.err == f"error: --q0 must lie in [0, 1), got {float(q0)}\n"
 
 
 def test_approx_bessel_inadmissible_frame_exit():

@@ -291,11 +291,51 @@ def test_truncation_refusal_few_modes():
 
 
 def test_ode_residual_c_zero():
+    # chi_n = n (n + 2 alpha + 1) and psi_n = Ptilde_n exactly, so r = 0
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.7, c=0.0), 8)
     xs = np.linspace(-0.95, 0.95, 17)
     for n in range(9):
         res = ode_residual(spec.eigenfunction(n), xs)
-        assert np.max(np.abs(res)) <= 1e-10
+        assert np.all(res == 0.0)
+
+
+def pointwise_ode(f, xs, chi):
+    """The ODE's left-hand side from psi, psi' and psi'' at xs, and its largest term."""
+    a, c = f.params.alpha, f.params.c
+    val, d1, d2 = f.value(xs), f.derivative(xs), f.second_derivative(xs)
+    terms = ((1 - xs * xs) * d2, -2 * (a + 1) * xs * d1, (chi - c * c * xs * xs) * val)
+    return sum(terms), np.max(sum(np.abs(t) for t in terms))
+
+
+@pytest.mark.parametrize("alpha, c, n", [
+    (1.4587, 2959.8, 0), (1.49, 3000.0, 5), (0.5, 1e4, 5), (1.4, 400.0, 830),
+    (-0.9, 50.0, 100), (3.0, 200.0, 300), (0.7, 0.0, 8)])
+def test_ode_residual_matches_pointwise_form(alpha, c, n):
+    # ode_residual works in coefficient space; this keeps value, derivative
+    # and second_derivative checked against the equation they must satisfy
+    f = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), n).eigenfunction(n)
+    xs = np.linspace(-1, 1, 2001)
+    want, scale = pointwise_ode(f, xs, f.chi)
+    assert np.max(np.abs(ode_residual(f, xs) - want)) <= 1e-9 * scale
+    chi = f.chi * (1 + 1e-6)
+    want, scale = pointwise_ode(f, xs, chi)
+    assert np.max(np.abs(ode_residual(f, xs, chi=chi))) > 1e-8 * scale
+    assert np.max(np.abs(ode_residual(f, xs, chi=chi) - want)) <= 1e-9 * scale
+
+
+def test_ode_residual_is_one_clenshaw_pass(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return jacobi_series_eval(*args)
+
+    monkeypatch.setattr(sturm, "jacobi_series_eval", counting)
+    spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=30.0), 7)
+    for n in (6, 7):
+        calls.clear()
+        ode_residual(spec.eigenfunction(n), np.linspace(-1, 1, 101))
+        assert len(calls) == 1
 
 
 def test_ode_residual_detects_perturbed_chi():
