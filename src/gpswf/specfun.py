@@ -54,8 +54,9 @@ def _lapack(name: str, *args, **kwargs) -> list:
     nonzero info, and dstevd's quick exit on one row, whose empty offdiagonal
     the binding rejects: values d, vector [[1.0]].
     """
-    if not all(np.isfinite(a).all() for a in args if isinstance(a, np.ndarray)):
-        raise ValueError("array must not contain infs or NaNs")
+    for a in args:
+        if isinstance(a, np.ndarray) and not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
     if name == "dstevd" and len(args[0]) == 1:
         return [args[0].copy(), np.ones((1, 1))]
     *out, info = getattr(lapack, name)(*args, **kwargs)

@@ -37,6 +37,7 @@ Trace and Hilbert-Schmidt closed forms plus the counting bounds for
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,7 @@ class OperatorSpectrum:
     lambdas: np.ndarray            # descending, length n_keep
     mus: np.ndarray                # complex, i^n exp(log_mu_ratio), the ratio route
     cross_residuals: np.ndarray    # |lambda_n - (c/2pi) |mu_n|^2|
-    stable: np.ndarray             # cross_residuals <= 1e-10 lambda
+    stable: np.ndarray             # cross_residuals <= 1e-10 lambda, lambda a normal double
     discrete: np.ndarray           # all n_quad discrete lambda = (c/2pi) mu^2, descending
 
     @property
@@ -132,15 +133,17 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
     mu_n = i^n exp(log_mu_ratio) from one chi_spectrum solve of modes
     0..n_keep-1 (coefficient forms only, no Clenshaw pass), and it is flagged
     stable when the two independent routes to lambda_n = (c/2pi) |mu_n|^2
-    agree to 1e-10 relative, so a stable value is within ~2e-10 of the
-    exact one.  The ratio route's error in log |mu_n| is a few
-    1e-13 max(1, |log |mu_n||) against the explicit product formula (the
-    tests' reference), far inside that bound on every mode a Nystrom rule
-    resolves, so a cleared flag points at the Nystrom value: a mode that
-    sorted order pairs with the wrong psi_n (seen at alpha < 0), or one near
-    the Nystrom rounding floor (lambda ~ 1e-10 lambda_0 and below).  n_keep
-    is an integer >= 1 and n_quad one >= 2 n_keep + 20, neither a bool nor a
-    float (ValueError naming it otherwise).
+    agree to 1e-10 relative and lambda_n is a normal double, so a stable
+    value is within ~2e-10 of the exact one (an underflowed lambda_n = 0
+    would agree with an underflowed |mu_n|^2 vacuously).  The ratio route's
+    error in log |mu_n| is a few 1e-13 max(1, |log |mu_n||) against the
+    explicit product formula (the tests' reference), far inside that bound
+    on every mode a Nystrom rule resolves, so a cleared flag points at the
+    Nystrom value: a mode that sorted order pairs with the wrong psi_n (seen
+    at alpha < 0), or one near the Nystrom rounding floor
+    (lambda ~ 1e-10 lambda_0 and below).  n_keep is an integer >= 1 and
+    n_quad one >= 2 n_keep + 20, neither a bool nor a float (ValueError
+    naming it otherwise).
     """
     n_keep = _count(n_keep, "n_keep", 1)
     if params.c <= 0:
@@ -154,7 +157,8 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
     cross = np.abs(lambdas - (params.c / (2.0 * math.pi)) * np.abs(mus) ** 2)
     return OperatorSpectrum(
         params=params, n_quad=nq, lambdas=lambdas, mus=mus,
-        cross_residuals=cross, stable=cross <= 1e-10 * lambdas, discrete=vals,
+        cross_residuals=cross, discrete=vals,
+        stable=(cross <= 1e-10 * lambdas) & (lambdas >= sys.float_info.min),
     )
 
 
@@ -164,16 +168,16 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
     At 0 the transform of psi_n is c_0 sqrt(h_0), h_0 = total_mass(alpha),
     and its x-derivative i c c_1 b_1 sqrt(h_0), so mu_n is that over psi_n(0)
     (even n) or psi_n'(0) (odd n): one dot product of the mode's own
-    coefficients with sturm's sign reference, no Bessel function and no
-    Clenshaw pass.  n is a mode index or an array of them (an array gives a
-    complex array of its shape, each value bit-identical to the one-mode
-    call); mode 0 is log_mu_ratio's anchor.  At c = 0, F_c has rank one and
-    mu_n = 0 exactly for n >= 1, which is returned.  Otherwise a zero or
-    non-finite psi_n(0), psi_n'(0) or mu_n is refused with RuntimeError
-    naming the mode (a zero mu_n is an underflow deep in the decay).  The
-    relative error grows as mu_n decays, to 1.1e-5 at mode 89 of
-    (alpha, c) = (0, 100) against i^n exp(log_mu_ratio), which is the
-    library's route.
+    coefficients with sturm's sign reference (_mu_at_zero), no Bessel
+    function and no Clenshaw pass.  n is a mode index or an array of them (an
+    array gives a complex array of its shape, each value bit-identical to the
+    one-mode call); log_mu_ratio's anchor is mode 0 from the same helper, so
+    the same double.  At c = 0, F_c has rank one and mu_n = 0 exactly for
+    n >= 1, which is returned.  Otherwise a zero or non-finite psi_n(0),
+    psi_n'(0) or mu_n is refused with RuntimeError naming the mode (a zero
+    mu_n is an underflow deep in the decay).  The relative error grows as
+    mu_n decays, to 1.1e-5 at mode 89 of (alpha, c) = (0, 100) against
+    i^n exp(log_mu_ratio), which is the library's route.
     """
     ns = _mode_indices(n, spectrum.n_max)
     params, a = spectrum.params, spectrum.params.alpha
@@ -189,37 +193,51 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
         if m and params.c == 0:
             mus[i] = 0.0
             continue
-        row = spectrum.coeffs[m, m % 2::2]
-        at_zero = np.dot(row, refs[m % 2])
-        mu = row[0] * scale[m % 2] / at_zero if at_zero != 0 else at_zero
-        if not (mu != 0 and math.isfinite(mu)):
-            what = (f"mu_{m}" if at_zero != 0 and math.isfinite(at_zero)
-                    else f"psi_{m}'(0)" if m % 2 else f"psi_{m}(0)")
-            raise RuntimeError(f"eigen-relation failed for mode n = {m} at {params}: "
-                               f"{what} is zero or not finite")
+        mu = _mu_at_zero(spectrum, m, refs[m % 2], scale[m % 2])
         mus[i] = complex(0.0, mu) if m % 2 else complex(mu, 0.0)
     return mus.reshape(ns.shape) if ns.ndim else complex(mus[0])
 
 
-def _connection_tables(alpha: float, top: int) -> tuple[np.ndarray, ...]:
-    """_connect's tables for degrees up to top: b, b_up, p and q, indexed by degree.
+def _mu_at_zero(spectrum: ChiSpectrum, m: int, ref: np.ndarray, scale: float) -> float:
+    """mu_m / i^(m % 2) from the eigen-relation at x = 0: c_0 scale over psi_m(0) or psi_m'(0).
 
-    b and b_up are the alpha and alpha + 1 offdiagonals (sym_offdiag).  The
-    two-term connection Ptilde^alpha_k = p_k Ptilde^(alpha+1)_k
-    + q_k Ptilde^(alpha+1)_(k-2) (DLMF 18.9.7, normalised) has
-    p_k = b_up_k sqrt(k (k + 2 alpha + 1)) / k for k >= 1, the ratio of the
-    leading coefficients of Ptilde^alpha_k and Ptilde^(alpha+1)_k, with p_0
-    the ratio of the two degree-0 constants, and q_k = -b_k b_(k-1) / p_(k-2)
-    for k >= 2 (q_0 = q_1 = 0), so both stay finite at alpha = -1/2.  No
-    entry depends on top, so one build serves every parity and size up to it.
+    ref is _sign_reference for the mode's parity, as long as the mode's
+    own-parity coefficients, and scale the factor mu_eigenrelation
+    gives it (total_mass(alpha) for even m).  A zero or non-finite
+    psi_m(0), psi_m'(0) or result is refused with RuntimeError.
+    """
+    row = spectrum.coeffs[m, m % 2::2]
+    at_zero = np.dot(row, ref)
+    mu = row[0] * scale / at_zero if at_zero != 0 else at_zero
+    if not (mu != 0 and math.isfinite(mu)):
+        what = (f"mu_{m}" if at_zero != 0 and math.isfinite(at_zero)
+                else f"psi_{m}'(0)" if m % 2 else f"psi_{m}(0)")
+        raise RuntimeError(f"eigen-relation failed for mode n = {m} at {spectrum.params}: "
+                           f"{what} is zero or not finite")
+    return float(mu)
+
+
+def _connection_tables(alpha: float, top: int) -> tuple:
+    """The ratio route's tables for degrees up to top: b, b_up, h_0, p and q.
+
+    b and b_up are the alpha and alpha + 1 offdiagonals (sym_offdiag), and
+    h_0 = total_mass(alpha).  The two-term connection
+    Ptilde^alpha_k = p_k Ptilde^(alpha+1)_k + q_k Ptilde^(alpha+1)_(k-2)
+    (DLMF 18.9.7, normalised) has p_k = b_up_k sqrt(k (k + 2 alpha + 1)) / k
+    for k >= 1, the ratio of the leading coefficients of Ptilde^alpha_k and
+    Ptilde^(alpha+1)_k, with p_0 the ratio of the two degree-0 constants,
+    and q_k = -b_k b_(k-1) / p_(k-2) for k >= 2 (q_0 = q_1 = 0), so both
+    stay finite at alpha = -1/2.  No entry depends on top, so one build
+    serves every parity and size up to it.
     """
     b, b_up = sym_offdiag(alpha, top), sym_offdiag(alpha + 1.0, top)
+    h_0 = total_mass(alpha)
     k = np.arange(1, top + 1, dtype=float)
-    p = np.concatenate(([math.sqrt(total_mass(alpha + 1.0) / total_mass(alpha))],
+    p = np.concatenate(([math.sqrt(total_mass(alpha + 1.0) / h_0)],
                         b_up[1:] * np.sqrt(k * (k + 2 * alpha + 1)) / k))
     q = np.zeros(top + 1)
     q[2:] = -b[2:] * b[1:-1] / p[:-2]
-    return b, b_up, p, q
+    return b, b_up, h_0, p, q
 
 
 def _connect(p: np.ndarray, q: np.ndarray, parity: int, e: np.ndarray) -> np.ndarray:
@@ -230,15 +248,15 @@ def _connect(p: np.ndarray, q: np.ndarray, parity: int, e: np.ndarray) -> np.nda
     Ptilde^alpha_k = p_k Ptilde^(alpha+1)_k + q_k Ptilde^(alpha+1)_(k-2)
     makes B upper bidiagonal on these columns, with p_m on the diagonal and
     q_m above it, so one banded solve serves every row.  p and q come from
-    _connection_tables, built to degree m[-1] or beyond.  The solve is
-    LAPACK's dgbsv, which solve_banded((0, 1), ...) calls, so bit-identical
-    to it.
+    _connection_tables, built to degree m[-1] or beyond, and the band rows
+    are strided slices of them.  The solve is LAPACK's dgbsv, which
+    solve_banded((0, 1), ...) calls, so bit-identical to it.
     """
     size = e.shape[-1]
-    m = np.arange(parity, parity + 2 * size, 2)
+    top = parity + 2 * size
     banded = np.zeros((2, size))
-    banded[0, 1:] = q[m[1:]]
-    banded[1] = p[m]
+    banded[0, 1:] = q[parity + 2:top:2]
+    banded[1] = p[parity:top:2]
     g = _lapack("dgbsv", 0, 1, banded, e.reshape(-1, size).T, overwrite_ab=1, overwrite_b=1)[2]
     return g.T.reshape(e.shape)
 
@@ -258,7 +276,7 @@ def _f_n_rows(alpha: float, parity: int, rows: np.ndarray, n) -> np.ndarray:
     (the tests' reference) needs.
     """
     m = np.arange(parity, parity + 2 * rows.shape[-1], 2)
-    _, b_up, p, q = _connection_tables(alpha, int(m[-1]))
+    _, b_up, _, p, q = _connection_tables(alpha, int(m[-1]))
     # psi' has coefficient psi_k sqrt(k (k + 2 alpha + 1)) on
     # Ptilde^(alpha+1)_(k-1), and x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1):
     # beyond its degree-k part, x psi' puts b_(k-1) times that on degree k - 2
@@ -300,8 +318,12 @@ def log_mu_ratio(spectrum: ChiSpectrum) -> np.ndarray:
     17 (2001), for alpha = 0).  Both are bilinear forms in the Jacobi
     coefficients: A_n by the x-recurrence, B_n with psi_(n+1)' taken into the
     alpha basis by _connect, one banded solve per parity for every pair.
-    The anchor is mu_0 from mu_eigenrelation, the eigen-relation at x = 0,
-    positive as psi_0 has no zeros.  Nothing cancels: A_n is O(1) and B_n
+    The anchor is mu_0 from the eigen-relation at x = 0 (_mu_at_zero, the
+    helper mu_eigenrelation calls, so bit-identical to its mode 0), positive
+    as psi_0 has no zeros.  One call builds its tables once
+    (_connection_tables, to degree n_trunc - 1): the offdiagonals at alpha
+    and alpha + 1 and the total masses serve the anchor, A_n and both
+    parities' connection solves.  Nothing cancels: A_n is O(1) and B_n
     O(n), and log |mu_n| is log mu_0 plus the cumulative sum of
     log(c A_n / B_n).  Against the explicit product formula, the tests'
     reference (tests/explicit_route.py), it is within
@@ -309,11 +331,13 @@ def log_mu_ratio(spectrum: ChiSpectrum) -> np.ndarray:
     log |mu_n| = -410.  A_n / B_n > 0 on every pair, so mu_n = i^n |mu_n|; a
     non-positive or non-finite mu_0 or ratio is refused with RuntimeError.
     """
-    c = spectrum.params.c
+    c, a = spectrum.params.c, spectrum.params.alpha
     if c <= 0:
         raise ValueError("the ratio route requires c > 0")
-    mu_0 = mu_eigenrelation(spectrum, 0).real
-    num, den = _ratio_forms(spectrum)
+    b, _, h_0, p, q = _connection_tables(a, spectrum.n_trunc - 1)
+    # the sign reference reads b up to degree 2 ceil(N/2) - 2 <= N - 1
+    mu_0 = _mu_at_zero(spectrum, 0, _sign_reference(a, b, 0, (spectrum.n_trunc + 1) // 2), h_0)
+    num, den = _ratio_forms(spectrum, b, p, q)
     ratio = c * num / den
     bad = np.flatnonzero(~(ratio > 0) | ~np.isfinite(ratio))
     if not mu_0 > 0 or bad.size:
@@ -323,12 +347,15 @@ def log_mu_ratio(spectrum: ChiSpectrum) -> np.ndarray:
     return math.log(mu_0) + np.concatenate(([0.0], np.cumsum(np.log(ratio))))
 
 
-def _ratio_forms(spectrum: ChiSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """A_n = int x psi_(n+1) psi_n w and B_n = int psi_(n+1)' psi_n w for n < n_max."""
+def _ratio_forms(spectrum: ChiSpectrum, b: np.ndarray, p: np.ndarray,
+                 q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A_n = int x psi_(n+1) psi_n w and B_n = int psi_(n+1)' psi_n w for n < n_max.
+
+    b, p and q are _connection_tables' at the spectrum's alpha, to degree
+    n_trunc - 1.
+    """
     a = spectrum.params.alpha
     u, v = spectrum.coeffs[:-1], spectrum.coeffs[1:]
-    # one build of the tables for both parities' connection solves
-    b, _, p, q = _connection_tables(a, u.shape[1] - 1)
     # x Ptilde_k = b_(k+1) Ptilde_(k+1) + b_k Ptilde_(k-1)
     num = np.sum(b[1:] * (u[:, 1:] * v[:, :-1] + u[:, :-1] * v[:, 1:]), axis=1)
     # psi_(n+1)' in the Ptilde^(alpha+1) basis, padded to the width of u
@@ -364,7 +391,10 @@ def decay_check(params: ProblemParams, n_range) -> DecayReport:
     Nystrom floor makes direct eigenvalues meaningless in this regime).
     The indices must be integers: a float one is refused, not truncated.  A
     repeated index counts once, and at least three distinct indices must be
-    admissible.
+    admissible.  The slope is the least-squares one in closed form,
+    sum (t - mean t)(mean y - y) / sum (t - mean t)^2 with t the rate term
+    and y = log lambda_n, within 1e-13 relative of an SVD least-squares
+    solver's on the CLI window below.
     On the CLI's window (16 modes from max(8, floor(e c/2) + 2)) at alpha in
     {0.05, 0.5, 1.4} and c in {1, 5, 10, 20, 100, 400}, log_lambdas is
     within 2e-13 max(1, |log |mu_n||) of the explicit product formula, the
@@ -386,7 +416,9 @@ def decay_check(params: ProblemParams, n_range) -> DecayReport:
     loglam = math.log(params.c / (2.0 * math.pi)) + 2.0 * log_mu_ratio(spec)[ns]
     t = (2.0 * ns + 1.0) * np.log((4.0 * ns + 4.0 * params.alpha + 2.0)
                                   / (math.e * params.c))
-    slope = float(np.polyfit(t, -loglam, 1)[0])
+    # least-squares slope of -loglam against t, in closed form
+    dt = t - t.mean()
+    slope = float(np.dot(dt, loglam.mean() - loglam) / np.dot(dt, dt))
     resid = loglam + t
     bound_ok = bool(np.all(resid <= resid[0] + math.log(2.0)))
     return DecayReport(params=params, ns=ns, log_lambdas=loglam, rate_terms=t,

@@ -265,17 +265,18 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
         else:
             vals, vecs = _full(d, e, n_here.size - 1)
         tail = vecs[-2] ** 2 + vecs[-1] ** 2
-        bad = np.flatnonzero(tail > _TAIL_TOL)
-        if bad.size:
+        if tail.max() > _TAIL_TOL:
+            bad = np.flatnonzero(tail > _TAIL_TOL)[0]
             raise TruncationError(
-                f"truncation N={n_trunc} too small for mode n={n_here[bad[0]]} at "
-                f"(alpha={alpha}, c={c}): trailing coefficient mass {tail[bad[0]]:.3e}; "
+                f"truncation N={n_trunc} too small for mode n={n_here[bad]} at "
+                f"(alpha={alpha}, c={c}): trailing coefficient mass {tail[bad]:.3e}; "
                 f"retry with n_trunc={2 * n_trunc}",
                 required=2 * n_trunc,
             )
-        # (-1)^(n//2) psi_n(0) > 0 for even n, (-1)^(n//2) psi_n'(0) > 0 for odd n
+        # (-1)^(n//2) psi_n(0) > 0 for even n, (-1)^(n//2) psi_n'(0) > 0 for odd n;
+        # a product with +-1 is exact
         at_zero = _sign_reference(alpha, b, parity, vecs.shape[0]) @ vecs
-        vecs[:, (at_zero < 0) != (n_here % 4 >= 2)] *= -1.0
+        vecs *= np.where((at_zero < 0) != (n_here % 4 >= 2), -1.0, 1.0)
         chis[n_here] = vals
         coeffs[n_here, parity::2] = vecs.T
     return ChiSpectrum(params=ProblemParams(alpha=alpha, c=c), n_max=n_max,

@@ -18,6 +18,7 @@ from explicit_route import jacobi_h, log_lambda_explicit, log_mu_magnitude
 from gpswf import spectrum
 from gpswf.specfun import gauss_jacobi, jacobi_series_deriv_coeffs, sym_offdiag, total_mass
 from gpswf.spectrum import _nystrom_lambdas, default_nystrom_size
+from gpswf.sturm import default_truncation
 
 
 def kernel_eval(alpha, u):
@@ -199,6 +200,15 @@ def test_stability_flags():
     # the Nystrom value and the ratio route disagree by ~5e-7 relative
     assert np.all(op.stable[:8])
     assert not op.stable[-1]
+
+
+def test_underflowed_lambda_is_not_stable():
+    # at c = 1e-300 lambda_1.. are ~1e-900 and below, 0 in doubles on both
+    # routes; 0 <= 1e-10 * 0 flagged them stable
+    op = g.nystrom_spectrum(g.ProblemParams(alpha=0.5, c=1e-300), n_keep=12)
+    assert np.all(op.lambdas[1:] == 0.0)
+    assert op.stable[0]
+    assert not np.any(op.stable[1:])
 
 
 def test_deep_modes_match_explicit_formula():
@@ -465,7 +475,8 @@ def test_ratio_route_matches_explicit_route(alpha, c, n_max):
     spec = g.chi_spectrum(p, n_max)
     got = g.log_mu_ratio(spec)
     assert got.shape == (n_max + 1,)
-    num, den = spectrum._ratio_forms(spec)
+    b, _, _, p_conn, q_conn = spectrum._connection_tables(alpha, spec.n_trunc - 1)
+    num, den = spectrum._ratio_forms(spec, b, p_conn, q_conn)
     assert np.all(num / den > 0)
     # every ceil(N/12)-th mode and the last keep the explicit route cheap
     ns = np.unique(np.append(np.arange(0, n_max + 1, math.ceil(n_max / 12)), n_max))
@@ -483,6 +494,14 @@ def test_ratio_route_anchor_matches_explicit_mu_0():
             assert got.shape == (1,)
             assert got[0] == math.log(g.mu_eigenrelation(spec, 0).real)
             assert abs(got[0] - log_mu_magnitude(p, 0)) <= 1e-14
+    # log_mu_ratio reads the sign reference from tables built to n_trunc - 1,
+    # mu_eigenrelation from its own, 2 ceil(n_trunc / 2) long: the same double
+    # at odd and even n_trunc
+    for alpha, c in ((-0.9, 5.0), (0.5, 10.0), (60.0, 300.0)):
+        n_trunc = default_truncation(11, c)
+        for size in (n_trunc, n_trunc + 1):
+            spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), 11, n_trunc=size)
+            assert g.log_mu_ratio(spec)[0] == math.log(g.mu_eigenrelation(spec, 0).real)
 
 
 @pytest.mark.parametrize("alpha, c", [(0.5, 10.0), (-0.9, 5.0)])
@@ -490,7 +509,8 @@ def test_ratio_forms_match_mpmath(alpha, c):
     from mpmath import mp
 
     spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), 12)
-    num, den = spectrum._ratio_forms(spec)
+    b, _, _, p, q = spectrum._connection_tables(alpha, spec.n_trunc - 1)
+    num, den = spectrum._ratio_forms(spec, b, p, q)
     with mp.workdps(40):
         a = mp.mpf(alpha)
         s = 1 / (a + 1)
@@ -843,13 +863,16 @@ def test_log_mu_within_its_estimate_of_a_fine_rule(alpha, c):
         assert np.all(np.abs(got - want) <= est + 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
-def count_calls(monkeypatch, names=("gauss_jacobi", "jacobi_series_eval")):
-    """Record calls to the named functions through every gpswf and explicit_route binding."""
+def count_calls(monkeypatch, names=("gauss_jacobi", "jacobi_series_eval"), first_arg=False):
+    """Record calls to the named functions through every gpswf and explicit_route binding.
+
+    Each call is recorded as its name, or as (name, first argument) with first_arg.
+    """
     calls = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, args[0]) if first_arg else name)
             return fn(*args, **kwargs)
         return wrapper
 
@@ -913,6 +936,27 @@ def test_explicit_route_solves_no_spectrum_and_one_f_n_system_per_parity(monkeyp
     assert calls.count("window_vectors") == 0
 
 
+def test_log_mu_ratio_builds_each_table_once(monkeypatch):
+    # the anchor, A_n and both parities' connection solves share one build
+    spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=10.0), 30)
+    calls = count_calls(monkeypatch, ("sym_offdiag", "total_mass"), first_arg=True)
+    g.log_mu_ratio(spec)
+    assert sorted(calls) == [("sym_offdiag", 0.5), ("sym_offdiag", 1.5),
+                             ("total_mass", 0.5), ("total_mass", 1.5)]
+
+
+def test_decay_check_is_one_sturm_solve_and_one_ratio_pass(monkeypatch):
+    calls = count_calls(monkeypatch, ("chi_spectrum", "_lapack"), first_arg=True)
+    solves = recorded_lapack(monkeypatch, "dgbsv")
+    g.decay_check(g.ProblemParams(alpha=0.5, c=10.0), range(15, 31))
+    # 31-row blocks keeping 16 and 15 modes: two full solves, one per parity,
+    # and one banded connection solve per parity
+    assert [name for name, _ in calls].count("chi_spectrum") == 1
+    assert sorted(arg for name, arg in calls if name == "_lapack") == ["dgbsv", "dgbsv",
+                                                                       "dstevd", "dstevd"]
+    assert len(solves) == 2
+
+
 @pytest.mark.parametrize("alpha, c, n_quad", [(0.5, 10.0, 82), (1.4, 60.0, 133)])
 def test_nystrom_blocks_bit_identical_to_eigh(monkeypatch, alpha, c, n_quad):
     seen = recorded_lapack(monkeypatch, "dsyevr")
@@ -929,7 +973,7 @@ def test_connection_solves_bit_identical_to_solve_banded(monkeypatch, alpha, c):
     spectrum.log_mu_ratio(spec)
     g.f_n_moment(spec, np.arange(31))
     # one- and two-column systems, the first of which solve_banded divides out
-    _, _, p, q = spectrum._connection_tables(alpha, 3)
+    _, _, _, p, q = spectrum._connection_tables(alpha, 3)
     rhs = np.array([[0.3, -1.2], [2.0, 0.7], [1e-300, 5.0]])
     for size in (1, 2):
         spectrum._connect(p, q, 1, rhs[:, :size])
@@ -979,6 +1023,16 @@ def test_decay_check_keeps_modes_with_chi_above_c_squared():
     assert np.array_equal(rep.ns, np.arange(6, 30))
     with pytest.raises(ValueError, match="at least three admissible indices"):
         g.decay_check(p, range(0, 6))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.4])
+def test_decay_slope_matches_a_least_squares_solver(alpha):
+    # the CLI's window; the closed form and polyfit's SVD differ in rounding only
+    for c in (1.0, 5.0, 10.0, 20.0, 100.0, 400.0):
+        lo = max(8, int(math.e * c / 2) + 2)
+        rep = g.decay_check(g.ProblemParams(alpha=alpha, c=c), range(lo, lo + 16))
+        want = np.polyfit(rep.rate_terms, -rep.log_lambdas, 1)[0]
+        assert abs(rep.slope - want) <= 1e-13 * abs(want)
 
 
 def test_decay_check_counts_a_repeated_index_once():
