@@ -125,7 +125,7 @@ def g_bound(alpha: float, q: float, x):
     expression in E(sqrt(q)) and K(sqrt(q)), at x = 1 it vanishes.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("g_bound requires x in [0, 1]")
     s = s_map(arr, q)
     k_inc = incomplete_K(arr, q)
@@ -179,7 +179,7 @@ def bessel_uniform(spectrum: ChiSpectrum, n: int, x):
     if not frame.admissible:
         raise ValueError(f"Bessel-form frame inadmissible for n={n}: {frame.failure}")
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("bessel_uniform is defined on [0, 1]")
     main, factor = _bessel_terms(frame, arr)
     value = frame.a_hat * main

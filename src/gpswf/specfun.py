@@ -100,7 +100,7 @@ def s_map(x, q: float):
     if not 0.0 <= q < 1.0:
         raise ValueError(f"s_map requires 0 <= q < 1, got q={q}")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("s_map requires x in [0, 1]")
     out = _sp.ellipe(q) - _sp.ellipeinc(np.arcsin(arr), q)
     return _maybe_scalar(out, x)
@@ -111,7 +111,7 @@ def incomplete_K(x, q: float):
     if not 0.0 <= q < 1.0:
         raise ValueError(f"incomplete_K requires 0 <= q < 1, got q={q}")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("incomplete_K requires x in [0, 1]")
     out = _sp.ellipk(q) - _sp.ellipkinc(np.arcsin(arr), q)
     return _maybe_scalar(out, x)
@@ -123,7 +123,7 @@ def incomplete_K(x, q: float):
 
 def _check_unit_interval(x):
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-14):
+    if not np.all(np.abs(arr) <= 1.0 + 1e-14):
         raise ValueError("Jacobi polynomials are evaluated on [-1, 1]")
     return arr
 
@@ -161,22 +161,41 @@ def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
 
     started from Ptilde_0 on the even half and Ptilde_1 / x = Ptilde_0 / b_1 on
     the odd half, which then takes a final factor x.  A series of one parity,
-    such as psi_n or one of its derivatives, takes N/2 steps instead of N.  A
-    half runs only up to its last nonzero coefficient, and not at all if it
+    such as psi_n or one of its derivatives, takes N/2 steps instead of N.
+
+    On a half, with j the step and k = 2j + parity the degree, Clenshaw reads
+    u_j = c_j + (t - d_j) s_j u_(j+1) + r_j u_(j+2), with d_j = b_k^2 +
+    b_(k+1)^2, s_j = 1 / (b_(k+1) b_(k+2)) and r_j = -b_(k+1) b_(k+2) /
+    (b_(k+3) b_(k+4)).  It runs rescaled, on v_j = u_j / g_j with g_0 = g_1 = 1
+    and g_(j+2) = g_j / r_j (one cumulative product for each of the even-j and
+    odd-j chains), so that the u_(j+2) factor is 1:
+
+        v_j = c_j / g_j + (t - d_j) (s_j g_(j+1) / g_j) v_(j+1) + v_(j+2),
+
+    and u_0 = v_0.  A step over the points is then five array passes,
+    subtract, scale, multiply, add, add, over three rotating buffers.  The
+    r_j tend to -1, and along a chain their product half-telescopes: |g_j| is
+    within a factor 4 of sqrt(b_(k+1) b_(k+2) / (b_(p+1) b_(p+2))), p the
+    parity; the b_k b_(k+1) tend to 1/4, and at large alpha the least of
+    them, b_1 b_2, is about 0.7 / alpha.  So |g| stays within [0.7, 18] for
+    alpha in [-0.999, 500] over 4,000 terms (48 at alpha = 5,000), and the
+    rescaling neither overflows nor costs digits.
+
+    A half runs only up to its last nonzero coefficient, and not at all if it
     has none; the zero coefficients it skips would leave the recurrence at
     exactly 0, so the values are bit-identical to the full pass.  At one
     point, such as psi_n(1), each half runs in Python floats: the same IEEE
-    operations in the same order, so again bit-identical, without six ufunc
+    operations in the same order, so again bit-identical, without five ufunc
     calls per step on 1-element buffers.
 
     Accuracy: the map t = x^2 makes x = 0 an end of the t-interval, so the
     rounding error near x = 0 grows with the number of steps, as it does at
     x = +-1 in either form.  Against a 40-digit sum of the same coefficients,
-    psi_4 at alpha = 0.5, c = 2000 (557 terms) is within 1.9e-13 max|psi_4|
-    near x = 0, and psi_830 at alpha = 1.4, c = 400 (989 terms) within
-    8.6e-12 there, where it is O(1); the x-recurrence was within 5e-16
-    max|psi_4| and 1.2e-14.  At x = 1, where psi_830 is 98,941, both forms
-    are off by 4.7e-12 of it.
+    at ten points with |x| <= 0.1, psi_4 at alpha = 0.5, c = 2000 (557 terms)
+    is within 1.7e-13 max|psi_4|, and psi_830 at alpha = 1.4, c = 400 (989
+    terms) within 7.9e-12, where it is O(1); the x-recurrence was within
+    3.5e-16 max|psi_4| and 2.7e-15.  At x = 1, where psi_830 is 98,941, both
+    forms are off by 4.7e-12 of it.
     """
     arr = _check_unit_interval(x)
     c = np.asarray(coeffs, dtype=float)
@@ -186,9 +205,8 @@ def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
     out = np.zeros(pts.size)
     used = np.flatnonzero(c)
     if used.size:
-        # Clenshaw on a half: u_j = c_j + (t - d_j) s_j u_(j+1) + r_j u_(j+2),
-        # where for degree k the diagonal is b_k^2 + b_(k+1)^2, the scale
-        # 1 / (b_(k+1) b_(k+2)) and the ratio -b_(k+1) b_(k+2) / (b_(k+3) b_(k+4))
+        # by degree k: the diagonal d, the scale s and the ratio r of the
+        # docstring's recurrence; a half reads every second entry
         top = used[-1] + 1
         b = sym_offdiag(alpha, top + 3)
         bb = b[:-1] * b[1:]   # b_k b_(k+1)
@@ -202,25 +220,29 @@ def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
             if not nonzero.size:
                 continue
             m = nonzero[-1] + 1
-            d, s, r, terms = (v[parity::2][:m].tolist() for v in (diag, scale, ratio, c))
+            r = ratio[parity::2][:m]
+            g = np.ones(m + 1)
+            for k in (0, 1):   # the even-j and odd-j chains
+                g[k + 2::2] = np.cumprod(1.0 / r[k:m - 1:2])
+            d = diag[parity::2][:m].tolist()
+            a = (scale[parity::2][:m] * (g[1:] / g[:-1])).tolist()
+            e = (c[parity::2][:m] / g[:-1]).tolist()
             if pts.size == 1:
                 tt = float(t[0])
-                u1 = u2 = 0.0
+                v1 = v2 = 0.0
                 for j in range(m - 1, -1, -1):
-                    u1, u2 = u2 * r[j] + terms[j] + u1 * ((tt - d[j]) * s[j]), u1
-                out += u1 * factor
+                    v1, v2 = (tt - d[j]) * a[j] * v1 + v2 + e[j], v1
+                out += v1 * factor
                 continue
-            u1, u2 = np.zeros(pts.size), np.zeros(pts.size)
-            w, tk = np.empty_like(t), np.empty_like(t)
+            v1, v2, w = np.zeros(pts.size), np.zeros(pts.size), np.empty_like(t)
             for j in range(m - 1, -1, -1):
-                np.subtract(t, d[j], out=tk)
-                tk *= s[j]
-                np.multiply(u1, tk, out=w)
-                u2 *= r[j]
-                u2 += terms[j]
-                u2 += w
-                u1, u2 = u2, u1
-            out += u1 * factor
+                np.subtract(t, d[j], out=w)
+                w *= a[j]
+                w *= v1
+                w += v2
+                w += e[j]
+                v1, v2, w = w, v1, v2
+            out += v1 * factor
     out = out.reshape(arr.shape)
     return out if out.ndim else float(out)
 
@@ -322,7 +344,7 @@ def eta_fn(alpha: float, x):
     if alpha < -0.5:
         raise ValueError(f"eta_fn requires alpha >= -1/2, got {alpha}")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValueError("eta_fn requires x >= 0")
     ja = _sp.jv(alpha, arr)
     jb = _sp.jv(alpha + 1.0, arr)
@@ -434,7 +456,7 @@ def weight_modulus(constants: BesselEnvelopeConstants, x):
 def _weight_modulus_from(constants: BesselEnvelopeConstants, x: np.ndarray, j: np.ndarray,
                          y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """weight_modulus on a 1-D x from J_alpha(x) and Y_alpha(x), for callers that hold them."""
-    if np.any(x <= 0):
+    if not np.all(x > 0):
         raise ValueError("weight_modulus requires x > 0")
     e_out = np.ones_like(x)
     m_out = np.hypot(j, y)

@@ -80,6 +80,27 @@ def test_mode_outside_the_spectrum_refused(route, n):
         route(spec, n)
 
 
+@pytest.mark.parametrize("x", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
+@pytest.mark.parametrize("route, message", [
+    (lambda spec, x: spec.eigenfunction(40).value(x), r"evaluated on \[-1, 1\]"),
+    (lambda spec, x: spec.eigenfunction(40).derivative(x), r"evaluated on \[-1, 1\]"),
+    (lambda spec, x: g.ode_residual(spec.eigenfunction(40), x), r"evaluated on \[-1, 1\]"),
+    (lambda spec, x: g.jacobi_uniform(spec, 40, x), r"evaluated on \[-1, 1\]"),
+    (lambda spec, x: g.bessel_uniform(spec, 40, x), r"defined on \[0, 1\]"),
+    (lambda spec, x: g.g_bound(0.5, 0.3, x), r"requires x in \[0, 1\]"),
+    (lambda spec, x: g.s_map(x, 0.3), r"requires x in \[0, 1\]"),
+    (lambda spec, x: g.incomplete_K(x, 0.3), r"requires x in \[0, 1\]"),
+    (lambda spec, x: g.eta_fn(0.5, x), r"requires x >= 0"),
+    (lambda spec, x: g.weight_modulus(g.envelope_constants(0.5), x), r"requires x > 0"),
+], ids=["value", "derivative", "ode_residual", "jacobi_uniform", "bessel_uniform",
+        "g_bound", "s_map", "incomplete_K", "eta_fn", "weight_modulus"])
+def test_nan_point_refused(route, message, x):
+    # a NaN fails every "outside" comparison; each check asks "all inside"
+    spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=5.0), 40)
+    with pytest.raises(ValueError, match=message):
+        route(spec, x)
+
+
 def test_eps_halves_when_sqrt_chi_doubles_at_fixed_q():
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=5.0), 40)
     fr = make_frame(spec, 40)

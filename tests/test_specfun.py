@@ -370,11 +370,15 @@ def test_clenshaw_matches_x_recurrence(alpha, n_terms, rows, parity, decay, seed
 
 @pytest.mark.parametrize("alpha, c, n", [(0.5, 2000.0, 4), (0.5, 2000.0, 5),
                                          (1.4, 400.0, 830), (-0.5, 60.0, 121),
-                                         (-0.9, 5.0, 12)])
+                                         (-0.9, 5.0, 12), (-0.99, 30.0, 40),
+                                         (60.0, 300.0, 10), (100.0, 50.0, 7),
+                                         (1.45, 3000.0, 5)])
 def test_clenshaw_psi_n_matches_mpmath(alpha, c, n):
     # psi_n rows of up to 989 terms.  x = 0 ends the t-interval, where the
     # rounding of the parity-split recurrence grows with the number of steps,
-    # so points crowd there.  At x = +-1 psi_830 (alpha = 1.4) is 98,941 and
+    # so points crowd there.  The alpha extremes are where the rescaling g of
+    # the recurrence is largest; (1.45, 3000, 5) is the sturm workload's
+    # longest few-mode series.  At x = +-1 psi_830 (alpha = 1.4) is 98,941 and
     # the x-recurrence too is off by 4.6e-12 of it, so the ends have 1e-11.
     coeffs = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), n).coeffs[n]
     inner = np.array([0.0, 2.3e-4, 1e-3, 5.5e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6,
@@ -411,7 +415,7 @@ def test_clenshaw_one_point_bit_identical(alpha):
     # one series at one point runs in Python floats; a second point sends
     # the same series through the buffer pass
     series = []
-    for c in (0.0, 5.0, 300.0):
+    for c in (0.0, 5.0, 300.0, 3000.0):
         co = g.chi_spectrum(g.ProblemParams(alpha, c), 9).coeffs
         for mix in (co[8], co[9], co[8] + co[9], co[0] - 0.5 * co[1]):
             series += [(mix, alpha), (jacobi_series_deriv_coeffs(mix, alpha), alpha + 1.0)]
