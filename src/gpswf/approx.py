@@ -35,6 +35,7 @@ from scipy import special as _sp
 
 from .specfun import (
     BesselEnvelopeConstants,
+    _bessel_jy,
     _weight_modulus_from,
     elliptic_K,
     envelope_constants,
@@ -144,6 +145,15 @@ def _bessel_terms(frame: WkbFrame, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     x = 1 the 0/0 form of main is replaced by its limit
     chi^(1/4+a/2) (1-q)^(a/2) / (2^a Gamma(1+a)) = psi_n(1) / A, taken in log
     space, and factor by its limit 0.
+
+    J_alpha and Y_alpha come from one Hankel function H1 = J + iY where
+    sqrt(chi) S > max(X_alpha, 1), which is all but the few points nearest
+    x = 1, and from the separate J and Y routines there (specfun._bessel_jy).
+    Re H1 is within 2.0e-15 |H1| of J for alpha <= 1.4, where jv alone was
+    up to 7.1e-14 off, so main moves in its last digits toward the exact
+    value.  Where J or Y below X_alpha is 0 or not finite in double
+    precision, the envelope cannot be formed and weight_modulus's ValueError
+    is raised.
     """
     alpha, chi, q = frame.alpha, frame.chi, frame.q
     main = np.empty_like(x)
@@ -158,7 +168,7 @@ def _bessel_terms(frame: WkbFrame, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
         z = math.sqrt(chi) * s
         one_mx2, one_mqx2 = 1.0 - xr * xr, 1.0 - q * xr * xr
         # J_alpha and Y_alpha once, for the main term and the envelope
-        j, y = _sp.jv(alpha, z), _sp.yv(alpha, z)
+        j, y = _bessel_jy(frame.constants, z)
         main[reg] = chi ** 0.25 * np.sqrt(s) * j \
             / (one_mx2 ** (0.25 + alpha / 2.0) * one_mqx2 ** 0.25)
         e_a, m_a = _weight_modulus_from(frame.constants, z, j, y)

@@ -13,6 +13,7 @@ from scipy.special import beta, ellipe, gamma, jv, yv
 import gpswf as g
 from explicit_route import jacobi_h
 from gpswf.specfun import (
+    _bessel_jy,
     jacobi_series_deriv_coeffs,
     jacobi_series_eval,
     sym_offdiag,
@@ -662,3 +663,74 @@ def test_weight_modulus_branches():
 def test_weight_modulus_domain():
     with pytest.raises(ValueError):
         g.weight_modulus(g.envelope_constants(0.3), 0.0)
+
+
+def test_weight_modulus_where_y_over_j_overflows():
+    # E = 7.0e278 is a double although Y / J = -4.9e557 is not
+    from mpmath import mp, besselj, bessely
+
+    with mp.workdps(40):
+        j, y = besselj(60, mp.mpf("1e-3")), bessely(60, mp.mpf("1e-3"))
+        e_ref, m_ref = float(mp.sqrt(-y / j)), float(mp.sqrt(-2 * y * j))
+    e, m = g.weight_modulus(g.envelope_constants(60.0), 1e-3)
+    assert_allclose(e, e_ref, rtol=1e-13)
+    assert_allclose(m, m_ref, rtol=1e-13)
+
+
+@pytest.mark.parametrize("alpha, x", [(60.0, 1e-5), (200.0, 1.0), (5.0, 1e-80)])
+def test_weight_modulus_refuses_underflowed_j(alpha, x):
+    # J_60(1e-5) = 1e-400 underflows to 0 and Y to -inf: no finite E or M
+    with pytest.raises(ValueError, match=rf"alpha = {alpha}, x = {x!r}"):
+        g.weight_modulus(g.envelope_constants(alpha), x)
+
+
+# _bessel_jy's reference grid: z from 1e-4 to 1,200, dense near the threshold
+_JY_GRID = np.unique(np.concatenate([np.geomspace(1e-4, 1200.0, 60), np.linspace(0.5, 40.0, 40)]))
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.3, 0.77, 1.4, 5.0, 30.0])
+def test_bessel_jy_matches_mpmath(alpha):
+    from mpmath import mp, besselj, bessely
+
+    cst = g.envelope_constants(alpha)
+    j, y = _bessel_jy(cst, _JY_GRID)
+    with mp.workdps(40):
+        ref_j = np.array([float(besselj(alpha, mp.mpf(z))) for z in _JY_GRID])
+        ref_y = np.array([float(bessely(alpha, mp.mpf(z))) for z in _JY_GRID])
+    # above max(X_alpha, 1), J and Y are Re and Im of one Hankel function:
+    # absolute error against the modulus M = |H1|
+    far = _JY_GRID > max(cst.x_alpha, 1.0)
+    modulus = np.hypot(ref_j, ref_y)[far]
+    far_tol = 2e-14 if alpha >= 30 else 4e-15
+    assert np.max(np.abs(j[far] - ref_j[far]) / modulus) <= far_tol
+    assert np.max(np.abs(y[far] - ref_y[far]) / modulus) <= far_tol
+    # at or below it |Y| >> |J|, and J keeps its relative accuracy (jv)
+    near = ~far
+    assert near.sum() >= 30
+    assert_allclose(j[near], ref_j[near], rtol=1e-13 if alpha >= 30 else 2e-14, atol=0)
+    assert_allclose(y[near], ref_y[near], rtol=1e-13 if alpha >= 30 else 2e-14, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5])
+def test_bessel_jy_half_order_closed_forms(alpha):
+    # J_(1/2) = r sin z, Y_(1/2) = -r cos z, J_(-1/2) = r cos z, Y_(-1/2) = r sin z
+    z = _JY_GRID
+    r = np.sqrt(2.0 / (math.pi * z))
+    j, y = _bessel_jy(g.envelope_constants(alpha), z)
+    if alpha > 0:
+        ref_j, ref_y = r * np.sin(z), -r * np.cos(z)
+    else:
+        ref_j, ref_y = r * np.cos(z), r * np.sin(z)
+    # r is the modulus, sqrt(J^2 + Y^2)
+    assert np.max(np.abs(j - ref_j) / r) <= 4e-15
+    assert np.max(np.abs(y - ref_y) / r) <= 4e-15
+
+
+@pytest.mark.parametrize("alpha, x_alpha", [
+    (0.5, 0.7853981633974478), (1.0, 1.32889614871749), (1.4, 1.757279201934485),
+    (5.0, 5.514427949450816), (30.0, 30.911370617883165), (200.0, 201.70343769228003),
+    (9000.0, 9006.044510683876)])
+def test_x_alpha_pinned(alpha, x_alpha):
+    # the root search reads Y as Im H1, which equals yv bit for bit at
+    # alpha >= 0 wherever yv is finite: the doubles of the jv + yv search
+    assert g.envelope_constants(alpha).x_alpha == x_alpha
