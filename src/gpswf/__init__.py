@@ -67,9 +67,7 @@ from .spectrum import (
     TraceAndNorm,
     counting,
     decay_check,
-    f_n_moment,
     log_mu_ratio,
-    mu_eigenrelation,
     nystrom_spectrum,
     trace_and_norm,
 )
@@ -89,9 +87,9 @@ __all__ = [
     "approximant_norm_check", "approximant_norm_sq",
     "bessel_report", "bessel_uniform", "chi_spectrum",
     "counting", "decay_check", "elliptic_K", "envelope_constants",
-    "eta_fn", "f_n_moment", "g_bound", "gauss_jacobi", "incomplete_K",
+    "eta_fn", "g_bound", "gauss_jacobi", "incomplete_K",
     "jacobi_report", "jacobi_uniform", "log_mu_ratio", "make_frame",
-    "mu_eigenrelation", "nystrom_spectrum", "ode_residual", "s_map",
+    "nystrom_spectrum", "ode_residual", "s_map",
     "trace_and_norm", "weight_modulus",
 ]
 

@@ -123,8 +123,11 @@ def g_bound(alpha: float, q: float, x):
 
     g(x) = (3 + 2q + 12 a^2)/(4(1-q)) * (q x sqrt(1-x^2)/sqrt(1-q x^2) + S(x))
            + a(a+1) K(x, sqrt(q)); at x = 0 this is the complete-integral
-    expression in E(sqrt(q)) and K(sqrt(q)), at x = 1 it vanishes.
+    expression in E(sqrt(q)) and K(sqrt(q)), at x = 1 it vanishes.  alpha is
+    finite and >= -1/2, as for every Bessel-form quantity.
     """
+    if not (alpha >= -0.5 and math.isfinite(alpha)):
+        raise ValueError(f"g_bound requires a finite alpha >= -1/2, got alpha = {alpha}")
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("g_bound requires x in [0, 1]")
@@ -301,6 +304,8 @@ class ApproxReport:
 def bessel_report(spectrum: ChiSpectrum, n: int, grid=None) -> ApproxReport:
     """Theorem-style report for the Bessel form on [0, 1]."""
     xs = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    if xs.size == 0:
+        raise ValueError("bessel_report needs a grid of at least one point")
     approx, env = bessel_uniform(spectrum, n, xs)
     ref = spectrum.eigenfunction(n).value(xs)
     err = float(np.max(np.abs(approx - ref)))
@@ -320,6 +325,8 @@ def jacobi_report(spectrum: ChiSpectrum, n: int, grid=None, q0: float = 0.9) -> 
     boundedness across sweeps reflects the O(c^2/n) error law.
     """
     xs = symmetric_grid() if grid is None else np.asarray(grid, dtype=float)
+    if xs.size == 0:
+        raise ValueError("jacobi_report needs a grid of at least one point")
     approx, a_n = jacobi_uniform(spectrum, n, xs, q0=q0)
     ref = spectrum.eigenfunction(n).value(xs)
     err = float(np.max(np.abs(approx - ref)))

@@ -297,11 +297,12 @@ def gauss_jacobi(n_nodes: int, alpha: float) -> QuadratureRule:
     and the full-size method differ by up to 1e5 times on the smallest ones.
     Some are exactly 0 (2 of 1,264 at alpha = 100), which is kept; a
     negative or non-finite weight raises RuntimeError.  n_nodes is an
-    integer >= 1, not a bool or a float (ValueError naming it otherwise).
+    integer >= 1, not a bool or a float, and alpha a finite number > -1
+    (ValueError naming either otherwise).
     """
     n_nodes = _count(n_nodes, "n_nodes", 1)
-    if alpha <= -1:
-        raise ValueError(f"weight exponent must exceed -1, got {alpha}")
+    if not (alpha > -1 and math.isfinite(alpha)):
+        raise ValueError(f"gauss_jacobi requires a finite alpha > -1, got alpha = {alpha}")
     b = np.concatenate([sym_offdiag(alpha, n_nodes - 1), [0.0, 0.0]])
     b2 = b * b
     n_even, n_pos = (n_nodes + 1) // 2, n_nodes // 2
@@ -345,8 +346,8 @@ def eta_fn(alpha: float, x):
     Closed form: x^2/2 [J_a^2 + J_{a+1}^2] - alpha x J_a J_{a+1} - x/pi,
     written so the x -> 0 limit needs no special casing.
     """
-    if alpha < -0.5:
-        raise ValueError(f"eta_fn requires alpha >= -1/2, got {alpha}")
+    if not (alpha >= -0.5 and math.isfinite(alpha)):
+        raise ValueError(f"eta_fn requires a finite alpha >= -1/2, got alpha = {alpha}")
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0):
         raise ValueError("eta_fn requires x >= 0")
@@ -417,9 +418,10 @@ def _first_zero_j_plus_y(alpha: float) -> float:
 
 
 def envelope_constants(alpha: float) -> BesselEnvelopeConstants:
-    """All order-dependent envelope constants for a given alpha >= -1/2."""
-    if alpha < -0.5:
-        raise ValueError(f"envelope constants require alpha >= -1/2, got {alpha}")
+    """All order-dependent envelope constants for a given finite alpha >= -1/2."""
+    if not (alpha >= -0.5 and math.isfinite(alpha)):
+        raise ValueError(f"envelope constants require a finite alpha >= -1/2, "
+                         f"got alpha = {alpha}")
     mu_a = abs(alpha * alpha - 0.25)
     mu_a1 = abs((alpha + 1.0) ** 2 - 0.25)
     c_a = _sup_sqrt_x_j(alpha)

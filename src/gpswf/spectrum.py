@@ -1,6 +1,6 @@
 """Spectra of the weighted finite Fourier transform and its composition.
 
-Three computational routes, cross-checked against each other:
+Two computational routes to mu_n, cross-checked against each other:
 
 * Nystrom: F_c itself is discretized on a Gauss-Jacobi rule as
   sqrt(w_i w_j) e^{i c x_i x_j} and split by parity into a real cos block
@@ -20,15 +20,12 @@ Three computational routes, cross-checked against each other:
   spectrum at once, at any decay depth; OperatorSpectrum.mus and
   decay_check come from it.
 
-* Eigen-relation: F_c psi_n = mu_n psi_n at x = 0 gives mu_n from psi_n's
-  degree-0 or degree-1 coefficient over psi_n(0) or psi_n'(0); a
-  cross-check, whose error grows as mu_n decays.
-
-The paper's explicit product formula, mu_n = i^n sqrt(pi) Gamma-ratio c^n
-exp(Phi_n) with Phi_n = int_0^c (F_n(tau) - n)/tau dtau, is the reference
-the ratio route is tested against, and lives with the tests
-(tests/explicit_route.py); it integrates over tau in (0, c], independent of
-the ratio route's one solve at c, and needs F_n - n from _f_n_rows.
+The tests' oracle (tests/explicit_route.py) holds the cross-checks: the
+paper's explicit product formula, mu_n = i^n sqrt(pi) Gamma-ratio c^n
+exp(Phi_n) with Phi_n = int_0^c (F_n(tau) - n)/tau dtau, integrated over
+tau in (0, c], independent of the ratio route's one solve at c; the moment
+F_n it integrates; and the eigen-relation F_c psi_n = mu_n psi_n at x = 0
+for every mode, whose error grows as mu_n decays.
 
 Trace and Hilbert-Schmidt closed forms plus the counting bounds for
 #{lambda_n >= delta} complete the module.
@@ -162,66 +159,11 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
     )
 
 
-def mu_eigenrelation(spectrum: ChiSpectrum, n):
-    """mu_n from the eigen-relation F_c psi_n = mu_n psi_n at x = 0.
-
-    At 0 the transform of psi_n is c_0 sqrt(h_0), h_0 = total_mass(alpha),
-    and its x-derivative i c c_1 b_1 sqrt(h_0), so mu_n is that over psi_n(0)
-    (even n) or psi_n'(0) (odd n): one dot product of the mode's own
-    coefficients with sturm's sign reference (_mu_at_zero), no Bessel
-    function and no Clenshaw pass.  n is a mode index or an array of them (an
-    array gives a complex array of its shape, each value bit-identical to the
-    one-mode call); log_mu_ratio's anchor is mode 0 from the same helper, so
-    the same double.  At c = 0, F_c has rank one and mu_n = 0 exactly for
-    n >= 1, which is returned.  Otherwise a zero or non-finite psi_n(0),
-    psi_n'(0) or mu_n is refused with RuntimeError naming the mode (a zero
-    mu_n is an underflow deep in the decay).  The relative error grows as
-    mu_n decays, to 1.1e-5 at mode 89 of (alpha, c) = (0, 100) against
-    i^n exp(log_mu_ratio), which is the library's route.
-    """
-    ns = _mode_indices(n, spectrum.n_max)
-    params, a = spectrum.params, spectrum.params.alpha
-    modes = ns.reshape(-1)
-    b = sym_offdiag(a, 2 * spectrum.coeffs[0, 0::2].size)
-    refs = {parity: _sign_reference(a, b, parity, spectrum.coeffs[0, parity::2].size)
-            for parity in set((modes % 2).tolist())}
-    # the references carry sqrt(total_mass) of alpha (even) and alpha + 1 (odd)
-    h_0 = total_mass(a)
-    scale = (h_0, params.c * b[1] * math.sqrt(h_0 * total_mass(a + 1.0)))
-    mus = np.empty(modes.size, dtype=complex)
-    for i, m in enumerate(modes.tolist()):
-        if m and params.c == 0:
-            mus[i] = 0.0
-            continue
-        mu = _mu_at_zero(spectrum, m, refs[m % 2], scale[m % 2])
-        mus[i] = complex(0.0, mu) if m % 2 else complex(mu, 0.0)
-    return mus.reshape(ns.shape) if ns.ndim else complex(mus[0])
-
-
-def _mu_at_zero(spectrum: ChiSpectrum, m: int, ref: np.ndarray, scale: float) -> float:
-    """mu_m / i^(m % 2) from the eigen-relation at x = 0: c_0 scale over psi_m(0) or psi_m'(0).
-
-    ref is _sign_reference for the mode's parity, as long as the mode's
-    own-parity coefficients, and scale the factor mu_eigenrelation
-    gives it (total_mass(alpha) for even m).  A zero or non-finite
-    psi_m(0), psi_m'(0) or result is refused with RuntimeError.
-    """
-    row = spectrum.coeffs[m, m % 2::2]
-    at_zero = np.dot(row, ref)
-    mu = row[0] * scale / at_zero if at_zero != 0 else at_zero
-    if not (mu != 0 and math.isfinite(mu)):
-        what = (f"mu_{m}" if at_zero != 0 and math.isfinite(at_zero)
-                else f"psi_{m}'(0)" if m % 2 else f"psi_{m}(0)")
-        raise RuntimeError(f"eigen-relation failed for mode n = {m} at {spectrum.params}: "
-                           f"{what} is zero or not finite")
-    return float(mu)
-
-
 def _connection_tables(alpha: float, top: int) -> tuple:
-    """The ratio route's tables for degrees up to top: b, b_up, h_0, p and q.
+    """The ratio route's tables for degrees up to top: b, h_0, p and q.
 
     b and b_up are the alpha and alpha + 1 offdiagonals (sym_offdiag), and
-    h_0 = total_mass(alpha).  The two-term connection
+    h_0 = total_mass(alpha); b_up only builds p.  The two-term connection
     Ptilde^alpha_k = p_k Ptilde^(alpha+1)_k + q_k Ptilde^(alpha+1)_(k-2)
     (DLMF 18.9.7, normalised) has p_k = b_up_k sqrt(k (k + 2 alpha + 1)) / k
     for k >= 1, the ratio of the leading coefficients of Ptilde^alpha_k and
@@ -237,7 +179,7 @@ def _connection_tables(alpha: float, top: int) -> tuple:
                         b_up[1:] * np.sqrt(k * (k + 2 * alpha + 1)) / k))
     q = np.zeros(top + 1)
     q[2:] = -b[2:] * b[1:-1] / p[:-2]
-    return b, b_up, h_0, p, q
+    return b, h_0, p, q
 
 
 def _connect(p: np.ndarray, q: np.ndarray, parity: int, e: np.ndarray) -> np.ndarray:
@@ -261,52 +203,6 @@ def _connect(p: np.ndarray, q: np.ndarray, parity: int, e: np.ndarray) -> np.nda
     return g.T.reshape(e.shape)
 
 
-def _f_n_rows(alpha: float, parity: int, rows: np.ndarray, n) -> np.ndarray:
-    """F_n - n, F_n = int x psi_n psi_n' (1-x^2)^alpha dx, for a stack of psi_n of one parity.
-
-    rows[..., i] is the coefficient of Ptilde_(2i + parity), so every row is
-    in that parity's own columns, and n (broadcast against rows[..., 0]) is
-    each row's mode.  x psi_n' has coefficients e in the Ptilde^(alpha+1)
-    basis, which _connect turns into alpha-basis coefficients g; then
-    F_n = psi_n . g.  The degree-k part of e is k p_k psi_k, so
-    g = k psi + B^-1 r with r the rest of e - B (k psi), and
-    F_n - n |psi_n|^2 = sum (k - n) psi_k^2 + psi_n . B^-1 r.  That form has
-    no cancellation: at c = 0 it is exactly 0, and it stays O(c^2) with no
-    rounding offset as c -> 0, which the explicit formula's (F_n - n)/tau
-    (the tests' reference) needs.
-    """
-    m = np.arange(parity, parity + 2 * rows.shape[-1], 2)
-    _, b_up, _, p, q = _connection_tables(alpha, int(m[-1]))
-    # psi' has coefficient psi_k sqrt(k (k + 2 alpha + 1)) on
-    # Ptilde^(alpha+1)_(k-1), and x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1):
-    # beyond its degree-k part, x psi' puts b_(k-1) times that on degree k - 2
-    r = np.zeros_like(rows)
-    r[..., :-1] = (b_up[m[1:] - 1] * np.sqrt(m[1:] * (m[1:] + 2 * alpha + 1))
-                   - q[m[1:]] * m[1:]) * rows[..., 1:]
-    h = _connect(p, q, parity, r)
-    return (np.sum((m - np.asarray(n, dtype=float)[..., None]) * rows ** 2, axis=-1)
-            + np.sum(rows * h, axis=-1))
-
-
-def f_n_moment(spectrum: ChiSpectrum, n):
-    """Moment F_n(c, alpha) = int x psi_n psi_n' (1-x^2)^alpha dx of the solved psi_n.
-
-    Equals n at c = 0.  n is a mode index or an array of them (an array
-    gives an array).  Computed from the Jacobi coefficients alone, by one
-    banded connection solve per parity (_f_n_rows).
-    """
-    ns = _mode_indices(n, spectrum.n_max)
-    modes = ns.reshape(-1)
-    out = np.empty(modes.size)
-    for parity in (0, 1):
-        own = modes % 2 == parity
-        if own.any():
-            out[own] = modes[own] + _f_n_rows(spectrum.params.alpha, parity,
-                                              spectrum.coeffs[modes[own], parity::2],
-                                              modes[own])
-    return out.reshape(ns.shape) if ns.ndim else float(out[0])
-
-
 def log_mu_ratio(spectrum: ChiSpectrum) -> np.ndarray:
     """log |mu_n| for n = 0..n_max from the solved spectrum alone (the ratio route).
 
@@ -318,30 +214,36 @@ def log_mu_ratio(spectrum: ChiSpectrum) -> np.ndarray:
     17 (2001), for alpha = 0).  Both are bilinear forms in the Jacobi
     coefficients: A_n by the x-recurrence, B_n with psi_(n+1)' taken into the
     alpha basis by _connect, one banded solve per parity for every pair.
-    The anchor is mu_0 from the eigen-relation at x = 0 (_mu_at_zero, the
-    helper mu_eigenrelation calls, so bit-identical to its mode 0), positive
-    as psi_0 has no zeros.  One call builds its tables once
-    (_connection_tables, to degree n_trunc - 1): the offdiagonals at alpha
-    and alpha + 1 and the total masses serve the anchor, A_n and both
-    parities' connection solves.  Nothing cancels: A_n is O(1) and B_n
+    The anchor is mu_0 from the eigen-relation F_c psi_0 = mu_0 psi_0 at
+    x = 0, where the transform of psi_0 is c_0 sqrt(h_0): mu_0 is c_0 h_0
+    over one dot product of psi_0's even coefficients with sturm's sign
+    reference, psi_0(0) sqrt(h_0), so bit-identical to mode 0 of the tests'
+    eigen-relation, and positive as psi_0 has no zeros.  One call
+    builds its tables once (_connection_tables, to degree n_trunc - 1): the
+    offdiagonals and total mass serve the anchor, A_n and both parities'
+    connection solves.  Nothing cancels: A_n is O(1) and B_n
     O(n), and log |mu_n| is log mu_0 plus the cumulative sum of
     log(c A_n / B_n).  Against the explicit product formula, the tests'
     reference (tests/explicit_route.py), it is within
     4e-13 max(1, |log |mu_n||) over the sweep in the tests, down to
     log |mu_n| = -410.  A_n / B_n > 0 on every pair, so mu_n = i^n |mu_n|; a
-    non-positive or non-finite mu_0 or ratio is refused with RuntimeError.
+    zero or non-finite psi_0(0), or a non-positive or non-finite mu_0 or
+    ratio, is refused with RuntimeError.
     """
     c, a = spectrum.params.c, spectrum.params.alpha
     if c <= 0:
         raise ValueError("the ratio route requires c > 0")
-    b, _, h_0, p, q = _connection_tables(a, spectrum.n_trunc - 1)
+    b, h_0, p, q = _connection_tables(a, spectrum.n_trunc - 1)
     # the sign reference reads b up to degree 2 ceil(N/2) - 2 <= N - 1
-    mu_0 = _mu_at_zero(spectrum, 0, _sign_reference(a, b, 0, (spectrum.n_trunc + 1) // 2), h_0)
+    row = spectrum.coeffs[0, 0::2]
+    at_zero = float(np.dot(row, _sign_reference(a, b, 0, (spectrum.n_trunc + 1) // 2)))
+    mu_0 = float(row[0]) * h_0 / at_zero if at_zero != 0 else at_zero
     num, den = _ratio_forms(spectrum, b, p, q)
     ratio = c * num / den
     bad = np.flatnonzero(~(ratio > 0) | ~np.isfinite(ratio))
-    if not mu_0 > 0 or bad.size:
-        where = "mu_0" if bad.size == 0 else f"mu_{bad[0] + 1} / mu_{bad[0]}"
+    anchored = mu_0 > 0 and math.isfinite(mu_0)
+    if not anchored or bad.size:
+        where = f"mu_{bad[0] + 1} / mu_{bad[0]}" if anchored else "mu_0"
         raise RuntimeError(f"ratio route failed at {spectrum.params}: {where} is not "
                            f"positive and finite")
     return math.log(mu_0) + np.concatenate(([0.0], np.cumsum(np.log(ratio))))

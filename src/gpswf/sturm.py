@@ -158,8 +158,11 @@ def ode_residual(f: GpswfFunction, x, chi: float | None = None):
     keeps the spill of c^2 x^2 psi past the basis, the truncation error, in
     the residual.  It does not evaluate psi' or psi'', so it no longer checks
     GpswfFunction.derivative and .second_derivative; the tests compare it with
-    the pointwise form built from them.
+    the pointwise form built from them.  A chi that is not finite is refused
+    with ValueError.
     """
+    if chi is not None and not math.isfinite(chi):
+        raise ValueError(f"ode_residual requires a finite chi, got chi = {chi}")
     p, parity = f.params, f.n % 2
     size = f.spectrum.n_trunc + 2
     d, e = _sturm_block(p.alpha, p.c, sym_offdiag(p.alpha, size), parity, size)
@@ -188,8 +191,9 @@ def _sign_reference(alpha: float, b: np.ndarray, parity: int, rows: int) -> np.n
     """Ptilde_{2m}(0) (even block) or Ptilde_{2m+1}'(0) (odd block), m < rows, times sqrt(H).
 
     H = total_mass(alpha) on the even block and total_mass(alpha + 1) on the
-    odd one, so the m = 0 entry is 1 or sqrt(2 alpha + 2); mu_eigenrelation
-    divides these factors out.  At x = 0 the recurrence gives
+    odd one, so the m = 0 entry is 1 or sqrt(2 alpha + 2); the eigen-relation
+    at x = 0 (spectrum.log_mu_ratio's anchor, and every mode in the tests'
+    oracle) divides these factors out.  At x = 0 the recurrence gives
     Ptilde_{k+1}(0) = -b_k / b_{k+1} Ptilde_{k-1}(0), and
     Ptilde_k' = sqrt(k (k + 2 alpha + 1)) Ptilde_{k-1}^(alpha+1); ``b`` holds
     the offdiagonals for ``alpha``.

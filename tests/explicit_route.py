@@ -1,9 +1,14 @@
-"""The explicit product formula for mu_n: the reference the ratio route is tested against.
+"""The tests' oracle: the explicit product formula, F_n and the eigen-relation for mu_n.
 
 mu_n = i^n sqrt(pi) Gamma-ratio c^n exp(Phi_n), Phi_n = int_0^c (F_n(tau) - n)/tau dtau,
-in log space (log_mu_magnitude), over tau in (0, c]: independent of the ratio
-route's one solve at c.  No library path calls it.  Also jacobi_h, the norm
-that turns scipy's eval_jacobi into the orthonormal Ptilde_n.
+in log space (log_mu_magnitude), over tau in (0, c]: the reference the ratio
+route is tested against, independent of its one solve at c.  The moment
+F_n = int x psi_n psi_n' (1-x^2)^alpha dx (f_n_moment, _f_n_rows) is the
+integrand's source, and the eigen-relation F_c psi_n = mu_n psi_n at x = 0
+(mu_eigenrelation) a second cross-check for every mode.  No library path
+calls any of them, and, as references, they do not validate mode indices.
+Also jacobi_h, the norm that turns scipy's eval_jacobi into the orthonormal
+Ptilde_n.
 """
 
 import math
@@ -11,9 +16,9 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from gpswf import spectrum
 from gpswf.specfun import _lapack, sym_offdiag, total_mass
-from gpswf.sturm import ProblemParams, default_truncation
+from gpswf.spectrum import _connect, _connection_tables
+from gpswf.sturm import ChiSpectrum, ProblemParams, _sign_reference, default_truncation
 
 
 def jacobi_h(n, alpha: float):
@@ -121,6 +126,54 @@ _PHI_TOL = 1e-13
 _MAX_PANELS = 256
 
 
+def _f_n_rows(alpha: float, parity: int, rows: np.ndarray, n) -> np.ndarray:
+    """F_n - n, F_n = int x psi_n psi_n' (1-x^2)^alpha dx, for a stack of psi_n of one parity.
+
+    rows[..., i] is the coefficient of Ptilde_(2i + parity), so every row is
+    in that parity's own columns, and n (broadcast against rows[..., 0]) is
+    each row's mode.  x psi_n' has coefficients e in the Ptilde^(alpha+1)
+    basis, which the library's _connect turns into alpha-basis coefficients
+    g; then F_n = psi_n . g.  The degree-k part of e is k p_k psi_k, so
+    g = k psi + B^-1 r with r the rest of e - B (k psi), and
+    F_n - n |psi_n|^2 = sum (k - n) psi_k^2 + psi_n . B^-1 r.  That form has
+    no cancellation: at c = 0 it is exactly 0, and it stays O(c^2) with no
+    rounding offset as c -> 0, which the explicit formula's (F_n - n)/tau
+    needs.
+    """
+    m = np.arange(parity, parity + 2 * rows.shape[-1], 2)
+    top = int(m[-1])
+    _, _, p, q = _connection_tables(alpha, top)
+    b_up = sym_offdiag(alpha + 1.0, top)
+    # psi' has coefficient psi_k sqrt(k (k + 2 alpha + 1)) on
+    # Ptilde^(alpha+1)_(k-1), and x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1):
+    # beyond its degree-k part, x psi' puts b_(k-1) times that on degree k - 2
+    r = np.zeros_like(rows)
+    r[..., :-1] = (b_up[m[1:] - 1] * np.sqrt(m[1:] * (m[1:] + 2 * alpha + 1))
+                   - q[m[1:]] * m[1:]) * rows[..., 1:]
+    h = _connect(p, q, parity, r)
+    return (np.sum((m - np.asarray(n, dtype=float)[..., None]) * rows ** 2, axis=-1)
+            + np.sum(rows * h, axis=-1))
+
+
+def f_n_moment(spectrum: ChiSpectrum, n):
+    """Moment F_n(c, alpha) = int x psi_n psi_n' (1-x^2)^alpha dx of the solved psi_n.
+
+    Equals n at c = 0.  n is a mode index or an array of them (an array
+    gives an array).  Computed from the Jacobi coefficients alone, by one
+    banded connection solve per parity (_f_n_rows).
+    """
+    ns = np.asarray(n)
+    modes = ns.reshape(-1)
+    out = np.empty(modes.size)
+    for parity in (0, 1):
+        own = modes % 2 == parity
+        if own.any():
+            out[own] = modes[own] + _f_n_rows(spectrum.params.alpha, parity,
+                                              spectrum.coeffs[modes[own], parity::2],
+                                              modes[own])
+    return out.reshape(ns.shape) if ns.ndim else float(out[0])
+
+
 def _phi_integrand(params: ProblemParams, modes: np.ndarray, taus: np.ndarray,
                    n_max: int | None = None) -> np.ndarray:
     """(F_n(tau) - n) / tau, rows over taus > 0 and columns over the ascending modes.
@@ -137,7 +190,7 @@ def _phi_integrand(params: ProblemParams, modes: np.ndarray, taus: np.ndarray,
     for parity in (0, 1):
         own = modes % 2 == parity
         if own.any():
-            shifted[:, own] = spectrum._f_n_rows(params.alpha, parity, vecs[parity], modes[own])
+            shifted[:, own] = _f_n_rows(params.alpha, parity, vecs[parity], modes[own])
     return shifted / taus[:, None]
 
 
@@ -261,3 +314,45 @@ def log_lambda_explicit(params: ProblemParams, n):
     1e-13 max(1, |log |mu_n||), so log lambda_n's is at most twice that.
     """
     return math.log(params.c / (2.0 * math.pi)) + 2.0 * log_mu_magnitude(params, n)
+
+
+def mu_eigenrelation(spectrum: ChiSpectrum, n):
+    """mu_n from the eigen-relation F_c psi_n = mu_n psi_n at x = 0.
+
+    At 0 the transform of psi_n is c_0 sqrt(h_0), h_0 = total_mass(alpha),
+    and its x-derivative i c c_1 b_1 sqrt(h_0), so mu_n is that over psi_n(0)
+    (even n) or psi_n'(0) (odd n): one dot product of the mode's own
+    coefficients with sturm's sign reference, no Bessel function and no
+    Clenshaw pass.  n is a mode index or an array of them (an array gives a
+    complex array of its shape, each value bit-identical to the one-mode
+    call); mode 0 is the library's log_mu_ratio anchor, the same double.  At
+    c = 0, F_c has rank one and mu_n = 0 exactly for n >= 1, which is
+    returned.  Otherwise a zero or non-finite psi_n(0), psi_n'(0) or mu_n is
+    refused with RuntimeError naming the mode (a zero mu_n is an underflow
+    deep in the decay).  The relative error grows as mu_n decays, to 1.1e-5
+    at mode 89 of (alpha, c) = (0, 100) against i^n exp(log_mu_ratio).
+    """
+    ns = np.asarray(n)
+    params, a = spectrum.params, spectrum.params.alpha
+    modes = ns.reshape(-1)
+    b = sym_offdiag(a, 2 * spectrum.coeffs[0, 0::2].size)
+    refs = {parity: _sign_reference(a, b, parity, spectrum.coeffs[0, parity::2].size)
+            for parity in set((modes % 2).tolist())}
+    # the references carry sqrt(total_mass) of alpha (even) and alpha + 1 (odd)
+    h_0 = total_mass(a)
+    scale = (h_0, params.c * b[1] * math.sqrt(h_0 * total_mass(a + 1.0)))
+    mus = np.empty(modes.size, dtype=complex)
+    for i, m in enumerate(modes.tolist()):
+        if m and params.c == 0:
+            mus[i] = 0.0
+            continue
+        row = spectrum.coeffs[m, m % 2::2]
+        at_zero = np.dot(row, refs[m % 2])
+        mu = row[0] * scale[m % 2] / at_zero if at_zero != 0 else at_zero
+        if not (mu != 0 and math.isfinite(mu)):
+            what = (f"mu_{m}" if at_zero != 0 and math.isfinite(at_zero)
+                    else f"psi_{m}'(0)" if m % 2 else f"psi_{m}(0)")
+            raise RuntimeError(f"eigen-relation failed for mode n = {m} at {params}: "
+                               f"{what} is zero or not finite")
+        mus[i] = complex(0.0, mu) if m % 2 else complex(mu, 0.0)
+    return mus.reshape(ns.shape) if ns.ndim else complex(mus[0])

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from scipy.special import jv
 
 import gpswf as g
-from explicit_route import log_lambda_explicit
+from explicit_route import f_n_moment, log_lambda_explicit
 from gpswf.approx import make_frame
 from test_spectrum import f_n_weighted_identity
 
@@ -199,7 +199,7 @@ def test_criterion_09_decay():
         params = g.ProblemParams(alpha=alpha, c=0.0)
         spec = g.chi_spectrum(params, 12)
         for n in range(13):
-            worst = max(worst, abs(g.f_n_moment(spec, n) - n))
+            worst = max(worst, abs(f_n_moment(spec, n) - n))
             worst = max(worst, abs(f_n_weighted_identity(params, n, spec)
                                    - (n + alpha + 0.5)))
     ok &= worst <= 1e-9

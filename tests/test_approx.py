@@ -101,6 +101,29 @@ def test_nan_point_refused(route, message, x):
         route(spec, x)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("route, domain", [
+    (lambda alpha: g.g_bound(alpha, 0.3, 0.5), ">= -1/2"),
+    (lambda alpha: g.eta_fn(alpha, [1.0, 2.0]), ">= -1/2"),
+    (g.envelope_constants, ">= -1/2"),
+    (lambda alpha: g.gauss_jacobi(5, alpha), "> -1"),
+], ids=["g_bound", "eta_fn", "envelope_constants", "gauss_jacobi"])
+def test_non_finite_alpha_refused(route, domain, alpha):
+    # a NaN alpha passed each "outside" check: g_bound and eta_fn returned
+    # NaN, envelope_constants failed to bracket its first zero, and
+    # gauss_jacobi failed on an unnamed LAPACK check, as it did at inf
+    with pytest.raises(ValueError, match=f"a finite alpha {domain}, got alpha = {alpha}$"):
+        route(alpha)
+
+
+@pytest.mark.parametrize("report", [g.bessel_report, g.jacobi_report], ids=["bessel", "jacobi"])
+def test_empty_grid_refused(report):
+    # numpy's "zero-size array to reduction operation maximum" named no argument
+    spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=5.0), 40)
+    with pytest.raises(ValueError, match="needs a grid of at least one point"):
+        report(spec, 40, grid=[])
+
+
 def test_eps_halves_when_sqrt_chi_doubles_at_fixed_q():
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=5.0), 40)
     fr = make_frame(spec, 40)

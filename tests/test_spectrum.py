@@ -14,7 +14,8 @@ from scipy.linalg import eigh, solve_banded
 
 import explicit_route
 import gpswf as g
-from explicit_route import jacobi_h, log_lambda_explicit, log_mu_magnitude
+from explicit_route import (f_n_moment, jacobi_h, log_lambda_explicit, log_mu_magnitude,
+                            mu_eigenrelation)
 from gpswf import spectrum
 from gpswf.specfun import gauss_jacobi, jacobi_series_deriv_coeffs, sym_offdiag, total_mass
 from gpswf.spectrum import _nystrom_lambdas, default_nystrom_size
@@ -308,7 +309,7 @@ def test_mu_phase_alternation():
     # mu_n = i^n |mu_n| exactly: even modes real, odd modes imaginary
     for c, n_max in ((5.0, 8), (400.0, 40)):
         spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=c), n_max)
-        mus = g.mu_eigenrelation(spec, np.arange(n_max + 1))
+        mus = mu_eigenrelation(spec, np.arange(n_max + 1))
         assert np.all(mus[0::2].imag == 0.0)
         assert np.all(mus[1::2].real == 0.0)
         assert np.all((mus * np.array([1, -1j, -1, 1j])[np.arange(n_max + 1) % 4]).real > 0)
@@ -318,7 +319,7 @@ def test_mu_moment_and_quadrature_routes_agree():
     p = g.ProblemParams(alpha=0.5, c=3.0)
     spec = g.chi_spectrum(p, 6)
     for n in range(7):
-        mm = g.mu_eigenrelation(spec, n)
+        mm = mu_eigenrelation(spec, n)
         mq = mu_quadrature(p, n, spec)
         assert abs(mm - mq) / abs(mm) <= 1e-10
 
@@ -341,7 +342,7 @@ def test_mu_small_c_limit():
     # mu_0(c -> 0) tends to the weight mass 2^(2a+1) B(a+1,a+1), which equals
     # the c^0 prefactor sqrt(pi) Gamma(a+1)/Gamma(a+3/2) of the product formula
     p = g.ProblemParams(alpha=0.5, c=0.001)
-    mu0 = g.mu_eigenrelation(g.chi_spectrum(p, 0), 0)
+    mu0 = mu_eigenrelation(g.chi_spectrum(p, 0), 0)
     mass = jacobi_h(0, 0.5)
     assert_allclose(mass, math.sqrt(math.pi) * sp.gamma(1.5) / sp.gamma(2.0),
                     rtol=1e-14)
@@ -350,7 +351,7 @@ def test_mu_small_c_limit():
 
 def test_mu_eigenrelation_at_c_zero():
     # F_0 has rank one: mu_0 is the weight mass and every other mu_n is exactly 0
-    mus = g.mu_eigenrelation(g.chi_spectrum(g.ProblemParams(alpha=0.5, c=0.0), 4), np.arange(5))
+    mus = mu_eigenrelation(g.chi_spectrum(g.ProblemParams(alpha=0.5, c=0.0), 4), np.arange(5))
     assert abs(mus[0] - total_mass(0.5)) <= 1e-15 * total_mass(0.5)
     assert np.all(mus[1:] == 0)
 
@@ -379,12 +380,12 @@ def test_mu_explicit_at_alpha_minus_half(c):
     p = g.ProblemParams(alpha=-0.5, c=c)
     spec = g.chi_spectrum(p, 2)
     for n in range(3):
-        mu_e = g.mu_eigenrelation(spec, n)
+        mu_e = mu_eigenrelation(spec, n)
         assert abs(mu_explicit(p, n) - mu_e) <= 1e-12 * abs(mu_e)
 
 
 def test_explicit_route_refuses_a_non_finite_log(monkeypatch):
-    monkeypatch.setattr(spectrum, "_f_n_rows", lambda *args: math.nan)
+    monkeypatch.setattr(explicit_route, "_f_n_rows", lambda *args: math.nan)
     p = g.ProblemParams(alpha=0.5, c=2.0)
     for route in (log_lambda_explicit, log_mu_magnitude):
         with pytest.raises(RuntimeError, match="not finite"):
@@ -394,7 +395,7 @@ def test_explicit_route_refuses_a_non_finite_log(monkeypatch):
 def test_mu_explicit_cross_agreement():
     p = g.ProblemParams(alpha=0.5, c=3.0)
     mu_x = mu_explicit(p, 12)
-    mu_e = g.mu_eigenrelation(g.chi_spectrum(p, 12), 12)
+    mu_e = mu_eigenrelation(g.chi_spectrum(p, 12), 12)
     assert abs(mu_x - mu_e) / abs(mu_e) <= 1e-6
 
 
@@ -415,7 +416,7 @@ def test_mu_routes_agree_at_alpha_minus_half():
     p = g.ProblemParams(alpha=-0.5, c=3.0)
     spec = g.chi_spectrum(p, 2)
     for n in range(3):
-        mm = g.mu_eigenrelation(spec, n)
+        mm = mu_eigenrelation(spec, n)
         mq = mu_quadrature(p, n, spec)
         assert abs(mm - mq) <= 1e-12 * abs(mq)
 
@@ -425,9 +426,9 @@ def test_batched_eigenrelation_bit_identical(alpha, c):
     p = g.ProblemParams(alpha=alpha, c=c)
     op = g.nystrom_spectrum(p, n_keep=12)
     spec = g.chi_spectrum(p, 11)
-    mus = g.mu_eigenrelation(spec, np.arange(12))
+    mus = mu_eigenrelation(spec, np.arange(12))
     for n in range(12):
-        mu = g.mu_eigenrelation(spec, n)
+        mu = mu_eigenrelation(spec, n)
         assert isinstance(mu, complex)
         assert mu == mus[n]
     # the operator's mu come from the ratio route, which the eigen-relation
@@ -435,10 +436,8 @@ def test_batched_eigenrelation_bit_identical(alpha, c):
     assert np.array_equal(op.mus, np.array([1, 1j, -1, -1j])[np.arange(12) % 4]
                           * np.exp(g.log_mu_ratio(spec)))
     assert np.all(np.abs(op.mus - mus) <= 1e-10 * np.abs(mus))
-    assert np.array_equal(g.mu_eigenrelation(spec, np.array([[3, 0], [7, 11]])),
+    assert np.array_equal(mu_eigenrelation(spec, np.array([[3, 0], [7, 11]])),
                           mus[[[3, 0], [7, 11]]])
-    with pytest.raises(ValueError, match="outside computed range"):
-        g.mu_eigenrelation(spec, np.arange(13))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +452,7 @@ def test_eigenrelation_matches_ratio_route(alpha, c, n_max, n_close):
     spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), n_max)
     ns = np.arange(n_max + 1)
     want = np.array([1, 1j, -1, -1j])[ns % 4] * np.exp(g.log_mu_ratio(spec))
-    rel = np.abs(g.mu_eigenrelation(spec, ns) - want) / np.abs(want)
+    rel = np.abs(mu_eigenrelation(spec, ns) - want) / np.abs(want)
     assert np.count_nonzero(rel <= 1e-10) >= n_close
     # the error grows as mu_n decays: the close modes are the leading ones
     assert np.all(rel[:n_close] <= 1e-10)
@@ -461,10 +460,30 @@ def test_eigenrelation_matches_ratio_route(alpha, c, n_max, n_close):
 
 @pytest.mark.parametrize("n, point", [(0, "psi_0(0)"), (3, "psi_3'(0)")])
 def test_eigenrelation_refuses_zero_psi_at_zero(monkeypatch, n, point):
+    # the oracle's eigen-relation names the mode and the point
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=10.0), 5)
-    monkeypatch.setattr(spectrum, "_sign_reference", lambda alpha, b, parity, rows: np.zeros(rows))
+    monkeypatch.setattr(explicit_route, "_sign_reference",
+                        lambda alpha, b, parity, rows: np.zeros(rows))
     with pytest.raises(RuntimeError, match=rf"mode n = {n} .*{re.escape(point)} is zero"):
-        g.mu_eigenrelation(spec, [n, 1])
+        mu_eigenrelation(spec, [n, 1])
+
+
+@pytest.mark.parametrize("route", [
+    lambda p: g.log_mu_ratio(g.chi_spectrum(p, 5)),
+    lambda p: g.nystrom_spectrum(p),
+    lambda p: g.decay_check(p, range(15, 31)),
+], ids=["log_mu_ratio", "nystrom_spectrum", "decay_check"])
+@pytest.mark.parametrize("psi_0_at_zero", [0.0, 1e-320], ids=["zero", "overflow"])
+def test_ratio_route_refuses_its_anchor(monkeypatch, route, psi_0_at_zero):
+    # a zero psi_0(0) gives no mu_0, and c_0 h_0 / 1e-320 overflows to inf
+    def reference(alpha, b, parity, rows):
+        ref = np.zeros(rows)
+        ref[0] = psi_0_at_zero
+        return ref
+
+    monkeypatch.setattr(spectrum, "_sign_reference", reference)
+    with pytest.raises(RuntimeError, match="mu_0 is not positive and finite"):
+        route(g.ProblemParams(alpha=0.5, c=10.0))
 
 
 @pytest.mark.parametrize("alpha, c, n_max", [
@@ -475,7 +494,7 @@ def test_ratio_route_matches_explicit_route(alpha, c, n_max):
     spec = g.chi_spectrum(p, n_max)
     got = g.log_mu_ratio(spec)
     assert got.shape == (n_max + 1,)
-    b, _, _, p_conn, q_conn = spectrum._connection_tables(alpha, spec.n_trunc - 1)
+    b, _, p_conn, q_conn = spectrum._connection_tables(alpha, spec.n_trunc - 1)
     num, den = spectrum._ratio_forms(spec, b, p_conn, q_conn)
     assert np.all(num / den > 0)
     # every ceil(N/12)-th mode and the last keep the explicit route cheap
@@ -492,7 +511,7 @@ def test_ratio_route_anchor_matches_explicit_mu_0():
             spec = g.chi_spectrum(p, 0)
             got = g.log_mu_ratio(spec)
             assert got.shape == (1,)
-            assert got[0] == math.log(g.mu_eigenrelation(spec, 0).real)
+            assert got[0] == math.log(mu_eigenrelation(spec, 0).real)
             assert abs(got[0] - log_mu_magnitude(p, 0)) <= 1e-14
     # log_mu_ratio reads the sign reference from tables built to n_trunc - 1,
     # mu_eigenrelation from its own, 2 ceil(n_trunc / 2) long: the same double
@@ -501,7 +520,7 @@ def test_ratio_route_anchor_matches_explicit_mu_0():
         n_trunc = default_truncation(11, c)
         for size in (n_trunc, n_trunc + 1):
             spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), 11, n_trunc=size)
-            assert g.log_mu_ratio(spec)[0] == math.log(g.mu_eigenrelation(spec, 0).real)
+            assert g.log_mu_ratio(spec)[0] == math.log(mu_eigenrelation(spec, 0).real)
 
 
 @pytest.mark.parametrize("alpha, c", [(0.5, 10.0), (-0.9, 5.0)])
@@ -509,7 +528,7 @@ def test_ratio_forms_match_mpmath(alpha, c):
     from mpmath import mp
 
     spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), 12)
-    b, _, _, p, q = spectrum._connection_tables(alpha, spec.n_trunc - 1)
+    b, _, p, q = spectrum._connection_tables(alpha, spec.n_trunc - 1)
     num, den = spectrum._ratio_forms(spec, b, p, q)
     with mp.workdps(40):
         a = mp.mpf(alpha)
@@ -545,7 +564,7 @@ def test_operator_spectrum_at_large_alpha(alpha, c):
     spec = g.chi_spectrum(p, 11)
     got = g.log_mu_ratio(spec)
     assert np.all(np.abs(got - log_mu_magnitude(p, np.arange(12))) <= 1e-12)
-    mus = g.mu_eigenrelation(spec, np.arange(12))
+    mus = mu_eigenrelation(spec, np.arange(12))
     assert np.all(np.abs(mus - op.mus) <= 1e-10 * np.abs(op.mus))
 
 
@@ -596,31 +615,25 @@ def test_size_arguments_checked_by_name(name, call, least):
             call(value)
 
 
-@pytest.mark.parametrize("route", ["mu_eigenrelation", "f_n_moment", "decay_check"])
+@pytest.mark.parametrize("route", ["decay_check"])
 def test_empty_mode_list_refused(route):
-    p = g.ProblemParams(alpha=0.5, c=10.0)
-    first = g.chi_spectrum(p, 5) if route in ("mu_eigenrelation", "f_n_moment") else p
     with pytest.raises(ValueError, match="no mode index given"):
-        getattr(g, route)(first, [])
+        getattr(g, route)(g.ProblemParams(alpha=0.5, c=10.0), [])
 
 
 _P10 = g.ProblemParams(alpha=0.5, c=10.0)
 
 
 @pytest.mark.parametrize("call, index", [
-    (lambda spec: g.f_n_moment(spec, [1.5]), r"\[1\.5\]"),
     (lambda spec: g.decay_check(_P10, [20.5, 21, 22, 23]), r"\[20\.5"),
     (lambda spec: spec.chi(2.5), "2.5"),
     (lambda spec: spec.eigenfunction(True), "True"),
-    (lambda spec: g.mu_eigenrelation(spec, 3.0), "3.0"),
-    (lambda spec: g.f_n_moment(spec, np.array([1, 2], dtype=bool)), r"\[ True"),
     (lambda spec: g.decay_check(_P10, [3, -1]), r"\[ 3 -1\] is negative"),
-], ids=["f_n_moment", "decay_check", "chi", "eigenfunction_bool", "mu_eigenrelation",
-        "f_n_moment_bool", "log_mu_negative"])
+], ids=["decay_check", "chi", "eigenfunction_bool", "log_mu_negative"])
 def test_invalid_mode_index_refused(call, index):
-    # each was a silent wrong answer or a raw IndexError/TypeError: f_n_moment
-    # read uninitialised memory, decay_check truncated 20.5 to 20; a negative
-    # index is refused where no n_max bounds it (decay_check's log |mu_n|)
+    # each was a silent wrong answer or a raw IndexError/TypeError:
+    # decay_check truncated 20.5 to 20; a negative index is refused where no
+    # n_max bounds it (decay_check's log |mu_n|)
     with pytest.raises(ValueError, match=f"mode index {index}"):
         call(g.chi_spectrum(_P10, 5))
 
@@ -634,8 +647,8 @@ def test_f_n_at_c_zero():
         p = g.ProblemParams(alpha=alpha, c=0.0)
         spec = g.chi_spectrum(p, 200)
         ns = np.arange(201)
-        assert np.max(np.abs(g.f_n_moment(spec, ns) - ns)) <= 1e-12
-        assert abs(g.f_n_moment(spec, 12) - 12) <= 1e-12
+        assert np.max(np.abs(f_n_moment(spec, ns) - ns)) <= 1e-12
+        assert abs(f_n_moment(spec, 12) - 12) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha, c, n", [(-0.5, 20.0, 5), (0.0, 20.0, 5), (0.5, 100.0, 10)])
@@ -643,7 +656,7 @@ def test_f_n_matches_mpmath(alpha, c, n):
     p = g.ProblemParams(alpha=alpha, c=c)
     spec = g.chi_spectrum(p, n)
     exact = f_n_mpmath(alpha, spec.coeffs[n])
-    assert abs(g.f_n_moment(spec, n) - float(exact)) <= 1e-13
+    assert abs(f_n_moment(spec, n) - float(exact)) <= 1e-13
 
 
 def f_n_full_width(spectrum, ns):
@@ -674,9 +687,9 @@ def test_f_n_matches_full_width_solve(alpha):
     for c in (0.0, 1.0, 30.0, 150.0):
         spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), 60)
         ns = np.arange(61)
-        gap = np.abs(g.f_n_moment(spec, ns) - f_n_full_width(spec, ns))
+        gap = np.abs(f_n_moment(spec, ns) - f_n_full_width(spec, ns))
         assert np.all(gap <= 1e-13 * np.maximum(1, ns))
-        assert g.f_n_moment(spec, 7) == g.f_n_moment(spec, ns)[7]
+        assert f_n_moment(spec, 7) == f_n_moment(spec, ns)[7]
 
 
 def inverse_iteration_step(spec, ns):
@@ -711,7 +724,7 @@ def f_n_per_node(params, ns, taus):
     with signs fixed, refines the vectors of ns (inverse_iteration_step) and
     calls f_n_moment on it.
     """
-    return np.array([g.f_n_moment(inverse_iteration_step(
+    return np.array([f_n_moment(inverse_iteration_step(
         g.chi_spectrum(g.ProblemParams(params.alpha, float(tau)), int(ns.max())), ns), ns)
         for tau in taus])
 
@@ -837,10 +850,10 @@ def test_integrand_and_oracle_match_mpmath_vectors(alpha, c, tau_node, n_max, pi
     tau = float(0.5 * c * (1.0 + explicit_route._GK_NODES[tau_node]))
     got = tau * explicit_route._phi_integrand(p, ns, np.array([tau]), n_max)[0]
     spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=tau), n_max)
-    oracle = g.f_n_moment(inverse_iteration_step(spec, ns), ns) - ns
+    oracle = f_n_moment(inverse_iteration_step(spec, ns), ns) - ns
     for n, x, y in zip(picked, got, oracle):
         vec = tridiagonal_vector_mpmath(alpha, tau, n, spec.n_trunc, spec.chis[n])
-        want = spectrum._f_n_rows(alpha, n % 2, vec, n)
+        want = explicit_route._f_n_rows(alpha, n % 2, vec, n)
         assert abs(x - want) <= 2e-15 * max(1, n)
         assert abs(y - want) <= 2e-15 * max(1, n)
 
@@ -916,7 +929,7 @@ def test_nystrom_spectrum_builds_one_rule_and_runs_no_clenshaw(monkeypatch):
     # nor does the eigen-relation at x = 0
     spec = g.chi_spectrum(p, 11)
     calls.clear()
-    g.mu_eigenrelation(spec, np.arange(12))
+    mu_eigenrelation(spec, np.arange(12))
     assert calls == []
 
 
@@ -971,9 +984,9 @@ def test_connection_solves_bit_identical_to_solve_banded(monkeypatch, alpha, c):
     seen = recorded_lapack(monkeypatch, "dgbsv")
     spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), 30)
     spectrum.log_mu_ratio(spec)
-    g.f_n_moment(spec, np.arange(31))
+    f_n_moment(spec, np.arange(31))
     # one- and two-column systems, the first of which solve_banded divides out
-    _, _, _, p, q = spectrum._connection_tables(alpha, 3)
+    _, _, p, q = spectrum._connection_tables(alpha, 3)
     rhs = np.array([[0.3, -1.2], [2.0, 0.7], [1e-300, 5.0]])
     for size in (1, 2):
         spectrum._connect(p, q, 1, rhs[:, :size])
@@ -1000,7 +1013,7 @@ def test_f_n_quadratic_in_bandwidth():
     gaps = []
     for tau in taus:
         p = g.ProblemParams(alpha=0.5, c=float(tau))
-        gaps.append(abs(g.f_n_moment(g.chi_spectrum(p, 40), 40) - 40))
+        gaps.append(abs(f_n_moment(g.chi_spectrum(p, 40), 40) - 40))
     slope = np.polyfit(np.log(taus), np.log(gaps), 1)[0]
     assert abs(slope - 2.0) <= 0.1
 

@@ -347,6 +347,14 @@ def test_ode_residual_detects_perturbed_chi():
     assert bad > 100 * max(good, 1e-15)
 
 
+@pytest.mark.parametrize("chi", [math.nan, math.inf], ids=["nan", "inf"])
+def test_ode_residual_refuses_a_non_finite_chi(chi):
+    # a NaN chi returned NaN at every point, with no error
+    f = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=2.0), 3).eigenfunction(3)
+    with pytest.raises(ValueError, match=f"requires a finite chi, got chi = {chi}"):
+        ode_residual(f, np.linspace(-1.0, 1.0, 5), chi=chi)
+
+
 def test_ode_residual_grid():
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=2.0), 5)
     f = spec.eigenfunction(5)
