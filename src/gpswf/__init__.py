@@ -5,37 +5,7 @@ self-adjoint composition, the commuting Sturm-Liouville eigenproblem,
 uniform Bessel- and Jacobi-form approximations of the eigenfunctions with
 certified error envelopes, super-exponential eigenvalue decay diagnostics,
 and trace-based eigenvalue counting bounds.
-
-GPSWF_THREADS caps BLAS worker threads.  It is applied here, on import and
-before any submodule loads numpy, because BLAS reads its thread count only
-once, when numpy first loads it; so it takes effect only if numpy has not
-been imported before ``gpswf``.
 """
-
-import os as _os
-
-
-def _apply_thread_cap() -> str | None:
-    """Copy GPSWF_THREADS onto the BLAS thread variables that are not yet set.
-
-    Returns an error message for a non-integer value instead of raising, so
-    that a bad value never breaks ``import gpswf``; the CLI reports it as a
-    usage error.
-    """
-    cap = _os.environ.get("GPSWF_THREADS")
-    if not cap:
-        return None
-    try:
-        value = str(int(cap))
-    except ValueError:
-        return f"GPSWF_THREADS must be an integer, got {cap!r}"
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(var, value)
-    return None
-
-
-_apply_thread_cap()
 
 from .approx import (
     ApproxReport,

@@ -10,9 +10,6 @@ Exit codes: 0 success, 1 property violation (bracket/envelope/instability)
 or a numerical failure (reported as one ``error:`` line), 2 usage error.
 Identical invocations produce byte-identical output files; floats are
 emitted with 17 significant digits so they round-trip exactly.
-GPSWF_THREADS caps BLAS worker threads.  The cap is applied when the
-``gpswf`` package is imported, which for the CLI is always before numpy is
-loaded; ``main`` only turns a non-integer value into a usage error.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ import sys
 
 import numpy as np
 
-from . import _apply_thread_cap
 from .approx import bessel_report, default_grid, jacobi_report, symmetric_grid
 from .spectrum import decay_check, nystrom_spectrum, trace_and_norm
 from .sturm import ProblemParams, chi_spectrum, ode_residual
@@ -34,12 +30,6 @@ from .sturm import ProblemParams, chi_spectrum, ode_residual
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-
-class UsageError(SystemExit):
-    def __init__(self, msg: str):
-        print(f"error: {msg}", file=sys.stderr)
-        super().__init__(EXIT_USAGE)
 
 
 def _fmt(value) -> str:
@@ -75,8 +65,7 @@ def _emit(columns, rows, summary, config, fmt: str, out: str | None) -> None:
         payload = {
             "config": config,
             "columns": list(columns),
-            "rows": [[(float(v) if isinstance(v, float) else v) for v in row]
-                     for row in rows],
+            "rows": rows,
             "summary": summary,
         }
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -124,10 +113,10 @@ def _cmd_eigenfunction(args):
 
 def _cmd_approx(args):
     if args.kind == "jacobi" and not 0.0 < args.alpha < 1.5:
-        raise UsageError("alpha must lie in (0,3/2) for --kind jacobi")
+        raise ValueError("alpha must lie in (0,3/2) for --kind jacobi")
     # checked for both kinds: the JSON config block echoes --q0 either way
     if not 0.0 <= args.q0 < 1.0:
-        raise UsageError(f"--q0 must lie in [0, 1), got {args.q0}")
+        raise ValueError(f"--q0 must lie in [0, 1), got {args.q0}")
     params = ProblemParams(alpha=args.alpha, c=args.c)
     spec = chi_spectrum(params, args.n)
     try:
@@ -160,9 +149,9 @@ def _cmd_approx(args):
 def _cmd_spectrum(args):
     params = ProblemParams(alpha=args.alpha, c=args.c)
     if params.c <= 0:
-        raise UsageError("spectrum requires c > 0")
+        raise ValueError("spectrum requires c > 0")
     if params.alpha < 0:
-        raise UsageError("spectrum requires alpha >= 0 (the counting bounds need it)")
+        raise ValueError("spectrum requires alpha >= 0 (the counting bounds need it)")
     n_keep = args.n_max + 1 if args.n_max is not None else 12
     op = nystrom_spectrum(params, n_quad=args.quad, n_keep=n_keep)
     tn = trace_and_norm(params)
@@ -251,9 +240,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def main(argv=None) -> int:
     parser, subcommands = _build_parser()
     try:
-        cap_error = _apply_thread_cap()
-        if cap_error:
-            raise UsageError(cap_error)
         args, unknown = parser.parse_known_args(argv)
         if unknown:
             # the subcommand's usage line, where parse_args would print gpswf's
@@ -261,9 +247,9 @@ def main(argv=None) -> int:
         for flag, dest in (("--n", "n"), ("--n-max", "n_max")):
             value = getattr(args, dest, None)
             if value is not None and value < 0:
-                raise UsageError(f"{flag} must be nonnegative, got {value}")
+                raise ValueError(f"{flag} must be nonnegative, got {value}")
         if getattr(args, "grid", 1) < 1:
-            raise UsageError(f"--grid must be at least 1, got {args.grid}")
+            raise ValueError(f"--grid must be at least 1, got {args.grid}")
         columns, rows, summary, violated = args.handler(args)
         if not _check_finite(rows, summary):
             return EXIT_VIOLATION
@@ -273,16 +259,17 @@ def main(argv=None) -> int:
         _emit(columns, rows, summary, config, args.format, args.out)
         return EXIT_VIOLATION if violated else EXIT_OK
     except SystemExit as exc:
-        # an argparse or UsageError usage error, --help, or a refusal the
-        # handler reported itself
+        # an argparse usage error, --help, or a refusal the handler reported
+        # itself
         return exc.code
-    except ValueError as exc:
-        # precondition failures on validated inputs are usage errors
+    except (ValueError, OSError) as exc:
+        # precondition failures on validated inputs, and an --out path that
+        # cannot be opened, are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, ArithmeticError) as exc:
-        # a library failure on valid inputs (no convergence, overflow): one
-        # line instead of a traceback, with the exit code a traceback gives
+    except (RuntimeError, ArithmeticError, MemoryError) as exc:
+        # a library failure on valid inputs (no convergence, overflow, memory):
+        # one line instead of a traceback, with the exit code a traceback gives
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

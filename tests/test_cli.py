@@ -246,14 +246,18 @@ def test_eigenfunction_past_the_power_of_two_overflow(tmp_path):
 
 
 def test_library_failure_is_one_error_line(monkeypatch, capsys):
-    def fail(*args, **kwargs):
-        raise RuntimeError("eigen-iteration failed")
+    # a MemoryError, as numpy raises for the Nystrom block at c = 1e6, was a
+    # traceback
+    for exc in (RuntimeError("eigen-iteration failed"),
+                MemoryError("Unable to allocate 1.82 TiB")):
+        def fail(*args, **kwargs):
+            raise exc
 
-    monkeypatch.setattr("gpswf.cli.nystrom_spectrum", fail)
-    assert main(["spectrum", "--alpha", "0.5", "--c", "10"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: RuntimeError: eigen-iteration failed\n"
+        monkeypatch.setattr("gpswf.cli.nystrom_spectrum", fail)
+        assert main(["spectrum", "--alpha", "0.5", "--c", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {type(exc).__name__}: {exc}\n"
 
 
 def test_spectrum_at_large_alpha(tmp_path):
@@ -324,50 +328,34 @@ def test_all_emitted_numbers_finite(tmp_path):
                 assert math.isfinite(v)
 
 
-# Runs the CLI as ``python -m gpswf.cli`` does and prints the value that
-# OPENBLAS_NUM_THREADS had when numpy was first imported: BLAS reads its
-# thread count only then, so a cap set any later does nothing.
-_NUMPY_IMPORT_PROBE = """
-import os, runpy, sys
-seen = []
-def hook(event, args):
-    if event == "import" and args[0] == "numpy" and not seen:
-        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-sys.addaudithook(hook)
-sys.argv = ["gpswf.cli", *sys.argv[1:]]
-try:
-    runpy.run_module("gpswf.cli", run_name="__main__", alter_sys=True)
-finally:
-    print(seen)
+def test_import_writes_no_environment():
+    # BLAS threads are capped by the standard variables alone; the package
+    # reads no variable of its own and sets none of theirs
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS")
+    probe = f"""
+import contextlib, io, os
+before = dict(os.environ)
+import gpswf, gpswf.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = gpswf.cli.main(["chi", "--alpha", "0.5", "--c", "1"])
+print(code, dict(os.environ) == before, [v for v in {blas!r} if v in os.environ])
 """
-
-
-def test_thread_cap_env(tmp_path):
-    out = tmp_path / "chi.csv"
-    # minimal environment: no inherited BLAS variables, and the package found
-    # through PYTHONPATH whether or not it is installed
-    env = {"GPSWF_THREADS": "1", "PATH": "/usr/bin:/bin",
-           "PYTHONPATH": PACKAGE_PARENT}
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_IMPORT_PROBE, "chi", "--alpha", "0.5",
-         "--c", "1", "--n-max", "3", "--format", "csv", "--out", str(out)],
-        capture_output=True, text=True, env=env,
-    )
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**env, "GPSWF_THREADS": "1", "PYTHONPATH": PACKAGE_PARENT})
     assert proc.returncode == 0, proc.stderr
-    assert out.exists()
-    assert proc.stdout.strip() == "['1']", \
-        f"OPENBLAS_NUM_THREADS when numpy was imported: {proc.stdout.strip()}"
+    assert proc.stdout.strip() == "0 True []"
 
 
-def test_thread_cap_env_not_integer(monkeypatch):
-    # a bad cap must not break ``import gpswf``; the CLI names it and exits 2
-    proc = run_cli(["chi", "--alpha", "0.5", "--c", "1", "--n-max", "3"],
-                   env={"GPSWF_THREADS": "two"})
-    assert proc.returncode == 2, proc.stderr
-    assert "GPSWF_THREADS must be an integer" in proc.stderr
-    # in process, main returns the code instead of raising SystemExit
-    monkeypatch.setenv("GPSWF_THREADS", "two")
-    assert main(["chi", "--alpha", "0.5", "--c", "1"]) == 2
+def test_unopenable_out_path_is_a_usage_error(tmp_path, capsys):
+    # both ended in a traceback and exit 1 after the whole computation
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["chi", "--alpha", "0.5", "--c", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
 
 
 def test_import_leaves_out_scipy_optimize():
