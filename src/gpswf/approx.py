@@ -262,7 +262,7 @@ def jacobi_uniform(spectrum: ChiSpectrum, n: int, x, q0: float = 0.9):
     q = spectrum.q(n)
     if q > q0:
         raise ValueError(f"q = c^2/chi_n = {q:.6g} exceeds q0 = {q0}; increase n")
-    a_n = float(spectrum.coeffs[n, n])
+    a_n = float(spectrum.coeffs[n, n // 2])   # degree n in psi_n's packed row
     base = np.zeros(n + 1)
     base[n] = 1.0
     p_n = jacobi_series_eval(base, alpha, x)

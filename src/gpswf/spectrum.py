@@ -40,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import (_count, _lapack, gauss_jacobi, jacobi_series_deriv_coeffs, sym_offdiag,
-                      total_mass)
+from .specfun import _count, _lapack, gauss_jacobi, sym_offdiag, total_mass
 from .sturm import ChiSpectrum, ProblemParams, _mode_indices, _sign_reference, chi_spectrum
 
 
@@ -234,9 +233,13 @@ def log_mu_ratio(spectrum: ChiSpectrum) -> np.ndarray:
     if c <= 0:
         raise ValueError("the ratio route requires c > 0")
     b, h_0, p, q = _connection_tables(a, spectrum.n_trunc - 1)
-    # the sign reference reads b up to degree 2 ceil(N/2) - 2 <= N - 1
-    row = spectrum.coeffs[0, 0::2]
-    at_zero = float(np.dot(row, _sign_reference(a, b, 0, (spectrum.n_trunc + 1) // 2)))
+    # psi_0's packed row as a stride-2 view, the even-degree slice of its
+    # full-degree row that the tests' eigen-relation reads: BLAS sums a
+    # strided dot in another order than a contiguous one, and so mode 0 of
+    # the two is the same double.  The sign reference reads b up to degree
+    # 2 ceil(N/2) - 2 <= N - 1.
+    row = np.repeat(spectrum.coeffs[0], 2)[::2]
+    at_zero = float(np.dot(row, _sign_reference(a, b, 0, row.size)))
     mu_0 = float(row[0]) * h_0 / at_zero if at_zero != 0 else at_zero
     num, den = _ratio_forms(spectrum, b, p, q)
     ratio = c * num / den
@@ -249,25 +252,49 @@ def log_mu_ratio(spectrum: ChiSpectrum) -> np.ndarray:
     return math.log(mu_0) + np.concatenate(([0.0], np.cumsum(np.log(ratio))))
 
 
+# pairs per block of _ratio_forms: 2^18 / n_trunc, so a block's arrays are ~2 MB each
+_BLOCK_ELEMENTS = 1 << 18
+
+
 def _ratio_forms(spectrum: ChiSpectrum, b: np.ndarray, p: np.ndarray,
                  q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A_n = int x psi_(n+1) psi_n w and B_n = int psi_(n+1)' psi_n w for n < n_max.
 
     b, p and q are _connection_tables' at the spectrum's alpha, to degree
-    n_trunc - 1.
+    n_trunc - 1.  The pairs (psi_n, psi_(n+1)) are read from the packed rows
+    (ChiSpectrum), by the parity of n and a block of pairs at a time, so no
+    (n_max, n_trunc) array is formed.  A_n sums the full-degree vector
+    b_(k+1) (u_(k+1) v_k + u_k v_(k+1)), k < n_trunc - 1, with u and v the
+    coefficients of psi_n and psi_(n+1): at each k one product pairs two
+    degrees of the wrong parity and is 0, and the other is formed from the
+    packed rows.  np.sum adds that vector in its pairwise order, and B_n's
+    connection solve works column by column, so both are bit-identical to
+    the forms of the full-degree rows (GpswfFunction.coeffs) in one block.
     """
-    a = spectrum.params.alpha
-    u, v = spectrum.coeffs[:-1], spectrum.coeffs[1:]
-    # x Ptilde_k = b_(k+1) Ptilde_(k+1) + b_k Ptilde_(k-1)
-    num = np.sum(b[1:] * (u[:, 1:] * v[:, :-1] + u[:, :-1] * v[:, 1:]), axis=1)
-    # psi_(n+1)' in the Ptilde^(alpha+1) basis, padded to the width of u
-    dv = np.zeros_like(v)
-    dv[:, :-1] = jacobi_series_deriv_coeffs(v, a)
-    den = np.empty(u.shape[0])
+    a, size, n_max = spectrum.params.alpha, spectrum.n_trunc, spectrum.n_max
+    k = np.arange(1, size, dtype=float)
+    # d/dx Ptilde_k = grow_(k-1) Ptilde^(alpha+1)_(k-1), as jacobi_series_deriv_coeffs
+    grow = np.sqrt(k * (k + 2 * a + 1))
+    n_even, n_odd = size // 2, (size - 1) // 2   # even and odd k below size - 1
+    num, den = np.empty(n_max), np.empty(n_max)
+    step = max(1, _BLOCK_ELEMENTS // size)
     for parity in (0, 1):
-        if den[parity::2].size:
-            g = _connect(p, q, parity, dv[parity::2, parity::2])
-            den[parity::2] = np.sum(u[parity::2, parity::2] * g, axis=1)
+        us, vs = spectrum.coeffs[parity:n_max:2], spectrum.coeffs[parity + 1::2]
+        nums, dens = num[parity::2], den[parity::2]
+        width = (size - parity + 1) // 2   # psi_n's degrees below size
+        own = (n_even, n_odd)[parity]      # of them, those psi_(n+1)' reaches
+        for lo in range(0, us.shape[0], step):
+            u, v = us[lo:lo + step], vs[lo:lo + step]
+            # x Ptilde_k = b_(k+1) Ptilde_(k+1) + b_k Ptilde_(k-1)
+            terms = np.empty((u.shape[0], size - 1))
+            terms[:, 0::2] = b[1::2][:n_even] * (u[:, :n_even] * v[:, :n_even])
+            terms[:, 1::2] = b[2::2][:n_odd] * (u[:, 1 - parity:n_odd + 1 - parity]
+                                                * v[:, parity:n_odd + parity])
+            nums[lo:lo + step] = np.sum(terms, axis=1)
+            # psi_(n+1)' in the Ptilde^(alpha+1) basis, on psi_n's degrees
+            dv = np.zeros((u.shape[0], width))
+            dv[:, :own] = v[:, parity:parity + own] * grow[parity::2][:own]
+            dens[lo:lo + step] = np.sum(u[:, :width] * _connect(p, q, parity, dv), axis=1)
     return num, den
 
 
@@ -344,21 +371,25 @@ def trace_and_norm(params: ProblemParams) -> TraceAndNorm:
     computation produces (consistent with gamma_0 = 1).  The two equivalent
     trace expressions (Beta form and Gamma-ratio form) are asserted equal as
     a self-check, which a non-finite value fails; they match through the
-    Legendre duplication identity.  The Gamma and Beta ratios are taken in
-    log form, so every field stays finite for large alpha.
+    Legendre duplication identity.  The Gamma-ratio form is a Pochhammer
+    symbol, which keeps its digits at large alpha, and the other Gamma and
+    Beta ratios are taken in log form, so every field stays finite there.
     gamma_alpha diverges as alpha -> -1/2+, so alpha <= -1/2 is refused.
     """
     a, c = params.alpha, params.c
     if a <= -0.5:
         raise ValueError(f"the Hilbert-Schmidt limit needs alpha > -1/2, got alpha = {a}")
     trace_beta = (c / (2.0 * math.pi)) * total_mass(a) ** 2
-    # log forms: Gamma(2a + 1.5) overflows past alpha ~ 85 and 2^(4a) past 255
-    lg = _sp.gammaln
-    trace_gamma = 0.5 * c * math.exp(2.0 * (lg(a + 1.0) - lg(a + 1.5)))
+    # Gamma(a + 1) / Gamma(a + 1.5) = 1 / (a + 1)_(1/2): scipy's poch takes it
+    # from an asymptotic series past 1e4, where a difference of two gammaln
+    # (each ~ a log a) would lose eps a log a, 2.4e-11 at alpha = 1e4
+    trace_gamma = 0.5 * c / float(_sp.poch(a + 1.0, 0.5)) ** 2
     if c > 0 and not abs(trace_beta - trace_gamma) <= 1e-12 * abs(trace_beta):
         raise RuntimeError("trace self-check failed: Beta and Gamma forms disagree")
     gamma_alpha = math.exp(4 * a * math.log(2.0) + 2.0 * (
         _sp.betaln(2 * a + 1.0, 2 * a + 1.0) - _sp.betaln(a + 1.0, a + 1.0)))
+    # log form: Gamma(2a + 1.5) overflows past alpha ~ 85 and 2^(4a) past 255
+    lg = _sp.gammaln
     moment = math.exp(0.5 * math.log(math.pi) - 2 * a * math.log(2.0) + lg(2 * a + 1.0)
                       - lg(2 * a + 1.5) - 2.0 * lg(a + 1.0))
     return TraceAndNorm(trace=trace_beta, hs_norm_limit=gamma_alpha * trace_beta,

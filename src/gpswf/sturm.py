@@ -8,7 +8,9 @@ the squared multiplication-by-x recurrence, so the operator splits into two
 symmetric tridiagonal blocks (even and odd degrees).  Eigenvalues chi_n and
 Jacobi coefficient vectors of the eigenfunctions psi_n come out of a
 symmetric tridiagonal eigensolve per parity block, of modes 0 up to n_max
-(a block with no kept mode is not solved).  A block of R rows keeping k
+(a block with no kept mode is not solved).  psi_n lives on the degrees of
+n's parity alone, so each mode stores only those coefficients
+(ChiSpectrum.coeffs), half as many as degrees.  A block of R rows keeping k
 modes is solved in one of two ways: for 32 k <= R (c large, few modes) by
 bisection and inverse iteration on the kept eigenpairs alone (LAPACK dstebz
 and dstein), otherwise by the full divide-and-conquer solve (dstevd),
@@ -86,13 +88,19 @@ def _mode_indices(n, n_max: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChiSpectrum:
-    """Eigenvalues chi_n and Jacobi coefficient vectors of psi_0..psi_n_max."""
+    """Eigenvalues chi_n and Jacobi coefficient vectors of psi_0..psi_n_max.
+
+    coeffs has shape (n_max + 1, ceil(n_trunc / 2)): row n holds psi_n's
+    coefficients on Ptilde_p, Ptilde_(p+2), ..., p = n % 2, the only degrees
+    it has.  When n_trunc is odd, the odd rows end in one 0 (degree n_trunc
+    is past the basis).  GpswfFunction.coeffs gives the full-degree series.
+    """
 
     params: ProblemParams
     n_max: int
     n_trunc: int
     chis: np.ndarray     # shape (n_max+1,)
-    coeffs: np.ndarray   # shape (n_max+1, n_trunc); opposite-parity rows are 0
+    coeffs: np.ndarray   # shape (n_max+1, ceil(n_trunc/2)), own-parity degrees only
 
     def chi(self, n: int) -> float:
         return float(self.chis[int(_mode_indices(n, self.n_max))])
@@ -132,7 +140,11 @@ class GpswfFunction:
 
     @property
     def coeffs(self) -> np.ndarray:
-        return self.spectrum.coeffs[self.n]
+        """psi_n's coefficients on every degree 0..n_trunc - 1, the other parity's 0."""
+        spec, parity = self.spectrum, self.n % 2
+        full = np.zeros(spec.n_trunc)
+        full[parity::2] = spec.coeffs[self.n, :(spec.n_trunc - parity + 1) // 2]
+        return full
 
     def value(self, x):
         return jacobi_series_eval(self.coeffs, self.params.alpha, x)
@@ -167,7 +179,7 @@ def ode_residual(f: GpswfFunction, x, chi: float | None = None):
     size = f.spectrum.n_trunc + 2
     d, e = _sturm_block(p.alpha, p.c, sym_offdiag(p.alpha, size), parity, size)
     v = np.zeros(d.size)
-    v[:-1] = f.coeffs[parity::2]
+    v[:-1] = f.spectrum.coeffs[f.n, :d.size - 1]
     r_block = ((f.chi if chi is None else chi) - d) * v
     r_block[:-1] -= e * v[1:]
     r_block[1:] -= e * v[:-1]
@@ -251,13 +263,16 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
     Each parity block has rows for the degrees parity, parity + 2, ... below
     n_trunc, and keeps its modes n = 2 j + parity, j = 0..hi: alone
     (_selected, entries below 1e-30 then set to 0) when 32 (hi + 1) <= rows,
-    and otherwise sliced from the full solve (_full).  Raises
+    and otherwise sliced from the full solve (_full).  Mode n's vector fills
+    the first ``rows`` entries of row n of the packed coeffs (ChiSpectrum),
+    and the block's LAPACK output is freed before the next block solves, so
+    the two blocks' vectors are never held at once.  Raises
     TruncationError, naming the first mode whose last two coefficients carry
     mass above 1e-12.
     """
     b = sym_offdiag(alpha, n_trunc + 1)
     chis = np.empty(n_max + 1)
-    coeffs = np.zeros((n_max + 1, n_trunc))
+    coeffs = np.zeros((n_max + 1, (n_trunc + 1) // 2))
     for parity in (0, 1):
         n_here = np.arange(parity, n_max + 1, 2)
         if n_here.size == 0:
@@ -281,8 +296,9 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
         # a product with +-1 is exact
         at_zero = _sign_reference(alpha, b, parity, vecs.shape[0]) @ vecs
         vecs *= np.where((at_zero < 0) != (n_here % 4 >= 2), -1.0, 1.0)
-        chis[n_here] = vals
-        coeffs[n_here, parity::2] = vecs.T
+        chis[parity::2] = vals
+        coeffs[parity::2, :vecs.shape[0]] = vecs.T
+        del vals, vecs
     return ChiSpectrum(params=ProblemParams(alpha=alpha, c=c), n_max=n_max,
                        n_trunc=n_trunc, chis=chis, coeffs=coeffs)
 

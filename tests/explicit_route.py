@@ -168,9 +168,10 @@ def f_n_moment(spectrum: ChiSpectrum, n):
     for parity in (0, 1):
         own = modes % 2 == parity
         if own.any():
+            # psi_n's packed rows, on its degrees below n_trunc
+            width = (spectrum.n_trunc - parity + 1) // 2
             out[own] = modes[own] + _f_n_rows(spectrum.params.alpha, parity,
-                                              spectrum.coeffs[modes[own], parity::2],
-                                              modes[own])
+                                              spectrum.coeffs[modes[own], :width], modes[own])
     return out.reshape(ns.shape) if ns.ndim else float(out[0])
 
 
@@ -335,8 +336,9 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
     ns = np.asarray(n)
     params, a = spectrum.params, spectrum.params.alpha
     modes = ns.reshape(-1)
-    b = sym_offdiag(a, 2 * spectrum.coeffs[0, 0::2].size)
-    refs = {parity: _sign_reference(a, b, parity, spectrum.coeffs[0, parity::2].size)
+    size = spectrum.n_trunc
+    b = sym_offdiag(a, 2 * ((size + 1) // 2))
+    refs = {parity: _sign_reference(a, b, parity, (size - parity + 1) // 2)
             for parity in set((modes % 2).tolist())}
     # the references carry sqrt(total_mass) of alpha (even) and alpha + 1 (odd)
     h_0 = total_mass(a)
@@ -346,7 +348,8 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
         if m and params.c == 0:
             mus[i] = 0.0
             continue
-        row = spectrum.coeffs[m, m % 2::2]
+        # a stride-2 slice of the full-degree row, as the library's anchor reads psi_0
+        row = spectrum.eigenfunction(m).coeffs[m % 2::2]
         at_zero = np.dot(row, refs[m % 2])
         mu = row[0] * scale[m % 2] / at_zero if at_zero != 0 else at_zero
         if not (mu != 0 and math.isfinite(mu)):

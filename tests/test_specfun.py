@@ -381,7 +381,7 @@ def test_clenshaw_psi_n_matches_mpmath(alpha, c, n):
     # the recurrence is largest; (1.45, 3000, 5) is the sturm workload's
     # longest few-mode series.  At x = +-1 psi_830 (alpha = 1.4) is 98,941 and
     # the x-recurrence too is off by 4.6e-12 of it, so the ends have 1e-11.
-    coeffs = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), n).coeffs[n]
+    coeffs = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), n).eigenfunction(n).coeffs
     inner = np.array([0.0, 2.3e-4, 1e-3, 5.5e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6,
                       0.75, 0.9, 0.97, 0.999, -0.37, -0.999])
     xs = np.concatenate([inner, [1.0, -1.0]])
@@ -417,7 +417,8 @@ def test_clenshaw_one_point_bit_identical(alpha):
     # the same series through the buffer pass
     series = []
     for c in (0.0, 5.0, 300.0, 3000.0):
-        co = g.chi_spectrum(g.ProblemParams(alpha, c), 9).coeffs
+        spec = g.chi_spectrum(g.ProblemParams(alpha, c), 9)
+        co = np.array([spec.eigenfunction(n).coeffs for n in range(10)])
         for mix in (co[8], co[9], co[8] + co[9], co[0] - 0.5 * co[1]):
             series += [(mix, alpha), (jacobi_series_deriv_coeffs(mix, alpha), alpha + 1.0)]
     for coeffs, a in series:

@@ -5,6 +5,7 @@ import functools
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,26 @@ def test_trace_identity():
     op = g.nystrom_spectrum(p, n_quad=300, n_keep=8)
     tn = g.trace_and_norm(p)
     assert abs(op.trace_discrete - tn.trace) / tn.trace <= 1e-8
+
+
+@pytest.mark.parametrize("alpha", [1e3, 1e4, 1e6])
+def test_trace_and_norm_at_large_alpha_matches_mpmath(alpha):
+    # the Gamma form of the trace self-check was a difference of two gammaln,
+    # ~alpha log alpha each, and refused correct traces from alpha ~ 1e4 on
+    from mpmath import mp
+
+    tn = g.trace_and_norm(g.ProblemParams(alpha=alpha, c=1.0))
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        # h_0 = sqrt(pi) Gamma(a + 1) / Gamma(a + 3/2), trace = h_0^2 / (2 pi) at c = 1
+        ratio = mp.gamma(a + 1) / mp.gamma(a + 1.5)
+        trace = ratio ** 2 / 2
+        gamma_alpha = (mp.gamma(2 * a + 1) / mp.gamma(2 * a + 1.5) / ratio) ** 2
+    # total_mass at alpha = 1e3 is scipy's poch, an exp of a gammaln
+    # difference below 1e4: 1.7e-12 in the trace
+    assert abs(tn.trace - float(trace)) <= 5e-12 * float(trace)
+    # gamma_alpha's log form loses about eps 4 alpha log 2: 6.5e-10 at 1e6
+    assert abs(tn.gamma_alpha - float(gamma_alpha)) <= 1e-9 * float(gamma_alpha)
 
 
 def test_alpha_zero_sinc_oracle():
@@ -541,12 +562,27 @@ def test_ratio_forms_match_mpmath(alpha, c):
 
         # both parities, shallow to deep; every pair would take ~20 s
         for n in (0, 1, 5, 6, 10, 11):
-            u, _ = mp_psi(alpha, spec.coeffs[n])
-            v, dv = mp_psi(alpha, spec.coeffs[n + 1])
+            u, _ = mp_psi(alpha, spec.eigenfunction(n).coeffs)
+            v, dv = mp_psi(alpha, spec.eigenfunction(n + 1).coeffs)
             a_n = weighted(lambda x: x * v(x) * u(x))
             b_n = weighted(lambda x: dv(x) * u(x))
             assert abs(num[n] - a_n) <= 1e-13 * abs(a_n)
             assert abs(den[n] - b_n) <= 1e-13 * abs(b_n)
+
+
+def test_ratio_route_memory():
+    # log_mu_ratio at the CLI decay window's depth for c = 1000 forms its
+    # A_n and B_n a block of pairs at a time from the packed rows; on the
+    # dense layout its temporaries peaked at 57.2 MB, above 28.5 MB of
+    # coefficients (85.7 MB together), and here at 5.4 MB, pinned with 20 %
+    spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=1000.0), 1376)
+    tracemalloc.start()
+    try:
+        g.log_mu_ratio(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5e6
 
 
 def test_ratio_route_refuses_c_zero():
@@ -655,7 +691,7 @@ def test_f_n_at_c_zero():
 def test_f_n_matches_mpmath(alpha, c, n):
     p = g.ProblemParams(alpha=alpha, c=c)
     spec = g.chi_spectrum(p, n)
-    exact = f_n_mpmath(alpha, spec.coeffs[n])
+    exact = f_n_mpmath(alpha, spec.eigenfunction(n).coeffs)
     assert abs(f_n_moment(spec, n) - float(exact)) <= 1e-13
 
 
@@ -666,7 +702,7 @@ def f_n_full_width(spectrum, ns):
     the parity-split kernel, which must agree with it to rounding.
     """
     a, size = spectrum.params.alpha, spectrum.n_trunc
-    coeffs = spectrum.coeffs[ns]
+    coeffs = np.array([spectrum.eigenfunction(n).coeffs for n in ns])
     b = sym_offdiag(a, size - 1)
     b_up = sym_offdiag(a + 1.0, size - 1)
     d = jacobi_series_deriv_coeffs(coeffs, a)
@@ -710,8 +746,8 @@ def inverse_iteration_step(spec, ns):
         band = np.zeros((3, k.size))
         band[0, 1:] = band[2, :-1] = c * c * b[k[:-1] + 1] * b[k[:-1] + 2]
         band[1] = k * (k + 2 * a + 1) + c * c * (b[k] ** 2 + b[k + 1] ** 2) - spec.chis[n]
-        y = solve_banded((1, 1), band, spec.coeffs[n, n % 2::2])
-        coeffs[n, n % 2::2] = y / np.linalg.norm(y)
+        y = solve_banded((1, 1), band, spec.coeffs[n, :k.size])
+        coeffs[n, :k.size] = y / np.linalg.norm(y)
     return dataclasses.replace(spec, coeffs=coeffs)
 
 

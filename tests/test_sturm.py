@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def test_c_zero_diagonal():
         # coefficient vector is the coordinate vector
         e_n = np.zeros(spec.n_trunc)
         e_n[n] = 1.0
-        assert_allclose(spec.coeffs[n], e_n, atol=0)
+        assert_allclose(spec.eigenfunction(n).coeffs, e_n, atol=0)
 
 
 def test_chi_bracket():
@@ -102,9 +103,39 @@ def test_parity():
     for n in range(8):
         f = spec.eigenfunction(n)
         assert_allclose(f.value(-xs), (-1) ** n * f.value(xs), atol=1e-14)
-        # opposite-parity coefficients vanish identically
-        opposite = spec.coeffs[n, (1 - n % 2)::2]
-        assert np.all(opposite == 0.0)
+
+
+@pytest.mark.parametrize("n_trunc", [40, 41])
+def test_packed_coefficient_layout(n_trunc):
+    # row n holds the degrees n % 2, n % 2 + 2, ... below n_trunc; with an odd
+    # n_trunc the odd rows end in one 0, degree n_trunc being past the basis
+    spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=2.0), 7, n_trunc=n_trunc)
+    width = (n_trunc + 1) // 2
+    assert spec.coeffs.shape == (8, width)
+    for n in range(8):
+        full = spec.eigenfunction(n).coeffs
+        assert full.shape == (n_trunc,)
+        own = full[n % 2::2]
+        assert own.size == width - (n_trunc % 2) * (n % 2)
+        assert np.array_equal(spec.coeffs[n, :own.size], own)
+        assert np.all(spec.coeffs[n, own.size:] == 0.0)
+        assert np.all(full[1 - n % 2::2] == 0.0)
+
+
+def test_many_mode_solve_memory():
+    # the sturm workload's largest many-mode op: the packed coefficients are
+    # 3.9 MB, and the even block's dstevd vectors (3.1 MB) are freed before
+    # the odd block solves; the dense layout held 7.7 MB of coefficients and
+    # both blocks' vectors, a 17.1 MB peak (10.1 MB packed)
+    params = g.ProblemParams(alpha=0.6, c=382.1)
+    tracemalloc.start()
+    try:
+        spec = g.chi_spectrum(params, 774)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.coeffs.nbytes == 775 * math.ceil(spec.n_trunc / 2) * 8
+    assert peak <= 11e6
 
 
 def test_sign_convention():
@@ -159,8 +190,8 @@ def test_few_mode_solve_matches_many_mode_solve(monkeypatch, alpha, c):
     assert calls[2:] == ["a", "a"]
     assert_allclose(few.chis, many.chis[:6], rtol=1e-11, atol=0)
     xs = np.linspace(-1, 1, 801)
-    psi_few = np.array([jacobi_series_eval(row, alpha, xs) for row in few.coeffs])
-    psi_many = np.array([jacobi_series_eval(row, alpha, xs) for row in many.coeffs[:6]])
+    psi_few = np.array([few.eigenfunction(n).value(xs) for n in range(6)])
+    psi_many = np.array([many.eigenfunction(n).value(xs) for n in range(6)])
     sup = np.max(np.abs(psi_many), axis=1, keepdims=True)
     assert np.all(np.abs(psi_few - psi_many) <= 1e-11 * sup)
 
@@ -179,7 +210,7 @@ def test_window_vectors_match_chi_spectrum_up_to_sign(alpha, c, lo):
         v = vecs[parity][0].T
         assert v.shape == (len(range(parity, spec.n_trunc, 2)), 4)
         modes = 2 * np.arange(lo, hi + 1) + parity
-        want = spec.coeffs[modes, parity::2].T
+        want = spec.coeffs[modes, :v.shape[0]].T
         signs = np.sign(np.sum(v * want, axis=0))
         assert np.max(np.abs(v * signs - want)) <= 1e-12
 
@@ -246,7 +277,7 @@ def test_window_vectors_keep_the_order_given(modes):
         spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), int(modes.max()))
         for parity in np.unique(modes % 2):
             own = modes[modes % 2 == parity]
-            want = spec.coeffs[own, parity::2]
+            want = spec.coeffs[own, :len(range(parity, spec.n_trunc, 2))]
             v = vecs[parity][i]
             assert not np.any(v[:, want.shape[1]:])
             signs = np.sign(np.sum(v[:, :want.shape[1]] * want, axis=1, keepdims=True))
