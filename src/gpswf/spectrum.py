@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import _count, _lapack, gauss_jacobi, sym_offdiag, total_mass
+from .specfun import _count, _lapack, _gamma_half_ratio, gauss_jacobi, sym_offdiag, total_mass
 from .sturm import ChiSpectrum, ProblemParams, _mode_indices, _sign_reference, chi_spectrum
 
 
@@ -368,26 +368,26 @@ def trace_and_norm(params: ProblemParams) -> TraceAndNorm:
     """Trace (c/2pi)(2^(2a+1) B(a+1,a+1))^2 and the c -> infinity HS limit.
 
     gamma_alpha uses the squared Beta-ratio form that the Hilbert-Schmidt
-    computation produces (consistent with gamma_0 = 1).  The two equivalent
-    trace expressions (Beta form and Gamma-ratio form) are asserted equal as
-    a self-check, which a non-finite value fails; they match through the
-    Legendre duplication identity.  The Gamma-ratio form is a Pochhammer
-    symbol, which keeps its digits at large alpha, and the other Gamma and
-    Beta ratios are taken in log form, so every field stays finite there.
-    gamma_alpha diverges as alpha -> -1/2+, so alpha <= -1/2 is refused.
+    computation produces (consistent with gamma_0 = 1), which is
+    (total_mass(2a) / total_mass(a))^2 exactly.  The two equivalent trace
+    expressions (Beta form and Gamma-ratio form) are asserted equal as a
+    self-check, which a non-finite value fails; they match through the
+    Legendre duplication identity.  Past alpha = 80 total_mass is itself the
+    Gamma-ratio form (specfun._gamma_half_ratio), so there the check guards
+    finiteness only.  The Bessel moment's Gamma ratios are taken in log form,
+    so every field stays finite at large alpha.  gamma_alpha diverges as
+    alpha -> -1/2+, so alpha <= -1/2 is refused.
     """
     a, c = params.alpha, params.c
     if a <= -0.5:
         raise ValueError(f"the Hilbert-Schmidt limit needs alpha > -1/2, got alpha = {a}")
     trace_beta = (c / (2.0 * math.pi)) * total_mass(a) ** 2
-    # Gamma(a + 1) / Gamma(a + 1.5) = 1 / (a + 1)_(1/2): scipy's poch takes it
-    # from an asymptotic series past 1e4, where a difference of two gammaln
-    # (each ~ a log a) would lose eps a log a, 2.4e-11 at alpha = 1e4
-    trace_gamma = 0.5 * c / float(_sp.poch(a + 1.0, 0.5)) ** 2
+    # Gamma(a + 1) / Gamma(a + 1.5) = 1 / (a + 1)_(1/2)
+    trace_gamma = 0.5 * c / _gamma_half_ratio(a + 1.0) ** 2
     if c > 0 and not abs(trace_beta - trace_gamma) <= 1e-12 * abs(trace_beta):
         raise RuntimeError("trace self-check failed: Beta and Gamma forms disagree")
-    gamma_alpha = math.exp(4 * a * math.log(2.0) + 2.0 * (
-        _sp.betaln(2 * a + 1.0, 2 * a + 1.0) - _sp.betaln(a + 1.0, a + 1.0)))
+    # 2^(2a) B(2a + 1, 2a + 1) / B(a + 1, a + 1), squared
+    gamma_alpha = (total_mass(2.0 * a) / total_mass(a)) ** 2
     # log form: Gamma(2a + 1.5) overflows past alpha ~ 85 and 2^(4a) past 255
     lg = _sp.gammaln
     moment = math.exp(0.5 * math.log(math.pi) - 2 * a * math.log(2.0) + lg(2 * a + 1.0)

@@ -8,7 +8,11 @@ the squared multiplication-by-x recurrence, so the operator splits into two
 symmetric tridiagonal blocks (even and odd degrees).  Eigenvalues chi_n and
 Jacobi coefficient vectors of the eigenfunctions psi_n come out of a
 symmetric tridiagonal eigensolve per parity block, of modes 0 up to n_max
-(a block with no kept mode is not solved).  psi_n lives on the degrees of
+(a block with no kept mode is not solved).  Unless n_trunc is given, the
+basis is sized to the kept modes (default_truncation): each block ends
+where their coefficients, estimated from the block's own recurrence past
+its turning row, fall below 1e-20, well under the ~1e-17 rounding of the
+solved vectors.  psi_n lives on the degrees of
 n's parity alone, so each mode stores only those coefficients
 (ChiSpectrum.coeffs), half as many as degrees.  A block of R rows keeping k
 modes is solved in one of two ways: for 32 k <= R (c large, few modes) by
@@ -65,10 +69,64 @@ class TruncationError(RuntimeError):
         self.required = required
 
 
-def default_truncation(n_max: int, c: float) -> int:
-    # coefficient decay is super-exponential past the turning region,
-    # so a fixed margin beyond n_max + O(c) is ample
-    return n_max + max(32, math.ceil(1.2 * c) + 10)
+# A defaulted basis ends where the kept modes' coefficients are estimated to
+# fall below _BASIS_TOL, well under the ~1e-17 absolute rounding of the
+# solvers' vectors.
+_BASIS_TOL = 1e-20
+
+
+def default_truncation(alpha: float, c: float, n_max: int) -> int:
+    """Basis size past which psi_0..psi_n_max's Jacobi coefficients are below 1e-20.
+
+    Sized from the two parity blocks of the Sturm operator (_sturm_diagonals),
+    each from its own rows.  chi_hi bounds every kept chi from above: the
+    bracket n_max (n_max + 2 alpha + 1) + c^2 where its slack, at most c^2,
+    moves the turning rows by at most ~c^2 / (2 n_max) <= 8 degrees
+    (c^2 <= 16 n_max); elsewhere (few modes against c, where the bracket
+    is c^2 against chi ~ (2 n + 1) c) eigenvalue n_max // 2 of n_max's
+    parity block as built, by bisection (LAPACK dstebz), which by Cauchy
+    interlacing bounds the eigenvalues of every longer block.  Past a
+    block's turning row, the last row j with d_j - 2 e_j <= chi_hi, the
+    vector of an eigenvalue chi <= chi_hi decays like the recurrence's
+    decaying root, by exp(-acosh((d_j - chi) / (2 e_j))) per row, and
+    faster the smaller chi is, so chi_hi covers every kept mode.  The
+    product of these factors, started at 1 on the turning row, estimates
+    the coefficients; each block keeps the rows estimated at or above
+    1e-20.  The blocks are built to n_max + 12 ceil(sqrt(c)) + 28 degrees,
+    and to twice as many while the estimate does not reach 1e-20 within
+    them.  At least n_max + 5, so each block ends in two rows past its
+    last mode.  The solved vectors' own tails are not read: below ~1e-17
+    they are solver rounding.
+    """
+    return _sized_diagonals(alpha, c, n_max)[0]
+
+
+def _sized_diagonals(alpha: float, c: float, n_max: int) -> tuple[int, tuple]:
+    """default_truncation's size, and the _sturm_diagonals it was read from (at least that long)."""
+    size = n_max + 12 * math.ceil(math.sqrt(c)) + 28 + n_max % 2   # even
+    chi_hi = n_max * (n_max + 2 * alpha + 1) + c * c
+    while True:
+        diagonals = _sturm_diagonals(alpha, c, size)
+        _, d, e = diagonals
+        if c * c > 16 * n_max:
+            # located to 1e-8 of the bracket, so w + tol bounds it from above
+            p, top, tol = n_max % 2, n_max // 2, 1e-8 * chi_hi
+            _, w, *_ = _lapack("dstebz", d[p::2], e[p::2], 2, 0.0, 1.0, top + 1, top + 1,
+                               tol, "B")
+            chi_hi = min(chi_hi, w[0] + tol)
+        # row j holds degrees 2 j and 2 j + 1, so column p is parity block p;
+        # turning rows (d_j - chi_hi <= 2 e_j) get rate 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rate = np.fmax(np.arccosh((d[:-2] - chi_hi) / (e + e)), 0.0).reshape(-1, 2)
+        decay = rate.cumsum(axis=0)
+        # the sum is flat across turning rows, so at the last one it is the
+        # largest value there, and the estimate counts from that row on
+        below = decay >= np.where(rate == 0.0, decay, 0.0).max(axis=0) - math.log(_BASIS_TOL)
+        if below[-1, 0] and below[-1, 1]:
+            # row j + 1 is each block's first row below 1e-20; rows 0..j are kept
+            j0, j1 = below.argmax(axis=0)
+            return max(n_max + 5, 2 * int(j0) + 1, 2 * int(j1) + 2), diagonals
+        size *= 2
 
 
 def _mode_indices(n, n_max: int | None = None) -> np.ndarray:
@@ -166,7 +224,7 @@ def ode_residual(f: GpswfFunction, x, chi: float | None = None):
     it grow, which is the diagnostic use.  The left-hand side is the series
     sum_j r_j Ptilde_j with r = chi v - T v, v the coefficients of psi padded
     with two zeros and T the parity block of the Sturm operator that _solve
-    diagonalises (_sturm_block), so it costs one Clenshaw pass.  The padding
+    diagonalises (_sturm_diagonals), so it costs one Clenshaw pass.  The padding
     keeps the spill of c^2 x^2 psi past the basis, the truncation error, in
     the residual.  It does not evaluate psi' or psi'', so it no longer checks
     GpswfFunction.derivative and .second_derivative; the tests compare it with
@@ -177,7 +235,8 @@ def ode_residual(f: GpswfFunction, x, chi: float | None = None):
         raise ValueError(f"ode_residual requires a finite chi, got chi = {chi}")
     p, parity = f.params, f.n % 2
     size = f.spectrum.n_trunc + 2
-    d, e = _sturm_block(p.alpha, p.c, sym_offdiag(p.alpha, size), parity, size)
+    _, d, e = _sturm_diagonals(p.alpha, p.c, size)
+    d, e = d[parity::2], e[parity::2]
     v = np.zeros(d.size)
     v[:-1] = f.spectrum.coeffs[f.n, :d.size - 1]
     r_block = ((f.chi if chi is None else chi) - d) * v
@@ -241,23 +300,27 @@ def _full(d: np.ndarray, e: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray
     return vals[:hi + 1], vecs[:, :hi + 1]
 
 
-def _sturm_block(alpha: float, c: float, b: np.ndarray, parity: int,
-                 size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and offdiagonal of the Sturm operator on degrees parity, parity + 2, ... below size.
+def _sturm_diagonals(alpha: float, c: float,
+                     size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Sturm operator on degrees k < size, both parity blocks at once: b, d and e.
 
-    k (k + 2 alpha + 1) + c^2 (b_k^2 + b_(k+1)^2) on the diagonal and
-    c^2 b_(k+1) b_(k+2) off it, from the squared recurrence for x^2 Ptilde_k;
-    ``b`` holds the offdiagonals for ``alpha`` up to b_size at least.
+    b holds the offdiagonals for alpha to b_size (sym_offdiag), d_k =
+    k (k + 2 alpha + 1) + c^2 (b_k^2 + b_(k+1)^2) the diagonal, and e_k =
+    c^2 b_(k+1) b_(k+2), k < size - 2, the coupling of degree k to k + 2,
+    from the squared recurrence for x^2 Ptilde_k.  Parity block p, on the
+    degrees p, p + 2, ... below size, is d[p::2] and e[p::2]; every entry
+    depends on its degree alone, so a longer size gives the same leading
+    entries.
     """
-    # b_k and b_(k+1) for the block's degrees k, as strided views of b
-    k = np.arange(parity, size, 2, dtype=float)
-    b_k, b_k1 = b[parity:size:2], b[parity + 1:size + 1:2]
-    d = k * (k + 2 * alpha + 1) + c * c * (b_k ** 2 + b_k1 ** 2)
-    e = c * c * b_k1[:-1] * b_k[1:]
-    return d, e
+    b = sym_offdiag(alpha, size)
+    k = np.arange(size, dtype=float)
+    d = k * (k + 2 * alpha + 1) + c * c * (b[:-1] ** 2 + b[1:] ** 2)
+    e = c * c * b[1:-2] * b[2:-1]
+    return b, d, e
 
 
-def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
+def _solve(alpha: float, c: float, n_max: int, n_trunc: int,
+           diagonals: tuple | None = None) -> ChiSpectrum:
     """chi_0..chi_n_max and their signed vectors in the n_trunc-term basis.
 
     Each parity block has rows for the degrees parity, parity + 2, ... below
@@ -266,18 +329,20 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int) -> ChiSpectrum:
     and otherwise sliced from the full solve (_full).  Mode n's vector fills
     the first ``rows`` entries of row n of the packed coeffs (ChiSpectrum),
     and the block's LAPACK output is freed before the next block solves, so
-    the two blocks' vectors are never held at once.  Raises
-    TruncationError, naming the first mode whose last two coefficients carry
-    mass above 1e-12.
+    the two blocks' vectors are never held at once.  diagonals, when given,
+    are _sturm_diagonals' to n_trunc or beyond (the ones default_truncation
+    read), whose leading entries are the same.  Raises TruncationError,
+    naming the first mode whose last two coefficients carry mass above 1e-12.
     """
-    b = sym_offdiag(alpha, n_trunc + 1)
+    b, d_all, e_all = diagonals or _sturm_diagonals(alpha, c, n_trunc)
+    d_all, e_all = d_all[:n_trunc], e_all[:n_trunc - 2]
     chis = np.empty(n_max + 1)
     coeffs = np.zeros((n_max + 1, (n_trunc + 1) // 2))
     for parity in (0, 1):
         n_here = np.arange(parity, n_max + 1, 2)
         if n_here.size == 0:
             continue
-        d, e = _sturm_block(alpha, c, b, parity, n_trunc)
+        d, e = d_all[parity::2], e_all[parity::2]
         if _SELECT_RATIO * n_here.size <= d.size:
             vals, vecs = _selected(d, e, n_here.size - 1)
             vecs[np.abs(vecs) < _CHOP] = 0.0
@@ -307,10 +372,12 @@ def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) 
     """Solve for chi_0..chi_n_max and the eigenfunction coefficient vectors.
 
     Every call solves afresh; callers that need several modes at one
-    (alpha, c) solve once for the largest and share the result.  Only the
-    kept eigenpairs are computed when they are few against the basis size
-    (see the module docstring): chi_spectrum(ProblemParams(0.5, 1e4), 5)
-    finds 3 eigenpairs in each of its two ~6,000-row blocks, and stores
+    (alpha, c) solve once for the largest and share the result.  A
+    defaulted n_trunc is default_truncation's: the basis past which every
+    kept mode's coefficients are estimated below 1e-20.  Only the kept
+    eigenpairs are computed when they are few against the basis size (see
+    the module docstring): chi_spectrum(ProblemParams(0.5, 1e4), 5) finds 3
+    eigenpairs in each of its two 544-row blocks (1,088 terms), and stores
     coefficients below 1e-30 in those vectors as 0.  Signs follow
     psi_n(1) > 0, fixed at x = 0 (module docstring).  Raises
     TruncationError, naming the first mode that fails, when a kept vector
@@ -324,6 +391,6 @@ def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) 
     if n_trunc is not None:
         return _solve(alpha, c, n_max, _count(n_trunc, "n_trunc", n_max + 3))
     try:
-        return _solve(alpha, c, n_max, default_truncation(n_max, c))
+        return _solve(alpha, c, n_max, *_sized_diagonals(alpha, c, n_max))
     except TruncationError as exc:
         return _solve(alpha, c, n_max, exc.required)

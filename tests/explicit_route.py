@@ -69,7 +69,8 @@ def window_vectors(alpha: float, taus, modes, n_max: int | None = None) -> list[
     if not np.all(np.diff(modes) > 0):
         raise ValueError(f"modes must be ascending and distinct, got {modes}")
     n_max = int(modes.max()) if n_max is None else n_max
-    widest = default_truncation(n_max, np.max(taus))
+    sizes = [default_truncation(alpha, tau, n_max) for tau in taus]
+    widest = max(sizes)
     b = sym_offdiag(alpha, widest + 1)
     out = [np.zeros((len(taus), 0, 0)) for _ in (0, 1)]
     # per parity present: its runs of consecutive j, one window each
@@ -79,8 +80,7 @@ def window_vectors(alpha: float, taus, modes, n_max: int | None = None) -> list[
         if j.size:
             runs[parity] = np.split(j, np.flatnonzero(np.diff(j) > 1) + 1)
             out[parity] = np.zeros((len(taus), j.size, len(range(parity, widest, 2))))
-    for i, tau in enumerate(taus):
-        n_trunc = default_truncation(n_max, tau)
+    for i, (tau, n_trunc) in enumerate(zip(taus, sizes)):
         for parity, windows in runs.items():
             k = np.arange(parity, n_trunc, 2, dtype=float)
             b_k, b_k1 = b[parity:n_trunc:2], b[parity + 1:n_trunc + 1:2]

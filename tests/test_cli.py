@@ -55,6 +55,16 @@ def test_chi_bracket_at_positive_c(tmp_path):
         assert lo <= chi <= hi
 
 
+def test_chi_reports_the_default_basis(tmp_path):
+    # at c = 3000 with 6 modes the default basis is sized to the modes
+    # (597 terms), not to c (3,615)
+    out = tmp_path / "chi.json"
+    code = main(["chi", "--alpha", "0.5", "--c", "3000", "--n-max", "5", "--out", str(out)])
+    assert code == 0
+    n_trunc = json.loads(out.read_text())["summary"]["n_trunc"]
+    assert n_trunc == gpswf.chi_spectrum(gpswf.ProblemParams(0.5, 3000.0), 5).n_trunc <= 800
+
+
 def test_csv_json_round_trip_identical_values(tmp_path):
     out_csv = tmp_path / "chi.csv"
     out_json = tmp_path / "chi.json"

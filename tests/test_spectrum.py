@@ -185,7 +185,7 @@ def test_trace_identity():
     assert abs(op.trace_discrete - tn.trace) / tn.trace <= 1e-8
 
 
-@pytest.mark.parametrize("alpha", [1e3, 1e4, 1e6])
+@pytest.mark.parametrize("alpha", [85.0, 171.5, 300.0, 1e3, 9999.0, 1e4, 1e6])
 def test_trace_and_norm_at_large_alpha_matches_mpmath(alpha):
     # the Gamma form of the trace self-check was a difference of two gammaln,
     # ~alpha log alpha each, and refused correct traces from alpha ~ 1e4 on
@@ -198,11 +198,18 @@ def test_trace_and_norm_at_large_alpha_matches_mpmath(alpha):
         ratio = mp.gamma(a + 1) / mp.gamma(a + 1.5)
         trace = ratio ** 2 / 2
         gamma_alpha = (mp.gamma(2 * a + 1) / mp.gamma(2 * a + 1.5) / ratio) ** 2
-    # total_mass at alpha = 1e3 is scipy's poch, an exp of a gammaln
-    # difference below 1e4: 1.7e-12 in the trace
-    assert abs(tn.trace - float(trace)) <= 5e-12 * float(trace)
-    # gamma_alpha's log form loses about eps 4 alpha log 2: 6.5e-10 at 1e6
-    assert abs(tn.gamma_alpha - float(gamma_alpha)) <= 1e-9 * float(gamma_alpha)
+    # total_mass past alpha = 80 is the asymptotic series of (alpha + 1)_(1/2),
+    # and gamma_alpha the square of a ratio of two total_mass: a few ulps each
+    assert abs(tn.trace - float(trace)) <= 2e-15 * float(trace)
+    assert abs(tn.gamma_alpha - float(gamma_alpha)) <= 2e-15 * float(gamma_alpha)
+
+
+@pytest.mark.parametrize("lo, hi", [(200.0, 300.0), (300.0, 400.0), (400.0, 500.0)])
+def test_trace_self_check_accepts_large_alpha(lo, hi):
+    # with total_mass from scipy's beta, 24, 55 and 66 of these 200 alpha per
+    # band were refused by the 1e-12 self-check
+    for a in np.random.default_rng(int(lo)).uniform(lo, hi, 200):
+        g.trace_and_norm(g.ProblemParams(alpha=float(a), c=50.0))
 
 
 def test_alpha_zero_sinc_oracle():
@@ -538,7 +545,7 @@ def test_ratio_route_anchor_matches_explicit_mu_0():
     # mu_eigenrelation from its own, 2 ceil(n_trunc / 2) long: the same double
     # at odd and even n_trunc
     for alpha, c in ((-0.9, 5.0), (0.5, 10.0), (60.0, 300.0)):
-        n_trunc = default_truncation(11, c)
+        n_trunc = default_truncation(alpha, c, 11)
         for size in (n_trunc, n_trunc + 1):
             spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), 11, n_trunc=size)
             assert g.log_mu_ratio(spec)[0] == math.log(mu_eigenrelation(spec, 0).real)

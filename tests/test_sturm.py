@@ -184,10 +184,14 @@ def test_few_mode_solve_matches_many_mode_solve(monkeypatch, alpha, c):
 
     monkeypatch.setattr(sturm, "_lapack", recording)
     params = g.ProblemParams(alpha=alpha, c=c)
+    # the default basis is sized first, by bisection for one eigenvalue where
+    # the modes are few against c; then both parity blocks solve 3 modes
+    # only, or all of them
     few = g.chi_spectrum(params, 5)
-    assert calls == ["i", "i"]          # both parity blocks solve 3 modes only
+    assert calls[-2:] == ["i", "i"] and set(calls[:-2]) == {"i"}
+    calls.clear()
     many = g.chi_spectrum(params, int(0.2 * c))
-    assert calls[2:] == ["a", "a"]
+    assert calls[-2:] == ["a", "a"] and set(calls[:-2]) == {"i"}
     assert_allclose(few.chis, many.chis[:6], rtol=1e-11, atol=0)
     xs = np.linspace(-1, 1, 801)
     psi_few = np.array([few.eigenfunction(n).value(xs) for n in range(6)])
@@ -268,7 +272,7 @@ def test_window_vectors_keep_the_order_given(modes):
     alpha, cs = 0.5, [3.0, 30.0]
     vecs = explicit_route.window_vectors(alpha, cs, modes)
     modes = np.array(modes)
-    n_trunc = sturm.default_truncation(modes.max(), max(cs))
+    n_trunc = sturm.default_truncation(alpha, max(cs), modes.max())
     for parity in (0, 1):
         count = np.count_nonzero(modes % 2 == parity)
         width = len(range(parity, n_trunc, 2)) if count else 0
@@ -410,7 +414,7 @@ def test_default_truncation_retried_once(monkeypatch):
     # a defaulted basis that is too short (12 terms at c = 10) is retried at
     # the 24 terms the error asks for; an explicit one still raises
     p = g.ProblemParams(alpha=0.5, c=10.0)
-    monkeypatch.setattr(sturm, "default_truncation", lambda n_max, c: 12)
+    monkeypatch.setattr(sturm, "_sized_diagonals", lambda alpha, c, n_max: (12, None))
     with pytest.raises(TruncationError) as exc:
         g.chi_spectrum(p, 4, n_trunc=12)
     assert exc.value.required == 24
@@ -419,9 +423,60 @@ def test_default_truncation_retried_once(monkeypatch):
     assert np.array_equal(spec.chis, g.chi_spectrum(p, 4, n_trunc=24).chis)
     assert_allclose(spec.chis, g.chi_spectrum(p, 4, n_trunc=200).chis, rtol=1e-13)
     # one retry only: 10 terms, then 20, both too short
-    monkeypatch.setattr(sturm, "default_truncation", lambda n_max, c: 10)
+    monkeypatch.setattr(sturm, "_sized_diagonals", lambda alpha, c, n_max: (10, None))
     with pytest.raises(TruncationError):
         g.chi_spectrum(p, 4)
+
+
+# (alpha, c, n_max): points whose old fixed-margin basis (n_max + max(32,
+# 1.2 c + 10) terms) dropped coefficients of 5.5e-18 to 2.0e-13, plateau
+# edges (n_max ~ 2c/pi), a few-mode block at large c and a large alpha
+BASIS_CONTRACT = [(0.5, 10.0, 0), (0.5, 30.0, 0), (0.5, 30.0, 5), (-0.9, 30.0, 5),
+                  (1.4, 30.0, 5), (0.5, 300.0, 190), (0.5, 1000.0, 636),
+                  (0.5, 3000.0, 5), (60.0, 300.0, 10)]
+
+
+@pytest.mark.parametrize("alpha, c, n_max", BASIS_CONTRACT)
+def test_default_basis_holds_every_coefficient_above_1e_20(alpha, c, n_max):
+    # against a basis twice as long, solved for the kept modes alone by
+    # bisection and inverse iteration (componentwise accurate far below the
+    # full solver's rounding): what the default basis drops is <= 1e-20, and
+    # chi and psi_n do not move
+    spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), n_max)
+    size = 2 * spec.n_trunc
+    _, d_all, e_all = sturm._sturm_diagonals(alpha, c, size)
+    xs = np.linspace(-1.0, 1.0, 2001)
+    for parity in (0, 1):
+        modes = np.arange(parity, n_max + 1, 2)
+        if not modes.size:
+            continue
+        vals, vecs = sturm._selected(d_all[parity::2], e_all[parity::2], modes.size - 1)
+        rows = len(range(parity, spec.n_trunc, 2))
+        assert np.max(np.abs(vecs[rows:])) <= 1e-20
+        # eigenvalue rounding scales with the block's norm, not with each chi
+        assert np.max(np.abs(vals - spec.chis[modes])) <= 1e-13 * spec.chis[n_max]
+        if alpha == 60.0:
+            # past |x| ~ 0.5 psi_n at alpha = 60 is coefficient rounding
+            # amplified by |Ptilde_k(x)|, at any basis size (CHANGES.md)
+            continue
+        # each block's first and last mode, the last decaying slowest.  The
+        # bound is solver rounding, not truncation: with the fixed-margin
+        # basis of 1,846 terms psi_636 at (0.5, 1000) differs from this
+        # reference by 3.6e-13 of max|psi| (3.1e-13 here), and middle modes
+        # by up to 2.8e-13
+        for j in np.unique([0, modes.size - 1]):
+            ref = np.zeros(size)
+            ref[parity::2] = vecs[:, j] * np.sign(vecs[:rows, j] @ spec.coeffs[modes[j], :rows])
+            want = jacobi_series_eval(ref, alpha, xs)
+            got = spec.eigenfunction(int(modes[j])).value(xs)
+            assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want))
+
+
+def test_default_basis_size():
+    # the fixed margin gave 3,615 and 2,586 terms; the kept modes need ~580
+    # and ~1,660 to reach 1e-20
+    assert g.chi_spectrum(g.ProblemParams(0.5, 3000.0), 5).n_trunc <= 800
+    assert sturm.default_truncation(0.5, 1000.0, 1376) <= 2100
 
 
 def test_large_c_bracket_still_holds():
