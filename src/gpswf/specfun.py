@@ -71,17 +71,15 @@ def _lapack(name: str, *args, **kwargs) -> list:
 
 
 def _gamma_half_ratio(x: float) -> float:
-    """Gamma(x + 1/2) / Gamma(x) = (x)_(1/2) for x > 0.
+    """Gamma(x + 1/2) / Gamma(x) = (x)_(1/2) for x > 81 (total_mass past alpha = 80).
 
-    scipy's poch up to x = 81; past it the asymptotic series
-    log(x) / 2 - 1/(8 x) + 1/(192 x^3) - 1/(640 x^5) + 17/(14336 x^7) of its
-    logarithm, whose first omitted term, -31/(18432 x^9), is below 3e-20
-    there: within 1.5e-16 relative of 50-digit mpmath for x >= 40.  poch
-    and scipy's beta form the ratio from a difference of two gammaln past
-    x ~ 85 (poch up to 1e4), which loses eps x log x, 6.6e-12 at x = 5,000.
+    The asymptotic series log(x) / 2 - 1/(8 x) + 1/(192 x^3) - 1/(640 x^5) +
+    17/(14336 x^7) of its logarithm, whose first omitted term,
+    -31/(18432 x^9), is below 3e-20 there: within 1.5e-16 relative of
+    50-digit mpmath for x >= 40.  scipy's poch and beta form the ratio from
+    a difference of two gammaln past x ~ 85 (poch up to 1e4), which loses
+    eps x log x, 6.6e-12 at x = 5,000.
     """
-    if x <= 81.0:
-        return float(_sp.poch(x, 0.5))
     u = 1.0 / (x * x)
     series = -1.0 / 8 + u * (1.0 / 192 + u * (-1.0 / 640 + u * 17.0 / 14336))
     return math.sqrt(x) * math.exp(series / x)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import _count, _lapack, _gamma_half_ratio, gauss_jacobi, sym_offdiag, total_mass
+from .specfun import _count, _lapack, gauss_jacobi, sym_offdiag, total_mass
 from .sturm import ChiSpectrum, ProblemParams, _mode_indices, _sign_reference, chi_spectrum
 
 
@@ -373,18 +373,23 @@ def trace_and_norm(params: ProblemParams) -> TraceAndNorm:
     expressions (Beta form and Gamma-ratio form) are asserted equal as a
     self-check, which a non-finite value fails; they match through the
     Legendre duplication identity.  Past alpha = 80 total_mass is itself the
-    Gamma-ratio form (specfun._gamma_half_ratio), so there the check guards
-    finiteness only.  The Bessel moment's Gamma ratios are taken in log form,
-    so every field stays finite at large alpha.  gamma_alpha diverges as
-    alpha -> -1/2+, so alpha <= -1/2 is refused.
+    Gamma-ratio form (specfun._gamma_half_ratio), so no independent form is
+    left to compare with, and only finiteness is checked there.  The Bessel
+    moment's Gamma ratios are taken in log form, so every field stays finite
+    at large alpha.  gamma_alpha diverges as alpha -> -1/2+, so alpha <= -1/2
+    is refused.
     """
     a, c = params.alpha, params.c
     if a <= -0.5:
         raise ValueError(f"the Hilbert-Schmidt limit needs alpha > -1/2, got alpha = {a}")
     trace_beta = (c / (2.0 * math.pi)) * total_mass(a) ** 2
-    # Gamma(a + 1) / Gamma(a + 1.5) = 1 / (a + 1)_(1/2)
-    trace_gamma = 0.5 * c / _gamma_half_ratio(a + 1.0) ** 2
-    if c > 0 and not abs(trace_beta - trace_gamma) <= 1e-12 * abs(trace_beta):
+    if a <= 80:
+        # Gamma(a + 1) / Gamma(a + 1.5) = 1 / (a + 1)_(1/2), scipy's poch
+        trace_gamma = 0.5 * c / float(_sp.poch(a + 1.0, 0.5)) ** 2
+        agree = abs(trace_beta - trace_gamma) <= 1e-12 * abs(trace_beta)
+    else:
+        agree = math.isfinite(trace_beta)
+    if c > 0 and not agree:
         raise RuntimeError("trace self-check failed: Beta and Gamma forms disagree")
     # 2^(2a) B(2a + 1, 2a + 1) / B(a + 1, a + 1), squared
     gamma_alpha = (total_mass(2.0 * a) / total_mass(a)) ** 2

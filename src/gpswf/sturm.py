@@ -9,10 +9,11 @@ symmetric tridiagonal blocks (even and odd degrees).  Eigenvalues chi_n and
 Jacobi coefficient vectors of the eigenfunctions psi_n come out of a
 symmetric tridiagonal eigensolve per parity block, of modes 0 up to n_max
 (a block with no kept mode is not solved).  Unless n_trunc is given, the
-basis is sized to the kept modes (default_truncation): each block ends
-where their coefficients, estimated from the block's own recurrence past
-its turning row, fall below 1e-20, well under the ~1e-17 rounding of the
-solved vectors.  psi_n lives on the degrees of
+basis is sized to the kept modes (chi_spectrum, _sized_diagonals): each
+block ends where their coefficients, estimated from the block's own
+recurrence past its turning row for chi up to an upper estimate of
+chi_n_max that the solve then checks, fall below 1e-20, well under the
+~1e-17 rounding of the solved vectors.  psi_n lives on the degrees of
 n's parity alone, so each mode stores only those coefficients
 (ChiSpectrum.coeffs), half as many as degrees.  A block of R rows keeping k
 modes is solved in one of two ways: for 32 k <= R (c large, few modes) by
@@ -73,59 +74,72 @@ class TruncationError(RuntimeError):
 # fall below _BASIS_TOL, well under the ~1e-17 absolute rounding of the
 # solvers' vectors.
 _BASIS_TOL = 1e-20
+_LOG_TOL = -math.log(_BASIS_TOL)
 
 
-def default_truncation(alpha: float, c: float, n_max: int) -> int:
-    """Basis size past which psi_0..psi_n_max's Jacobi coefficients are below 1e-20.
+def _chi_bound(alpha: float, c: float, n_max: int, d: np.ndarray, e: np.ndarray) -> float:
+    """An upper estimate of chi_0..chi_n_max, from the Sturm diagonals d, e (_sturm_diagonals).
 
-    Sized from the two parity blocks of the Sturm operator (_sturm_diagonals),
-    each from its own rows.  chi_hi bounds every kept chi from above: the
-    bracket n_max (n_max + 2 alpha + 1) + c^2 where its slack, at most c^2,
-    moves the turning rows by at most ~c^2 / (2 n_max) <= 8 degrees
-    (c^2 <= 16 n_max); elsewhere (few modes against c, where the bracket
-    is c^2 against chi ~ (2 n + 1) c) eigenvalue n_max // 2 of n_max's
-    parity block as built, by bisection (LAPACK dstebz), which by Cauchy
-    interlacing bounds the eigenvalues of every longer block.  Past a
-    block's turning row, the last row j with d_j - 2 e_j <= chi_hi, the
-    vector of an eigenvalue chi <= chi_hi decays like the recurrence's
-    decaying root, by exp(-acosh((d_j - chi) / (2 e_j))) per row, and
-    faster the smaller chi is, so chi_hi covers every kept mode.  The
-    product of these factors, started at 1 on the turning row, estimates
-    the coefficients; each block keeps the rows estimated at or above
-    1e-20.  The blocks are built to n_max + 12 ceil(sqrt(c)) + 28 degrees,
-    and to twice as many while the estimate does not reach 1e-20 within
-    them.  At least n_max + 5, so each block ends in two rows past its
-    last mode.  The solved vectors' own tails are not read: below ~1e-17
-    they are solver rounding.
+    With lo = n_max (n_max + 2 alpha + 1), the bracket lo + c^2 where
+    c^2 <= 16 n_max: its slack, at most c^2, moves the turning rows by at
+    most ~c^2 / (2 n_max) <= 8 degrees.  With few modes against c, lo +
+    (2 n_max + 1) c + 1 where that is below c^2: it follows the
+    harmonic-oscillator asymptotics chi_n ~ (2 n + 1) c (chi_0 ~ c - alpha
+    - 3/4), is tight there, and exceeded chi_n_max by at least 0.17 at
+    every alpha in (-1, 1000], every c of 110 in [1.6, 3000] and every
+    n_max <= 120 tried where it applies; it is not proven, so chi_spectrum
+    checks it against the solved chi_n_max.  In between (4 sqrt(n_max) < c
+    <~ 2 n_max + 1: many modes, c large) eigenvalue n_max // 2 of n_max's
+    parity block as built, by bisection (LAPACK dstebz) to 1e-8 of the
+    bracket, which by Cauchy interlacing bounds the eigenvalues of every
+    longer block.
     """
-    return _sized_diagonals(alpha, c, n_max)[0]
+    lo, cc = n_max * (n_max + 2 * alpha + 1), c * c
+    if cc <= 16 * n_max:
+        return lo + cc
+    if (2 * n_max + 1) * c + 1.0 < cc:
+        return lo + (2 * n_max + 1) * c + 1.0
+    p, top, tol = n_max % 2, n_max // 2, 1e-8 * (lo + cc)
+    _, w, *_ = _lapack("dstebz", d[p::2], e[p::2], 2, 0.0, 1.0, top + 1, top + 1, tol, "B")
+    return min(lo + cc, w[0] + tol)
 
 
-def _sized_diagonals(alpha: float, c: float, n_max: int) -> tuple[int, tuple]:
-    """default_truncation's size, and the _sturm_diagonals it was read from (at least that long)."""
+def _sized_diagonals(alpha: float, c: float, n_max: int,
+                     chi_hi: float | None = None) -> tuple[int, tuple, float]:
+    """The default basis size for modes 0..n_max with chi <= chi_hi (by
+    default _chi_bound's), the _sturm_diagonals it was read from (at least
+    that long) and chi_hi.
+
+    Past a parity block's turning row, the last row j with d_j - 2 e_j <=
+    chi_hi, the vector of an eigenvalue chi <= chi_hi decays like the
+    recurrence's decaying root, by exp(-acosh((d_j - chi) / (2 e_j))) per
+    row, and faster the smaller chi is, so chi_hi covers every kept mode.
+    Each rate is replaced by the least at or past its row, which is 0
+    through the last turning row and, where the rates grow, the rate itself;
+    their running sum estimates the coefficients, and each block keeps the
+    rows estimated at or above 1e-20.  The blocks are built to n_max + 12
+    ceil(sqrt(c)) + 28 degrees, and to twice as many while the estimate does
+    not reach 1e-20 within them.  At least n_max + 5, so each block ends in
+    two rows past its last mode.  The solved vectors' own tails are not
+    read: below ~1e-17 they are solver rounding.
+    """
     size = n_max + 12 * math.ceil(math.sqrt(c)) + 28 + n_max % 2   # even
-    chi_hi = n_max * (n_max + 2 * alpha + 1) + c * c
     while True:
         diagonals = _sturm_diagonals(alpha, c, size)
         _, d, e = diagonals
-        if c * c > 16 * n_max:
-            # located to 1e-8 of the bracket, so w + tol bounds it from above
-            p, top, tol = n_max % 2, n_max // 2, 1e-8 * chi_hi
-            _, w, *_ = _lapack("dstebz", d[p::2], e[p::2], 2, 0.0, 1.0, top + 1, top + 1,
-                               tol, "B")
-            chi_hi = min(chi_hi, w[0] + tol)
-        # row j holds degrees 2 j and 2 j + 1, so column p is parity block p;
-        # turning rows (d_j - chi_hi <= 2 e_j) get rate 0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rate = np.fmax(np.arccosh((d[:-2] - chi_hi) / (e + e)), 0.0).reshape(-1, 2)
-        decay = rate.cumsum(axis=0)
-        # the sum is flat across turning rows, so at the last one it is the
-        # largest value there, and the estimate counts from that row on
-        below = decay >= np.where(rate == 0.0, decay, 0.0).max(axis=0) - math.log(_BASIS_TOL)
-        if below[-1, 0] and below[-1, 1]:
-            # row j + 1 is each block's first row below 1e-20; rows 0..j are kept
-            j0, j1 = below.argmax(axis=0)
-            return max(n_max + 5, 2 * int(j0) + 1, 2 * int(j1) + 2), diagonals
+        if chi_hi is None:
+            chi_hi = _chi_bound(alpha, c, n_max, d, e)
+        # row j holds degrees 2 j and 2 j + 1, so column p is parity block p.
+        # Floors: 2 e_j at 1e-290 keeps the quotient finite as c -> 0, and the
+        # quotient at 1 gives the turning rows rate 0
+        ratio = (d[:-2] - chi_hi) / np.maximum(e + e, 1e-290)
+        rate = np.arccosh(np.maximum(ratio, 1.0, out=ratio), out=ratio).reshape(-1, 2)
+        decay = np.minimum.accumulate(rate[::-1])[::-1].cumsum(axis=0)
+        # row j + 1 is each block's first row below 1e-20; rows 0..j are kept
+        j0 = int(decay[:, 0].searchsorted(_LOG_TOL))
+        j1 = int(decay[:, 1].searchsorted(_LOG_TOL))
+        if max(j0, j1) < decay.shape[0]:
+            return max(n_max + 5, 2 * j0 + 1, 2 * j1 + 2), diagonals, chi_hi
         size *= 2
 
 
@@ -319,22 +333,21 @@ def _sturm_diagonals(alpha: float, c: float,
     return b, d, e
 
 
-def _solve(alpha: float, c: float, n_max: int, n_trunc: int,
-           diagonals: tuple | None = None) -> ChiSpectrum:
+def _solve(alpha: float, c: float, n_max: int, n_trunc: int, diagonals: tuple) -> ChiSpectrum:
     """chi_0..chi_n_max and their signed vectors in the n_trunc-term basis.
 
-    Each parity block has rows for the degrees parity, parity + 2, ... below
-    n_trunc, and keeps its modes n = 2 j + parity, j = 0..hi: alone
-    (_selected, entries below 1e-30 then set to 0) when 32 (hi + 1) <= rows,
-    and otherwise sliced from the full solve (_full).  Mode n's vector fills
-    the first ``rows`` entries of row n of the packed coeffs (ChiSpectrum),
-    and the block's LAPACK output is freed before the next block solves, so
-    the two blocks' vectors are never held at once.  diagonals, when given,
-    are _sturm_diagonals' to n_trunc or beyond (the ones default_truncation
-    read), whose leading entries are the same.  Raises TruncationError,
-    naming the first mode whose last two coefficients carry mass above 1e-12.
+    diagonals are _sturm_diagonals' to n_trunc or beyond (a longer build has
+    the same leading entries).  Each parity block has rows for the degrees
+    parity, parity + 2, ... below n_trunc, and keeps its modes n = 2 j +
+    parity, j = 0..hi: alone (_selected, entries below 1e-30 then set to 0)
+    when 32 (hi + 1) <= rows, and otherwise sliced from the full solve
+    (_full).  Mode n's vector fills the first ``rows`` entries of row n of
+    the packed coeffs (ChiSpectrum), and the block's LAPACK output is freed
+    before the next block solves, so the two blocks' vectors are never held
+    at once.  Raises TruncationError, naming the first mode whose last two
+    coefficients carry mass above 1e-12.
     """
-    b, d_all, e_all = diagonals or _sturm_diagonals(alpha, c, n_trunc)
+    b, d_all, e_all = diagonals
     d_all, e_all = d_all[:n_trunc], e_all[:n_trunc - 2]
     chis = np.empty(n_max + 1)
     coeffs = np.zeros((n_max + 1, (n_trunc + 1) // 2))
@@ -373,8 +386,11 @@ def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) 
 
     Every call solves afresh; callers that need several modes at one
     (alpha, c) solve once for the largest and share the result.  A
-    defaulted n_trunc is default_truncation's: the basis past which every
-    kept mode's coefficients are estimated below 1e-20.  Only the kept
+    defaulted n_trunc is the basis past which every kept mode's coefficients
+    are estimated below 1e-20 (_sized_diagonals), for chi up to _chi_bound.
+    A solved chi_n_max above that estimate, which its tried range has not
+    shown, sizes the basis again from chi_n_max itself, an upper bound on
+    the exact one by Cauchy interlacing, and solves again.  Only the kept
     eigenpairs are computed when they are few against the basis size (see
     the module docstring): chi_spectrum(ProblemParams(0.5, 1e4), 5) finds 3
     eigenpairs in each of its two 544-row blocks (1,088 terms), and stores
@@ -389,8 +405,14 @@ def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) 
     n_max = _count(n_max, "n_max")
     alpha, c = params.alpha, params.c
     if n_trunc is not None:
-        return _solve(alpha, c, n_max, _count(n_trunc, "n_trunc", n_max + 3))
+        n_trunc = _count(n_trunc, "n_trunc", n_max + 3)
+        return _solve(alpha, c, n_max, n_trunc, _sturm_diagonals(alpha, c, n_trunc))
     try:
-        return _solve(alpha, c, n_max, *_sized_diagonals(alpha, c, n_max))
+        n_trunc, diagonals, chi_hi = _sized_diagonals(alpha, c, n_max)
+        spec = _solve(alpha, c, n_max, n_trunc, diagonals)
+        if spec.chis[-1] > chi_hi:
+            n_trunc, diagonals, _ = _sized_diagonals(alpha, c, n_max, spec.chis[-1])
+            spec = _solve(alpha, c, n_max, n_trunc, diagonals)
+        return spec
     except TruncationError as exc:
-        return _solve(alpha, c, n_max, exc.required)
+        return _solve(alpha, c, n_max, exc.required, _sturm_diagonals(alpha, c, exc.required))

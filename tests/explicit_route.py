@@ -18,7 +18,7 @@ from scipy import special as sp
 
 from gpswf.specfun import _lapack, sym_offdiag, total_mass
 from gpswf.spectrum import _connect, _connection_tables
-from gpswf.sturm import ChiSpectrum, ProblemParams, _sign_reference, default_truncation
+from gpswf.sturm import ChiSpectrum, ProblemParams, _sign_reference, _sized_diagonals
 
 
 def jacobi_h(n, alpha: float):
@@ -57,8 +57,9 @@ def window_vectors(alpha: float, taus, modes, n_max: int | None = None) -> list[
     """Unsigned eigenvectors of the given ascending, distinct modes at each tau.
 
     At each tau the basis is chi_spectrum's default for n_max (by default the
-    largest mode), and each run of consecutive modes 2 j + parity of a parity
-    block is one window, solved alone by bisection and inverse iteration;
+    largest mode), as sized before its solve (sturm._sized_diagonals), and
+    each run of consecutive modes 2 j + parity of a parity block is one
+    window, solved alone by bisection and inverse iteration;
     entries below 1e-30 are set to 0, as chi_spectrum does for such a solve.
     Returns vecs: vecs[parity][i, k] is the vector, over the block's own
     degrees parity, parity + 2, ..., of the k-th mode of that parity at
@@ -69,7 +70,7 @@ def window_vectors(alpha: float, taus, modes, n_max: int | None = None) -> list[
     if not np.all(np.diff(modes) > 0):
         raise ValueError(f"modes must be ascending and distinct, got {modes}")
     n_max = int(modes.max()) if n_max is None else n_max
-    sizes = [default_truncation(alpha, tau, n_max) for tau in taus]
+    sizes = [_sized_diagonals(alpha, tau, n_max)[0] for tau in taus]
     widest = max(sizes)
     b = sym_offdiag(alpha, widest + 1)
     out = [np.zeros((len(taus), 0, 0)) for _ in (0, 1)]

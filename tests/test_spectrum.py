@@ -20,7 +20,6 @@ from explicit_route import (f_n_moment, jacobi_h, log_lambda_explicit, log_mu_ma
 from gpswf import spectrum
 from gpswf.specfun import gauss_jacobi, jacobi_series_deriv_coeffs, sym_offdiag, total_mass
 from gpswf.spectrum import _nystrom_lambdas, default_nystrom_size
-from gpswf.sturm import default_truncation
 
 
 def kernel_eval(alpha, u):
@@ -545,7 +544,7 @@ def test_ratio_route_anchor_matches_explicit_mu_0():
     # mu_eigenrelation from its own, 2 ceil(n_trunc / 2) long: the same double
     # at odd and even n_trunc
     for alpha, c in ((-0.9, 5.0), (0.5, 10.0), (60.0, 300.0)):
-        n_trunc = default_truncation(alpha, c, 11)
+        n_trunc = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), 11).n_trunc
         for size in (n_trunc, n_trunc + 1):
             spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), 11, n_trunc=size)
             assert g.log_mu_ratio(spec)[0] == math.log(mu_eigenrelation(spec, 0).real)

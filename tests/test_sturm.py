@@ -1,5 +1,6 @@
 """Sturm-Liouville solver tests: brackets, parity, residuals, oracles."""
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -184,14 +185,10 @@ def test_few_mode_solve_matches_many_mode_solve(monkeypatch, alpha, c):
 
     monkeypatch.setattr(sturm, "_lapack", recording)
     params = g.ProblemParams(alpha=alpha, c=c)
-    # the default basis is sized first, by bisection for one eigenvalue where
-    # the modes are few against c; then both parity blocks solve 3 modes
-    # only, or all of them
     few = g.chi_spectrum(params, 5)
-    assert calls[-2:] == ["i", "i"] and set(calls[:-2]) == {"i"}
-    calls.clear()
+    assert calls == ["i", "i"]          # both parity blocks solve 3 modes only
     many = g.chi_spectrum(params, int(0.2 * c))
-    assert calls[-2:] == ["a", "a"] and set(calls[:-2]) == {"i"}
+    assert calls[2:] == ["a", "a"]
     assert_allclose(few.chis, many.chis[:6], rtol=1e-11, atol=0)
     xs = np.linspace(-1, 1, 801)
     psi_few = np.array([few.eigenfunction(n).value(xs) for n in range(6)])
@@ -272,7 +269,7 @@ def test_window_vectors_keep_the_order_given(modes):
     alpha, cs = 0.5, [3.0, 30.0]
     vecs = explicit_route.window_vectors(alpha, cs, modes)
     modes = np.array(modes)
-    n_trunc = sturm.default_truncation(alpha, max(cs), modes.max())
+    n_trunc = max(g.chi_spectrum(g.ProblemParams(alpha, c), int(modes.max())).n_trunc for c in cs)
     for parity in (0, 1):
         count = np.count_nonzero(modes % 2 == parity)
         width = len(range(parity, n_trunc, 2)) if count else 0
@@ -414,7 +411,8 @@ def test_default_truncation_retried_once(monkeypatch):
     # a defaulted basis that is too short (12 terms at c = 10) is retried at
     # the 24 terms the error asks for; an explicit one still raises
     p = g.ProblemParams(alpha=0.5, c=10.0)
-    monkeypatch.setattr(sturm, "_sized_diagonals", lambda alpha, c, n_max: (12, None))
+    monkeypatch.setattr(sturm, "_sized_diagonals", lambda alpha, c, n_max: (
+        12, sturm._sturm_diagonals(alpha, c, 12), math.inf))
     with pytest.raises(TruncationError) as exc:
         g.chi_spectrum(p, 4, n_trunc=12)
     assert exc.value.required == 24
@@ -423,9 +421,32 @@ def test_default_truncation_retried_once(monkeypatch):
     assert np.array_equal(spec.chis, g.chi_spectrum(p, 4, n_trunc=24).chis)
     assert_allclose(spec.chis, g.chi_spectrum(p, 4, n_trunc=200).chis, rtol=1e-13)
     # one retry only: 10 terms, then 20, both too short
-    monkeypatch.setattr(sturm, "_sized_diagonals", lambda alpha, c, n_max: (10, None))
+    monkeypatch.setattr(sturm, "_sized_diagonals", lambda alpha, c, n_max: (
+        10, sturm._sturm_diagonals(alpha, c, 10), math.inf))
     with pytest.raises(TruncationError):
         g.chi_spectrum(p, 4)
+
+
+def test_default_basis_resized_when_chi_exceeds_its_estimate(monkeypatch):
+    # a chi_n_max estimate that the solve shows too low sizes the basis again
+    # from the solved chi_n_max, and solves again
+    p = g.ProblemParams(alpha=0.5, c=30.0)
+    low = 0.5 * g.chi_spectrum(p, 5).chis[-1]
+    sized, real = [], sturm._sized_diagonals
+
+    def recording(alpha, c, n_max, chi_hi=None):
+        out = real(alpha, c, n_max, chi_hi)
+        sized.append(out[2])
+        return out
+
+    monkeypatch.setattr(sturm, "_chi_bound", lambda alpha, c, n_max, d, e: low)
+    monkeypatch.setattr(sturm, "_sized_diagonals", recording)
+    spec = g.chi_spectrum(p, 5)
+    assert sized[0] == low and len(sized) == 2
+    short = g.chi_spectrum(p, 5, n_trunc=real(0.5, 30.0, 5, low)[0])
+    assert sized[1] == short.chis[-1] > low
+    assert spec.n_trunc == real(0.5, 30.0, 5, sized[1])[0] > short.n_trunc
+    assert np.array_equal(spec.chis, g.chi_spectrum(p, 5, n_trunc=spec.n_trunc).chis)
 
 
 # (alpha, c, n_max): points whose old fixed-margin basis (n_max + max(32,
@@ -436,47 +457,79 @@ BASIS_CONTRACT = [(0.5, 10.0, 0), (0.5, 30.0, 0), (0.5, 30.0, 5), (-0.9, 30.0, 5
                   (0.5, 3000.0, 5), (60.0, 300.0, 10)]
 
 
-@pytest.mark.parametrize("alpha, c, n_max", BASIS_CONTRACT)
-def test_default_basis_holds_every_coefficient_above_1e_20(alpha, c, n_max):
-    # against a basis twice as long, solved for the kept modes alone by
-    # bisection and inverse iteration (componentwise accurate far below the
-    # full solver's rounding): what the default basis drops is <= 1e-20, and
-    # chi and psi_n do not move
+@functools.lru_cache(maxsize=None)
+def _contract_reference(alpha, c, n_max):
+    """The default spectrum, and per parity block (modes, rows of the default
+    basis, chis, vectors) of a basis twice as long, solved for the kept
+    modes alone by bisection and inverse iteration (componentwise accurate
+    far below the full solver's rounding)."""
     spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), n_max)
-    size = 2 * spec.n_trunc
-    _, d_all, e_all = sturm._sturm_diagonals(alpha, c, size)
-    xs = np.linspace(-1.0, 1.0, 2001)
+    _, d_all, e_all = sturm._sturm_diagonals(alpha, c, 2 * spec.n_trunc)
+    blocks = []
     for parity in (0, 1):
         modes = np.arange(parity, n_max + 1, 2)
-        if not modes.size:
-            continue
-        vals, vecs = sturm._selected(d_all[parity::2], e_all[parity::2], modes.size - 1)
-        rows = len(range(parity, spec.n_trunc, 2))
+        if modes.size:
+            vals, vecs = sturm._selected(d_all[parity::2], e_all[parity::2], modes.size - 1)
+            blocks.append((parity, modes, len(range(parity, spec.n_trunc, 2)), vals, vecs))
+    return spec, blocks
+
+
+def _unmet(**reasons):
+    """BASIS_CONTRACT with the points named in reasons ("alpha_c_n": why) marked
+    as strict expected failures: the contract's bound is not met there."""
+    def mark(pt):
+        why = reasons.get("_".join(f"{v:g}" for v in pt))
+        return pytest.param(*pt, marks=pytest.mark.xfail(reason=why, strict=True)) if why else pt
+    return [mark(pt) for pt in BASIS_CONTRACT]
+
+
+@pytest.mark.parametrize("alpha, c, n_max", BASIS_CONTRACT)
+def test_default_basis_drops_only_coefficients_below_1e_20(alpha, c, n_max):
+    # fails at the parent's fixed margin at the first five points (5.5e-18
+    # to 2.0e-13)
+    spec, blocks = _contract_reference(alpha, c, n_max)
+    for parity, modes, rows, vals, vecs in blocks:
         assert np.max(np.abs(vecs[rows:])) <= 1e-20
-        # eigenvalue rounding scales with the block's norm, not with each chi
-        assert np.max(np.abs(vals - spec.chis[modes])) <= 1e-13 * spec.chis[n_max]
-        if alpha == 60.0:
-            # past |x| ~ 0.5 psi_n at alpha = 60 is coefficient rounding
-            # amplified by |Ptilde_k(x)|, at any basis size (CHANGES.md)
-            continue
-        # each block's first and last mode, the last decaying slowest.  The
-        # bound is solver rounding, not truncation: with the fixed-margin
-        # basis of 1,846 terms psi_636 at (0.5, 1000) differs from this
-        # reference by 3.6e-13 of max|psi| (3.1e-13 here), and middle modes
-        # by up to 2.8e-13
-        for j in np.unique([0, modes.size - 1]):
+
+
+@pytest.mark.parametrize("alpha, c, n_max", _unmet(**{
+    "0.5_1000_636": "chi_0 is 4.5e-13 off relative (2.2e-13 with the fixed margin's "
+                    "1,846 terms): eigenvalue rounding is ~eps ||T|| ~ 5e-10 absolute "
+                    "in these blocks, whatever the basis size"}))
+def test_default_basis_keeps_chi(alpha, c, n_max):
+    # fails at the parent's fixed margin at (0.5, 300, 190), (0.5, 1000, 636)
+    # and (0.5, 3000, 5): 2.0e-13, 2.2e-13 and 1.3e-12 relative
+    spec, blocks = _contract_reference(alpha, c, n_max)
+    for parity, modes, rows, vals, vecs in blocks:
+        assert np.max(np.abs(vals - spec.chis[modes]) / spec.chis[modes]) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha, c, n_max", _unmet(**{
+    "0.5_1000_636": "solver rounding, not truncation: psi_635 differs by 3.1e-13 of "
+                    "max|psi| (3.5e-13 with the fixed margin's 1,846 terms)",
+    "60_300_10": "psi_n evaluates to 1e13..1e21 near x = +-1 at every basis of 161 to "
+                 "500 terms, where its middle is ~10 (GpswfFunction.value at large alpha)"}))
+def test_default_basis_keeps_psi(alpha, c, n_max):
+    # up to 21 modes per block, each block's first and last among them;
+    # fails at the parent's fixed margin at (0.5, 30, 5) and (1.4, 30, 5):
+    # 7.9e-13 and 3.1e-12 of max|psi|
+    spec, blocks = _contract_reference(alpha, c, n_max)
+    size = 2 * spec.n_trunc
+    xs = np.linspace(-1.0, 1.0, 2001)
+    for parity, modes, rows, vals, vecs in blocks:
+        for j in np.unique(np.linspace(0, modes.size - 1, 21).astype(int)):
             ref = np.zeros(size)
             ref[parity::2] = vecs[:, j] * np.sign(vecs[:rows, j] @ spec.coeffs[modes[j], :rows])
             want = jacobi_series_eval(ref, alpha, xs)
             got = spec.eigenfunction(int(modes[j])).value(xs)
-            assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 2.5e-13 * np.max(np.abs(want))
 
 
 def test_default_basis_size():
     # the fixed margin gave 3,615 and 2,586 terms; the kept modes need ~580
     # and ~1,660 to reach 1e-20
     assert g.chi_spectrum(g.ProblemParams(0.5, 3000.0), 5).n_trunc <= 800
-    assert sturm.default_truncation(0.5, 1000.0, 1376) <= 2100
+    assert sturm._sized_diagonals(0.5, 1000.0, 1376)[0] <= 2100
 
 
 def test_large_c_bracket_still_holds():
