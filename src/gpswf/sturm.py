@@ -127,19 +127,19 @@ def _sized_diagonals(alpha: float, c: float, n_max: int,
     while True:
         diagonals = _sturm_diagonals(alpha, c, size)
         _, d, e = diagonals
-        if chi_hi is None:
-            chi_hi = _chi_bound(alpha, c, n_max, d, e)
+        # a longer build tightens a bisected bound
+        hi = _chi_bound(alpha, c, n_max, d, e) if chi_hi is None else chi_hi
         # row j holds degrees 2 j and 2 j + 1, so column p is parity block p.
         # Floors: 2 e_j at 1e-290 keeps the quotient finite as c -> 0, and the
         # quotient at 1 gives the turning rows rate 0
-        ratio = (d[:-2] - chi_hi) / np.maximum(e + e, 1e-290)
+        ratio = (d[:-2] - hi) / np.maximum(e + e, 1e-290)
         rate = np.arccosh(np.maximum(ratio, 1.0, out=ratio), out=ratio).reshape(-1, 2)
         decay = np.minimum.accumulate(rate[::-1])[::-1].cumsum(axis=0)
         # row j + 1 is each block's first row below 1e-20; rows 0..j are kept
         j0 = int(decay[:, 0].searchsorted(_LOG_TOL))
         j1 = int(decay[:, 1].searchsorted(_LOG_TOL))
         if max(j0, j1) < decay.shape[0]:
-            return max(n_max + 5, 2 * j0 + 1, 2 * j1 + 2), diagonals, chi_hi
+            return max(n_max + 5, 2 * j0 + 1, 2 * j1 + 2), diagonals, hi
         size *= 2
 
 
