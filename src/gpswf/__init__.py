@@ -10,11 +10,8 @@ and trace-based eigenvalue counting bounds.
 from .approx import (
     ApproxReport,
     WkbFrame,
-    approximant_norm_check,
-    approximant_norm_sq,
     bessel_report,
     bessel_uniform,
-    g_bound,
     jacobi_report,
     jacobi_uniform,
     make_frame,
@@ -24,11 +21,8 @@ from .specfun import (
     QuadratureRule,
     elliptic_K,
     envelope_constants,
-    eta_fn,
     gauss_jacobi,
-    incomplete_K,
     s_map,
-    weight_modulus,
 )
 from .spectrum import (
     CountingReport,
@@ -54,13 +48,10 @@ __all__ = [
     "ApproxReport", "BesselEnvelopeConstants", "ChiSpectrum", "CountingReport",
     "DecayReport", "GpswfFunction", "OperatorSpectrum", "ProblemParams",
     "QuadratureRule", "TraceAndNorm", "TruncationError", "WkbFrame",
-    "approximant_norm_check", "approximant_norm_sq",
     "bessel_report", "bessel_uniform", "chi_spectrum",
     "counting", "decay_check", "elliptic_K", "envelope_constants",
-    "eta_fn", "g_bound", "gauss_jacobi", "incomplete_K",
-    "jacobi_report", "jacobi_uniform", "log_mu_ratio", "make_frame",
-    "nystrom_spectrum", "ode_residual", "s_map",
-    "trace_and_norm", "weight_modulus",
+    "gauss_jacobi", "jacobi_report", "jacobi_uniform", "log_mu_ratio", "make_frame",
+    "nystrom_spectrum", "ode_residual", "s_map", "trace_and_norm",
 ]
 
 __version__ = "0.1.0"

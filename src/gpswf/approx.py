@@ -39,7 +39,6 @@ from .specfun import (
     _weight_modulus_from,
     elliptic_K,
     envelope_constants,
-    incomplete_K,
     jacobi_series_eval,
     s_map,
 )
@@ -118,27 +117,6 @@ def make_frame(spectrum: ChiSpectrum, n: int) -> WkbFrame:
                     failure=failure)
 
 
-def g_bound(alpha: float, q: float, x):
-    """Integrated bound g_{alpha,q}(x) on the Liouville-transform perturbation.
-
-    g(x) = (3 + 2q + 12 a^2)/(4(1-q)) * (q x sqrt(1-x^2)/sqrt(1-q x^2) + S(x))
-           + a(a+1) K(x, sqrt(q)); at x = 0 this is the complete-integral
-    expression in E(sqrt(q)) and K(sqrt(q)), at x = 1 it vanishes.  alpha is
-    finite and >= -1/2, as for every Bessel-form quantity.
-    """
-    if not (alpha >= -0.5 and math.isfinite(alpha)):
-        raise ValueError(f"g_bound requires a finite alpha >= -1/2, got alpha = {alpha}")
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0) & (arr <= 1)):
-        raise ValueError("g_bound requires x in [0, 1]")
-    s = s_map(arr, q)
-    k_inc = incomplete_K(arr, q)
-    front = (3.0 + 2.0 * q + 12.0 * alpha * alpha) / (4.0 * (1.0 - q))
-    out = front * (q * arr * np.sqrt(1.0 - arr * arr) / np.sqrt(1.0 - q * arr * arr) + s) \
-        + alpha * (alpha + 1.0) * k_inc
-    return out if np.ndim(x) else float(out)
-
-
 def _bessel_terms(frame: WkbFrame, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Main term and Olver-modulus envelope factor of the Bessel form at x.
 
@@ -155,8 +133,8 @@ def _bessel_terms(frame: WkbFrame, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Re H1 is within 2.0e-15 |H1| of J for alpha <= 1.4, where jv alone was
     up to 7.1e-14 off, so main moves in its last digits toward the exact
     value.  Where J or Y below X_alpha is 0 or not finite in double
-    precision, the envelope cannot be formed and weight_modulus's ValueError
-    is raised.
+    precision, the envelope cannot be formed, and _weight_modulus_from's
+    ValueError names alpha and the point.
     """
     alpha, chi, q = frame.alpha, frame.chi, frame.q
     main = np.empty_like(x)
@@ -201,49 +179,6 @@ def bessel_uniform(spectrum: ChiSpectrum, n: int, x):
     if np.ndim(x) == 0:
         return float(value[0]), float(envelope[0])
     return value, envelope
-
-
-def _main_norm_sq(frame: WkbFrame) -> float:
-    """Weighted L2([0,1]) norm squared of the main term, the approximant over A."""
-    if math.isnan(frame.a_exact):
-        raise ValueError(frame.failure)
-    chi, q, alpha = frame.chi, frame.q, frame.alpha
-    m = max(256, int(3.0 * math.sqrt(chi)) + 64)
-    t, w = np.polynomial.legendre.leggauss(m)
-    theta = 0.25 * math.pi * (t + 1.0)
-    wt = 0.25 * math.pi * w
-    xs = np.sin(theta)
-    s = s_map(xs, q)
-    z = np.sqrt(chi) * s
-    integrand = math.sqrt(chi) * s * _sp.jv(alpha, z) ** 2 / np.sqrt(1.0 - q * xs * xs)
-    return float(np.dot(wt, integrand))
-
-
-def approximant_norm_sq(spectrum: ChiSpectrum, n: int) -> float:
-    """Weighted L2([0,1]) norm squared of the Bessel-form approximant A * main.
-
-    The substitution x = sin(theta) removes the (1-x)^(-1/2) endpoint
-    singularity of the integrand; a Gauss-Legendre rule in theta does the
-    rest.  A multiplies the integral one factor at a time, since A^2 alone
-    overflows where |A| passes 1e154 (A = 4.6e204 at (alpha, c, n) =
-    (260, 1, 2), where the norm is 4.6e103).  Raises where A is undefined
-    (q >= 1 or chi = 0).
-    """
-    frame = make_frame(spectrum, n)
-    a = frame.a_exact
-    return a * (a * _main_norm_sq(frame))
-
-
-def approximant_norm_check(spectrum: ChiSpectrum, n: int) -> float:
-    """Relative deviation |  ||approximant||^2 pi / (A^2 K(sqrt(q))) - 1  |.
-
-    That is |  ||main||^2 pi / K(sqrt(q)) - 1  |, with no A factor, so it
-    stays finite where A^2 overflows (1.0 at (alpha, c, n) = (260, 1, 2)).
-    On admissible frames it is bounded by M_cap pi / (K(sqrt(q)) (1-q) sqrt(chi))
-    with M_cap the eta bound from the envelope constants.
-    """
-    frame = make_frame(spectrum, n)
-    return abs(_main_norm_sq(frame) * math.pi / elliptic_K(math.sqrt(frame.q)) - 1.0)
 
 
 def jacobi_uniform(spectrum: ChiSpectrum, n: int, x, q0: float = 0.9):

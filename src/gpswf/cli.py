@@ -42,15 +42,16 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def _check_finite(rows, summary):
+def _check_finite(columns, rows, summary) -> str | None:
+    """The column or summary key of the first float that is inf or NaN, else None."""
     for row in rows:
-        for v in row:
+        for name, v in zip(columns, row):
             if isinstance(v, float) and not math.isfinite(v):
-                return False
-    for v in summary.values():
+                return name
+    for name, v in summary.items():
         if isinstance(v, float) and not math.isfinite(v):
-            return False
-    return True
+            return name
+    return None
 
 
 def _emit(columns, rows, summary, config, fmt: str, out: str | None) -> None:
@@ -251,7 +252,9 @@ def main(argv=None) -> int:
         if getattr(args, "grid", 1) < 1:
             raise ValueError(f"--grid must be at least 1, got {args.grid}")
         columns, rows, summary, violated = args.handler(args)
-        if not _check_finite(rows, summary):
+        bad = _check_finite(columns, rows, summary)
+        if bad is not None:
+            print(f"error: non-finite value in {bad}", file=sys.stderr)
             return EXIT_VIOLATION
         # the parsed flags in declaration order, as the JSON config block
         config = {k: v for k, v in vars(args).items()

@@ -1,13 +1,11 @@
 """Special functions and quadrature for the GPSWF solver stack.
 
 Everything here is double precision, pure and deterministic: the total
-mass of the weight (1-y^2)^alpha, complete and incomplete Legendre
-elliptic integrals of the first kind, the elliptic arc-length map S used by
-the Liouville transform, the Bessel moment remainder eta, Clenshaw
-evaluation of orthonormal symmetric-Jacobi series, Gauss-Jacobi quadrature
-for that weight, and the
-envelope constants (m_alpha, c_alpha, kappa_alpha, X_alpha, ...) that
-control the Bessel-form error bounds.  Gamma, Beta and Bessel J are
+mass of the weight (1-y^2)^alpha, the complete Legendre elliptic integral
+of the first kind, the elliptic arc-length map S used by the Liouville
+transform, Clenshaw evaluation of orthonormal symmetric-Jacobi series,
+Gauss-Jacobi quadrature for that weight, and the envelope constants
+(m_alpha and X_alpha) that control the Bessel-form error bounds.  Gamma, Beta and Bessel J are
 scipy.special's, called directly, except the total mass past alpha = 80
 (_gamma_half_ratio's asymptotic series).  Where J_alpha and Y_alpha are both needed
 on an array (the Bessel form and its Olver envelope), _bessel_jy takes them
@@ -29,12 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 from scipy.linalg import LinAlgError, lapack
-
-
-def _maybe_scalar(out, x):
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 def _count(value, name: str, least: int = 0) -> int:
@@ -124,18 +116,7 @@ def s_map(x, q: float):
     if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("s_map requires x in [0, 1]")
     out = _sp.ellipe(q) - _sp.ellipeinc(np.arcsin(arr), q)
-    return _maybe_scalar(out, x)
-
-
-def incomplete_K(x, q: float):
-    """Incomplete first-kind integral K(x, sqrt(q)) = int_x^1 dt/sqrt((1-t^2)(1-q t^2))."""
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"incomplete_K requires 0 <= q < 1, got q={q}")
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0) & (arr <= 1)):
-        raise ValueError("incomplete_K requires x in [0, 1]")
-    out = _sp.ellipk(q) - _sp.ellipkinc(np.arcsin(arr), q)
-    return _maybe_scalar(out, x)
+    return out if np.ndim(x) else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +271,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    alpha: float
 
 
 def gauss_jacobi(n_nodes: int, alpha: float) -> QuadratureRule:
@@ -351,49 +331,20 @@ def gauss_jacobi(n_nodes: int, alpha: float) -> QuadratureRule:
             f"Gauss-Jacobi rule invalid for N={n_nodes}, alpha={alpha}: "
             "nodes not increasing or weights negative or not finite"
         )
-    return QuadratureRule(nodes=nodes, weights=weights, alpha=alpha)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 # ---------------------------------------------------------------------------
 # Envelope machinery for the Bessel-form error bounds
 # ---------------------------------------------------------------------------
 
-def eta_fn(alpha: float, x):
-    """Oscillatory remainder of the Bessel moment int_0^x t J_alpha^2 dt - x/pi.
-
-    Closed form: x^2/2 [J_a^2 + J_{a+1}^2] - alpha x J_a J_{a+1} - x/pi,
-    written so the x -> 0 limit needs no special casing.
-    """
-    if not (alpha >= -0.5 and math.isfinite(alpha)):
-        raise ValueError(f"eta_fn requires a finite alpha >= -1/2, got alpha = {alpha}")
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr >= 0):
-        raise ValueError("eta_fn requires x >= 0")
-    ja = _sp.jv(alpha, arr)
-    jb = _sp.jv(alpha + 1.0, arr)
-    out = 0.5 * arr * arr * (ja * ja + jb * jb) - alpha * arr * ja * jb - arr / math.pi
-    return _maybe_scalar(out, x)
-
-
 @dataclass(frozen=True)
 class BesselEnvelopeConstants:
     """Order-dependent constants entering the Bessel-form error envelope."""
 
     alpha: float
-    mu_alpha: float
-    c_alpha: float
     m_alpha: float
-    m_alpha_cap: float
-    kappa_alpha: float
     x_alpha: float
-
-
-def _sup_sqrt_x_j(alpha: float) -> float:
-    # Olenko-style bound for sup_x sqrt(x) |J_alpha(x)|.
-    if abs(alpha) <= 0.5:
-        return math.sqrt(2.0 / math.pi)
-    a3 = alpha ** (1.0 / 3.0)
-    return 0.675 * math.sqrt(a3 + 1.9 / a3 + 1.1 / alpha)
 
 
 def _first_zero_j_plus_y(alpha: float) -> float:
@@ -440,10 +391,6 @@ def envelope_constants(alpha: float) -> BesselEnvelopeConstants:
     if not (alpha >= -0.5 and math.isfinite(alpha)):
         raise ValueError(f"envelope constants require a finite alpha >= -1/2, "
                          f"got alpha = {alpha}")
-    mu_a = abs(alpha * alpha - 0.25)
-    mu_a1 = abs((alpha + 1.0) ** 2 - 0.25)
-    c_a = _sup_sqrt_x_j(alpha)
-    c_a1 = _sup_sqrt_x_j(alpha + 1.0)
     if abs(alpha) <= 0.5:
         m_a = 2.0 / math.pi
     else:
@@ -451,15 +398,8 @@ def envelope_constants(alpha: float) -> BesselEnvelopeConstants:
         ya = float(_sp.yv(alpha, alpha))
         m_a = max(-2.0 * alpha * ja * ya + 4.0 * alpha / math.pi,
                   alpha * (ja * ja + ya * ya))
-    kappa = (0.8 * math.sqrt(2.0 / math.pi) * (mu_a + mu_a1)
-             + 0.32 * (mu_a * mu_a + mu_a1 * mu_a1)
-             + abs(alpha) * c_a * c_a1)
-    m_cap = max(1.0 / math.pi, c_a * c_a - 1.0 / math.pi, kappa)
     x_a = _first_zero_j_plus_y(alpha)
-    return BesselEnvelopeConstants(
-        alpha=alpha, mu_alpha=mu_a, c_alpha=c_a, m_alpha=m_a,
-        m_alpha_cap=m_cap, kappa_alpha=kappa, x_alpha=x_a,
-    )
+    return BesselEnvelopeConstants(alpha=alpha, m_alpha=m_a, x_alpha=x_a)
 
 
 def _bessel_jy(constants: BesselEnvelopeConstants, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -486,32 +426,22 @@ def _bessel_jy(constants: BesselEnvelopeConstants, z: np.ndarray) -> tuple[np.nd
     return j, y
 
 
-def weight_modulus(constants: BesselEnvelopeConstants, x):
-    """Olver weight and modulus functions (E_alpha(x), M_alpha(x)) for x > 0.
-
-    alpha and X_alpha are read from constants (see envelope_constants).
-    Piecewise about X_alpha, the first zero of J_alpha + Y_alpha; below it
-    E = sqrt(-Y/J), M = sqrt(2 |Y| J), above it E = 1, M = sqrt(J^2 + Y^2),
-    so M/E = sqrt(2) J below and the Hankel modulus above.  J and Y come
-    from _bessel_jy: one Hankel function above max(X_alpha, 1), jv and yv
-    at or below it.  Below X_alpha, E and M are formed from sqrt(|Y|) and
-    sqrt(J), so that they stay finite wherever they are doubles (E = 7.0e278
-    at alpha = 60, x = 1e-3, where Y/J overflows).  Where J or Y there is
-    itself 0 or not finite (J_60(1e-5) = 1e-400 underflows), or E passes the
-    double range, ValueError names alpha and x.
-    """
-    arr1 = np.atleast_1d(np.asarray(x, dtype=float))
-    e_out, m_out = _weight_modulus_from(constants, arr1, *_bessel_jy(constants, arr1))
-    if np.ndim(x) == 0:
-        return float(e_out[0]), float(m_out[0])
-    return e_out, m_out
-
-
 def _weight_modulus_from(constants: BesselEnvelopeConstants, x: np.ndarray, j: np.ndarray,
                          y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """weight_modulus on a 1-D x from J_alpha(x) and Y_alpha(x), for callers that hold them."""
+    """Olver weight and modulus (E_alpha(x), M_alpha(x)) on a 1-D x > 0 from J_alpha and Y_alpha.
+
+    X_alpha is read from constants (see envelope_constants), and J and Y
+    are the caller's, from _bessel_jy.  Piecewise about X_alpha, the first
+    zero of J_alpha + Y_alpha; below it E = sqrt(-Y/J), M = sqrt(2 |Y| J),
+    above it E = 1, M = sqrt(J^2 + Y^2), so M/E = sqrt(2) J below and the
+    Hankel modulus above.  Below X_alpha, E and M are formed from sqrt(|Y|)
+    and sqrt(J), so that they stay finite wherever they are doubles
+    (E = 7.0e278 at alpha = 60, x = 1e-3, where Y/J overflows).  Where J or
+    Y there is itself 0 or not finite (J_60(1e-5) = 1e-400 underflows), or E
+    passes the double range, ValueError names alpha and x.
+    """
     if not np.all(x > 0):
-        raise ValueError("weight_modulus requires x > 0")
+        raise ValueError("the Olver envelope requires x > 0")
     e_out = np.ones_like(x)
     m_out = np.hypot(j, y)
     small = x <= constants.x_alpha
@@ -524,7 +454,7 @@ def _weight_modulus_from(constants: BesselEnvelopeConstants, x: np.ndarray, j: n
         if bad.size:
             i = bad[0]
             raise ValueError(
-                f"weight_modulus: J_alpha = {float(js[i])!r} and Y_alpha = {float(ys[i])!r} "
+                f"Olver envelope: J_alpha = {float(js[i])!r} and Y_alpha = {float(ys[i])!r} "
                 f"at alpha = {constants.alpha}, x = {float(x[small][i])!r} give no finite E and M")
         e_out[small], m_out[small] = e_small, m_small
     return e_out, m_out

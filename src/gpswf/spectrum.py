@@ -361,7 +361,6 @@ class TraceAndNorm:
     trace: float
     hs_norm_limit: float
     gamma_alpha: float
-    bessel_moment: float
 
 
 def trace_and_norm(params: ProblemParams) -> TraceAndNorm:
@@ -374,10 +373,8 @@ def trace_and_norm(params: ProblemParams) -> TraceAndNorm:
     self-check, which a non-finite value fails; they match through the
     Legendre duplication identity.  Past alpha = 80 total_mass is itself the
     Gamma-ratio form (specfun._gamma_half_ratio), so no independent form is
-    left to compare with, and only finiteness is checked there.  The Bessel
-    moment's Gamma ratios are taken in log form, so every field stays finite
-    at large alpha.  gamma_alpha diverges as alpha -> -1/2+, so alpha <= -1/2
-    is refused.
+    left to compare with, and only finiteness is checked there.  gamma_alpha
+    diverges as alpha -> -1/2+, so alpha <= -1/2 is refused.
     """
     a, c = params.alpha, params.c
     if a <= -0.5:
@@ -393,12 +390,8 @@ def trace_and_norm(params: ProblemParams) -> TraceAndNorm:
         raise RuntimeError("trace self-check failed: Beta and Gamma forms disagree")
     # 2^(2a) B(2a + 1, 2a + 1) / B(a + 1, a + 1), squared
     gamma_alpha = (total_mass(2.0 * a) / total_mass(a)) ** 2
-    # log form: Gamma(2a + 1.5) overflows past alpha ~ 85 and 2^(4a) past 255
-    lg = _sp.gammaln
-    moment = math.exp(0.5 * math.log(math.pi) - 2 * a * math.log(2.0) + lg(2 * a + 1.0)
-                      - lg(2 * a + 1.5) - 2.0 * lg(a + 1.0))
     return TraceAndNorm(trace=trace_beta, hs_norm_limit=gamma_alpha * trace_beta,
-                        gamma_alpha=gamma_alpha, bessel_moment=moment)
+                        gamma_alpha=gamma_alpha)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from scipy.special import jv
 import gpswf as g
 from explicit_route import f_n_moment, log_lambda_explicit
 from gpswf.approx import make_frame
+from paper_bounds import eta
 from test_spectrum import f_n_weighted_identity
 
 
@@ -48,7 +49,7 @@ def test_criterion_02_bessel_moment_identity():
         for x in np.linspace(0.25, 5.0, 20):
             lhs = quad(lambda t: t * jv(alpha, t) ** 2, 0.0, x,
                        limit=200, epsabs=1e-13)[0]
-            rhs = x / math.pi + g.eta_fn(alpha, x)
+            rhs = x / math.pi + eta(alpha, x)
             worst = max(worst, abs(lhs - rhs))
     _report(2, "Bessel moment identity", worst <= 1e-10, t0,
             f"worst absolute deviation {worst:.2e} over 100 grid points")

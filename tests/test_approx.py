@@ -9,7 +9,9 @@ from scipy.integrate import quad
 from scipy.special import ellipe, gamma, jv
 
 import gpswf as g
-from gpswf.approx import _main_norm_sq, default_grid, make_frame, symmetric_grid
+from gpswf.approx import default_grid, make_frame, symmetric_grid
+from paper_bounds import g_bound, m_cap, main_norm_sq
+from test_specfun import weight_modulus
 
 
 def g_bound_quad_oracle(alpha, q, x):
@@ -29,19 +31,19 @@ def test_g_bound_at_zero():
     alpha, q = 0.5, 0.3
     expect = (3 + 2 * q + 12 * alpha ** 2) / (4 * (1 - q)) * ellipe(q) \
         + alpha * (alpha + 1) * g.elliptic_K(math.sqrt(q))
-    assert_allclose(g.g_bound(alpha, q, 0.0), expect, rtol=1e-14)
+    assert_allclose(g_bound(alpha, q, 0.0), expect, rtol=1e-14)
 
 
 def test_g_bound_small_q_limit():
-    assert_allclose(g.g_bound(0.0, 1e-14, 0.0), 0.75 * math.pi / 2, rtol=1e-10)
+    assert_allclose(g_bound(0.0, 1e-14, 0.0), 0.75 * math.pi / 2, rtol=1e-10)
 
 
 def test_g_bound_endpoint():
-    assert g.g_bound(0.5, 0.3, 1.0) == 0.0
+    assert g_bound(0.5, 0.3, 1.0) == 0.0
 
 
 def test_g_bound_quad_oracle():
-    assert_allclose(g.g_bound(0.5, 0.3, 0.6), g_bound_quad_oracle(0.5, 0.3, 0.6),
+    assert_allclose(g_bound(0.5, 0.3, 0.6), g_bound_quad_oracle(0.5, 0.3, 0.6),
                     atol=1e-11)
 
 
@@ -87,13 +89,10 @@ def test_mode_outside_the_spectrum_refused(route, n):
     (lambda spec, x: g.ode_residual(spec.eigenfunction(40), x), r"evaluated on \[-1, 1\]"),
     (lambda spec, x: g.jacobi_uniform(spec, 40, x), r"evaluated on \[-1, 1\]"),
     (lambda spec, x: g.bessel_uniform(spec, 40, x), r"defined on \[0, 1\]"),
-    (lambda spec, x: g.g_bound(0.5, 0.3, x), r"requires x in \[0, 1\]"),
     (lambda spec, x: g.s_map(x, 0.3), r"requires x in \[0, 1\]"),
-    (lambda spec, x: g.incomplete_K(x, 0.3), r"requires x in \[0, 1\]"),
-    (lambda spec, x: g.eta_fn(0.5, x), r"requires x >= 0"),
-    (lambda spec, x: g.weight_modulus(g.envelope_constants(0.5), x), r"requires x > 0"),
+    (lambda spec, x: weight_modulus(g.envelope_constants(0.5), x), r"requires x > 0"),
 ], ids=["value", "derivative", "ode_residual", "jacobi_uniform", "bessel_uniform",
-        "g_bound", "s_map", "incomplete_K", "eta_fn", "weight_modulus"])
+        "s_map", "weight_modulus"])
 def test_nan_point_refused(route, message, x):
     # a NaN fails every "outside" comparison; each check asks "all inside"
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=5.0), 40)
@@ -103,15 +102,13 @@ def test_nan_point_refused(route, message, x):
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("route, domain", [
-    (lambda alpha: g.g_bound(alpha, 0.3, 0.5), ">= -1/2"),
-    (lambda alpha: g.eta_fn(alpha, [1.0, 2.0]), ">= -1/2"),
     (g.envelope_constants, ">= -1/2"),
     (lambda alpha: g.gauss_jacobi(5, alpha), "> -1"),
-], ids=["g_bound", "eta_fn", "envelope_constants", "gauss_jacobi"])
+], ids=["envelope_constants", "gauss_jacobi"])
 def test_non_finite_alpha_refused(route, domain, alpha):
-    # a NaN alpha passed each "outside" check: g_bound and eta_fn returned
-    # NaN, envelope_constants failed to bracket its first zero, and
-    # gauss_jacobi failed on an unnamed LAPACK check, as it did at inf
+    # a NaN alpha passed each "outside" check: envelope_constants failed to
+    # bracket its first zero, and gauss_jacobi failed on an unnamed LAPACK
+    # check, as it did at inf
     with pytest.raises(ValueError, match=f"a finite alpha {domain}, got alpha = {alpha}$"):
         route(alpha)
 
@@ -202,21 +199,32 @@ def test_a_exact_finite_at_large_alpha(alpha, n):
         assert math.isfinite(fr.a_exact)
         assert abs(fr.a_exact - expect) <= 1e-12 * abs(expect)
     if alpha <= 200:
-        assert math.isfinite(g.approximant_norm_sq(spec, n))
+        assert math.isfinite(approximant_norm_sq(spec, n))
 
 
 # ---------------------------------------------------------------------------
 # approximant norm
 # ---------------------------------------------------------------------------
 
+def approximant_norm_sq(spec, n):
+    """||A main||^2, with A applied one factor at a time: A^2 overflows past |A| = 1e154."""
+    fr = make_frame(spec, n)
+    return fr.a_exact * (fr.a_exact * main_norm_sq(fr))
+
+
+def approximant_norm_check(spec, n):
+    """|  ||approximant||^2 pi / (A^2 K(sqrt(q))) - 1  |, with no A factor to overflow."""
+    fr = make_frame(spec, n)
+    return abs(main_norm_sq(fr) * math.pi / g.elliptic_K(math.sqrt(fr.q)) - 1.0)
+
+
 def test_norm_check_bound():
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.8, c=4.0), 50)
     fr = make_frame(spec, 50)
     # | ||approximant||^2 - A^2 K/pi | <= A^2 M_cap / ((1-q) sqrt(chi)), divided by A^2 K/pi
-    dev = g.approximant_norm_check(spec, 50)
+    dev = approximant_norm_check(spec, 50)
     kappa = g.elliptic_K(math.sqrt(fr.q))
-    m_cap = g.envelope_constants(0.8).m_alpha_cap
-    bound = m_cap * math.pi / (kappa * (1 - fr.q) * math.sqrt(fr.chi))
+    bound = m_cap(0.8) * math.pi / (kappa * (1 - fr.q) * math.sqrt(fr.chi))
     assert dev <= bound
 
 
@@ -224,7 +232,7 @@ def test_norm_small_q_limit():
     # K(0) = pi/2, so the squared norm tends to A^2/2
     spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=0.2), 60)
     a = make_frame(spec, 60).a_exact
-    norm2 = g.approximant_norm_sq(spec, 60)
+    norm2 = approximant_norm_sq(spec, 60)
     assert abs(norm2 - a * a / 2) / norm2 <= 1e-3
 
 
@@ -242,7 +250,7 @@ def test_norm_adaptive_integration_oracle():
 
     oracle = quad(integrand_theta, 0.0, math.pi / 2, limit=500,
                   epsabs=1e-13, epsrel=1e-13)[0]
-    assert abs(g.approximant_norm_sq(spec, 50) - oracle) <= 1e-10
+    assert abs(approximant_norm_sq(spec, 50) - oracle) <= 1e-10
 
 
 def test_norm_finite_where_a_squared_overflows():
@@ -250,12 +258,12 @@ def test_norm_finite_where_a_squared_overflows():
     # overflows, the norm (about 4.6e103) does not
     spec = g.chi_spectrum(g.ProblemParams(alpha=260.0, c=1.0), 2)
     fr = make_frame(spec, 2)
-    norm2 = g.approximant_norm_sq(spec, 2)
+    norm2 = approximant_norm_sq(spec, 2)
     assert math.isfinite(norm2)
-    in_logs = math.exp(2.0 * math.log(fr.a_exact) + math.log(_main_norm_sq(fr)))
+    in_logs = math.exp(2.0 * math.log(fr.a_exact) + math.log(main_norm_sq(fr)))
     assert abs(norm2 - in_logs) <= 1e-12 * in_logs
     # the relative check needs no A: ||main||^2 pi / K is ~4e-306, so it reads 1
-    check = g.approximant_norm_check(spec, 2)
+    check = approximant_norm_check(spec, 2)
     assert math.isfinite(check) and abs(check - 1.0) <= 1e-12
 
 

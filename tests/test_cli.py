@@ -1,6 +1,7 @@
 """CLI contract tests: schemas, round-trips, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -268,6 +269,16 @@ def test_library_failure_is_one_error_line(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+def test_non_finite_value_is_one_error_line(monkeypatch, capsys):
+    # a non-finite value exited 1 with no table and nothing on stderr
+    monkeypatch.setattr("gpswf.cli.trace_and_norm", lambda params: dataclasses.replace(
+        gpswf.trace_and_norm(params), hs_norm_limit=math.inf))
+    assert main(["spectrum", "--alpha", "0.5", "--c", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-finite value in hs_limit\n"
 
 
 def test_spectrum_at_large_alpha(tmp_path):

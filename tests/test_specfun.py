@@ -14,11 +14,13 @@ import gpswf as g
 from explicit_route import jacobi_h
 from gpswf.specfun import (
     _bessel_jy,
+    _weight_modulus_from,
     jacobi_series_deriv_coeffs,
     jacobi_series_eval,
     sym_offdiag,
     total_mass,
 )
+from paper_bounds import c_alpha, eta, incomplete_K, m_cap
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +209,7 @@ def test_bessel_sup_bound():
     # sqrt(x) |J_a(x)| <= c_alpha on a wide grid
     xs = np.linspace(1e-3, 200.0, 4000)
     for alpha in (0.0, 0.3, 0.5, 1.0, 2.2):
-        c_a = g.envelope_constants(alpha).c_alpha
+        c_a = c_alpha(alpha)
         assert np.max(np.sqrt(xs) * np.abs(jv(alpha, xs))) <= c_a + 1e-12
 
 
@@ -256,9 +258,9 @@ def test_s_map_bracket():
 
 def test_incomplete_K():
     q = 0.4
-    assert_allclose(g.incomplete_K(0.0, q), g.elliptic_K(math.sqrt(q)), rtol=1e-14)
-    assert g.incomplete_K(1.0, q) == 0.0
-    assert_allclose(g.incomplete_K(0.3, 0.4), incomplete_K_quad_oracle(0.3, 0.4), atol=1e-12)
+    assert_allclose(incomplete_K(0.0, q), g.elliptic_K(math.sqrt(q)), rtol=1e-14)
+    assert incomplete_K(1.0, q) == 0.0
+    assert_allclose(incomplete_K(0.3, 0.4), incomplete_K_quad_oracle(0.3, 0.4), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +601,14 @@ def test_gauss_jacobi_solves_half_size_blocks(monkeypatch):
 # eta, envelope constants, weight/modulus functions
 # ---------------------------------------------------------------------------
 
+def weight_modulus(cst, x):
+    """(E_alpha(x), M_alpha(x)) as 1-D arrays, from the Bessel form's own J and Y."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    return _weight_modulus_from(cst, xs, *_bessel_jy(cst, xs))
+
+
 def test_eta_zero():
-    assert g.eta_fn(0.8, 0.0) == 0.0
+    assert eta(0.8, 0.0) == 0.0
 
 
 def test_eta_moment_identity():
@@ -609,19 +617,19 @@ def test_eta_moment_identity():
         for x in (0.7, 1.9, 3.0, 6.5):
             moment = quad(lambda t: t * jv(alpha, t) ** 2, 0.0, x,
                           limit=200, epsabs=1e-13)[0]
-            assert abs(g.eta_fn(alpha, x) - (moment - x / math.pi)) <= 1e-10
+            assert abs(eta(alpha, x) - (moment - x / math.pi)) <= 1e-10
 
 
 def test_eta_sup_bound():
     xs = np.linspace(0.0, 120.0, 6000)
     for alpha in (0.0, 0.8, 1.6):
-        cap = g.envelope_constants(alpha).m_alpha_cap
-        assert np.max(np.abs(g.eta_fn(alpha, xs))) <= cap
+        cap = m_cap(alpha)
+        assert np.max(np.abs(eta(alpha, xs))) <= cap
 
 
 def test_envelope_constants_values():
     assert_allclose(g.envelope_constants(0.0).m_alpha, 2 / math.pi, rtol=1e-15)
-    assert_allclose(g.envelope_constants(0.25).c_alpha, math.sqrt(2 / math.pi), rtol=1e-15)
+    assert_allclose(c_alpha(0.25), math.sqrt(2 / math.pi), rtol=1e-15)
     cst = g.envelope_constants(1.0)
     j1, y1 = jv(1.0, 1.0), yv(1.0, 1.0)
     expect = max(-2 * j1 * y1 + 4 / math.pi, j1 * j1 + y1 * y1)
@@ -662,32 +670,32 @@ def test_kernel_sup_bound_scan():
     xs = np.linspace(1e-3, 60.0, 8000)
     for alpha in (0.0, 0.3, 1.0):
         cst = g.envelope_constants(alpha)
-        _, m = g.weight_modulus(cst, xs)
+        _, m = weight_modulus(cst, xs)
         assert np.max(xs * m * m) <= cst.m_alpha + 1e-10
 
 
 def test_weight_modulus_branches():
     alpha = 0.3
     cst = g.envelope_constants(alpha)
-    e_big, m_big = g.weight_modulus(cst, cst.x_alpha + 2.0)
+    e_big, m_big = weight_modulus(cst, cst.x_alpha + 2.0)
     assert e_big == 1.0
     x = cst.x_alpha + 2.0
     assert_allclose(m_big, math.hypot(jv(alpha, x), yv(alpha, x)),
                     rtol=1e-14)
     # continuity at X_alpha: Y = -J there, so both M branches agree
-    m_lo = g.weight_modulus(cst, cst.x_alpha * (1 - 1e-10))[1]
-    m_hi = g.weight_modulus(cst, cst.x_alpha * (1 + 1e-10))[1]
+    m_lo = weight_modulus(cst, cst.x_alpha * (1 - 1e-10))[1]
+    m_hi = weight_modulus(cst, cst.x_alpha * (1 + 1e-10))[1]
     assert abs(m_lo - m_hi) <= 1e-8
     # below X_alpha, M/E = sqrt(2) J and x M^2 <= 2/pi
     x_small = cst.x_alpha / 2
-    e_s, m_s = g.weight_modulus(cst, x_small)
+    e_s, m_s = weight_modulus(cst, x_small)
     assert_allclose(m_s / e_s, math.sqrt(2) * jv(alpha, x_small), rtol=1e-12)
     assert x_small * m_s ** 2 <= 2 / math.pi
 
 
 def test_weight_modulus_domain():
     with pytest.raises(ValueError):
-        g.weight_modulus(g.envelope_constants(0.3), 0.0)
+        weight_modulus(g.envelope_constants(0.3), 0.0)
 
 
 def test_weight_modulus_where_y_over_j_overflows():
@@ -697,7 +705,7 @@ def test_weight_modulus_where_y_over_j_overflows():
     with mp.workdps(40):
         j, y = besselj(60, mp.mpf("1e-3")), bessely(60, mp.mpf("1e-3"))
         e_ref, m_ref = float(mp.sqrt(-y / j)), float(mp.sqrt(-2 * y * j))
-    e, m = g.weight_modulus(g.envelope_constants(60.0), 1e-3)
+    e, m = weight_modulus(g.envelope_constants(60.0), 1e-3)
     assert_allclose(e, e_ref, rtol=1e-13)
     assert_allclose(m, m_ref, rtol=1e-13)
 
@@ -706,7 +714,7 @@ def test_weight_modulus_where_y_over_j_overflows():
 def test_weight_modulus_refuses_underflowed_j(alpha, x):
     # J_60(1e-5) = 1e-400 underflows to 0 and Y to -inf: no finite E or M
     with pytest.raises(ValueError, match=rf"alpha = {alpha}, x = {x!r}"):
-        g.weight_modulus(g.envelope_constants(alpha), x)
+        weight_modulus(g.envelope_constants(alpha), x)
 
 
 # _bessel_jy's reference grid: z from 1e-4 to 1,200, dense near the threshold
