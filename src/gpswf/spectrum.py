@@ -25,7 +25,8 @@ paper's explicit product formula, mu_n = i^n sqrt(pi) Gamma-ratio c^n
 exp(Phi_n) with Phi_n = int_0^c (F_n(tau) - n)/tau dtau, integrated over
 tau in (0, c], independent of the ratio route's one solve at c; the moment
 F_n it integrates; and the eigen-relation F_c psi_n = mu_n psi_n at x = 0
-for every mode, whose error grows as mu_n decays.
+for every mode, on vectors re-solved by inverse iteration so that it holds
+at depth too.
 
 Trace and Hilbert-Schmidt closed forms plus the counting bounds for
 #{lambda_n >= delta} complete the module.
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import _count, _lapack, gauss_jacobi, sym_offdiag, total_mass
+from .specfun import _count, _lapack, gauss_jacobi, total_mass
 from .sturm import ChiSpectrum, ProblemParams, _mode_indices, _sign_reference, chi_spectrum
 
 
@@ -158,27 +159,26 @@ def nystrom_spectrum(params: ProblemParams, n_quad: int | None = None,
     )
 
 
-def _connection_tables(alpha: float, top: int) -> tuple:
-    """The ratio route's tables for degrees up to top: b, h_0, p and q.
+def _connection_tables(alpha: float, b: np.ndarray, b_up: np.ndarray) -> tuple:
+    """The ratio route's tables from the alpha and alpha + 1 offdiagonals b and b_up: h_0, p and q.
 
-    b and b_up are the alpha and alpha + 1 offdiagonals (sym_offdiag), and
-    h_0 = total_mass(alpha); b_up only builds p.  The two-term connection
+    b and b_up are of one length (ChiSpectrum.operator's), and so are p and
+    q; h_0 = total_mass(alpha).  The two-term connection
     Ptilde^alpha_k = p_k Ptilde^(alpha+1)_k + q_k Ptilde^(alpha+1)_(k-2)
     (DLMF 18.9.7, normalised) has p_k = b_up_k sqrt(k (k + 2 alpha + 1)) / k
     for k >= 1, the ratio of the leading coefficients of Ptilde^alpha_k and
     Ptilde^(alpha+1)_k, with p_0 the ratio of the two degree-0 constants,
     and q_k = -b_k b_(k-1) / p_(k-2) for k >= 2 (q_0 = q_1 = 0), so both
-    stay finite at alpha = -1/2.  No entry depends on top, so one build
-    serves every parity and size up to it.
+    stay finite at alpha = -1/2.  No entry depends on the length, so one
+    build serves every parity and size up to it.
     """
-    b, b_up = sym_offdiag(alpha, top), sym_offdiag(alpha + 1.0, top)
     h_0 = total_mass(alpha)
-    k = np.arange(1, top + 1, dtype=float)
+    k = np.arange(1, b_up.size, dtype=float)
     p = np.concatenate(([math.sqrt(total_mass(alpha + 1.0) / h_0)],
                         b_up[1:] * np.sqrt(k * (k + 2 * alpha + 1)) / k))
-    q = np.zeros(top + 1)
+    q = np.zeros(b_up.size)
     q[2:] = -b[2:] * b[1:-1] / p[:-2]
-    return b, h_0, p, q
+    return h_0, p, q
 
 
 def _connect(p: np.ndarray, q: np.ndarray, parity: int, e: np.ndarray) -> np.ndarray:
@@ -217,13 +217,13 @@ def log_mu_ratio(spectrum: ChiSpectrum) -> np.ndarray:
     x = 0, where the transform of psi_0 is c_0 sqrt(h_0): mu_0 is c_0 h_0
     over one dot product of psi_0's even coefficients with sturm's sign
     reference, psi_0(0) sqrt(h_0), so bit-identical to mode 0 of the tests'
-    eigen-relation, and positive as psi_0 has no zeros.  One call
-    builds its tables once (_connection_tables, to degree n_trunc - 1): the
-    offdiagonals and total mass serve the anchor, A_n and both parities'
-    connection solves.  Nothing cancels: A_n is O(1) and B_n
-    O(n), and log |mu_n| is log mu_0 plus the cumulative sum of
-    log(c A_n / B_n).  Against the explicit product formula, the tests'
-    reference (tests/explicit_route.py), it is within
+    eigen-relation, and positive as psi_0 has no zeros.  It builds no
+    offdiagonal table: the solve's own (ChiSpectrum.operator) serve the
+    anchor, A_n and the connection tables (_connection_tables, built once
+    per call), which serve both parities' connection solves.  Nothing
+    cancels: A_n is O(1) and B_n O(n), and log |mu_n| is log mu_0 plus the
+    cumulative sum of log(c A_n / B_n).  Against the explicit product
+    formula, the tests' reference (tests/explicit_route.py), it is within
     4e-13 max(1, |log |mu_n||) over the sweep in the tests, down to
     log |mu_n| = -410.  A_n / B_n > 0 on every pair, so mu_n = i^n |mu_n|; a
     zero or non-finite psi_0(0), or a non-positive or non-finite mu_0 or
@@ -232,12 +232,12 @@ def log_mu_ratio(spectrum: ChiSpectrum) -> np.ndarray:
     c, a = spectrum.params.c, spectrum.params.alpha
     if c <= 0:
         raise ValueError("the ratio route requires c > 0")
-    b, h_0, p, q = _connection_tables(a, spectrum.n_trunc - 1)
+    b, b_up, _, _ = spectrum.operator
+    h_0, p, q = _connection_tables(a, b, b_up)
     # psi_0's packed row as a stride-2 view, the even-degree slice of its
     # full-degree row that the tests' eigen-relation reads: BLAS sums a
     # strided dot in another order than a contiguous one, and so mode 0 of
-    # the two is the same double.  The sign reference reads b up to degree
-    # 2 ceil(N/2) - 2 <= N - 1.
+    # the two is the same double.
     row = np.repeat(spectrum.coeffs[0], 2)[::2]
     at_zero = float(np.dot(row, _sign_reference(a, b, 0, row.size)))
     mu_0 = float(row[0]) * h_0 / at_zero if at_zero != 0 else at_zero
@@ -260,10 +260,10 @@ def _ratio_forms(spectrum: ChiSpectrum, b: np.ndarray, p: np.ndarray,
                  q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A_n = int x psi_(n+1) psi_n w and B_n = int psi_(n+1)' psi_n w for n < n_max.
 
-    b, p and q are _connection_tables' at the spectrum's alpha, to degree
-    n_trunc - 1.  The pairs (psi_n, psi_(n+1)) are read from the packed rows
-    (ChiSpectrum), by the parity of n and a block of pairs at a time, so no
-    (n_max, n_trunc) array is formed.  A_n sums the full-degree vector
+    b is the spectrum's alpha offdiagonals (ChiSpectrum.operator), and p and
+    q are _connection_tables' from them.  The pairs (psi_n, psi_(n+1)) are
+    read from the packed rows (ChiSpectrum), by the parity of n and a block
+    of pairs at a time, so no (n_max, n_trunc) array is formed.  A_n sums the full-degree vector
     b_(k+1) (u_(k+1) v_k + u_k v_(k+1)), k < n_trunc - 1, with u and v the
     coefficients of psi_n and psi_(n+1): at each k one product pairs two
     degrees of the wrong parity and is 0, and the other is formed from the

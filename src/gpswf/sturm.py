@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def _sized_diagonals(alpha: float, c: float, n_max: int,
                      chi_hi: float | None = None) -> tuple[int, tuple, float]:
     """The default basis size for modes 0..n_max with chi <= chi_hi (by
     default _chi_bound's), the _sturm_diagonals it was read from (at least
-    that long) and chi_hi.
+    two degrees longer) and chi_hi.
 
     Past a parity block's turning row, the last row j with d_j - 2 e_j <=
     chi_hi, the vector of an eigenvalue chi <= chi_hi decays like the
@@ -166,6 +166,14 @@ class ChiSpectrum:
     coefficients on Ptilde_p, Ptilde_(p+2), ..., p = n % 2, the only degrees
     it has.  When n_trunc is odd, the odd rows end in one 0 (degree n_trunc
     is past the basis).  GpswfFunction.coeffs gives the full-degree series.
+
+    operator holds the tables the solve read, so that log_mu_ratio and
+    ode_residual do not build them again: b and b_up, the offdiagonals for
+    alpha and alpha + 1 (sym_offdiag) to b_(n_trunc + 2), and d and e, the
+    Sturm diagonals (_sturm_diagonals) on the degrees below n_trunc + 2, two
+    past the basis.
+    Every entry depends on its degree alone, so each is the same double as
+    in a build of any other length.  It is left out of repr and equality.
     """
 
     params: ProblemParams
@@ -173,6 +181,7 @@ class ChiSpectrum:
     n_trunc: int
     chis: np.ndarray     # shape (n_max+1,)
     coeffs: np.ndarray   # shape (n_max+1, ceil(n_trunc/2)), own-parity degrees only
+    operator: tuple = field(repr=False, compare=False)   # (b, b_up, d, e)
 
     def chi(self, n: int) -> float:
         return float(self.chis[int(_mode_indices(n, self.n_max))])
@@ -238,27 +247,27 @@ def ode_residual(f: GpswfFunction, x, chi: float | None = None):
     it grow, which is the diagnostic use.  The left-hand side is the series
     sum_j r_j Ptilde_j with r = chi v - T v, v the coefficients of psi padded
     with two zeros and T the parity block of the Sturm operator that _solve
-    diagonalises (_sturm_diagonals), so it costs one Clenshaw pass.  The padding
-    keeps the spill of c^2 x^2 psi past the basis, the truncation error, in
-    the residual.  It does not evaluate psi' or psi'', so it no longer checks
+    diagonalised, read from ChiSpectrum.operator to the two padded degrees,
+    so it costs one Clenshaw pass and builds no table.  The padding keeps the
+    spill of c^2 x^2 psi past the basis, the truncation error, in the
+    residual.  It does not evaluate psi' or psi'', so it no longer checks
     GpswfFunction.derivative and .second_derivative; the tests compare it with
     the pointwise form built from them.  A chi that is not finite is refused
     with ValueError.
     """
     if chi is not None and not math.isfinite(chi):
         raise ValueError(f"ode_residual requires a finite chi, got chi = {chi}")
-    p, parity = f.params, f.n % 2
-    size = f.spectrum.n_trunc + 2
-    _, d, e = _sturm_diagonals(p.alpha, p.c, size)
+    parity = f.n % 2
+    _, _, d, e = f.spectrum.operator
     d, e = d[parity::2], e[parity::2]
     v = np.zeros(d.size)
     v[:-1] = f.spectrum.coeffs[f.n, :d.size - 1]
     r_block = ((f.chi if chi is None else chi) - d) * v
     r_block[:-1] -= e * v[1:]
     r_block[1:] -= e * v[:-1]
-    r = np.zeros(size)
+    r = np.zeros(f.spectrum.n_trunc + 2)
     r[parity::2] = r_block
-    return jacobi_series_eval(r, p.alpha, x)
+    return jacobi_series_eval(r, f.params.alpha, x)
 
 
 _TAIL_TOL = 1e-12
@@ -281,13 +290,13 @@ def _sign_reference(alpha: float, b: np.ndarray, parity: int, rows: int) -> np.n
     oracle) divides these factors out.  At x = 0 the recurrence gives
     Ptilde_{k+1}(0) = -b_k / b_{k+1} Ptilde_{k-1}(0), and
     Ptilde_k' = sqrt(k (k + 2 alpha + 1)) Ptilde_{k-1}^(alpha+1); ``b`` holds
-    the offdiagonals for ``alpha``.
+    the offdiagonals of the block's weight, to b_(2 rows - 2) or beyond: for
+    ``alpha`` on the even block and for alpha + 1 on the odd one
+    (ChiSpectrum.operator's b and b_up).
     """
-    if parity:
-        k = np.arange(1, 2 * rows, 2, dtype=float)
-        return np.sqrt(k * (k + 2 * alpha + 1)) * _sign_reference(
-            alpha + 1.0, sym_offdiag(alpha + 1.0, 2 * rows), 0, rows)
-    return np.concatenate(([1.0], np.cumprod(-b[1:2 * rows - 1:2] / b[2:2 * rows - 1:2])))
+    ref = np.concatenate(([1.0], np.cumprod(-b[1:2 * rows - 1:2] / b[2:2 * rows - 1:2])))
+    k = np.arange(1, 2 * rows, 2, dtype=float)   # the odd block's degrees
+    return np.sqrt(k * (k + 2 * alpha + 1)) * ref if parity else ref
 
 
 def _selected(d: np.ndarray, e: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,8 +345,11 @@ def _sturm_diagonals(alpha: float, c: float,
 def _solve(alpha: float, c: float, n_max: int, n_trunc: int, diagonals: tuple) -> ChiSpectrum:
     """chi_0..chi_n_max and their signed vectors in the n_trunc-term basis.
 
-    diagonals are _sturm_diagonals' to n_trunc or beyond (a longer build has
-    the same leading entries).  Each parity block has rows for the degrees
+    diagonals are _sturm_diagonals' to n_trunc + 2 or beyond (a longer build
+    has the same leading entries); they and the alpha + 1 offdiagonals, built
+    here once for the odd block's sign reference, are kept to n_trunc + 2 as
+    ChiSpectrum.operator for the spectrum's consumers (log_mu_ratio,
+    ode_residual).  Each parity block has rows for the degrees
     parity, parity + 2, ... below n_trunc, and keeps its modes n = 2 j +
     parity, j = 0..hi: alone (_selected, entries below 1e-30 then set to 0)
     when 32 (hi + 1) <= rows, and otherwise sliced from the full solve
@@ -348,14 +360,14 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int, diagonals: tuple) -
     coefficients carry mass above 1e-12.
     """
     b, d_all, e_all = diagonals
-    d_all, e_all = d_all[:n_trunc], e_all[:n_trunc - 2]
+    b_up = sym_offdiag(alpha + 1.0, n_trunc + 2)
     chis = np.empty(n_max + 1)
     coeffs = np.zeros((n_max + 1, (n_trunc + 1) // 2))
     for parity in (0, 1):
         n_here = np.arange(parity, n_max + 1, 2)
         if n_here.size == 0:
             continue
-        d, e = d_all[parity::2], e_all[parity::2]
+        d, e = d_all[parity:n_trunc:2], e_all[parity:n_trunc - 2:2]
         if _SELECT_RATIO * n_here.size <= d.size:
             vals, vecs = _selected(d, e, n_here.size - 1)
             vecs[np.abs(vecs) < _CHOP] = 0.0
@@ -372,13 +384,14 @@ def _solve(alpha: float, c: float, n_max: int, n_trunc: int, diagonals: tuple) -
             )
         # (-1)^(n//2) psi_n(0) > 0 for even n, (-1)^(n//2) psi_n'(0) > 0 for odd n;
         # a product with +-1 is exact
-        at_zero = _sign_reference(alpha, b, parity, vecs.shape[0]) @ vecs
+        at_zero = _sign_reference(alpha, (b, b_up)[parity], parity, vecs.shape[0]) @ vecs
         vecs *= np.where((at_zero < 0) != (n_here % 4 >= 2), -1.0, 1.0)
         chis[parity::2] = vals
         coeffs[parity::2, :vecs.shape[0]] = vecs.T
         del vals, vecs
     return ChiSpectrum(params=ProblemParams(alpha=alpha, c=c), n_max=n_max,
-                       n_trunc=n_trunc, chis=chis, coeffs=coeffs)
+                       n_trunc=n_trunc, chis=chis, coeffs=coeffs,
+                       operator=(b[:n_trunc + 3], b_up, d_all[:n_trunc + 2], e_all[:n_trunc]))
 
 
 def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) -> ChiSpectrum:
@@ -406,7 +419,7 @@ def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) 
     alpha, c = params.alpha, params.c
     if n_trunc is not None:
         n_trunc = _count(n_trunc, "n_trunc", n_max + 3)
-        return _solve(alpha, c, n_max, n_trunc, _sturm_diagonals(alpha, c, n_trunc))
+        return _solve(alpha, c, n_max, n_trunc, _sturm_diagonals(alpha, c, n_trunc + 2))
     try:
         n_trunc, diagonals, chi_hi = _sized_diagonals(alpha, c, n_max)
         spec = _solve(alpha, c, n_max, n_trunc, diagonals)
@@ -415,4 +428,4 @@ def chi_spectrum(params: ProblemParams, n_max: int, n_trunc: int | None = None) 
             spec = _solve(alpha, c, n_max, n_trunc, diagonals)
         return spec
     except TruncationError as exc:
-        return _solve(alpha, c, n_max, exc.required, _sturm_diagonals(alpha, c, exc.required))
+        return _solve(alpha, c, n_max, exc.required, _sturm_diagonals(alpha, c, exc.required + 2))

@@ -5,8 +5,9 @@ in log space (log_mu_magnitude), over tau in (0, c]: the reference the ratio
 route is tested against, independent of its one solve at c.  The moment
 F_n = int x psi_n psi_n' (1-x^2)^alpha dx (f_n_moment, _f_n_rows) is the
 integrand's source, and the eigen-relation F_c psi_n = mu_n psi_n at x = 0
-(mu_eigenrelation) a second cross-check for every mode.  No library path
-calls any of them, and, as references, they do not validate mode indices.
+(mu_eigenrelation), on vectors re-solved by inverse iteration, a second
+cross-check for every mode.  No library path calls any of them, and, as
+references, they do not validate mode indices.
 Also jacobi_h, the norm that turns scipy's eval_jacobi into the orthonormal
 Ptilde_n.
 """
@@ -18,7 +19,7 @@ from scipy import special as sp
 
 from gpswf.specfun import _lapack, sym_offdiag, total_mass
 from gpswf.spectrum import _connect, _connection_tables
-from gpswf.sturm import ChiSpectrum, ProblemParams, _sign_reference, _sized_diagonals
+from gpswf.sturm import ChiSpectrum, ProblemParams, _selected, _sign_reference, _sized_diagonals
 
 
 def jacobi_h(n, alpha: float):
@@ -143,8 +144,8 @@ def _f_n_rows(alpha: float, parity: int, rows: np.ndarray, n) -> np.ndarray:
     """
     m = np.arange(parity, parity + 2 * rows.shape[-1], 2)
     top = int(m[-1])
-    _, _, p, q = _connection_tables(alpha, top)
     b_up = sym_offdiag(alpha + 1.0, top)
+    _, p, q = _connection_tables(alpha, sym_offdiag(alpha, top), b_up)
     # psi' has coefficient psi_k sqrt(k (k + 2 alpha + 1)) on
     # Ptilde^(alpha+1)_(k-1), and x Ptilde_j = b_(j+1) Ptilde_(j+1) + b_j Ptilde_(j-1):
     # beyond its degree-k part, x psi' puts b_(k-1) times that on degree k - 2
@@ -327,20 +328,33 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
     coefficients with sturm's sign reference, no Bessel function and no
     Clenshaw pass.  n is a mode index or an array of them (an array gives a
     complex array of its shape, each value bit-identical to the one-mode
-    call); mode 0 is the library's log_mu_ratio anchor, the same double.  At
-    c = 0, F_c has rank one and mu_n = 0 exactly for n >= 1, which is
-    returned.  Otherwise a zero or non-finite psi_n(0), psi_n'(0) or mu_n is
-    refused with RuntimeError naming the mode (a zero mu_n is an underflow
-    deep in the decay).  The relative error grows as mu_n decays, to 1.1e-5
-    at mode 89 of (alpha, c) = (0, 100) against i^n exp(log_mu_ratio).
+    call).  Mode 0 reads the library's row, so it is the library's
+    log_mu_ratio anchor, the same double.  Every other mode reads a vector
+    re-solved by bisection and inverse iteration (sturm._selected, for all
+    of the block's modes 0..n_max) on the spectrum's own Sturm blocks
+    (ChiSpectrum.operator): the full solve's rows carry ~eps absolute error
+    in the small coefficients c_0 and c_1 of a deep mode, which put the
+    eigen-relation 4.0e-6 off at mode 89 of (alpha, c) = (0, 100) in its
+    default 178-term basis, while inverse iteration resolves them to
+    relative accuracy: every mode there is within 2.2e-14 of
+    i^n exp(log_mu_ratio), and every mode of the tests' eight cases within
+    4.5e-14.  At c = 0, F_c has rank one and mu_n = 0
+    exactly for n >= 1, which is returned.  Otherwise a zero or non-finite
+    psi_n(0), psi_n'(0) or mu_n is refused with RuntimeError naming the
+    mode (a zero mu_n is an underflow deep in the decay).
     """
     ns = np.asarray(n)
     params, a = spectrum.params, spectrum.params.alpha
     modes = ns.reshape(-1)
     size = spectrum.n_trunc
-    b = sym_offdiag(a, 2 * ((size + 1) // 2))
-    refs = {parity: _sign_reference(a, b, parity, (size - parity + 1) // 2)
+    b, b_up, d, e = spectrum.operator
+    refs = {parity: _sign_reference(a, (b, b_up)[parity], parity, (size - parity + 1) // 2)
             for parity in set((modes % 2).tolist())}
+    # the parity blocks the spectrum was solved on, each re-solved for all of
+    # its modes, so that a mode's vector does not depend on the modes asked for
+    vecs = {parity: _selected(d[parity:size:2], e[parity:size - 2:2],
+                              (spectrum.n_max - parity) // 2)[1]
+            for parity in set((modes[modes > 0] % 2).tolist()) if params.c != 0}
     # the references carry sqrt(total_mass) of alpha (even) and alpha + 1 (odd)
     h_0 = total_mass(a)
     scale = (h_0, params.c * b[1] * math.sqrt(h_0 * total_mass(a + 1.0)))
@@ -349,8 +363,9 @@ def mu_eigenrelation(spectrum: ChiSpectrum, n):
         if m and params.c == 0:
             mus[i] = 0.0
             continue
-        # a stride-2 slice of the full-degree row, as the library's anchor reads psi_0
-        row = spectrum.eigenfunction(m).coeffs[m % 2::2]
+        # mode 0 as a stride-2 slice of the full-degree row, as the library's
+        # anchor reads psi_0; a re-solved vector's sign cancels in mu
+        row = vecs[m % 2][:, m // 2] if m else spectrum.eigenfunction(0).coeffs[0::2]
         at_zero = np.dot(row, refs[m % 2])
         mu = row[0] * scale[m % 2] / at_zero if at_zero != 0 else at_zero
         if not (mu != 0 and math.isfinite(mu)):

@@ -166,10 +166,10 @@ def test_sign_reference_factor(alpha):
     even = np.array([jacobi_series_eval(row, alpha, 0.0) for row in basis[0::2]])
     odd = np.array([jacobi_series_eval(jacobi_series_deriv_coeffs(row, alpha), alpha + 1.0, 0.0)
                     for row in basis[1::2]])
-    b = sym_offdiag(alpha, 2 * rows)
-    assert_allclose(sturm._sign_reference(alpha, b, 0, rows),
+    # each block reads the offdiagonals of its own weight, alpha or alpha + 1
+    assert_allclose(sturm._sign_reference(alpha, sym_offdiag(alpha, 2 * rows), 0, rows),
                     math.sqrt(total_mass(alpha)) * even, rtol=1e-13, atol=0)
-    assert_allclose(sturm._sign_reference(alpha, b, 1, rows),
+    assert_allclose(sturm._sign_reference(alpha, sym_offdiag(alpha + 1.0, 2 * rows), 1, rows),
                     math.sqrt(total_mass(alpha + 1.0)) * odd, rtol=1e-13, atol=0)
 
 
@@ -368,6 +368,29 @@ def test_ode_residual_is_one_clenshaw_pass(monkeypatch):
         calls.clear()
         ode_residual(spec.eigenfunction(n), np.linspace(-1, 1, 101))
         assert len(calls) == 1
+
+
+def test_ode_residual_and_the_solve_build_each_table_once(monkeypatch):
+    # the solve builds the alpha + 1 offdiagonals once, and ode_residual reads
+    # the Sturm operator from the spectrum (ChiSpectrum.operator); its one
+    # Clenshaw pass (specfun.jacobi_series_eval) builds the evaluator's own
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name, args[0]))
+            return fn(*args)
+        return wrapper
+
+    for name in ("sym_offdiag", "_sturm_diagonals"):
+        monkeypatch.setattr(sturm, name, counted(name, getattr(sturm, name)))
+    spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=30.0), 7)
+    assert calls.count(("sym_offdiag", 1.5)) == 1
+    calls.clear()
+    for n in (6, 7):
+        ode_residual(spec.eigenfunction(n), np.linspace(-1, 1, 11))
+        ode_residual(spec.eigenfunction(n), 0.3, chi=spec.chi(n) + 1.0)
+    assert calls == []
 
 
 def test_ode_residual_detects_perturbed_chi():
