@@ -36,6 +36,7 @@ from scipy import special as _sp
 from .specfun import (
     BesselEnvelopeConstants,
     _bessel_jy,
+    _ptilde_at_one,
     _weight_modulus_from,
     elliptic_K,
     envelope_constants,
@@ -52,8 +53,8 @@ class WkbFrame:
     """Scalars of the Bessel-form approximation for one mode.
 
     a_exact = A = 2^alpha Gamma(1+alpha) psi_n(1) / ((1-q)^(alpha/2)
-    chi^(1/4+alpha/2)), positive under the psi_n(1) > 0 sign convention, and
-    a_hat = Ahat = sqrt(pi / (2 K(sqrt(q)))); both NaN unless q < 1, chi > 0.
+    chi^(1/4+alpha/2)), positive under the psi_n(1) > 0 sign convention (make_frame
+    sums psi_n(1)), and a_hat = Ahat = sqrt(pi / (2 K(sqrt(q)))); both NaN unless q < 1, chi > 0.
     """
 
     alpha: float
@@ -87,7 +88,9 @@ def make_frame(spectrum: ChiSpectrum, n: int) -> WkbFrame:
     normal double, A = 2^alpha Gamma(1+alpha) psi_n(1) / ((1-q)^(alpha/2)
     chi^(1/4+alpha/2)), taken in log space so that it stays finite at large
     alpha, and Ahat = sqrt(pi / (2 K(sqrt(q)))); elsewhere both are NaN.  (A
-    subnormal chi_0 is the c = 0 value to rounding, as in ChiSpectrum.q.)
+    subnormal chi_0 is the c = 0 value to rounding, as in ChiSpectrum.q.)  psi_n(1) is
+    coeffs[n] dotted with specfun._ptilde_at_one, not Clenshaw: 2.8e-15 off a 40-digit
+    sum at (alpha, c, n) = (1.4, 400, 830), where Clenshaw is 5.0e-12 off.
     """
     alpha = spectrum.params.alpha
     chi = spectrum.chi(n)
@@ -107,9 +110,10 @@ def make_frame(spectrum: ChiSpectrum, n: int) -> WkbFrame:
         eps = math.pi * (math.e - 1.0) * (1.75 + 3.0 * alpha * alpha) * cst.m_alpha \
             / margin if margin else math.inf
         if chi >= sys.float_info.min:
-            psi1 = spectrum.eigenfunction(n).value(1.0)
-            log_a = _log_a_over_psi1(alpha, chi, q) + math.log(abs(psi1))
-            with np.errstate(over="ignore"):   # |A| past the double range is inf
+            row = np.trim_zeros(spectrum.coeffs[n], "b")   # no trailing 0 meets an inf
+            with np.errstate(over="ignore"):   # Ptilde_k(1) and |A| past the double range are inf
+                psi1 = float(row @ _ptilde_at_one(alpha, 2 * row.size)[n % 2::2])
+                log_a = _log_a_over_psi1(alpha, chi, q) + math.log(abs(psi1))
                 a_exact = float(np.copysign(np.exp(log_a), psi1))
             a_hat = math.sqrt(math.pi / (2.0 * elliptic_K(math.sqrt(q))))
     return WkbFrame(alpha=alpha, n=n, chi=chi, q=q, eps=eps, a_exact=a_exact,
@@ -200,9 +204,7 @@ def jacobi_uniform(spectrum: ChiSpectrum, n: int, x, q0: float = 0.9):
     a_n = float(spectrum.coeffs[n, n // 2])   # degree n in psi_n's packed row
     base = np.zeros(n + 1)
     base[n] = 1.0
-    p_n = jacobi_series_eval(base, alpha, x)
-    value = a_n * p_n
-    return (value, a_n) if np.ndim(x) else (float(value), a_n)
+    return a_n * jacobi_series_eval(base, alpha, x), a_n   # a float for a scalar x
 
 
 def default_grid(m: int = 2001) -> np.ndarray:

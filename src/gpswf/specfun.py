@@ -123,13 +123,6 @@ def s_map(x, q: float):
 # Jacobi polynomials
 # ---------------------------------------------------------------------------
 
-def _check_unit_interval(x):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.abs(arr) <= 1.0 + 1e-14):
-        raise ValueError("Jacobi polynomials are evaluated on [-1, 1]")
-    return arr
-
-
 def sym_offdiag(alpha: float, kmax: int) -> np.ndarray:
     """Off-diagonal entries b_k of the orthonormal symmetric-Jacobi recurrence.
 
@@ -141,11 +134,23 @@ def sym_offdiag(alpha: float, kmax: int) -> np.ndarray:
     b2 = np.zeros(kmax + 1)
     if kmax >= 1:
         b2[1] = 1.0 / (3.0 + 2.0 * alpha)
-    if kmax >= 2:
-        k = np.arange(2, kmax + 1, dtype=float)
-        u = 2 * k + 2 * alpha
-        np.divide(k * (k + 2 * alpha), (u + 1) * (u - 1), out=b2[2:])
+    k = np.arange(2, kmax + 1, dtype=float)
+    u = 2 * k + 2 * alpha
+    np.divide(k * (k + 2 * alpha), (u + 1) * (u - 1), out=b2[2:])
     return np.sqrt(b2, out=b2)
+
+
+def _ptilde_at_one(alpha: float, size: int) -> np.ndarray:
+    """Ptilde_k^(alpha, alpha)(1) for k < size: inf, with numpy's warning, past the double range.
+
+    Ptilde_k(1)^2 = (2k + 2a + 1) Gamma(k + 2a + 1) / (2^(2a+1) Gamma(a+1)^2 k!) is 1 /
+    total_mass(alpha) times the ratios (2k + 2a + 1)(k + 2a) / ((2k + 2a - 1) k), the k = 1
+    one cancelled to 2a + 3 (as sym_offdiag's b_1) so that alpha = -1/2 stays finite.
+    """
+    k = np.arange(2.0, size)
+    ratio = (2 * k + 2 * alpha + 1) * (k + 2 * alpha) / ((2 * k + 2 * alpha - 1) * k)
+    squares = np.concatenate(([1.0 / total_mass(alpha), 2 * alpha + 3.0], ratio))[:size]
+    return np.cumprod(np.sqrt(squares))
 
 
 def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
@@ -186,10 +191,7 @@ def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
 
     A half runs only up to its last nonzero coefficient, and not at all if it
     has none; the zero coefficients it skips would leave the recurrence at
-    exactly 0, so the values are bit-identical to the full pass.  At one
-    point, such as psi_n(1), each half runs in Python floats: the same IEEE
-    operations in the same order, so again bit-identical, without five ufunc
-    calls per step on 1-element buffers.
+    exactly 0, so the values are bit-identical to the full pass.
 
     Accuracy: the map t = x^2 makes x = 0 an end of the t-interval, so the
     rounding error near x = 0 grows with the number of steps, as it does at
@@ -197,10 +199,12 @@ def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
     at ten points with |x| <= 0.1, psi_4 at alpha = 0.5, c = 2000 (557 terms)
     is within 1.7e-13 max|psi_4|, and psi_830 at alpha = 1.4, c = 400 (989
     terms) within 7.9e-12, where it is O(1); the x-recurrence was within
-    3.5e-16 max|psi_4| and 2.7e-15.  At x = 1, where psi_830 is 98,941, both
-    forms are off by 4.7e-12 of it.
+    3.5e-16 max|psi_4| and 2.7e-15.  At x = +-1, where psi_830 is 98,941, both
+    forms are off by 4.7e-12 of it; make_frame reads _ptilde_at_one instead.
     """
-    arr = _check_unit_interval(x)
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.abs(arr) <= 1.0 + 1e-14):
+        raise ValueError("Jacobi polynomials are evaluated on [-1, 1]")
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1:
         raise ValueError(f"one series of coefficients expected, got shape {c.shape}")
@@ -230,13 +234,6 @@ def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
             d = diag[parity::2][:m].tolist()
             a = (scale[parity::2][:m] * (g[1:] / g[:-1])).tolist()
             e = (c[parity::2][:m] / g[:-1]).tolist()
-            if pts.size == 1:
-                tt = float(t[0])
-                v1 = v2 = 0.0
-                for j in range(m - 1, -1, -1):
-                    v1, v2 = (tt - d[j]) * a[j] * v1 + v2 + e[j], v1
-                out += v1 * factor
-                continue
             v1, v2, w = np.zeros(pts.size), np.zeros(pts.size), np.empty_like(t)
             for j in range(m - 1, -1, -1):
                 np.subtract(t, d[j], out=w)

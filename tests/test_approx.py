@@ -11,7 +11,7 @@ from scipy.special import ellipe, gamma, jv
 import gpswf as g
 from gpswf.approx import default_grid, make_frame, symmetric_grid
 from paper_bounds import g_bound, m_cap, main_norm_sq
-from test_specfun import weight_modulus
+from test_specfun import jacobi_series_mpmath, weight_modulus
 
 
 def g_bound_quad_oracle(alpha, q, x):
@@ -200,6 +200,42 @@ def test_a_exact_finite_at_large_alpha(alpha, n):
         assert abs(fr.a_exact - expect) <= 1e-12 * abs(expect)
     if alpha <= 200:
         assert math.isfinite(approximant_norm_sq(spec, n))
+
+
+@pytest.mark.parametrize("alpha, c, n", [
+    (0.5, 5.0, 40), (1.2, 3.0, 25), (0.5, 100.0, 300), (1.4, 400.0, 830), (600.0, 1.0, 50)])
+def test_frame_psi_at_one_matches_mpmath(monkeypatch, alpha, c, n):
+    # make_frame's psi_n(1) is A's sign argument; against a 40-digit sum of the
+    # same coefficients it is within 2.8e-15, where Clenshaw at x = 1 is 5.0e-12
+    # off at (1.4, 400, 830); A itself carries more rounding from its log form
+    spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), n)
+    signs = []
+    copysign = np.copysign
+
+    def spy(x, sign):
+        signs.append(sign)
+        return copysign(x, sign)
+
+    monkeypatch.setattr(np, "copysign", spy)
+    fr = make_frame(spec, n)
+    monkeypatch.undo()
+    exact = jacobi_series_mpmath(spec.eigenfunction(n).coeffs, alpha, [1.0])[0]
+    assert len(signs) == 1 and math.isfinite(fr.a_exact)
+    assert abs(signs[0] - exact) <= 1e-14 * abs(exact)
+
+
+def test_make_frame_makes_no_clenshaw_pass(monkeypatch):
+    # psi_n(1) is a dot product with the closed-form endpoint table
+    from gpswf import approx, specfun, sturm
+
+    spec = g.chi_spectrum(g.ProblemParams(alpha=0.5, c=5.0), 40)
+    calls = []
+    for module in (approx, specfun, sturm):
+        evaluate = module.jacobi_series_eval
+        monkeypatch.setattr(module, "jacobi_series_eval",
+                            lambda *args, f=evaluate: calls.append(1) or f(*args))
+    assert make_frame(spec, 40).admissible
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import gpswf as g
 from explicit_route import jacobi_h
 from gpswf.specfun import (
     _bessel_jy,
+    _ptilde_at_one,
     _weight_modulus_from,
     jacobi_series_deriv_coeffs,
     jacobi_series_eval,
@@ -439,8 +440,8 @@ def test_clenshaw_refuses_a_stack():
 
 @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.7, 1.4])
 def test_clenshaw_one_point_bit_identical(alpha):
-    # one series at one point runs in Python floats; a second point sends
-    # the same series through the buffer pass
+    # a scalar x runs the one buffer pass on one point, so it gives the same
+    # double as in a longer array; a separate one-point loop must not come back
     series = []
     for c in (0.0, 5.0, 300.0, 3000.0):
         spec = g.chi_spectrum(g.ProblemParams(alpha, c), 9)
@@ -452,6 +453,29 @@ def test_clenshaw_one_point_bit_identical(alpha):
             one = jacobi_series_eval(coeffs, a, x)
             assert type(one) is float
             assert one == jacobi_series_eval(coeffs, a, np.array([x, 0.5]))[0]
+
+
+@pytest.mark.parametrize("alpha", [-0.99, -0.5, 0.0, 0.5, 1.4, 150.0, 600.0])
+def test_ptilde_at_one_matches_mpmath(alpha):
+    # the closed form Ptilde_k(1)^2 = (2k + 2a + 1) Gamma(k + 2a + 1)
+    # / (2^(2a+1) Gamma(a+1)^2 k!) at 40 digits, for every k < 1,000 whose
+    # value is a double (k < 884 at alpha = 600); past that the table is inf
+    from mpmath import mp, mpf
+
+    with np.errstate(over="ignore"):
+        table = _ptilde_at_one(alpha, 1000)
+    assert table.shape == (1000,)
+    with mp.workdps(40):
+        a = mpf(alpha)
+        den = 2 ** (2 * a + 1) * mp.gamma(a + 1) ** 2
+        for k in range(1000):
+            num = mp.gamma(2 * a + 2) if k == 0 else (2 * k + 2 * a + 1) * mp.gamma(k + 2 * a + 1)
+            ref = mp.sqrt(num / (den * mp.factorial(k)))
+            if ref > mpf(1.7976931348623157e308):
+                assert np.all(np.isinf(table[k:]))
+                break
+            assert abs(table[k] - ref) <= 2e-14 * ref, k
+    assert _ptilde_at_one(alpha, 1)[0] == table[0] and _ptilde_at_one(alpha, 0).size == 0
 
 
 def test_clenshaw_zero_tail_bit_identical():
