@@ -202,9 +202,9 @@ def jacobi_uniform(spectrum: ChiSpectrum, n: int, x, q0: float = 0.9):
     if q > q0:
         raise ValueError(f"q = c^2/chi_n = {q:.6g} exceeds q0 = {q0}; increase n")
     a_n = float(spectrum.coeffs[n, n // 2])   # degree n in psi_n's packed row
-    base = np.zeros(n + 1)
-    base[n] = 1.0
-    return a_n * jacobi_series_eval(base, alpha, x), a_n   # a float for a scalar x
+    base = np.zeros(n // 2 + 1)
+    base[-1] = 1.0
+    return a_n * jacobi_series_eval(base, alpha, x, n % 2), a_n   # a float for a scalar x
 
 
 def default_grid(m: int = 2001) -> np.ndarray:

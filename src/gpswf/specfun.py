@@ -153,25 +153,23 @@ def _ptilde_at_one(alpha: float, size: int) -> np.ndarray:
     return np.cumprod(np.sqrt(squares))
 
 
-def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
-    """Clenshaw evaluation of sum_k coeffs[k] * Ptilde_k^(alpha, alpha)(x).
+def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x, parity: int):
+    """Clenshaw evaluation of sum_j coeffs[j] * Ptilde_(2j+parity)^(alpha, alpha)(x).
 
-    The one Jacobi evaluator, for one series: coeffs is 1-D, and the values
-    have the shape of x (a float for a scalar x).  A 2-D array is refused
-    with ValueError, since read as one series it would give a wrong answer.
-
-    The even-degree and odd-degree halves are summed apart, each by Clenshaw
-    on the recurrence in t = x^2 that squaring x Ptilde_k = b_(k+1) Ptilde_(k+1)
-    + b_k Ptilde_(k-1) gives,
+    The one Jacobi evaluator, for one series in the packed layout of
+    ChiSpectrum.coeffs; parity (0 or 1) is part of that layout, so it has no
+    default.  coeffs is 1-D, and the values have the shape of x (a float for
+    a scalar x); a 2-D array, which read as one series gives a wrong answer,
+    is refused with ValueError.  It is Clenshaw on the recurrence in t = x^2
+    that squaring x Ptilde_k = b_(k+1) Ptilde_(k+1) + b_k Ptilde_(k-1) gives,
 
         t Ptilde_k = b_(k+1) b_(k+2) Ptilde_(k+2) + (b_k^2 + b_(k+1)^2) Ptilde_k
                      + b_k b_(k-1) Ptilde_(k-2),
 
-    started from Ptilde_0 on the even half and Ptilde_1 / x = Ptilde_0 / b_1 on
-    the odd half, which then takes a final factor x.  A series of one parity,
-    such as psi_n or one of its derivatives, takes N/2 steps instead of N.
+    started from Ptilde_0 for parity 0 and from Ptilde_1 / x = Ptilde_0 / b_1
+    for parity 1, which then takes a final factor x: N/2 steps for N degrees.
 
-    On a half, with j the step and k = 2j + parity the degree, Clenshaw reads
+    With j the step and k = 2j + parity the degree, Clenshaw reads
     u_j = c_j + (t - d_j) s_j u_(j+1) + r_j u_(j+2), with d_j = b_k^2 +
     b_(k+1)^2, s_j = 1 / (b_(k+1) b_(k+2)) and r_j = -b_(k+1) b_(k+2) /
     (b_(k+3) b_(k+4)).  It runs rescaled, on v_j = u_j / g_j with g_0 = g_1 = 1
@@ -189,9 +187,9 @@ def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
     alpha in [-0.999, 500] over 4,000 terms (48 at alpha = 5,000), and the
     rescaling neither overflows nor costs digits.
 
-    A half runs only up to its last nonzero coefficient, and not at all if it
-    has none; the zero coefficients it skips would leave the recurrence at
-    exactly 0, so the values are bit-identical to the full pass.
+    The pass runs only up to the last nonzero coefficient, and not at all if
+    there is none; the zero coefficients it skips would leave the recurrence
+    at exactly 0, so the values are bit-identical to the full pass.
 
     Accuracy: the map t = x^2 makes x = 0 an end of the t-interval, so the
     rounding error near x = 0 grows with the number of steps, as it does at
@@ -208,54 +206,51 @@ def jacobi_series_eval(coeffs: np.ndarray, alpha: float, x):
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1:
         raise ValueError(f"one series of coefficients expected, got shape {c.shape}")
+    if parity not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, got {parity!r}")
     pts = arr.reshape(-1)
     out = np.zeros(pts.size)
-    used = np.flatnonzero(c)
-    if used.size:
-        # by degree k: the diagonal d, the scale s and the ratio r of the
-        # docstring's recurrence; a half reads every second entry
-        top = used[-1] + 1
-        b = sym_offdiag(alpha, top + 3)
-        bb = b[:-1] * b[1:]   # b_k b_(k+1)
-        diag = b[:top] ** 2 + b[1:top + 1] ** 2
-        scale = 1.0 / bb[1:top + 1]
-        ratio = -bb[1:top + 1] / bb[3:top + 3]
+    nonzero = np.flatnonzero(c)
+    if nonzero.size:
+        m = nonzero[-1] + 1
+        # b_k to degree 2 m + parity; bb[j] = b_(k+1) b_(k+2), k = 2 j + parity
+        b = sym_offdiag(alpha, 2 * m + parity)
+        bb = (b[:-1] * b[1:])[parity + 1::2]
+        d = (b[parity:-1:2] ** 2 + b[parity + 1::2] ** 2).tolist()
+        r = -bb[:-1] / bb[1:]
+        g = np.ones(m + 1)
+        for k in (0, 1):   # the even-j and odd-j chains
+            g[k + 2::2] = np.cumprod(1.0 / r[k::2])
+        a = (1.0 / bb * (g[1:] / g[:-1])).tolist()
+        e = (c[:m] / g[:-1]).tolist()
         t = pts * pts
+        v1, v2, w = np.zeros(pts.size), np.zeros(pts.size), np.empty_like(t)
+        for j in range(m - 1, -1, -1):
+            np.subtract(t, d[j], out=w)
+            w *= a[j]
+            w *= v1
+            w += v2
+            w += e[j]
+            v1, v2, w = w, v1, v2
         p0 = 1.0 / math.sqrt(total_mass(alpha))
-        for parity, factor in ((0, p0), (1, pts * (p0 / b[1]))):
-            nonzero = np.flatnonzero(c[parity::2])
-            if not nonzero.size:
-                continue
-            m = nonzero[-1] + 1
-            r = ratio[parity::2][:m]
-            g = np.ones(m + 1)
-            for k in (0, 1):   # the even-j and odd-j chains
-                g[k + 2::2] = np.cumprod(1.0 / r[k:m - 1:2])
-            d = diag[parity::2][:m].tolist()
-            a = (scale[parity::2][:m] * (g[1:] / g[:-1])).tolist()
-            e = (c[parity::2][:m] / g[:-1]).tolist()
-            v1, v2, w = np.zeros(pts.size), np.zeros(pts.size), np.empty_like(t)
-            for j in range(m - 1, -1, -1):
-                np.subtract(t, d[j], out=w)
-                w *= a[j]
-                w *= v1
-                w += v2
-                w += e[j]
-                v1, v2, w = w, v1, v2
-            out += v1 * factor
+        out += v1 * (pts * (p0 / b[1]) if parity else p0)
     out = out.reshape(arr.shape)
     return out if out.ndim else float(out)
 
 
-def jacobi_series_deriv_coeffs(coeffs: np.ndarray, alpha: float) -> np.ndarray:
-    """Coefficients of d/dx sum_k c_k Ptilde_k^(a,a) in the Ptilde^(a+1,a+1) basis.
+def jacobi_series_deriv_coeffs(coeffs: np.ndarray, alpha: float, parity: int) -> np.ndarray:
+    """d/dx of a packed one-parity series, as the packed series of the other parity.
 
-    Uses d/dx Ptilde_k^(a,a) = sqrt(k (k + 2a + 1)) Ptilde_{k-1}^(a+1,a+1);
-    works on the last axis, so a (..., N) stack of series maps to (..., N-1).
+    coeffs[..., j] multiplies Ptilde_(2j+parity)^(a,a) (jacobi_series_eval's
+    layout), and entry j of the result multiplies Ptilde_(2j+1-parity) in the
+    alpha + 1 basis, by d/dx Ptilde_k^(a,a) = sqrt(k (k + 2a + 1))
+    Ptilde_{k-1}^(a+1,a+1).  It works on the last axis, so a (..., N) stack
+    maps to (..., N - 1) for parity 0, whose constant term drops, and to
+    (..., N) for parity 1.
     """
-    c = np.asarray(coeffs, dtype=float)
-    k = np.arange(1, c.shape[-1], dtype=float)
-    return c[..., 1:] * np.sqrt(k * (k + 2 * alpha + 1))
+    c = np.asarray(coeffs, dtype=float)[..., 1 - parity:]
+    k = np.arange(2 - parity, 2 * c.shape[-1] + 2 - parity, 2, dtype=float)
+    return c * np.sqrt(k * (k + 2 * alpha + 1))
 
 
 # ---------------------------------------------------------------------------

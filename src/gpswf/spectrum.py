@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import _count, _lapack, gauss_jacobi, total_mass
+from .specfun import _count, _lapack, gauss_jacobi, jacobi_series_deriv_coeffs, total_mass
 from .sturm import ChiSpectrum, ProblemParams, _mode_indices, _sign_reference, chi_spectrum
 
 
@@ -263,18 +263,18 @@ def _ratio_forms(spectrum: ChiSpectrum, b: np.ndarray, p: np.ndarray,
     b is the spectrum's alpha offdiagonals (ChiSpectrum.operator), and p and
     q are _connection_tables' from them.  The pairs (psi_n, psi_(n+1)) are
     read from the packed rows (ChiSpectrum), by the parity of n and a block
-    of pairs at a time, so no (n_max, n_trunc) array is formed.  A_n sums the full-degree vector
-    b_(k+1) (u_(k+1) v_k + u_k v_(k+1)), k < n_trunc - 1, with u and v the
-    coefficients of psi_n and psi_(n+1): at each k one product pairs two
-    degrees of the wrong parity and is 0, and the other is formed from the
-    packed rows.  np.sum adds that vector in its pairwise order, and B_n's
-    connection solve works column by column, so both are bit-identical to
-    the forms of the full-degree rows (GpswfFunction.coeffs) in one block.
+    of pairs at a time, so no (n_max, n_trunc) array is formed.  A_n sums
+    the full-degree vector b_(k+1) (u_(k+1) v_k + u_k v_(k+1)),
+    k < n_trunc - 1, with u and v the coefficients of psi_n and psi_(n+1):
+    at each k one product pairs two degrees of the wrong parity and is 0,
+    and the other is formed from the packed rows.  psi_(n+1)' is the packed
+    derivative map's (jacobi_series_deriv_coeffs) of psi_(n+1)'s row, which
+    forms each coefficient as the full-degree map does.  np.sum adds A_n's
+    vector in its pairwise order, and B_n's connection solve works column by
+    column, so both are bit-identical to the same forms of full-degree rows
+    in one block.
     """
     a, size, n_max = spectrum.params.alpha, spectrum.n_trunc, spectrum.n_max
-    k = np.arange(1, size, dtype=float)
-    # d/dx Ptilde_k = grow_(k-1) Ptilde^(alpha+1)_(k-1), as jacobi_series_deriv_coeffs
-    grow = np.sqrt(k * (k + 2 * a + 1))
     n_even, n_odd = size // 2, (size - 1) // 2   # even and odd k below size - 1
     num, den = np.empty(n_max), np.empty(n_max)
     step = max(1, _BLOCK_ELEMENTS // size)
@@ -293,7 +293,7 @@ def _ratio_forms(spectrum: ChiSpectrum, b: np.ndarray, p: np.ndarray,
             nums[lo:lo + step] = np.sum(terms, axis=1)
             # psi_(n+1)' in the Ptilde^(alpha+1) basis, on psi_n's degrees
             dv = np.zeros((u.shape[0], width))
-            dv[:, :own] = v[:, parity:parity + own] * grow[parity::2][:own]
+            dv[:, :own] = jacobi_series_deriv_coeffs(v[:, :own + parity], a, 1 - parity)
             dens[lo:lo + step] = np.sum(u[:, :width] * _connect(p, q, parity, dv), axis=1)
     return num, den
 

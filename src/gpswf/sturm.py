@@ -15,8 +15,9 @@ recurrence past its turning row for chi up to an upper estimate of
 chi_n_max that the solve then checks, fall below 1e-20, well under the
 ~1e-17 rounding of the solved vectors.  psi_n lives on the degrees of
 n's parity alone, so each mode stores only those coefficients
-(ChiSpectrum.coeffs), half as many as degrees.  A block of R rows keeping k
-modes is solved in one of two ways: for 32 k <= R (c large, few modes) by
+(ChiSpectrum.coeffs), half as many as degrees, and every evaluation reads
+that packed row with its parity.  A block of R rows keeping k modes is
+solved in one of two ways: for 32 k <= R (c large, few modes) by
 bisection and inverse iteration on the kept eigenpairs alone (LAPACK dstebz
 and dstein), otherwise by the full divide-and-conquer solve (dstevd),
 sliced.  Both call LAPACK directly (specfun._lapack), with the routines and
@@ -165,7 +166,8 @@ class ChiSpectrum:
     coeffs has shape (n_max + 1, ceil(n_trunc / 2)): row n holds psi_n's
     coefficients on Ptilde_p, Ptilde_(p+2), ..., p = n % 2, the only degrees
     it has.  When n_trunc is odd, the odd rows end in one 0 (degree n_trunc
-    is past the basis).  GpswfFunction.coeffs gives the full-degree series.
+    is past the basis).  The evaluator and the derivative map take this row
+    with its parity; GpswfFunction.coeffs is a full-degree view for callers.
 
     operator holds the tables the solve read, so that log_mu_ratio and
     ode_residual do not build them again: b and b_up, the offdiagonals for
@@ -221,39 +223,40 @@ class GpswfFunction:
 
     @property
     def coeffs(self) -> np.ndarray:
-        """psi_n's coefficients on every degree 0..n_trunc - 1, the other parity's 0."""
+        """psi_n's coefficients on every degree 0..n_trunc - 1, the other parity's 0; for callers."""
         spec, parity = self.spectrum, self.n % 2
         full = np.zeros(spec.n_trunc)
         full[parity::2] = spec.coeffs[self.n, :(spec.n_trunc - parity + 1) // 2]
         return full
 
     def value(self, x):
-        return jacobi_series_eval(self.coeffs, self.params.alpha, x)
+        return jacobi_series_eval(self.spectrum.coeffs[self.n], self.params.alpha, x, self.n % 2)
 
     def derivative(self, x):
-        a = self.params.alpha
-        return jacobi_series_eval(jacobi_series_deriv_coeffs(self.coeffs, a), a + 1.0, x)
+        a, p = self.params.alpha, self.n % 2
+        d1 = jacobi_series_deriv_coeffs(self.spectrum.coeffs[self.n], a, p)
+        return jacobi_series_eval(d1, a + 1.0, x, 1 - p)
 
     def second_derivative(self, x):
-        a = self.params.alpha
-        d2 = jacobi_series_deriv_coeffs(jacobi_series_deriv_coeffs(self.coeffs, a), a + 1.0)
-        return jacobi_series_eval(d2, a + 2.0, x)
+        a, p = self.params.alpha, self.n % 2
+        d1 = jacobi_series_deriv_coeffs(self.spectrum.coeffs[self.n], a, p)
+        return jacobi_series_eval(jacobi_series_deriv_coeffs(d1, a + 1.0, 1 - p), a + 2.0, x, p)
 
 
 def ode_residual(f: GpswfFunction, x, chi: float | None = None):
     """Left-hand side of (1-x^2) psi'' - 2(alpha+1) x psi' + (chi - c^2 x^2) psi.
 
     Vanishes (to solver accuracy) at the computed chi; a perturbed chi makes
-    it grow, which is the diagnostic use.  The left-hand side is the series
-    sum_j r_j Ptilde_j with r = chi v - T v, v the coefficients of psi padded
-    with two zeros and T the parity block of the Sturm operator that _solve
-    diagonalised, read from ChiSpectrum.operator to the two padded degrees,
-    so it costs one Clenshaw pass and builds no table.  The padding keeps the
-    spill of c^2 x^2 psi past the basis, the truncation error, in the
-    residual.  It does not evaluate psi' or psi'', so it no longer checks
-    GpswfFunction.derivative and .second_derivative; the tests compare it with
-    the pointwise form built from them.  A chi that is not finite is refused
-    with ValueError.
+    it grow, which is the diagnostic use.  The left-hand side is the packed
+    series r = chi v - T v of psi's parity, v psi's packed row padded to the
+    two degrees past the basis and T the parity block of the Sturm operator
+    that _solve diagonalised, read from ChiSpectrum.operator to those
+    degrees, so it costs one Clenshaw pass and builds no table.  The padding
+    keeps the spill of c^2 x^2 psi past the basis, the truncation error, in
+    the residual.  It does not evaluate psi' or psi'', so it no longer checks
+    GpswfFunction.derivative and .second_derivative; the tests compare it
+    with the pointwise form built from them.  A chi that is not finite is
+    refused with ValueError.
     """
     if chi is not None and not math.isfinite(chi):
         raise ValueError(f"ode_residual requires a finite chi, got chi = {chi}")
@@ -262,12 +265,10 @@ def ode_residual(f: GpswfFunction, x, chi: float | None = None):
     d, e = d[parity::2], e[parity::2]
     v = np.zeros(d.size)
     v[:-1] = f.spectrum.coeffs[f.n, :d.size - 1]
-    r_block = ((f.chi if chi is None else chi) - d) * v
-    r_block[:-1] -= e * v[1:]
-    r_block[1:] -= e * v[:-1]
-    r = np.zeros(f.spectrum.n_trunc + 2)
-    r[parity::2] = r_block
-    return jacobi_series_eval(r, f.params.alpha, x)
+    r = ((f.chi if chi is None else chi) - d) * v
+    r[:-1] -= e * v[1:]
+    r[1:] -= e * v[:-1]
+    return jacobi_series_eval(r, f.params.alpha, x, parity)
 
 
 _TAIL_TOL = 1e-12

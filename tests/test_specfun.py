@@ -275,16 +275,27 @@ def ptilde_scipy(n, a, x):
     return eval_jacobi(n, a, a, x) / math.sqrt(jacobi_h(n, a))
 
 
-def unit(n, size=None):
-    e = np.zeros(n + 1 if size is None else size)
-    e[n] = 1.0
+def unit(n):
+    """Ptilde_n as a packed row of parity n % 2 (degrees n % 2, n % 2 + 2, ..., n)."""
+    e = np.zeros(n // 2 + 1)
+    e[-1] = 1.0
     return e
+
+
+def eval_halves(a, x, *halves):
+    """jacobi_series_eval summed over packed (row, parity) halves: a series of both parities."""
+    return sum(jacobi_series_eval(row, a, x, parity) for row, parity in halves)
+
+
+def split(full):
+    """A full-degree series as its two packed (row, parity) halves."""
+    return (full[0::2], 0), (full[1::2], 1)
 
 
 def test_jacobi_seeds():
     a = 0.7
-    assert jacobi_series_eval(unit(0), a, 0.4) == ptilde_scipy(0, a, 0.4)
-    assert_allclose(jacobi_series_eval(unit(1), a, 0.4),
+    assert jacobi_series_eval(unit(0), a, 0.4, 0) == ptilde_scipy(0, a, 0.4)
+    assert_allclose(jacobi_series_eval(unit(1), a, 0.4, 1),
                     (a + 1) * 0.4 / math.sqrt(jacobi_h(1, a)), rtol=1e-15)
 
 
@@ -334,17 +345,17 @@ def test_jacobi_h_array_matches_scalar():
 def test_jacobi_against_scipy():
     xs = np.linspace(-1, 1, 17)
     for (a, n) in ((0.5, 7), (1.2, 12)):
-        assert_allclose(jacobi_series_eval(unit(n), a, xs), ptilde_scipy(n, a, xs),
+        assert_allclose(jacobi_series_eval(unit(n), a, xs, n % 2), ptilde_scipy(n, a, xs),
                         rtol=1e-12, atol=1e-12)
 
 
 def test_jacobi_orthogonality_under_quadrature():
     a = 0.7
     rule = g.gauss_jacobi(64, a)
-    p3 = jacobi_series_eval(unit(3), a, rule.nodes)
-    p5 = jacobi_series_eval(unit(5), a, rule.nodes)
+    p3 = jacobi_series_eval(unit(3), a, rule.nodes, 1)
+    p5 = jacobi_series_eval(unit(5), a, rule.nodes, 1)
     assert abs(np.dot(rule.weights, p3 * p5)) <= 1e-13
-    table = np.array([jacobi_series_eval(row, a, rule.nodes) for row in np.eye(13)])
+    table = np.array([eval_halves(a, rule.nodes, *split(row)) for row in np.eye(13)])
     gram = (table * rule.weights) @ table.T
     assert np.max(np.abs(gram - np.eye(13))) <= 1e-12
 
@@ -353,12 +364,12 @@ def test_jacobi_deriv_identity():
     # derivative series in the shifted basis, cross-checked by central
     # differences of the series itself
     a, n = 0.6, 9
-    d1 = jacobi_series_deriv_coeffs(unit(n), a)
+    d1 = jacobi_series_deriv_coeffs(unit(n), a, 1)
     for x in (-0.8, -0.2, 0.35, 0.9):
         h = 1e-6
-        fd = (jacobi_series_eval(unit(n), a, x + h)
-              - jacobi_series_eval(unit(n), a, x - h)) / (2 * h)
-        assert_allclose(jacobi_series_eval(d1, a + 1.0, x), fd, rtol=1e-8)
+        fd = (jacobi_series_eval(unit(n), a, x + h, 1)
+              - jacobi_series_eval(unit(n), a, x - h, 1)) / (2 * h)
+        assert_allclose(jacobi_series_eval(d1, a + 1.0, x, 0), fd, rtol=1e-8)
 
 
 def test_clenshaw_matches_direct():
@@ -366,7 +377,7 @@ def test_clenshaw_matches_direct():
     coeffs = np.array([0.3, -0.2, 0.0, 1.7, 0.05, -0.6])
     xs = np.linspace(-1, 1, 11)
     direct = sum(c * ptilde_scipy(k, a, xs) for k, c in enumerate(coeffs))
-    assert_allclose(jacobi_series_eval(coeffs, a, xs), direct, rtol=1e-13, atol=1e-13)
+    assert_allclose(eval_halves(a, xs, *split(coeffs)), direct, rtol=1e-13, atol=1e-13)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -385,7 +396,9 @@ def test_clenshaw_matches_x_recurrence(alpha, n_terms, rows, parity, decay, seed
     if parity != "mixed":
         coeffs[:, 1 if parity == "even" else 0::2] = 0.0
     xs = np.concatenate([np.linspace(-1.0, 1.0, 101), [1e-3, -1e-2]])
-    new = np.array([jacobi_series_eval(row, alpha, xs) for row in coeffs])
+    # a one-parity series is its packed row, a mixed one the sum of both halves
+    keep = {"even": [0], "odd": [1], "mixed": [0, 1]}[parity]
+    new = np.array([eval_halves(alpha, xs, *[split(row)[p] for p in keep]) for row in coeffs])
     old = clenshaw_x(coeffs, alpha, xs)
     assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
@@ -413,7 +426,7 @@ def test_clenshaw_psi_n_matches_mpmath(alpha, c, n):
                       0.75, 0.9, 0.97, 0.999, -0.37, -0.999])
     xs = np.concatenate([inner, [1.0, -1.0]])
     exact = jacobi_series_mpmath(coeffs, alpha, xs)
-    err = np.abs(jacobi_series_eval(coeffs, alpha, xs) - exact)
+    err = np.abs(jacobi_series_eval(spec.coeffs[n], alpha, xs, n % 2) - exact)
     assert np.max(err[:inner.size]) <= 1e-12 * np.max(np.abs(exact[:inner.size]))
     assert np.max(err[inner.size:]) <= 1e-11 * np.max(np.abs(exact))
 
@@ -424,10 +437,28 @@ def test_clenshaw_batched_rows_bit_identical():
     rng = np.random.default_rng(7)
     coeffs = rng.standard_normal((2, 3, 40))
     for a in (-0.5, 0.6):
-        deriv = jacobi_series_deriv_coeffs(coeffs, a)
-        for i in range(2):
-            for j in range(3):
-                assert np.array_equal(deriv[i, j], jacobi_series_deriv_coeffs(coeffs[i, j], a))
+        for parity in (0, 1):
+            deriv = jacobi_series_deriv_coeffs(coeffs, a, parity)
+            for i in range(2):
+                for j in range(3):
+                    assert np.array_equal(deriv[i, j],
+                                          jacobi_series_deriv_coeffs(coeffs[i, j], a, parity))
+
+
+def test_packed_derivative_map_matches_full_degree_map():
+    # the packed map forms each coefficient as the full-degree map
+    # c[..., 1:] * sqrt(k (k + 2 alpha + 1)), k = 1..N-1, does on its parity
+    rng = np.random.default_rng(5)
+    for a in (-0.5, 0.6):
+        for shape in ((17,), (3, 17), (2, 3, 16)):
+            rows = rng.standard_normal(shape)
+            for parity in (0, 1):
+                full = np.zeros(shape[:-1] + (2 * shape[-1],))
+                full[..., parity::2] = rows
+                k = np.arange(1.0, full.shape[-1])
+                want = (full[..., 1:] * np.sqrt(k * (k + 2 * a + 1)))[..., 1 - parity::2]
+                got = jacobi_series_deriv_coeffs(rows, a, parity)
+                assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_clenshaw_refuses_a_stack():
@@ -435,24 +466,35 @@ def test_clenshaw_refuses_a_stack():
     for coeffs in (np.ones((2, 5)), np.ones((1, 5)), np.float64(1.0)):
         for x in (0.3, np.linspace(-1, 1, 5)):
             with pytest.raises(ValueError, match="one series"):
-                jacobi_series_eval(coeffs, 0.5, x)
+                jacobi_series_eval(coeffs, 0.5, x, 0)
+
+
+def test_clenshaw_refuses_a_parity_other_than_0_or_1():
+    for parity in (-1, 2, 0.5):
+        with pytest.raises(ValueError, match="parity"):
+            jacobi_series_eval(np.ones(5), 0.5, 0.3, parity)
 
 
 @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.7, 1.4])
 def test_clenshaw_one_point_bit_identical(alpha):
     # a scalar x runs the one buffer pass on one point, so it gives the same
-    # double as in a longer array; a separate one-point loop must not come back
+    # double as in a longer array; a separate one-point loop must not come back.
+    # A series is a list of packed (row, parity) halves, two for a mix of
+    # psi_n of both parities
+    def deriv(halves):
+        return [(jacobi_series_deriv_coeffs(row, alpha, p), 1 - p) for row, p in halves]
+
     series = []
     for c in (0.0, 5.0, 300.0, 3000.0):
-        spec = g.chi_spectrum(g.ProblemParams(alpha, c), 9)
-        co = np.array([spec.eigenfunction(n).coeffs for n in range(10)])
-        for mix in (co[8], co[9], co[8] + co[9], co[0] - 0.5 * co[1]):
-            series += [(mix, alpha), (jacobi_series_deriv_coeffs(mix, alpha), alpha + 1.0)]
-    for coeffs, a in series:
+        co = g.chi_spectrum(g.ProblemParams(alpha, c), 9).coeffs
+        for mix in ([(co[8], 0)], [(co[9], 1)], [(co[8], 0), (co[9], 1)],
+                    [(co[0], 0), (-0.5 * co[1], 1)]):
+            series += [(mix, alpha), (deriv(mix), alpha + 1.0)]
+    for halves, a in series:
         for x in (-1.0, -0.77, 0.0, 1e-7, 0.3, 1.0):
-            one = jacobi_series_eval(coeffs, a, x)
+            one = eval_halves(a, x, *halves)
             assert type(one) is float
-            assert one == jacobi_series_eval(coeffs, a, np.array([x, 0.5]))[0]
+            assert one == eval_halves(a, np.array([x, 0.5]), *halves)[0]
 
 
 @pytest.mark.parametrize("alpha", [-0.99, -0.5, 0.0, 0.5, 1.4, 150.0, 600.0])
@@ -482,16 +524,17 @@ def test_clenshaw_zero_tail_bit_identical():
     rng = np.random.default_rng(11)
     xs = np.linspace(-1, 1, 41)
     for a in (-0.5, 0.6):
-        # one series, with an interior zero column kept
+        # one series, with an interior zero column kept, read as either parity
         short = rng.standard_normal(25)
         short[10] = 0.0
         padded = np.concatenate([short, np.zeros(30)])
-        assert np.array_equal(jacobi_series_eval(padded, a, xs),
-                              jacobi_series_eval(short, a, xs))
-        assert jacobi_series_eval(padded, a, 0.3) == jacobi_series_eval(short, a, 0.3)
-        # an all-zero series
-        assert np.array_equal(jacobi_series_eval(np.zeros(30), a, xs), np.zeros_like(xs))
-        assert jacobi_series_eval(np.zeros(30), a, 0.5) == 0.0
+        for p in (0, 1):
+            assert np.array_equal(jacobi_series_eval(padded, a, xs, p),
+                                  jacobi_series_eval(short, a, xs, p))
+            assert jacobi_series_eval(padded, a, 0.3, p) == jacobi_series_eval(short, a, 0.3, p)
+            # an all-zero series
+            assert np.array_equal(jacobi_series_eval(np.zeros(30), a, xs, p), np.zeros_like(xs))
+            assert jacobi_series_eval(np.zeros(30), a, 0.5, p) == 0.0
 
 
 def test_gauss_jacobi_one_node():

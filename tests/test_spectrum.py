@@ -18,7 +18,7 @@ import gpswf as g
 from explicit_route import (f_n_moment, jacobi_h, log_lambda_explicit, log_mu_magnitude,
                             mu_eigenrelation)
 from gpswf import spectrum
-from gpswf.specfun import gauss_jacobi, jacobi_series_deriv_coeffs, sym_offdiag, total_mass
+from gpswf.specfun import gauss_jacobi, sym_offdiag, total_mass
 from gpswf.spectrum import _nystrom_lambdas, default_nystrom_size
 from paper_bounds import bessel_moment
 
@@ -714,7 +714,7 @@ def f_n_full_width(spectrum, ns):
     coeffs = np.array([spectrum.eigenfunction(n).coeffs for n in ns])
     b = sym_offdiag(a, size - 1)
     b_up = sym_offdiag(a + 1.0, size - 1)
-    d = jacobi_series_deriv_coeffs(coeffs, a)
+    d = coeffs[..., 1:] * np.sqrt([k * (k + 2 * a + 1) for k in range(1, size)])
     e = np.zeros(coeffs.shape)
     e[..., 1:] = b_up[1:] * d
     e[..., :-2] += b_up[1:-1] * d[..., 1:]

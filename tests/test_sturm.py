@@ -162,10 +162,10 @@ def test_sign_rule_where_endpoint_value_is_rounding():
 def test_sign_reference_factor(alpha):
     # sqrt(h_0) Ptilde_2m(0) and sqrt(h_0') Ptilde_2m+1'(0), h_0' the alpha + 1 mass
     rows = 20
-    basis = np.eye(2 * rows)
-    even = np.array([jacobi_series_eval(row, alpha, 0.0) for row in basis[0::2]])
-    odd = np.array([jacobi_series_eval(jacobi_series_deriv_coeffs(row, alpha), alpha + 1.0, 0.0)
-                    for row in basis[1::2]])
+    basis = np.eye(rows)   # packed rows: Ptilde_2m (parity 0) or Ptilde_2m+1 (parity 1)
+    even = np.array([jacobi_series_eval(row, alpha, 0.0, 0) for row in basis])
+    odd = np.array([jacobi_series_eval(jacobi_series_deriv_coeffs(row, alpha, 1), alpha + 1.0,
+                                       0.0, 0) for row in basis])
     # each block reads the offdiagonals of its own weight, alpha or alpha + 1
     assert_allclose(sturm._sign_reference(alpha, sym_offdiag(alpha, 2 * rows), 0, rows),
                     math.sqrt(total_mass(alpha)) * even, rtol=1e-13, atol=0)
@@ -370,6 +370,31 @@ def test_ode_residual_is_one_clenshaw_pass(monkeypatch):
         assert len(calls) == 1
 
 
+def test_evaluations_read_the_packed_row(monkeypatch):
+    # value, both derivatives, ode_residual and jacobi_uniform each give the
+    # evaluator one parity's packed row, never a full-degree series
+    from gpswf import approx
+
+    calls = []
+
+    def recording(coeffs, alpha, x, parity):
+        calls.append((len(coeffs), parity))
+        return jacobi_series_eval(coeffs, alpha, x, parity)
+
+    for module in (sturm, approx):
+        monkeypatch.setattr(module, "jacobi_series_eval", recording)
+    xs = np.linspace(-1, 1, 11)
+    for alpha, c, n_max in ((0.5, 5.0, 20), (1.2, 30.0, 41)):
+        spec = g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), n_max)
+        for n in (n_max - 1, n_max):
+            f, p = spec.eigenfunction(n), n % 2
+            calls.clear()
+            f.value(xs), f.derivative(xs), f.second_derivative(0.3), ode_residual(f, xs)
+            g.jacobi_uniform(spec, n, xs)
+            assert [parity for _, parity in calls] == [p, 1 - p, p, p, p]
+            assert max(size for size, _ in calls) <= math.ceil(spec.n_trunc / 2) + 1
+
+
 def test_ode_residual_and_the_solve_build_each_table_once(monkeypatch):
     # the solve builds the alpha + 1 offdiagonals once, and ode_residual reads
     # the Sturm operator from the spectrum (ChiSpectrum.operator); its one
@@ -537,13 +562,11 @@ def test_default_basis_keeps_psi(alpha, c, n_max):
     # fails at the parent's fixed margin at (0.5, 30, 5) and (1.4, 30, 5):
     # 7.9e-13 and 3.1e-12 of max|psi|
     spec, blocks = _contract_reference(alpha, c, n_max)
-    size = 2 * spec.n_trunc
     xs = np.linspace(-1.0, 1.0, 2001)
     for parity, modes, rows, vals, vecs in blocks:
         for j in np.unique(np.linspace(0, modes.size - 1, 21).astype(int)):
-            ref = np.zeros(size)
-            ref[parity::2] = vecs[:, j] * np.sign(vecs[:rows, j] @ spec.coeffs[modes[j], :rows])
-            want = jacobi_series_eval(ref, alpha, xs)
+            ref = vecs[:, j] * np.sign(vecs[:rows, j] @ spec.coeffs[modes[j], :rows])
+            want = jacobi_series_eval(ref, alpha, xs, parity)
             got = spec.eigenfunction(int(modes[j])).value(xs)
             assert np.max(np.abs(got - want)) <= 2.5e-13 * np.max(np.abs(want))
 
