@@ -11,8 +11,9 @@ Two regimes:
   with q = c^2/chi_n, S the elliptic arc-length map and, in the fully
   explicit variant, A replaced by Ahat = sqrt(pi / (2 K(sqrt(q)))).  The
   accompanying envelope is rigorous on admissible frames: it combines the
-  eps_n-scaled Olver modulus bound with the exactly computed difference
-  |A - Ahat| times the main term.
+  eps_n-scaled Olver bound, which reads Olver's modulus M_alpha and weight
+  E_alpha only through their ratio M/E, with the exactly computed
+  difference |A - Ahat| times the main term.
 
 * Jacobi form: for 0 < alpha < 3/2 and q bounded away from 1, psi_n is
   approximated by A_n Ptilde_n^(alpha, alpha) where A_n is the orthogonal
@@ -35,9 +36,8 @@ from scipy import special as _sp
 
 from .specfun import (
     BesselEnvelopeConstants,
-    _bessel_jy,
+    _bessel_j_olver_ratio,
     _ptilde_at_one,
-    _weight_modulus_from,
     elliptic_K,
     envelope_constants,
     jacobi_series_eval,
@@ -131,14 +131,14 @@ def _bessel_terms(frame: WkbFrame, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     chi^(1/4+a/2) (1-q)^(a/2) / (2^a Gamma(1+a)) = psi_n(1) / A, taken in log
     space, and factor by its limit 0.
 
-    J_alpha and Y_alpha come from one Hankel function H1 = J + iY where
+    J_alpha and M_alpha / E_alpha come from specfun._bessel_j_olver_ratio,
+    which takes J and Y from one Hankel function H1 = J + iY where
     sqrt(chi) S > max(X_alpha, 1), which is all but the few points nearest
-    x = 1, and from the separate J and Y routines there (specfun._bessel_jy).
-    Re H1 is within 2.0e-15 |H1| of J for alpha <= 1.4, where jv alone was
-    up to 7.1e-14 off, so main moves in its last digits toward the exact
-    value.  Where J or Y below X_alpha is 0 or not finite in double
-    precision, the envelope cannot be formed, and _weight_modulus_from's
-    ValueError names alpha and the point.
+    x = 1, and from the separate J and Y routines there.  Re H1 is within
+    2.0e-15 |H1| of J for alpha <= 1.4, where jv alone was up to 7.1e-14
+    off, so main moves in its last digits toward the exact value.  M/E is
+    sqrt(2) J below X_alpha and the Hankel modulus above it, so factor is
+    formed with no division by J.
     """
     alpha, chi, q = frame.alpha, frame.chi, frame.q
     main = np.empty_like(x)
@@ -152,13 +152,12 @@ def _bessel_terms(frame: WkbFrame, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
         s = s_map(xr, q)
         z = math.sqrt(chi) * s
         one_mx2, one_mqx2 = 1.0 - xr * xr, 1.0 - q * xr * xr
-        # J_alpha and Y_alpha once, for the main term and the envelope
-        j, y = _bessel_jy(frame.constants, z)
+        # J_alpha for the main term and M_alpha / E_alpha for the envelope
+        j, m_over_e = _bessel_j_olver_ratio(frame.constants, z)
         main[reg] = chi ** 0.25 * np.sqrt(s) * j \
             / (one_mx2 ** (0.25 + alpha / 2.0) * one_mqx2 ** 0.25)
-        e_a, m_a = _weight_modulus_from(frame.constants, z, j, y)
         factor[reg] = (one_mx2 ** 0.25 / one_mqx2 ** 0.75) \
-            * chi ** 0.25 * np.sqrt(s) * m_a / (one_mx2 ** (alpha / 2.0) * e_a)
+            * chi ** 0.25 * np.sqrt(s) * m_over_e / one_mx2 ** (alpha / 2.0)
     return main, factor
 
 

@@ -115,6 +115,9 @@ def _cmd_eigenfunction(args):
 def _cmd_approx(args):
     if args.kind == "jacobi" and not 0.0 < args.alpha < 1.5:
         raise ValueError("alpha must lie in (0,3/2) for --kind jacobi")
+    # before the solve: the report's refusals below are property violations
+    if args.kind == "bessel" and not args.alpha >= -0.5:
+        raise ValueError("alpha must be >= -1/2 for --kind bessel")
     # checked for both kinds: the JSON config block echoes --q0 either way
     if not 0.0 <= args.q0 < 1.0:
         raise ValueError(f"--q0 must lie in [0, 1), got {args.q0}")

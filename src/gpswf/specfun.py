@@ -7,11 +7,11 @@ transform, Clenshaw evaluation of orthonormal symmetric-Jacobi series,
 Gauss-Jacobi quadrature for that weight, and the envelope constants
 (m_alpha and X_alpha) that control the Bessel-form error bounds.  Gamma, Beta and Bessel J are
 scipy.special's, called directly, except the total mass past alpha = 80
-(_gamma_half_ratio's asymptotic series).  Where J_alpha and Y_alpha are both needed
-on an array (the Bessel form and its Olver envelope), _bessel_jy takes them
-from one Hankel function H1 = J + iY above max(X_alpha, 1): scipy's yv forms
-Y from both Hankel functions (AMOS zbesy, ACM TOMS Alg. 644), so jv and yv
-cost three to four H1 evaluations.
+(_gamma_half_ratio's asymptotic series).  The Bessel form reads J_alpha and
+Olver's ratio M_alpha / E_alpha on an array from _bessel_j_olver_ratio, which
+takes J and Y from one Hankel function H1 = J + iY above max(X_alpha, 1):
+scipy's yv forms Y from both Hankel functions (AMOS zbesy, ACM TOMS
+Alg. 644), so jv and yv cost three to four H1 evaluations.
 
 Elliptic integrals follow the modulus convention: K(r) with 0 <= r < 1,
 i.e. ``K(r) = int_0^1 dt / sqrt((1-t^2)(1-r^2 t^2))``.  SciPy's
@@ -394,15 +394,22 @@ def envelope_constants(alpha: float) -> BesselEnvelopeConstants:
     return BesselEnvelopeConstants(alpha=alpha, m_alpha=m_a, x_alpha=x_a)
 
 
-def _bessel_jy(constants: BesselEnvelopeConstants, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J_alpha(z) and Y_alpha(z) on a 1-D z >= 0, alpha read from constants.
+def _bessel_j_olver_ratio(constants: BesselEnvelopeConstants,
+                          z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_alpha(z) and Olver's ratio M_alpha(z) / E_alpha(z) on a 1-D z >= 0, alpha read from constants.
 
-    Above max(X_alpha, 1), one hankel1 call gives both, J = Re H1 and
-    Y = Im H1; at or below it, jv and yv.  There |Y| >> |J|, so Re H1 loses
-    J's relative accuracy (3.5e-8 at alpha = 1.4 for 1e-3 <= z <= 1, no
-    digit at alpha = 5), and where yv overflows to -inf, H1 is nan + nan i.
-    Against 40-digit mpmath for alpha in {-1/2, 0, 0.3, 0.77, 1.4, 5, 30}, on
-    900 points from z = 1e-4 to 1,200: above the threshold Re H1 and Im H1 are
+    The Bessel form's envelope reads Olver's weight E and modulus M only
+    through M/E.  Below X_alpha, the first zero of J_alpha + Y_alpha,
+    E = sqrt(-Y/J) and M = sqrt(2 |Y| J), so M/E = sqrt(2) J; above it E = 1
+    and M/E = sqrt(J^2 + Y^2), the Hankel modulus.  Neither form divides: the
+    ratio stays finite where Y/J overflows, and is 0 where J underflows.
+
+    Above max(X_alpha, 1), one hankel1 call gives J = Re H1 and Y = Im H1; at
+    or below it, jv and yv.  There |Y| >> |J|, so Re H1 loses J's relative
+    accuracy (3.5e-8 at alpha = 1.4 for 1e-3 <= z <= 1, no digit at
+    alpha = 5), and where yv overflows to -inf, H1 is nan + nan i.  Against
+    40-digit mpmath for alpha in {-1/2, 0, 0.3, 0.77, 1.4, 5, 30}, on 900
+    points from z = 1e-4 to 1,200: above the threshold Re H1 and Im H1 are
     within 2.0e-15 |H1| of J and Y for alpha <= 5 and 7.8e-15 at alpha = 30,
     where jv alone was up to 7.1e-14 (alpha = 0.77) and 1.9e-13 off; at or
     below it jv's J is within 8.1e-15 relative for alpha <= 5 and 5.2e-14 at
@@ -415,38 +422,4 @@ def _bessel_jy(constants: BesselEnvelopeConstants, z: np.ndarray) -> tuple[np.nd
     j[far], y[far] = h.real, h.imag
     near = ~far
     j[near], y[near] = _sp.jv(alpha, z[near]), _sp.yv(alpha, z[near])
-    return j, y
-
-
-def _weight_modulus_from(constants: BesselEnvelopeConstants, x: np.ndarray, j: np.ndarray,
-                         y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Olver weight and modulus (E_alpha(x), M_alpha(x)) on a 1-D x > 0 from J_alpha and Y_alpha.
-
-    X_alpha is read from constants (see envelope_constants), and J and Y
-    are the caller's, from _bessel_jy.  Piecewise about X_alpha, the first
-    zero of J_alpha + Y_alpha; below it E = sqrt(-Y/J), M = sqrt(2 |Y| J),
-    above it E = 1, M = sqrt(J^2 + Y^2), so M/E = sqrt(2) J below and the
-    Hankel modulus above.  Below X_alpha, E and M are formed from sqrt(|Y|)
-    and sqrt(J), so that they stay finite wherever they are doubles
-    (E = 7.0e278 at alpha = 60, x = 1e-3, where Y/J overflows).  Where J or
-    Y there is itself 0 or not finite (J_60(1e-5) = 1e-400 underflows), or E
-    passes the double range, ValueError names alpha and x.
-    """
-    if not np.all(x > 0):
-        raise ValueError("the Olver envelope requires x > 0")
-    e_out = np.ones_like(x)
-    m_out = np.hypot(j, y)
-    small = x <= constants.x_alpha
-    if np.any(small):
-        js, ys = j[small], y[small]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            root_j, root_y = np.sqrt(js), np.sqrt(-ys)
-            e_small, m_small = root_y / root_j, math.sqrt(2.0) * root_y * root_j
-        bad = np.flatnonzero(~(np.isfinite(e_small) & np.isfinite(m_small) & (m_small > 0)))
-        if bad.size:
-            i = bad[0]
-            raise ValueError(
-                f"Olver envelope: J_alpha = {float(js[i])!r} and Y_alpha = {float(ys[i])!r} "
-                f"at alpha = {constants.alpha}, x = {float(x[small][i])!r} give no finite E and M")
-        e_out[small], m_out[small] = e_small, m_small
-    return e_out, m_out
+    return j, np.where(z <= constants.x_alpha, math.sqrt(2.0) * j, np.hypot(j, y))

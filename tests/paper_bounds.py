@@ -3,10 +3,13 @@
 The Bessel-form theorem is stated with the Bessel-moment remainder eta_alpha,
 the integrated perturbation bound g_{alpha,q} (through the incomplete
 elliptic integral K(x, sqrt(q))), the constants c_alpha, kappa_alpha and
-M_cap, the weighted norm of the approximant's main term and the Bessel
-moment of the Hilbert-Schmidt limit.  No library path reads any of them;
-the tests compare these forms with quadrature and mpmath oracles and with
-each other.  As references they check no arguments.
+M_cap, Olver's weight and modulus functions E_alpha and M_alpha, the
+weighted norm of the approximant's main term and the Bessel moment of the
+Hilbert-Schmidt limit.  No library path reads any of them (the Bessel
+envelope reads only the ratio M/E, in closed form); the tests compare these
+forms with quadrature and mpmath oracles and with each other.  As
+references they check no arguments, except weight_modulus, whose refusals
+the tests pin.
 """
 
 import math
@@ -62,6 +65,39 @@ def m_cap(alpha: float) -> float:
     """M_cap = max(1/pi, c_alpha^2 - 1/pi, kappa_alpha), the bound on |eta_alpha|."""
     c_a = c_alpha(alpha)
     return max(1.0 / math.pi, c_a * c_a - 1.0 / math.pi, kappa_alpha(alpha))
+
+
+def weight_modulus(constants, x):
+    """Olver's weight and modulus (E_alpha(x), M_alpha(x)) as 1-D arrays.
+
+    Piecewise about X_alpha = constants.x_alpha, the first zero of
+    J_alpha + Y_alpha: below it E = sqrt(-Y/J) and M = sqrt(2 |Y| J), from
+    scipy's jv and yv; above it E = 1 and M = sqrt(J^2 + Y^2) = |H1_alpha|,
+    from hankel1 (the modulus of jv and yv is up to 6e-14 relative off
+    40-digit mpmath at x ~ 18, alpha = 1.4, and |H1| within 3e-16).  Below
+    X_alpha, E and M are formed from sqrt(|Y|) and sqrt(J), so that they stay
+    finite wherever they are doubles (E = 7.0e278 at alpha = 60, x = 1e-3,
+    where Y/J overflows).  ValueError unless x > 0, and, naming alpha and x,
+    where J or Y below X_alpha is 0 or not finite (J_60(1e-5) = 1e-400
+    underflows) or E passes the double range.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(xs > 0):
+        raise ValueError("the Olver envelope requires x > 0")
+    alpha = constants.alpha
+    j, y = sp.jv(alpha, xs), sp.yv(alpha, xs)
+    small = xs <= constants.x_alpha
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        root_j, root_y = np.sqrt(j), np.sqrt(-y)
+        e = np.where(small, root_y / root_j, 1.0)
+        m = np.where(small, math.sqrt(2.0) * root_y * root_j, np.abs(sp.hankel1(alpha, xs)))
+    bad = np.flatnonzero(small & ~(np.isfinite(e) & np.isfinite(m) & (m > 0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"Olver envelope: J_alpha = {float(j[i])!r} and Y_alpha = {float(y[i])!r} "
+            f"at alpha = {alpha}, x = {float(xs[i])!r} give no finite E and M")
+    return e, m
 
 
 def main_norm_sq(frame) -> float:

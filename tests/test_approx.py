@@ -9,9 +9,9 @@ from scipy.integrate import quad
 from scipy.special import ellipe, gamma, jv
 
 import gpswf as g
-from gpswf.approx import default_grid, make_frame, symmetric_grid
-from paper_bounds import g_bound, m_cap, main_norm_sq
-from test_specfun import jacobi_series_mpmath, weight_modulus
+from gpswf.approx import _bessel_terms, default_grid, make_frame, symmetric_grid
+from paper_bounds import g_bound, m_cap, main_norm_sq, weight_modulus
+from test_specfun import jacobi_series_mpmath
 
 
 def g_bound_quad_oracle(alpha, q, x):
@@ -148,6 +148,22 @@ def test_envelope_dominates_sup_error():
     rep = g.bessel_report(spec, 40)
     assert not rep.envelope_violated
     assert rep.sup_error <= rep.sup_envelope
+
+
+@pytest.mark.parametrize("alpha, c, n", [(0.5, 5.0, 40), (1.4, 4.0, 90), (0.0, 20.0, 100),
+                                         (-0.25, 3.0, 40)])
+def test_envelope_factor_is_olver_ratio(alpha, c, n):
+    # the envelope factor with Olver's E and M in closed form, away from the
+    # x = 1 limit: (1-x^2)^(1/4-a/2) chi^(1/4) sqrt(S) (M/E) / (1-q x^2)^(3/4)
+    frame = make_frame(g.chi_spectrum(g.ProblemParams(alpha=alpha, c=c), n), n)
+    assert frame.admissible
+    xs = default_grid()[:-1]
+    chi, q = frame.chi, frame.q
+    s = g.s_map(xs, q)
+    e, m = weight_modulus(frame.constants, math.sqrt(chi) * s)
+    expect = (1 - xs * xs) ** (0.25 - alpha / 2) * chi ** 0.25 * np.sqrt(s) * (m / e) \
+        / (1 - q * xs * xs) ** 0.75
+    assert_allclose(_bessel_terms(frame, xs)[1], expect, rtol=1e-14, atol=0)
 
 
 def test_a_alpha_exact_inside_prop2_bracket():

@@ -162,6 +162,14 @@ def test_approx_jacobi_refuses_alpha_out_of_range():
     assert "alpha must lie in (0,3/2)" in proc.stderr
 
 
+def test_approx_bessel_refuses_alpha_below_minus_half(capsys):
+    # the envelope constants' domain refusal exited 1, as a property violation
+    code = main(["approx", "--kind", "bessel", "--alpha", "-0.7", "--c", "5", "--n", "40"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: alpha must be >= -1/2 for --kind bessel\n"
+
+
 def test_approx_jacobi_refuses_q0_out_of_range(capsys):
     # --q0 nan, 5 and inf exited 0 with a Jacobi-form report at q = 1.61;
     # --kind bessel ignores the flag, but --q0 nan exited 0 in csv and 2 in

@@ -13,15 +13,14 @@ from scipy.special import beta, ellipe, gamma, jv, yv
 import gpswf as g
 from explicit_route import jacobi_h
 from gpswf.specfun import (
-    _bessel_jy,
+    _bessel_j_olver_ratio,
     _ptilde_at_one,
-    _weight_modulus_from,
     jacobi_series_deriv_coeffs,
     jacobi_series_eval,
     sym_offdiag,
     total_mass,
 )
-from paper_bounds import c_alpha, eta, incomplete_K, m_cap
+from paper_bounds import c_alpha, eta, incomplete_K, m_cap, weight_modulus
 
 
 # ---------------------------------------------------------------------------
@@ -668,12 +667,6 @@ def test_gauss_jacobi_solves_half_size_blocks(monkeypatch):
 # eta, envelope constants, weight/modulus functions
 # ---------------------------------------------------------------------------
 
-def weight_modulus(cst, x):
-    """(E_alpha(x), M_alpha(x)) as 1-D arrays, from the Bessel form's own J and Y."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return _weight_modulus_from(cst, xs, *_bessel_jy(cst, xs))
-
-
 def test_eta_zero():
     assert eta(0.8, 0.0) == 0.0
 
@@ -784,7 +777,7 @@ def test_weight_modulus_refuses_underflowed_j(alpha, x):
         weight_modulus(g.envelope_constants(alpha), x)
 
 
-# _bessel_jy's reference grid: z from 1e-4 to 1,200, dense near the threshold
+# _bessel_j_olver_ratio's reference grid: z from 1e-4 to 1,200, dense near the threshold
 _JY_GRID = np.unique(np.concatenate([np.geomspace(1e-4, 1200.0, 60), np.linspace(0.5, 40.0, 40)]))
 
 
@@ -793,22 +786,25 @@ def test_bessel_jy_matches_mpmath(alpha):
     from mpmath import mp, besselj, bessely
 
     cst = g.envelope_constants(alpha)
-    j, y = _bessel_jy(cst, _JY_GRID)
+    j, m_over_e = _bessel_j_olver_ratio(cst, _JY_GRID)
     with mp.workdps(40):
         ref_j = np.array([float(besselj(alpha, mp.mpf(z))) for z in _JY_GRID])
         ref_y = np.array([float(bessely(alpha, mp.mpf(z))) for z in _JY_GRID])
+    # M/E is sqrt(2) J up to X_alpha and the modulus |H1| = sqrt(J^2 + Y^2) past it
+    modulus = np.hypot(ref_j, ref_y)
+    ref_ratio = np.where(_JY_GRID <= cst.x_alpha, math.sqrt(2.0) * ref_j, modulus)
     # above max(X_alpha, 1), J and Y are Re and Im of one Hankel function:
-    # absolute error against the modulus M = |H1|
+    # absolute error against the modulus
     far = _JY_GRID > max(cst.x_alpha, 1.0)
-    modulus = np.hypot(ref_j, ref_y)[far]
     far_tol = 2e-14 if alpha >= 30 else 4e-15
-    assert np.max(np.abs(j[far] - ref_j[far]) / modulus) <= far_tol
-    assert np.max(np.abs(y[far] - ref_y[far]) / modulus) <= far_tol
+    assert np.max(np.abs(j[far] - ref_j[far]) / modulus[far]) <= far_tol
+    assert np.max(np.abs(m_over_e[far] - ref_ratio[far]) / modulus[far]) <= far_tol
     # at or below it |Y| >> |J|, and J keeps its relative accuracy (jv)
     near = ~far
     assert near.sum() >= 30
     assert_allclose(j[near], ref_j[near], rtol=1e-13 if alpha >= 30 else 2e-14, atol=0)
-    assert_allclose(y[near], ref_y[near], rtol=1e-13 if alpha >= 30 else 2e-14, atol=0)
+    assert_allclose(m_over_e[near], ref_ratio[near], rtol=1e-13 if alpha >= 30 else 2e-14,
+                    atol=0)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.5])
@@ -816,14 +812,13 @@ def test_bessel_jy_half_order_closed_forms(alpha):
     # J_(1/2) = r sin z, Y_(1/2) = -r cos z, J_(-1/2) = r cos z, Y_(-1/2) = r sin z
     z = _JY_GRID
     r = np.sqrt(2.0 / (math.pi * z))
-    j, y = _bessel_jy(g.envelope_constants(alpha), z)
-    if alpha > 0:
-        ref_j, ref_y = r * np.sin(z), -r * np.cos(z)
-    else:
-        ref_j, ref_y = r * np.cos(z), r * np.sin(z)
-    # r is the modulus, sqrt(J^2 + Y^2)
+    cst = g.envelope_constants(alpha)
+    j, m_over_e = _bessel_j_olver_ratio(cst, z)
+    ref_j = r * np.sin(z) if alpha > 0 else r * np.cos(z)
+    # r is the modulus, sqrt(J^2 + Y^2), and M/E past X_alpha; sqrt(2) J up to it
+    ref_ratio = np.where(z <= cst.x_alpha, math.sqrt(2.0) * ref_j, r)
     assert np.max(np.abs(j - ref_j) / r) <= 4e-15
-    assert np.max(np.abs(y - ref_y) / r) <= 4e-15
+    assert np.max(np.abs(m_over_e - ref_ratio) / r) <= 4e-15
 
 
 @pytest.mark.parametrize("alpha, x_alpha", [
